@@ -48,6 +48,11 @@ class SupportOverflow(ResolventError):
     pass
 
 
+class ModeWindowTooNarrow(ResolventError):
+    """The mode window around Re z holds no mode, or clips one that sets
+    sigma_min."""
+
+
 @dataclass
 class AbsorbingProfile:
     """Absorption shape a(x): 0 for |x| <= rho0, 1 for |x| >= rho1.
@@ -167,7 +172,8 @@ def _mode_window(op, z, window):
     lo = max(-half, int(math.ceil((np.real(z) - window) / op.h)))
     hi = min(half - 1, int(math.floor((np.real(z) + window) / op.h)))
     if lo > hi:
-        raise ValueError("mode window is empty; increase window or n_modes")
+        raise ModeWindowTooNarrow(
+            "mode window is empty; increase window or n_modes")
     return range(lo, hi + 1)
 
 
@@ -274,31 +280,6 @@ def _tridiag_solve(fact, b, trans="N"):
     if info != 0:
         raise SingularAtZ("tridiagonal solve failed")
     return x
-
-
-def cutoff_norm_block(diag, off, phi, iters=80, rtol=1e-9):
-    """|| Q^{-1} diag(phi) || for one mode block, by power iteration on
-    phi Q^{-H} Q^{-1} phi with a single tridiagonal factorization."""
-    fact = _tridiag_factor(diag, off)
-    v = phi.astype(complex)
-    nv = la.norm(v)
-    if nv == 0:
-        return 0.0
-    v /= nv
-    prev = 0.0
-    for _ in range(iters):
-        w = _tridiag_solve(fact, phi * v)
-        y = _tridiag_solve(fact, w, trans="C")
-        w2 = phi * y
-        val = math.sqrt(abs(np.vdot(v, w2).real))
-        nw = la.norm(w2)
-        if nw == 0:
-            return 0.0
-        v = w2 / nw
-        if abs(val - prev) <= rtol * max(val, 1e-300):
-            break
-        prev = val
-    return val
 
 
 class _CutoffSweep:
@@ -468,7 +449,7 @@ def sigma_min_scan(op_builder, h_list, z_values=None, cutoff=True,
         wide, _ = sigma_min_point(op, worst.re_z, window=2 * window,
                                   sweep=sweep)
         if wide < worst.sigma_min * (1 - 1e-9):
-            raise ValueError(
+            raise ModeWindowTooNarrow(
                 f"mode window {window} too narrow at h = {h}: doubling it "
                 f"lowered sigma_min from {worst.sigma_min:.3e} to {wide:.3e}")
         rows.extend(h_rows)

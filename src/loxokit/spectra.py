@@ -61,17 +61,6 @@ class RadialOperator:
     sym_diag: np.ndarray
     sym_off: np.ndarray
 
-    def apply_weighted(self, v):
-        """Action of the operator on nodal values of v (original frame)."""
-        w = v * np.sqrt(self.weight)
-        out = self.sym_diag * w
-        out[:-1] += self.sym_off * w[1:]
-        out[1:] += self.sym_off * w[:-1]
-        return out / np.sqrt(self.weight)
-
-    def weighted_inner(self, u, v):
-        return self.spacing * np.sum(u * v * self.weight)
-
 
 def effective_potential(op):
     """k^2 / f(r)^2 on the grid (barrier of height k^2 at the neck)."""

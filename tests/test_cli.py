@@ -108,6 +108,15 @@ def test_resolvent_quick_scan(tmp_path):
     assert header.startswith("h,re_z,im_z,sigma_min")
 
 
+def test_resolvent_empty_mode_window_is_numerical_failure(tmp_path, capsys):
+    # z = +-0.5 sits halfway between the modes h m of h = 1/25, and a
+    # window of 0.001 reaches neither neighbour
+    cfg = write_json(tmp_path / "cfg.json", {"n_z": 2, "window": 0.001})
+    rc = main(["resolvent", "--h", "1/25", "--config", cfg])
+    assert rc == 3
+    assert "mode window is empty" in capsys.readouterr().err
+
+
 def test_damped_wave_quick_run(tmp_path, capsys):
     cfg = write_json(tmp_path / "cfg.json",
                      {"t_max": 6.0, "n_grid": 96, "decay_modes": [0, 3]})

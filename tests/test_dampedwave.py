@@ -1,10 +1,17 @@
 """Damped wave on a warped period: pencil assembly, eigenfrequency
 structure, exact-propagator energy traces."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as la
+from scipy.optimize import linear_sum_assignment
 
 from loxokit import dampedwave as dw
 
@@ -110,6 +117,31 @@ def test_strip_and_mirror_diagnostics(default_problem):
         assert es.frequencies.imag.max() <= 2.0 + 1e-8
 
 
+def companion_roots(pencil):
+    """Pencil roots from the complex companion [[0, I], [L, 2i a]], solved
+    with the complex eigensolver: the linearization eigenfrequencies used
+    before the real generator."""
+    n = pencil.problem.n_grid
+    comp = np.zeros((2 * n, 2 * n), dtype=complex)
+    comp[:n, n:] = np.eye(n)
+    comp[n:, :n] = pencil.zeroth
+    comp[n:, n:] = 2j * np.diag(pencil.problem.a)
+    return la.eigvals(comp)
+
+
+@pytest.mark.parametrize("k", [0, 7, 40])
+def test_real_generator_roots_match_complex_companion(default_problem, k):
+    pencil = dw.assemble_pencil(default_problem, k)
+    got = dw.eigenfrequencies(pencil).frequencies
+    want = companion_roots(pencil)
+    assert got.size == want.size == 2 * default_problem.n_grid
+    # pair the roots one to one; sorting is not stable for roots whose
+    # real parts are zero up to roundoff
+    dist = np.abs(got[:, None] - want[None, :])
+    rows, cols = linear_sum_assignment(dist)
+    assert dist[rows, cols].max() <= 1e-10
+
+
 def gap_profile(n_grid):
     """min over modes and |Re tau| >= 1 of Im tau * log<Re tau>."""
     prob = dw.DampedWaveProblem(n_grid=n_grid, modes=tuple(range(0, 41, 4)))
@@ -163,6 +195,66 @@ def test_undamped_energy_conserved():
     drift = np.abs(trace.e0 - trace.e0[0]).max() / trace.e0[0]
     assert drift <= 1e-8
     assert trace.rate == 0.0
+
+
+def stepwise_states(step, x0, n_steps):
+    """Reference march: one matrix-vector product per step."""
+    hist = np.empty((n_steps + 1, x0.size))
+    hist[0] = x0
+    for i in range(n_steps):
+        hist[i + 1] = step @ hist[i]
+    return hist
+
+
+@pytest.mark.parametrize("damping", [None, zero], ids=["damped", "undamped"])
+def test_power_march_matches_stepwise_loop(damping):
+    prob = dw.DampedWaveProblem(n_grid=48, damping=damping, modes=(3,))
+    dt, n_steps = 0.004, 1500
+    pencil = dw.assemble_pencil(prob, 3)
+    frame = dw.mode_frame(pencil)
+    u0, v0 = dw.default_initial(prob, frame)
+    scale = np.sqrt(prob.f)
+    x0 = np.concatenate([scale * u0, scale * v0])
+    step = la.expm(dw.first_order_generator(pencil) * dt)
+    kept = step.copy()
+    want = stepwise_states(step, x0, n_steps)
+    got = dw.power_march(step, x0, n_steps)
+    assert np.array_equal(step, kept)
+    assert got.shape == want.shape
+    err = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+    assert err.max() <= 1e-12
+    n = prob.n_grid
+    c, cd = frame.coeffs(want[:, :n].T), frame.coeffs(want[:, n:].T)
+    e0 = 0.5 * (cd ** 2 + frame.lam[:, None] * c ** 2).sum(axis=0)
+    trace = dw.evolve(prob, 3, t_max=n_steps * dt, dt=dt, frame=frame)
+    assert trace.times.size == n_steps + 1
+    assert np.abs(trace.e0 / e0 - 1.0).max() <= 1e-12
+
+
+THREAD_PROBE = """
+import json, sys
+from loxokit import dampedwave as dw
+trace = dw.evolve(dw.DampedWaveProblem(modes=(5,)), 5, t_max=2.0, dt=0.002)
+json.dump([float(e) for e in trace.e0], sys.stdout)
+"""
+
+
+def test_evolve_energies_independent_of_blas_threads():
+    # the propagator itself differs in the last bits between one and two
+    # BLAS threads, so the energies agree to roundoff, not bitwise
+    src = str(Path(dw.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
+                              capture_output=True, text=True, check=True,
+                              timeout=300)
+        runs.append(np.array(json.loads(done.stdout)))
+    one, two = runs
+    assert one.size == two.size == 1001
+    assert np.abs(two / one - 1.0).max() <= 1e-12
 
 
 def test_step_size_guard(default_problem):
