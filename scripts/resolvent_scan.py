@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Smallest-singular-value scan of the absorbed model operator over the
-default h ladder 1/50 .. 1/400. Takes a few minutes single-threaded;
-pass --threads 4 to spread the z grid over workers.
+default h ladder 1/50 .. 1/400. Extra flags go to `loxokit resolvent`,
+e.g. --h 1/50,1/100 or --config scan.json.
 """
 
 import sys

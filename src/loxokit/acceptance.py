@@ -191,8 +191,7 @@ def criterion_nonconcentration():
 
 def criterion_resolvent_bounds():
     build = rv.default_operator_builder()
-    scan = rv.sigma_min_scan(build, [1 / 50, 1 / 100, 1 / 200, 1 / 400],
-                             threads=2)
+    scan = rv.sigma_min_scan(build, [1 / 50, 1 / 100, 1 / 200, 1 / 400])
     r1 = scan.bands["inv_norm"]["ratio"]
     r2 = scan.bands["cutoff"]["ratio"]
     glob = rv.global_absorption_check(1 / 100)

@@ -2,9 +2,10 @@
 
 JSON configs in, CSV/JSON outputs (written atomically) out. Exit codes:
 0 success, 2 configuration or usage error, 3 numerical failure inside a
-solver. Environment variables LOXOKIT_OUT, LOXOKIT_THREADS, LOXOKIT_SEED
-and LOXOKIT_TOL override the matching flags when the flag is absent, so
-CI can steer runs without editing configs.
+solver. Each subcommand accepts only the options it reads. Environment
+variables LOXOKIT_OUT and LOXOKIT_TOL stand in for --out and --tol when
+the flag is absent, so CI can steer runs without editing configs; only
+orbit has --tol, and the other subcommands ignore LOXOKIT_TOL.
 """
 
 from __future__ import annotations
@@ -23,12 +24,9 @@ from . import dampedwave as dw
 from . import flows
 from . import resolvent as rv
 from . import spectra
-from .dampedwave import DampedWaveError
-from .flows import FlowError
+from .errors import LoxokitError
 from .normal_form import birkhoff_normal_form, escape_rate_form
-from .resolvent import ResolventError
-from .spectra import SpectraError
-from .symplectic import SymplecticError, symplectic_log
+from .symplectic import symplectic_log
 
 ENV_PREFIX = "LOXOKIT_"
 
@@ -38,10 +36,17 @@ class UsageError(ValueError):
 
 
 def _env_default(args, name, cast):
-    if getattr(args, name) is None:
-        raw = os.environ.get(ENV_PREFIX + name.upper())
-        if raw is not None:
+    """Fill an absent flag from LOXOKIT_<NAME>, if the subcommand has it."""
+    if not hasattr(args, name) or getattr(args, name) is not None:
+        return
+    var = ENV_PREFIX + name.upper()
+    raw = os.environ.get(var)
+    if raw is not None:
+        try:
             setattr(args, name, cast(raw))
+        except ValueError:
+            raise UsageError(f"{var}={raw!r} is not a valid "
+                             f"{cast.__name__}") from None
 
 
 def _load_config(path, allowed, defaults):
@@ -69,7 +74,10 @@ def _parse_float(token):
     token = token.strip()
     if "/" in token:
         num, den = token.split("/", 1)
-        return float(num) / float(den)
+        try:
+            return float(num) / float(den)
+        except ZeroDivisionError:
+            raise UsageError(f"{token!r} divides by zero") from None
     return float(token)
 
 
@@ -201,14 +209,13 @@ def cmd_orbit(args):
     return 0
 
 
-SPECTRUM_KEYS = ("k", "delta", "R", "N", "profile", "threads")
+SPECTRUM_KEYS = ("k", "delta", "R", "N", "profile")
 
 
 def cmd_spectrum(args):
     cfg = _load_config(args.config, SPECTRUM_KEYS, {
         "k": [10, 20, 40, 80], "delta": 0.5, "R": 3.0, "N": 2048,
         "profile": "cosh",
-        "threads": args.threads if args.threads is not None else 1,
     })
     if args.k is not None:
         cfg["k"] = [int(v) for v in _parse_mode_list(args.k)]
@@ -216,8 +223,7 @@ def cmd_spectrum(args):
         cfg["delta"] = args.delta
     report = spectra.nonconcentration_scan(
         cfg["k"], delta=float(cfg["delta"]), R=float(cfg["R"]),
-        N=int(cfg["N"]), profile=cfg["profile"],
-        threads=int(cfg["threads"]))
+        N=int(cfg["N"]), profile=cfg["profile"])
     out = _out_dir(args)
     if out is not None:
         serialize.write_csv(os.path.join(out, "spectrum.csv"),
@@ -233,8 +239,7 @@ def cmd_spectrum(args):
     return 0
 
 
-RESOLVENT_KEYS = ("h", "window", "cutoff", "rate", "half_length",
-                  "n_z", "threads")
+RESOLVENT_KEYS = ("h", "window", "cutoff", "rate", "half_length", "n_z")
 
 
 def cmd_resolvent(args):
@@ -242,7 +247,6 @@ def cmd_resolvent(args):
         "h": [1 / 50, 1 / 100, 1 / 200, 1 / 400],
         "window": 0.6, "cutoff": True, "rate": 1.0, "half_length": 1.0,
         "n_z": 11,
-        "threads": args.threads if args.threads is not None else 1,
     })
     if args.h is not None:
         cfg["h"] = _parse_float_list(args.h)
@@ -251,8 +255,7 @@ def cmd_resolvent(args):
     z_values = np.linspace(-0.5, 0.5, int(cfg["n_z"]))
     scan = rv.sigma_min_scan(build, [float(h) for h in cfg["h"]],
                              z_values=z_values, cutoff=bool(cfg["cutoff"]),
-                             window=float(cfg["window"]),
-                             threads=int(cfg["threads"]))
+                             window=float(cfg["window"]))
     out = _out_dir(args)
     if out is not None:
         serialize.write_csv(os.path.join(out, "resolvent.csv"),
@@ -365,21 +368,20 @@ def build_parser():
         description="Spectra and dynamics around closed hyperbolic orbits")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON config file")
+    def common(p, config=True):
+        if config:
+            p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--threads", type=int, help="worker thread budget")
-        p.add_argument("--seed", type=int, help="seed for sampled checks")
-        p.add_argument("--tol", type=float, help="solver tolerance override")
 
     p = sub.add_parser("normal-form",
                        help="normal form and escape-rate certificate of a "
                             "symplectic map or Hamilton matrix")
     p.add_argument("--input", help="matrix JSON ({'data': [[...]], "
                                    "'kind': 'map'|'generator'})")
-    common(p)
+    common(p, config=False)
 
     p = sub.add_parser("orbit", help="closed orbit, monodromy, stability")
+    p.add_argument("--tol", type=float, help="solver tolerance override")
     common(p)
 
     p = sub.add_parser("spectrum",
@@ -402,7 +404,7 @@ def build_parser():
 
     p = sub.add_parser("selftest", help="run the acceptance criteria")
     p.add_argument("--criteria", help="comma list (default: all)")
-    common(p)
+    common(p, config=False)
     return parser
 
 
@@ -415,17 +417,15 @@ COMMANDS = {
     "selftest": cmd_selftest,
 }
 
-NUMERICAL_ERRORS = (SymplecticError, FlowError, SpectraError,
-                    ResolventError, DampedWaveError, la.LinAlgError)
+NUMERICAL_ERRORS = (LoxokitError, la.LinAlgError)
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    for name, cast in (("out", str), ("threads", int), ("seed", int),
-                       ("tol", float)):
-        _env_default(args, name, cast)
     try:
+        _env_default(args, "out", str)
+        _env_default(args, "tol", float)
         return COMMANDS[args.command](args)
     except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -29,21 +29,14 @@ import scipy.linalg as la
 from scipy.integrate import simpson
 
 from .cutoffs import plateau_bump, plateau_step
+from .errors import GridTooCoarse, LoxokitError, StepFailure
 
 
-class DampedWaveError(RuntimeError):
-    pass
-
-
-class GridTooCoarse(DampedWaveError):
+class DampedWaveError(LoxokitError):
     pass
 
 
 class LinearizationIllConditioned(DampedWaveError):
-    pass
-
-
-class StepFailure(DampedWaveError):
     pass
 
 

@@ -1,0 +1,19 @@
+"""Typed numerical failures shared by every solver module.
+
+Each module's base error (SymplecticError, FlowError, SpectraError,
+ResolventError, DampedWaveError) subclasses LoxokitError, and failures
+that more than one module can raise are defined here once. The command
+line maps every LoxokitError to exit code 3.
+"""
+
+
+class LoxokitError(RuntimeError):
+    """Root of every numerical failure raised by loxokit."""
+
+
+class GridTooCoarse(LoxokitError):
+    """The discretization grid cannot resolve the requested scale."""
+
+
+class StepFailure(LoxokitError):
+    """A time integrator or propagator failed to reach the requested time."""

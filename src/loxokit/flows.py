@@ -23,15 +23,12 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg as la
 
+from .errors import LoxokitError, StepFailure
 from .symplectic import POINCARE_MAP, SpectrumClassification, classify
 
 
-class FlowError(RuntimeError):
+class FlowError(LoxokitError):
     pass
-
-
-class StepFailure(FlowError):
-    """The adaptive integrator failed to reach the requested time."""
 
 
 class MaxIterations(FlowError):
@@ -266,18 +263,26 @@ def flow(sys, z0, t_span, tol=1e-10, t_eval=None, dense=False):
                       solver=sol.sol if dense else None)
 
 
-def _flow_with_monodromy(sys, z0, T, tol=1e-11):
-    """Integrate z and the variational matrix over [0, T]."""
-    dim = 2 * sys.n
+def _variational_rhs(sys):
+    """Right-hand side of the flow z' = X(z) together with its variational
+    equation Phi' = DX(z) Phi, on the stacked state y = (z, Phi.ravel())."""
+    n = sys.n
+    dim = 2 * n
 
     def rhs(t, y):
         z = y[:dim]
         Phi = y[dim:].reshape(dim, dim)
         H = sys.hessian(z)
-        n = sys.n
         Dv = np.vstack([H[n:, :], -H[:n, :]])
         return np.concatenate([sys.vector_field(z), (Dv @ Phi).ravel()])
 
+    return rhs
+
+
+def _flow_with_monodromy(sys, z0, T, tol=1e-11):
+    """Integrate z and the variational matrix over [0, T]."""
+    dim = 2 * sys.n
+    rhs = _variational_rhs(sys)
     y0 = np.concatenate([np.asarray(z0, float), np.eye(dim).ravel()])
     sol = scipy.integrate.solve_ivp(rhs, (0.0, T), y0, method="DOP853",
                                     rtol=tol, atol=tol)
@@ -327,15 +332,7 @@ def _poincare_return(sys, z, z_ref, v_sec, t_min, t_max, tol):
     filter discards.
     """
     dim = 2 * sys.n
-
-    def rhs(t, y):
-        state = y[:dim]
-        Phi = y[dim:].reshape(dim, dim)
-        H = sys.hessian(state)
-        n = sys.n
-        Dv = np.vstack([H[n:, :], -H[:n, :]])
-        return np.concatenate([sys.vector_field(state), (Dv @ Phi).ravel()])
-
+    rhs = _variational_rhs(sys)
     y0 = np.concatenate([np.asarray(z, float), np.eye(dim).ravel()])
     leg1 = scipy.integrate.solve_ivp(rhs, (0.0, t_min), y0, method="DOP853",
                                      rtol=tol, atol=tol)

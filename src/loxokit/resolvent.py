@@ -17,8 +17,6 @@ across an h-halving sequence can be read off directly.
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,9 +24,10 @@ import scipy.linalg as la
 from scipy.linalg import lapack
 
 from .cutoffs import plateau_step
+from .errors import GridTooCoarse, LoxokitError
 
 
-class ResolventError(RuntimeError):
+class ResolventError(LoxokitError):
     pass
 
 
@@ -37,10 +36,6 @@ class ProfileOutOfDomain(ResolventError):
 
 
 class SingularAtZ(ResolventError):
-    pass
-
-
-class GridTooCoarse(ResolventError):
     pass
 
 
@@ -184,14 +179,14 @@ class _SigmaSweep:
     (z, m) pairs collapse to one function g(w). g is 1-Lipschitz in w,
     which makes warm-started inverse iteration converge in a few steps
     per point; reported minima are re-certified with the exact banded
-    eigensolver before use.
+    eigensolver before use. The cache is not locked: use one sweep per
+    thread.
     """
 
     def __init__(self, op):
         self.op = op
         self.off = op.rate * op.s_off
         self.cache = {}
-        self._lock = threading.Lock()
 
     def _iterate(self, w, v0):
         diag = -w - 1j * self.op.absorb.astype(complex)
@@ -216,13 +211,12 @@ class _SigmaSweep:
 
     def values(self, w_list):
         """g(w) for every w in w_list (deduplicated, warm-started sweep)."""
-        with self._lock:
-            missing = sorted({float(w) for w in w_list
-                              if float(w) not in self.cache})
-            v = None
-            for w in missing:
-                sigma, v = self._iterate(w, v)
-                self.cache[w] = sigma
+        missing = sorted({float(w) for w in w_list
+                          if float(w) not in self.cache})
+        v = None
+        for w in missing:
+            sigma, v = self._iterate(w, v)
+            self.cache[w] = sigma
         return np.array([self.cache[float(w)] for w in w_list])
 
     def certified(self, w):
@@ -291,17 +285,15 @@ class _CutoffSweep:
         self.phi = np.asarray(phi, dtype=float)
         self.cache = {}
         self._v = None
-        self._lock = threading.Lock()
 
     def values(self, w_list):
-        with self._lock:
-            missing = sorted({float(w) for w in w_list
-                              if float(w) not in self.cache})
-            for w in missing:
-                diag = -w - 1j * self.op.absorb.astype(complex)
-                fact = _tridiag_factor(diag, self.off)
-                val, self._v = _cutoff_power(fact, self.phi, self._v)
-                self.cache[w] = val
+        missing = sorted({float(w) for w in w_list
+                          if float(w) not in self.cache})
+        for w in missing:
+            diag = -w - 1j * self.op.absorb.astype(complex)
+            fact = _tridiag_factor(diag, self.off)
+            val, self._v = _cutoff_power(fact, self.phi, self._v)
+            self.cache[w] = val
         return np.array([self.cache[float(w)] for w in w_list])
 
 
@@ -406,17 +398,16 @@ def _w_union(op, z_values, window):
     return sorted(ws)
 
 
-def sigma_min_scan(op_builder, h_list, z_values=None, cutoff=True,
-                   window=0.6, threads=1):
+def sigma_min_scan(op_builder, h_list, z_values=None, cutoff=True, window=0.6):
     """Scan sigma_min(Q(z)) over z for each h; normalized products and
     their across-h bands summarize the scaling.
 
     Per h, every (z, mode) pair reduces to w = z - h*m, so the scan first
     fills one warm-started sweep over the union of w values and the per-z
-    rows become cache lookups (safe to evaluate in parallel). For each h,
-    the binding z is then re-checked with a doubled mode window; a smaller
-    minimum there means the window clipped a relevant mode, which raises
-    instead of silently reporting a wrong norm.
+    rows become cache lookups. For each h, the binding z is then re-checked
+    with a doubled mode window; a smaller minimum there means the window
+    clipped a relevant mode, which raises instead of silently reporting a
+    wrong norm.
     """
     if z_values is None:
         z_values = np.linspace(-0.5, 0.5, 11)
@@ -436,15 +427,8 @@ def sigma_min_scan(op_builder, h_list, z_values=None, cutoff=True,
         sweep.values(w_all)
         if cut_sweep is not None:
             cut_sweep.values(w_all)
-        if threads and threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futs = [pool.submit(_scan_one_z, op, z, window, log_h,
-                                    sweep, cut_sweep)
-                        for z in z_values]
-                h_rows = [f.result() for f in futs]
-        else:
-            h_rows = [_scan_one_z(op, z, window, log_h, sweep, cut_sweep)
-                      for z in z_values]
+        h_rows = [_scan_one_z(op, z, window, log_h, sweep, cut_sweep)
+                  for z in z_values]
         worst = max(h_rows, key=lambda r: r.norm_product)
         wide, _ = sigma_min_point(op, worst.re_z, window=2 * window,
                                   sweep=sweep)

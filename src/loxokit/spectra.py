@@ -15,18 +15,15 @@ their mass escapes a fixed neighborhood as k grows.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as la
 
-
-class SpectraError(RuntimeError):
-    pass
+from .errors import GridTooCoarse, LoxokitError
 
 
-class GridTooCoarse(SpectraError):
+class SpectraError(LoxokitError):
     pass
 
 
@@ -214,21 +211,14 @@ def _scan_one(k, delta, R, N, profile):
                    product=m_out * np.log(lam), grid_N=int(N))
 
 
-def nonconcentration_scan(k_list, delta=0.5, R=3.0, N=2048, profile="cosh",
-                          threads=1):
+def nonconcentration_scan(k_list, delta=0.5, R=3.0, N=2048, profile="cosh"):
     """Barrier-top mode per k, its mass away from the neck, and the
     logarithmic products; band statistics summarize the scan."""
     if not k_list:
         raise ValueError("k_list must not be empty")
     if not delta < R:
         raise ValueError("delta must be smaller than R")
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_scan_one, k, delta, R, N, profile)
-                       for k in k_list]
-            rows = [f.result() for f in futures]   # submission order
-    else:
-        rows = [_scan_one(k, delta, R, N, profile) for k in k_list]
+    rows = [_scan_one(k, delta, R, N, profile) for k in k_list]
     products = [r.product for r in rows]
     band = {"product_min": float(min(products)),
             "product_max": float(max(products))}

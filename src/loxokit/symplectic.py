@@ -20,8 +20,10 @@ from typing import Optional, Union
 import numpy as np
 import scipy.linalg as la
 
+from .errors import LoxokitError
 
-class SymplecticError(ValueError):
+
+class SymplecticError(LoxokitError, ValueError):
     """Base class for structured failures in this module."""
 
 

@@ -1,12 +1,15 @@
 """End-to-end runs of the batch front-end through main(argv)."""
 
+import argparse
 import json
 import math
 
 import numpy as np
 import pytest
 
+from loxokit import cli, dampedwave, flows, spectra
 from loxokit.cli import main
+from loxokit.errors import LoxokitError
 from loxokit.serialize import SCHEMA_VERSION
 
 
@@ -164,3 +167,95 @@ def test_env_var_sets_output_dir(tmp_path, monkeypatch):
                      {"data": [[math.e, 0.0], [0.0, 1.0 / math.e]]})
     assert main(["normal-form", "--input", inp]) == 0
     assert (tmp_path / "envout" / "normal_form.json").exists()
+
+
+def test_env_var_skipped_by_subcommands_without_the_flag(tmp_path,
+                                                         monkeypatch):
+    # only orbit has --tol, so normal-form never parses LOXOKIT_TOL
+    monkeypatch.setenv("LOXOKIT_TOL", "abc")
+    inp = write_json(tmp_path / "m.json",
+                     {"data": [[math.e, 0.0], [0.0, 1.0 / math.e]]})
+    assert main(["normal-form", "--input", inp]) == 0
+
+
+def test_bad_env_tol_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("LOXOKIT_TOL", "abc")
+    assert main(["orbit"]) == 2
+    assert capsys.readouterr().err.startswith("error: LOXOKIT_TOL")
+
+
+def test_h_division_by_zero_is_usage_error(capsys):
+    assert main(["resolvent", "--h", "1/0"]) == 2
+    assert capsys.readouterr().err.startswith("error: '1/0'")
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--threads", "2"],
+    ["resolvent", "--seed", "1"],
+    ["spectrum", "--tol", "1e-9"],
+    ["normal-form", "--config", "missing.json"],
+    ["selftest", "--config", "missing.json"],
+])
+def test_unread_flags_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["spectrum", "resolvent"])
+def test_threads_config_key_is_unknown(tmp_path, command, capsys):
+    cfg = write_json(tmp_path / "cfg.json", {"threads": 2})
+    assert main([command, "--config", cfg]) == 2
+    assert "unknown config keys ['threads']" in capsys.readouterr().err
+
+
+def _numerical_errors():
+    found, todo = [], [LoxokitError]
+    while todo:
+        cls = todo.pop()
+        found.append(cls)
+        todo.extend(cls.__subclasses__())
+    return sorted(set(found), key=lambda c: c.__name__)
+
+
+def test_numerical_errors_cover_every_module():
+    names = {c.__name__ for c in _numerical_errors()}
+    assert {"LoxokitError", "GridTooCoarse", "StepFailure",
+            "SymplecticError", "FlowError", "SpectraError",
+            "ResolventError", "DampedWaveError"} <= names
+    assert spectra.GridTooCoarse is dampedwave.GridTooCoarse
+    assert flows.StepFailure is dampedwave.StepFailure
+
+
+@pytest.mark.parametrize("error", _numerical_errors(),
+                         ids=lambda c: c.__name__)
+def test_every_numerical_error_exits_3(error, monkeypatch, capsys):
+    def failing(args):
+        raise error("injected")
+
+    monkeypatch.setitem(cli.COMMANDS, "selftest", failing)
+    assert main(["selftest"]) == 3
+    assert capsys.readouterr().err == "numerical failure: injected\n"
+
+
+EXPECTED_OPTIONS = {
+    "normal-form": {"--input", "--out"},
+    "orbit": {"--config", "--out", "--tol"},
+    "spectrum": {"--config", "--out", "--k", "--delta"},
+    "resolvent": {"--config", "--out", "--h"},
+    "damped-wave": {"--config", "--out", "--modes", "--epsilon", "--r0"},
+    "selftest": {"--out", "--criteria"},
+}
+
+
+def test_subcommands_accept_only_the_options_they_read():
+    parser = cli.build_parser()
+    sub, = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    seen = {}
+    for name, p in sub.choices.items():
+        seen[name] = {opt for action in p._actions
+                      for opt in action.option_strings
+                      if opt not in ("-h", "--help")}
+    assert seen == EXPECTED_OPTIONS
+    assert set(cli.COMMANDS) == set(EXPECTED_OPTIONS)

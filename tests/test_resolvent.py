@@ -101,11 +101,11 @@ def test_point_probe_rejects_complex_z_with_sweep(op20):
         rv.sigma_min_point(op20, 0.1 + 0.01j, sweep=sweep)
 
 
-def test_scan_rows_deterministic_and_thread_invariant():
+def test_scan_rows_deterministic():
     build = rv.default_operator_builder()
     zs = np.linspace(-0.5, 0.5, 7)
-    scans = [rv.sigma_min_scan(build, [1 / 20, 1 / 40], z_values=zs,
-                               threads=t) for t in (1, 3)]
+    scans = [rv.sigma_min_scan(build, [1 / 20, 1 / 40], z_values=zs)
+             for _ in range(2)]
     rows_a, rows_b = (s.rows for s in scans)
     assert len(rows_a) == len(rows_b) == 14
     for a, b in zip(rows_a, rows_b):

@@ -146,11 +146,3 @@ def test_scan_band_and_refinement_agreement():
     rep2 = spectra.nonconcentration_scan(ks, N=512)
     for a, b in zip(rep.rows, rep2.rows):
         assert b.product == pytest.approx(a.product, rel=0.05)
-
-
-def test_scan_threads_match_serial():
-    ks = [5, 10, 15]
-    serial = spectra.nonconcentration_scan(ks, N=256, threads=1)
-    threaded = spectra.nonconcentration_scan(ks, N=256, threads=3)
-    for a, b in zip(serial.rows, threaded.rows):
-        assert (a.k, a.lam, a.mass_outside) == (b.k, b.lam, b.mass_outside)
