@@ -49,8 +49,27 @@ def _env_default(args, name, cast):
                              f"{cast.__name__}") from None
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _missing_kind(value, default):
+    """The kind that value lacks, judged by its default (a list of
+    numbers, a bool, or a number that is not a bool), or None if it fits.
+    Values with other defaults are checked where they are read."""
+    if isinstance(default, bool):
+        return None if isinstance(value, bool) else "true or false"
+    if _is_number(default):
+        return None if _is_number(value) else "a number"
+    if isinstance(default, list):
+        fits = isinstance(value, list) and all(map(_is_number, value))
+        return None if fits else "a list of numbers"
+    return None
+
+
 def _load_config(path, allowed, defaults):
-    """Merge defaults with a JSON config; unknown keys are an error."""
+    """Merge defaults with a JSON config; unknown keys and values of the
+    wrong kind are an error."""
     merged = dict(defaults)
     if path is not None:
         try:
@@ -66,6 +85,11 @@ def _load_config(path, allowed, defaults):
         if unknown:
             raise UsageError(
                 f"unknown config keys {unknown}; allowed: {sorted(allowed)}")
+        for key, value in cfg.items():
+            kind = _missing_kind(value, defaults[key])
+            if kind is not None:
+                raise UsageError(
+                    f"config key {key!r} must be {kind}, not {value!r}")
         merged.update(cfg)
     return merged
 

@@ -12,6 +12,18 @@ is tridiagonal per mode, and the global smallest singular value at spectral
 parameter z is the minimum over modes. Scans normalize 1/sigma_min by
 h / log(1/h) (and the cutoff variant by h / sqrt(log(1/h))) so the scaling
 across an h-halving sequence can be read off directly.
+
+The sweeps solve half-size problems. On the grid of quantize_model the
+coupling of S across x = 0 is exactly zero (x_j + x_{j+1} = 0 there: the
+flow x' = rate x never crosses the orbit), so Q_m(z) = Q_L + Q_R is a
+direct sum of half-line blocks, and Q_L = P Q_R P for the reflection P
+because a(x) and the default cutoff are even. Hence sigma_min(Q) =
+sigma_min(Q_R) and ||Q^{-1} phi|| = ||Q_R^{-1} phi_R|| as identities; the
+sweeps check the mirror equalities bitwise and refuse data that break
+them. Sweep points are keyed on w = z - h m snapped to steps of
+LATTICE_TOL * h, so the near-copies of one lattice point that different z
+produce share one evaluation and one certification; since w -> sigma_min
+is 1-Lipschitz, a merged value is off by less than LATTICE_TOL * h.
 """
 
 from __future__ import annotations
@@ -106,8 +118,13 @@ def quantize_model(h, rate=1.0, n_modes=None, n_grid=256, half_length=1.0,
         n_modes = 2 * int(math.ceil(1.6 / h))
     if n_modes < 32 or n_grid < 32:
         raise ValueError("need n_modes, n_grid >= 32")
+    if n_grid % 2:
+        raise ValueError("n_grid must be even: the sweeps split the grid "
+                         "into its two mirror halves")
     dx = 2.0 * half_length / (n_grid + 1)
-    x = -half_length + dx * np.arange(1, n_grid + 1)
+    # half-integer offsets are exact, so x is bitwise antisymmetric and
+    # absorb, s_off and even cutoffs are bitwise mirror images
+    x = dx * (np.arange(n_grid) - (n_grid - 1) / 2)
     # sym(x hD): Hermitian, zero diagonal, upper entries -i h (x_j+x_{j+1})/(4 dx)
     s_off = -1j * h * (x[:-1] + x[1:]) / (4.0 * dx)
     # similarity by diag(i^j) makes S real symmetric tridiagonal
@@ -125,22 +142,6 @@ def mode_block(op, m, z):
     """(diag, upper) of the tridiagonal Q_m(z); lower = conj(upper)."""
     diag = (op.h * m - z) * np.ones(op.n_grid, dtype=complex) - 1j * op.absorb
     return diag, op.rate * op.s_off
-
-
-def adjoint_mode_block(op, m, z):
-    """Q_m(z)^H, for the adjoint-symmetry check."""
-    diag = (op.h * m - np.conj(z)) * np.ones(op.n_grid, dtype=complex) \
-        + 1j * op.absorb
-    return diag, op.rate * op.s_off
-
-
-def dense_block(diag, off):
-    n = diag.size
-    Q = np.zeros((n, n), dtype=complex)
-    Q[np.arange(n), np.arange(n)] = diag
-    Q[np.arange(n - 1), np.arange(1, n)] = off
-    Q[np.arange(1, n), np.arange(n - 1)] = np.conj(off)
-    return Q
 
 
 def sigma_min_block(diag, off):
@@ -172,33 +173,96 @@ def _mode_window(op, z, window):
     return range(lo, hi + 1)
 
 
-class _SigmaSweep:
+# Sweep points closer than LATTICE_TOL * h in w share one evaluation.
+LATTICE_TOL = 1e-12
+
+
+def _right_half(op, phi=None):
+    """(absorb, s_off, phi) restricted to the half-line block x > 0.
+
+    Raises unless the data are exact mirror images about x = 0, which is
+    what makes the half-line block carry every singular value of Q_m(z).
+    """
+    n = op.n_grid
+    half = n // 2
+    absorb = np.asarray(op.absorb, dtype=float)
+    s_off = np.asarray(op.s_off)
+    mirrored = (n % 2 == 0 and s_off[half - 1] == 0
+                and np.array_equal(absorb, absorb[::-1])
+                and np.array_equal(s_off, -s_off[::-1]))
+    if phi is not None:
+        phi = np.asarray(phi, dtype=float)
+        mirrored = mirrored and phi.size == n and \
+            np.array_equal(phi, phi[::-1])
+        phi = phi[half:]
+    if not mirrored:
+        raise ResolventError(
+            "operator data are not mirror images about x = 0, so the "
+            "half-line sweeps do not apply")
+    return absorb[half:], s_off[half:], phi
+
+
+class _HalfLineSweep:
+    """Per-w cache on the half-line block x > 0 of one operator.
+
+    Keys are w = z - h m snapped to steps of LATTICE_TOL * h; the first w
+    seen for a key is the point evaluated for it. values() runs one
+    warm-started sweep over the missing keys in increasing w, through the
+    subclass's _point(factorization, warm_start) -> (value, warm_start).
+    The cache is not locked: use one sweep per thread.
+    """
+
+    def __init__(self, op, phi=None):
+        absorb, s_off, self.phi = _right_half(op, phi)
+        self.diag0 = -1j * absorb
+        self.off = op.rate * s_off
+        self.lower = np.conj(self.off)
+        self.step = LATTICE_TOL * op.h
+        self.points = {}
+        self.cache = {}
+
+    def _key(self, w):
+        key = round(w / self.step)
+        self.points.setdefault(key, w)
+        return key
+
+    def _diag(self, key):
+        return self.diag0 - self.points[key]
+
+    def values(self, w_list):
+        keys = [self._key(float(w)) for w in w_list]
+        state = None
+        for key in sorted(set(keys).difference(self.cache)):
+            fact = _tridiag_factor(self._diag(key), self.off, self.lower)
+            self.cache[key], state = self._point(fact, state)
+        return np.array([self.cache[key] for key in keys])
+
+
+class _SigmaSweep(_HalfLineSweep):
     """Cached sigma_min(Q_m(z)) evaluations for one operator.
 
     Q_m(z) depends on (m, z) only through w = z - h m, so scans over many
-    (z, m) pairs collapse to one function g(w). g is 1-Lipschitz in w,
-    which makes warm-started inverse iteration converge in a few steps
-    per point; reported minima are re-certified with the exact banded
-    eigensolver before use. The cache is not locked: use one sweep per
-    thread.
+    (z, m) pairs collapse to one function g(w) = sigma_min(Q_R(w)), the
+    half-line block x > 0 carrying every singular value of Q_m(z) (see the
+    module docstring). g is 1-Lipschitz in w, which makes warm-started
+    inverse iteration converge in a few steps per point, and bounds the
+    error of snapping w to the key lattice by LATTICE_TOL * h. Reported
+    minima are certified with the exact banded eigensolver, once per key.
     """
 
     def __init__(self, op):
-        self.op = op
-        self.off = op.rate * op.s_off
-        self.cache = {}
+        super().__init__(op)
+        self.exact = {}
 
-    def _iterate(self, w, v0):
-        diag = -w - 1j * self.op.absorb.astype(complex)
-        fact = _tridiag_factor(diag, self.off)
-        n = self.op.n_grid
-        v = v0 if v0 is not None else np.ones(n, dtype=complex) / math.sqrt(n)
+    def _point(self, fact, v0):
+        n = self.off.size + 1
+        v = v0 if v0 is not None else np.full(n, 1 / math.sqrt(n), complex)
         prev = np.inf
         sigma = np.inf
         for _ in range(200):
             a = _tridiag_solve(fact, v, trans="C")
             b = _tridiag_solve(fact, a)
-            nb = la.norm(b)
+            nb = math.sqrt(np.vdot(b, b).real)
             if nb == 0:
                 return 0.0, v
             # Rayleigh quotient of (Q^H Q)^{-1} at the normalized iterate
@@ -209,20 +273,12 @@ class _SigmaSweep:
             prev = sigma
         return sigma, v
 
-    def values(self, w_list):
-        """g(w) for every w in w_list (deduplicated, warm-started sweep)."""
-        missing = sorted({float(w) for w in w_list
-                          if float(w) not in self.cache})
-        v = None
-        for w in missing:
-            sigma, v = self._iterate(w, v)
-            self.cache[w] = sigma
-        return np.array([self.cache[float(w)] for w in w_list])
-
     def certified(self, w):
-        """Exact banded-eigensolver value at one w."""
-        diag = (-w - 1j * self.op.absorb).astype(complex)
-        return sigma_min_block(diag, self.off)
+        """Exact banded-eigensolver value at the key point of w."""
+        key = self._key(float(w))
+        if key not in self.exact:
+            self.exact[key] = sigma_min_block(self._diag(key), self.off)
+        return self.exact[key]
 
 
 def sigma_min_point(op, z, window=0.6, sweep=None):
@@ -260,9 +316,8 @@ def sigma_min_point(op, z, window=0.6, sweep=None):
     return float(exact), int(ms[j])
 
 
-def _tridiag_factor(diag, off):
-    dl = np.conj(off)
-    fact = lapack.zgttrf(dl, diag.copy(), off.copy())
+def _tridiag_factor(diag, off, lower):
+    fact = lapack.zgttrf(lower, diag, off)
     if fact[-1] != 0:
         raise SingularAtZ("tridiagonal factorization broke down")
     return fact[:-1]
@@ -276,30 +331,17 @@ def _tridiag_solve(fact, b, trans="N"):
     return x
 
 
-class _CutoffSweep:
-    """Cached ||Q^{-1} diag(phi)|| per w = z - h m, warm-started."""
+class _CutoffSweep(_HalfLineSweep):
+    """Cached ||Q^{-1} diag(phi)|| = ||Q_R^{-1} diag(phi_R)|| per w,
+    warm-started on the half-line block; construct with the cutoff phi."""
 
-    def __init__(self, op, phi):
-        self.op = op
-        self.off = op.rate * op.s_off
-        self.phi = np.asarray(phi, dtype=float)
-        self.cache = {}
-        self._v = None
-
-    def values(self, w_list):
-        missing = sorted({float(w) for w in w_list
-                          if float(w) not in self.cache})
-        for w in missing:
-            diag = -w - 1j * self.op.absorb.astype(complex)
-            fact = _tridiag_factor(diag, self.off)
-            val, self._v = _cutoff_power(fact, self.phi, self._v)
-            self.cache[w] = val
-        return np.array([self.cache[float(w)] for w in w_list])
+    def _point(self, fact, v0):
+        return _cutoff_power(fact, self.phi, v0)
 
 
 def _cutoff_power(fact, phi, v0=None, iters=200, rtol=1e-9):
     v = v0 if v0 is not None else phi.astype(complex)
-    nv = la.norm(v)
+    nv = math.sqrt(np.vdot(v, v).real)
     if nv == 0:
         return 0.0, v
     v = v / nv
@@ -310,7 +352,7 @@ def _cutoff_power(fact, phi, v0=None, iters=200, rtol=1e-9):
         y = _tridiag_solve(fact, w, trans="C")
         w2 = phi * y
         val = math.sqrt(abs(np.vdot(v, w2).real))
-        nw = la.norm(w2)
+        nw = math.sqrt(np.vdot(w2, w2).real)
         if nw == 0:
             return 0.0, v
         v = w2 / nw
@@ -376,38 +418,39 @@ def default_operator_builder(rate=1.0, half_length=1.0, profile=None):
     return build
 
 
-def _scan_one_z(op, z, window, log_h, sweep, cut_sweep):
+def _scan_one_z(op, z, window, log_h, sweep, phi, cut_sweep):
     s, _ = sigma_min_point(op, z, window=window, sweep=sweep)
     inv_norm = 1.0 / s
     row = ScanRow(h=op.h, re_z=float(np.real(z)), im_z=float(np.imag(z)),
                   sigma_min=s, inv_norm=inv_norm,
                   norm_product=inv_norm * op.h / log_h)
     if cut_sweep is not None:
-        c = cutoff_norm_point(op, z, cut_sweep.phi, window=window,
-                              sweep=cut_sweep)
+        c = cutoff_norm_point(op, z, phi, window=window, sweep=cut_sweep)
         row.cutoff_norm = c
         row.cutoff_product = c * op.h / math.sqrt(log_h)
     return row
 
 
 def _w_union(op, z_values, window):
-    ws = set()
-    for z in z_values:
-        for m in _mode_window(op, z, window):
-            ws.add(float(np.real(z)) - op.h * m)
-    return sorted(ws)
+    """Every w = z - h m of the scan; the sweeps merge the repeats."""
+    return [float(np.real(z)) - op.h * m for z in z_values
+            for m in _mode_window(op, z, window)]
 
 
 def sigma_min_scan(op_builder, h_list, z_values=None, cutoff=True, window=0.6):
     """Scan sigma_min(Q(z)) over z for each h; normalized products and
     their across-h bands summarize the scaling.
 
+    `cutoff` is True for default_cutoff, False or None for no cutoff band,
+    or an even cutoff array on the grid of the operator.
+
     Per h, every (z, mode) pair reduces to w = z - h*m, so the scan first
     fills one warm-started sweep over the union of w values and the per-z
-    rows become cache lookups. For each h, the binding z is then re-checked
-    with a doubled mode window; a smaller minimum there means the window
-    clipped a relevant mode, which raises instead of silently reporting a
-    wrong norm.
+    rows become cache lookups; the z of the default grid differ by
+    multiples of h, so their rows share sweep points and certifications.
+    For each h, the binding z is then re-checked with a doubled mode
+    window; a smaller minimum there means the window clipped a relevant
+    mode, which raises instead of silently reporting a wrong norm.
     """
     if z_values is None:
         z_values = np.linspace(-0.5, 0.5, 11)
@@ -419,7 +462,10 @@ def sigma_min_scan(op_builder, h_list, z_values=None, cutoff=True, window=0.6):
     per_h_max_cut = {}
     for h in h_list:
         op = op_builder(h)
-        phi = default_cutoff(op) if cutoff is True else cutoff
+        if isinstance(cutoff, bool):
+            phi = default_cutoff(op) if cutoff else None
+        else:
+            phi = cutoff
         log_h = math.log(1.0 / op.h)
         sweep = _SigmaSweep(op)
         cut_sweep = _CutoffSweep(op, phi) if phi is not None else None
@@ -427,7 +473,7 @@ def sigma_min_scan(op_builder, h_list, z_values=None, cutoff=True, window=0.6):
         sweep.values(w_all)
         if cut_sweep is not None:
             cut_sweep.values(w_all)
-        h_rows = [_scan_one_z(op, z, window, log_h, sweep, cut_sweep)
+        h_rows = [_scan_one_z(op, z, window, log_h, sweep, phi, cut_sweep)
                   for z in z_values]
         worst = max(h_rows, key=lambda r: r.norm_product)
         wide, _ = sigma_min_point(op, worst.re_z, window=2 * window,

@@ -128,12 +128,15 @@ def write_atomic(path, text):
 
 
 def write_csv(path, columns, rows):
-    """Deterministic CSV: header + repr-formatted floats (ints pass through)."""
+    """Deterministic CSV: header + repr-formatted floats (ints pass through,
+    None leaves the cell empty)."""
     lines = [",".join(columns)]
     for row in rows:
         cells = []
         for value in row:
-            if isinstance(value, (int, np.integer)):
+            if value is None:
+                cells.append("")
+            elif isinstance(value, (int, np.integer)):
                 cells.append(str(int(value)))
             else:
                 cells.append(format_float(value))

@@ -111,6 +111,38 @@ def test_resolvent_quick_scan(tmp_path):
     assert header.startswith("h,re_z,im_z,sigma_min")
 
 
+def test_resolvent_without_cutoff_writes_no_cutoff_band(tmp_path, capsys):
+    out = tmp_path / "res"
+    cfg = write_json(tmp_path / "cfg.json", {"n_z": 3, "cutoff": False})
+    rc = main(["resolvent", "--h", "1/20,1/40", "--config", cfg,
+               "--out", str(out)])
+    assert rc == 0
+    assert "cutoff" not in capsys.readouterr().out
+    text = (out / "resolvent.json").read_text()
+    assert "Infinity" not in text
+    assert set(json.loads(text)["bands"]) == {"inv_norm"}
+    lines = (out / "resolvent.csv").read_text().splitlines()
+    assert lines[0].endswith(",cutoff_product")
+    assert len(lines) == 7
+    assert all(line.endswith(",") for line in lines[1:])
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("spectrum", {"k": 5}),
+    ("resolvent", {"h": 0.02}),
+    ("damped-wave", {"modes": 3}),
+    ("resolvent", {"cutoff": "yes"}),
+    ("resolvent", {"window": True}),
+    ("spectrum", {"k": [10, "20"]}),
+])
+def test_config_value_of_wrong_kind_is_usage_error(tmp_path, command, cfg,
+                                                   capsys):
+    path = write_json(tmp_path / "cfg.json", cfg)
+    assert main([command, "--config", path]) == 2
+    key, = cfg
+    assert capsys.readouterr().err.startswith(f"error: config key {key!r}")
+
+
 def test_resolvent_empty_mode_window_is_numerical_failure(tmp_path, capsys):
     # z = +-0.5 sits halfway between the modes h m of h = 1/25, and a
     # window of 0.001 reaches neither neighbour

@@ -14,6 +14,22 @@ def op20():
     return rv.quantize_model(1 / 20, rate=1.0, n_grid=128)
 
 
+def adjoint_mode_block(op, m, z):
+    """Q_m(z)^H, for the adjoint-symmetry check."""
+    diag = (op.h * m - np.conj(z)) * np.ones(op.n_grid, dtype=complex) \
+        + 1j * op.absorb
+    return diag, op.rate * op.s_off
+
+
+def dense_block(diag, off):
+    n = diag.size
+    Q = np.zeros((n, n), dtype=complex)
+    Q[np.arange(n), np.arange(n)] = diag
+    Q[np.arange(n - 1), np.arange(1, n)] = off
+    Q[np.arange(1, n), np.arange(n - 1)] = np.conj(off)
+    return Q
+
+
 # ---------------------------------------------------------------------------
 # assembly
 # ---------------------------------------------------------------------------
@@ -33,7 +49,7 @@ def test_unabsorbed_block_is_hermitian(op20):
     profile = rv.AbsorbingProfile(strength=0.0)
     op = rv.quantize_model(1 / 20, rate=1.0, n_grid=128, profile=profile)
     diag, off = rv.mode_block(op, 2, 0.1)
-    A = rv.dense_block(diag, off)
+    A = dense_block(diag, off)
     assert np.max(np.abs(A - A.conj().T)) <= 1e-10
     rng = np.random.Generator(np.random.Philox(9))
     u = rng.standard_normal(128) + 1j * rng.standard_normal(128)
@@ -49,8 +65,8 @@ def test_absorption_norm_matches_profile(op20):
 
 def test_adjoint_assembly_matches_conjugate_transpose(op20):
     for m, z in ((0, 0.0), (4, 0.2), (-7, -0.45)):
-        A = rv.dense_block(*rv.mode_block(op20, m, z))
-        B = rv.dense_block(*rv.adjoint_mode_block(op20, m, z))
+        A = dense_block(*rv.mode_block(op20, m, z))
+        B = dense_block(*adjoint_mode_block(op20, m, z))
         assert np.max(np.abs(B - A.conj().T)) <= 1e-12
 
 
@@ -71,7 +87,7 @@ def test_block_sigma_min_matches_dense_svd(op20):
         z = float(rng.uniform(-0.5, 0.5))
         diag, off = rv.mode_block(op20, m, z)
         got = rv.sigma_min_block(diag, off)
-        want = np.linalg.svd(rv.dense_block(diag, off),
+        want = np.linalg.svd(dense_block(diag, off),
                              compute_uv=False)[-1]
         assert got == pytest.approx(want, rel=1e-10)
 
@@ -80,7 +96,7 @@ def test_inverse_norm_identity(op20):
     # 1/sigma_min is attained by solving against the smallest left singular
     # vector; a generic right-hand side would only give a lower bound
     diag, off = rv.mode_block(op20, 1, 0.07)
-    A = rv.dense_block(diag, off)
+    A = dense_block(diag, off)
     U, s, Vh = np.linalg.svd(A)
     x = np.linalg.solve(A, U[:, -1])
     assert np.linalg.norm(x) * s[-1] == pytest.approx(1.0, rel=1e-2)
@@ -136,6 +152,112 @@ def test_global_absorption_is_numerical_range_bound():
     # a == 1 everywhere makes -Im<Qu, u> = h C |u|^2, so sigma_min = h C
     rep = rv.global_absorption_check(1 / 50, n_grid=256)
     assert rep["rel_err"] <= 0.10
+
+
+# ---------------------------------------------------------------------------
+# half-line reduction and lattice keying
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n_grid", [64, 256, 1024])
+def test_quantized_data_are_bitwise_mirror_images(n_grid):
+    op = rv.quantize_model(1 / 50, n_grid=n_grid)
+    assert np.array_equal(op.x, -op.x[::-1])
+    assert np.array_equal(op.absorb, op.absorb[::-1])
+    assert np.array_equal(op.s_off, -op.s_off[::-1])
+    assert op.s_off[n_grid // 2 - 1] == 0
+    phi = rv.default_cutoff(op)
+    assert np.array_equal(phi, phi[::-1])
+
+
+def test_odd_grid_is_rejected():
+    with pytest.raises(ValueError):
+        rv.quantize_model(1 / 20, n_grid=65)
+
+
+def test_half_block_matches_full_block():
+    rng = np.random.Generator(np.random.Philox(23))
+    ops = [rv.quantize_model(h, n_grid=n)
+           for h, n in ((1 / 20, 64), (1 / 40, 128), (1 / 50, 256))]
+    worst = 0.0
+    for _ in range(24):
+        op = ops[int(rng.integers(len(ops)))]
+        m = int(rng.integers(-op.n_modes // 2, op.n_modes // 2))
+        z = float(rng.uniform(-0.5, 0.5))
+        want = rv.sigma_min_block(*rv.mode_block(op, m, z))
+        got = rv._SigmaSweep(op).certified(z - op.h * m)
+        worst = max(worst, abs(got - want) / want)
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("z", [0.13, -0.31, 0.13 + 0.02j, -0.27 + 0.004j])
+def test_point_probe_matches_full_blocks(op20, z):
+    s, m_star = rv.sigma_min_point(op20, z)
+    full = {m: rv.sigma_min_block(*rv.mode_block(op20, m, z))
+            for m in rv._mode_window(op20, z, 0.6)}
+    assert s == pytest.approx(min(full.values()), rel=1e-12)
+    assert full[m_star] == pytest.approx(s, rel=1e-12)
+
+
+def test_cutoff_sweep_matches_dense_norm(op20):
+    phi = rv.default_cutoff(op20)
+    z = 0.07
+    got = rv.cutoff_norm_point(op20, z, phi)
+    want = max(np.linalg.norm(np.linalg.solve(
+        dense_block(*rv.mode_block(op20, m, z)), np.diag(phi)), 2)
+        for m in rv._mode_window(op20, z, 0.6))
+    assert got == pytest.approx(want, rel=1e-10)
+
+
+def test_asymmetric_data_are_refused(op20):
+    absorb = op20.absorb.copy()
+    absorb[3] *= 1.5
+    lopsided = rv.DiscretizedOperator(
+        h=op20.h, rate=op20.rate, n_modes=op20.n_modes, n_grid=op20.n_grid,
+        half_length=op20.half_length, profile=op20.profile, x=op20.x,
+        spacing=op20.spacing, s_off=op20.s_off, absorb=absorb,
+        s_norm=op20.s_norm)
+    with pytest.raises(rv.ResolventError):
+        rv.sigma_min_point(lopsided, 0.1)
+    phi = rv.default_cutoff(op20)
+    phi[3] = 0.5
+    with pytest.raises(rv.ResolventError):
+        rv.cutoff_norm_point(op20, 0.1, phi)
+
+
+@pytest.fixture(scope="module")
+def counted_scan():
+    """Default 11-z scan at h = 1/50 and 1/100, counting certifications."""
+    calls = []
+    original = rv.sigma_min_block
+
+    def counting(diag, off):
+        calls.append(diag.size)
+        return original(diag, off)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rv, "sigma_min_block", counting)
+        build = rv.default_operator_builder()
+        scan = rv.sigma_min_scan(build, [1 / 50])
+        n_first = len(calls)
+        scan_b = rv.sigma_min_scan(build, [1 / 50, 1 / 100])
+    return scan, n_first, scan_b
+
+
+def test_scan_certifies_once_per_h(counted_scan):
+    scan, n_first, _ = counted_scan
+    assert n_first == 1
+    assert len(scan.rows) == 11
+    assert len({r.sigma_min for r in scan.rows}) == 1
+
+
+def test_scan_products_match_recorded_values(counted_scan):
+    # per-h maxima of the full-grid scan before the half-line reduction
+    bands = counted_scan[2].bands
+    want = {"inv_norm": (2.1641710728165275, 1.838430868483491),
+            "cutoff": (1.420984008996544, 1.3096855880010752)}
+    for band, values in want.items():
+        got = [bands[band]["per_h"][h] for h in (1 / 50, 1 / 100)]
+        assert got == pytest.approx(list(values), rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
