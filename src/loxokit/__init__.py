@@ -7,7 +7,6 @@ equation on a warped product.
 """
 
 from .symplectic import (
-    DEFAULT_TOL,
     HAMILTON_MATRIX,
     POINCARE_MAP,
     ComplexHyperbolicQuad,
@@ -24,11 +23,9 @@ from .symplectic import (
     SpectrumClassification,
     SymplecticError,
     SymplecticTransform,
-    Tolerances,
     classify,
     hamilton_matrix,
     hamilton_residual,
-    quadratic_form_of,
     standard_symplectic_matrix,
     symplectic_log,
     symplectic_pairing,

@@ -54,11 +54,15 @@ def _is_number(value):
 
 
 def _missing_kind(value, default):
-    """The kind that value lacks, judged by its default (a list of
-    numbers, a bool, or a number that is not a bool), or None if it fits.
-    Values with other defaults are checked where they are read."""
+    """The kind that value lacks, judged by its default (a bool, an
+    integer, another number or a list of numbers; a bool is never a
+    number), or None if it fits. Values with other defaults are checked
+    where they are read."""
     if isinstance(default, bool):
         return None if isinstance(value, bool) else "true or false"
+    if isinstance(default, int):
+        fits = isinstance(value, int) and not isinstance(value, bool)
+        return None if fits else "an integer"
     if _is_number(default):
         return None if _is_number(value) else "a number"
     if isinstance(default, list):
@@ -247,7 +251,7 @@ def cmd_spectrum(args):
         cfg["delta"] = args.delta
     report = spectra.nonconcentration_scan(
         cfg["k"], delta=float(cfg["delta"]), R=float(cfg["R"]),
-        N=int(cfg["N"]), profile=cfg["profile"])
+        N=cfg["N"], profile=cfg["profile"])
     out = _out_dir(args)
     if out is not None:
         serialize.write_csv(os.path.join(out, "spectrum.csv"),
@@ -274,9 +278,12 @@ def cmd_resolvent(args):
     })
     if args.h is not None:
         cfg["h"] = _parse_float_list(args.h)
+    if cfg["n_z"] < 1:
+        raise UsageError(f"config key 'n_z' must be at least 1, "
+                         f"not {cfg['n_z']}")
     build = rv.default_operator_builder(rate=float(cfg["rate"]),
                                         half_length=float(cfg["half_length"]))
-    z_values = np.linspace(-0.5, 0.5, int(cfg["n_z"]))
+    z_values = np.linspace(-0.5, 0.5, cfg["n_z"])
     scan = rv.sigma_min_scan(build, [float(h) for h in cfg["h"]],
                              z_values=z_values, cutoff=bool(cfg["cutoff"]),
                              window=float(cfg["window"]))
@@ -323,7 +330,7 @@ def cmd_damped_wave(args):
     prob = dw.DampedWaveProblem(
         profile=profile,
         damping=dw.neck_damping(inner, float(cfg["damping_outer"])),
-        n_grid=int(cfg["n_grid"]), modes=tuple(int(k) for k in cfg["modes"]),
+        n_grid=cfg["n_grid"], modes=tuple(int(k) for k in cfg["modes"]),
         epsilon=float(cfg["epsilon"]), dead_zone_radius=inner)
     freq_rows = []
     strip = mirror = 0.0

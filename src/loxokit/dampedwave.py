@@ -123,11 +123,6 @@ class ModePencil:
     def __iter__(self):
         return iter((self.second, self.first, self.zeroth))
 
-    def delta_matrix(self):
-        """The mode operator back in the physical frame (f-weighted)."""
-        scale = np.sqrt(self.problem.f)
-        return (self.zeroth / scale[:, None]) * scale[None, :]
-
 
 def assemble_pencil(problem, k):
     """Symmetrized mode operator and pencil coefficient triple.

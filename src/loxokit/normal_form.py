@@ -25,17 +25,18 @@ import numpy as np
 import scipy.linalg as la
 
 from .symplectic import (
-    DEFAULT_TOL,
+    BLOCK_RESIDUAL_TOL,
     HAMILTON_MATRIX,
     DefectiveBeyondTolerance,
     EllipticEigenvaluePresent,
     HamiltonMatrix,
     NotPositiveDefinite,
     QuadraticHamiltonian,
+    RANK_RTOL,
     SpectrumClassification,
     SymplecticError,
     SymplecticTransform,
-    Tolerances,
+    UNIT_TOL,
     _as_matrix,
     _check_even_square,
     classify,
@@ -133,7 +134,7 @@ def _fix_phase(vec):
     return vec * (np.conj(z) / abs(z))
 
 
-def _jordan_chains(B, lam, block_sizes, rank_rtol):
+def _jordan_chains(B, lam, block_sizes):
     """Jordan chains e_1..e_k per block (B e_l = lam e_l + e_{l-1}).
 
     Bottoms are chosen pairwise independent inside ker(N) ^ range(N^{k-1})
@@ -146,15 +147,15 @@ def _jordan_chains(B, lam, block_sizes, rank_rtol):
     powers = [np.eye(n, dtype=complex)]
     for _ in range(kmax):
         powers.append(powers[-1] @ N)
-    kerN = _nullspace(N, rank_rtol)
+    kerN = _nullspace(N, RANK_RTOL)
     chains = []
     used_bottoms = np.zeros((n, 0), dtype=complex)
     for k in sorted(block_sizes, reverse=True):
         if k == 1:
             cand = kerN
         else:
-            rng = _range_space(powers[k - 1], rank_rtol)
-            cand = _subspace_intersection(kerN, rng, rank_rtol)
+            rng = _range_space(powers[k - 1], RANK_RTOL)
+            cand = _subspace_intersection(kerN, rng, RANK_RTOL)
         if cand.shape[1] == 0:
             raise DefectiveBeyondTolerance(
                 f"no admissible chain bottom for eigenvalue {lam}, size {k}")
@@ -175,7 +176,7 @@ def _jordan_chains(B, lam, block_sizes, rank_rtol):
     return chains
 
 
-def _dual_chains(B, lam, e_chains, rank_rtol):
+def _dual_chains(B, lam, e_chains):
     """Vectors f with s(e_i, f_j) = delta_ij inside the -lam eigenspace.
 
     The dual basis of a Jordan chain family automatically satisfies
@@ -187,7 +188,7 @@ def _dual_chains(B, lam, e_chains, rank_rtol):
     P = np.eye(n, dtype=complex)
     for _ in range(kmax):
         P = P @ M
-    G = _nullspace(P, rank_rtol)
+    G = _nullspace(P, RANK_RTOL)
     E = np.column_stack([v for chain in e_chains for v in chain])
     if G.shape[1] != E.shape[1]:
         raise DefectiveBeyondTolerance(
@@ -223,7 +224,7 @@ def _complex_block(lam, k, eps):
     return A
 
 
-def birkhoff_normal_form(B, jordan_scale=None, tol: Tolerances = DEFAULT_TOL):
+def birkhoff_normal_form(B, jordan_scale=None):
     """Symplectic normal form of a loxodromic Hamilton matrix.
 
     Parameters
@@ -241,7 +242,7 @@ def birkhoff_normal_form(B, jordan_scale=None, tol: Tolerances = DEFAULT_TOL):
     """
     Bm = _as_matrix(B)
     n = _check_even_square(Bm, "input")
-    cls = classify(Bm, mode=HAMILTON_MATRIX, tol=tol)
+    cls = classify(Bm, mode=HAMILTON_MATRIX)
     if not cls.is_loxodromic:
         raise EllipticEigenvaluePresent(
             "normal form requires a loxodromic spectrum")
@@ -265,8 +266,8 @@ def birkhoff_normal_form(B, jordan_scale=None, tol: Tolerances = DEFAULT_TOL):
     e_cols, f_cols, blocks = [], [], []
     for tag, lam in order:
         sizes = sorted(by_lam[(tag, lam)], reverse=True)
-        e_chains = _jordan_chains(Bm, lam, sizes, tol.rank_rtol)
-        f_chains = _dual_chains(Bm, lam, e_chains, tol.rank_rtol)
+        e_chains = _jordan_chains(Bm, lam, sizes)
+        f_chains = _dual_chains(Bm, lam, e_chains)
         for e_chain, f_chain in zip(e_chains, f_chains):
             k = len(e_chain)
             # scale relative to the chain bottom: couplings pick up eps,
@@ -296,7 +297,7 @@ def birkhoff_normal_form(B, jordan_scale=None, tol: Tolerances = DEFAULT_TOL):
     except la.LinAlgError as exc:
         raise DefectiveBeyondTolerance("normal-form transform is singular") from exc
     scale = max(1.0, la.norm(Bm))
-    if residual > tol.block_residual_tol * scale * max(1.0, np.linalg.cond(T) * 1e-6):
+    if residual > BLOCK_RESIDUAL_TOL * scale * max(1.0, np.linalg.cond(T) * 1e-6):
         raise DefectiveBeyondTolerance(
             f"normal-form residual {residual:.2e} exceeds tolerance")
     transform = SymplecticTransform(dim=n, entries=T)
@@ -308,7 +309,7 @@ def birkhoff_normal_form(B, jordan_scale=None, tol: Tolerances = DEFAULT_TOL):
 # Williamson decomposition of a positive definite quadratic form
 # ---------------------------------------------------------------------------
 
-def williamson(q, tol: Tolerances = DEFAULT_TOL) -> WilliamsonDecomposition:
+def williamson(q) -> WilliamsonDecomposition:
     """Symplectic diagonalization of a positive definite quadratic form.
 
     Returns radii 0 < r_1 <= ... <= r_m and a symplectic T with
@@ -319,12 +320,11 @@ def williamson(q, tol: Tolerances = DEFAULT_TOL) -> WilliamsonDecomposition:
     Q = q.coeff
     n = q.dim
     m = n // 2
-    w = la.eigh(Q, eigvals_only=True)
-    if w[0] <= 0:
-        raise NotPositiveDefinite(
-            f"form has min eigenvalue {w[0]:.3e}; Williamson needs > 0")
-    J = standard_symplectic_matrix(m)
     ew, EV = la.eigh(Q)
+    if ew[0] <= 0:
+        raise NotPositiveDefinite(
+            f"form has min eigenvalue {ew[0]:.3e}; Williamson needs > 0")
+    J = standard_symplectic_matrix(m)
     R_inv = (EV / np.sqrt(ew)) @ EV.T            # Q^{-1/2}
     W = R_inv @ J @ R_inv                        # antisymmetric
     S, K = la.schur(np.asarray(W), output="real")
@@ -362,7 +362,7 @@ def williamson(q, tol: Tolerances = DEFAULT_TOL) -> WilliamsonDecomposition:
     return WilliamsonDecomposition(radii=radii, transform=transform)
 
 
-def escape_rate_form(nf: BirkhoffNormalForm, tol: Tolerances = DEFAULT_TOL) -> EscapeRateForm:
+def escape_rate_form(nf: BirkhoffNormalForm) -> EscapeRateForm:
     """Quadratic part of the flow derivative of the log-ratio escape function.
 
     In normal-form coordinates the model escape function
@@ -379,14 +379,14 @@ def escape_rate_form(nf: BirkhoffNormalForm, tol: Tolerances = DEFAULT_TOL) -> E
     w = la.eigh(S, eigvals_only=True)
     min_eig = float(w[0])
     if min_eig > 0:
-        cert = williamson(form, tol=tol)
+        cert = williamson(form)
         return EscapeRateForm(form=form, positive_definite=True,
                               min_eigenvalue=min_eig, certificate=cert)
     return EscapeRateForm(form=form, positive_definite=False,
                           min_eigenvalue=min_eig, certificate=None)
 
 
-def stable_unstable_subspaces(B, tol: Tolerances = DEFAULT_TOL) -> InvariantSubspaces:
+def stable_unstable_subspaces(B) -> InvariantSubspaces:
     """Orthonormal bases of the unstable (Re > 0) and stable (Re < 0) spaces.
 
     Both are Lagrangian and B-invariant for a loxodromic Hamilton matrix;
@@ -397,7 +397,7 @@ def stable_unstable_subspaces(B, tol: Tolerances = DEFAULT_TOL) -> InvariantSubs
     m = n // 2
     eigs = la.eigvals(Bm)
     scale = max(1.0, np.max(np.abs(eigs)))
-    if np.any(np.abs(np.real(eigs)) <= tol.unit_tol * scale):
+    if np.any(np.abs(np.real(eigs)) <= UNIT_TOL * scale):
         raise EllipticEigenvaluePresent(
             "stable/unstable splitting needs Re lambda != 0 for all eigenvalues")
 

@@ -59,11 +59,6 @@ class RadialOperator:
     sym_off: np.ndarray
 
 
-def effective_potential(op):
-    """k^2 / f(r)^2 on the grid (barrier of height k^2 at the neck)."""
-    return op.k ** 2 / op.weight ** 2
-
-
 def build_radial_operator(k, R=3.0, N=2048, profile="cosh"):
     if N < 64:
         raise GridTooCoarse(f"N = {N} below the minimum grid size 64")

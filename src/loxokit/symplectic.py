@@ -10,12 +10,17 @@ Conventions, fixed once for the whole package:
 
 Internally the symplectic pairing is evaluated as ``s(u, v) = <J u, v>``,
 which makes the canonical pair e = (1, 0), f = (0, 1) satisfy s(e, f) = 1.
+
+Tolerances are fixed module constants: SYMMETRY_RTOL, HAMILTON_TOL,
+SYMPLECTIC_TOL, TRANSFORM_TOL, UNIT_TOL, CLUSTER_RTOL, RANK_RTOL,
+ROUNDTRIP_TOL and BLOCK_RESIDUAL_TOL (see their definitions).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg as la
@@ -52,26 +57,17 @@ class NotPositiveDefinite(SymplecticError):
     """Quadratic form is not positive definite."""
 
 
-@dataclass
-class Tolerances:
-    """Numerical tolerances used across the symplectic routines.
-
-    All values are relative to the scale of the input unless noted.
-    """
-
-    symmetry_rtol: float = 1e-12      # Q = Q^T for quadratic Hamiltonians
-    hamilton_tol: float = 1e-10       # ||J B + B^T J||
-    symplectic_tol: float = 1e-8      # ||S^T J S - J|| for map inputs
-    transform_tol: float = 1e-9       # ||T^T J T - J|| for returned transforms
-    unit_tol: float = 1e-7            # pair/quadruple matching, axis tests
-    cluster_rtol: float = 1e-4        # same-eigenvalue clustering (Jordan); a
-                                      # chain of size k scatters by ~eps^(1/k)
-    rank_rtol: float = 1e-8           # SVD threshold for rank decisions
-    roundtrip_tol: float = 1e-8       # exp(log S) = S
-    block_residual_tol: float = 1e-8  # ||T^{-1} B T - blockdiag(A^T, -A)||
-
-
-DEFAULT_TOL = Tolerances()
+# Fixed tolerances, relative to the scale of the input unless noted.
+SYMMETRY_RTOL = 1e-12       # Q = Q^T for quadratic Hamiltonians
+HAMILTON_TOL = 1e-10        # ||J B + B^T J||
+SYMPLECTIC_TOL = 1e-8       # ||S^T J S - J|| for map inputs
+TRANSFORM_TOL = 1e-10       # ||T^T J T - J|| for transforms
+UNIT_TOL = 1e-7             # pair/quadruple matching, axis tests
+CLUSTER_RTOL = 1e-4         # same-eigenvalue clustering (Jordan); a
+                            # chain of size k scatters by ~eps^(1/k)
+RANK_RTOL = 1e-8            # SVD threshold for rank decisions
+ROUNDTRIP_TOL = 1e-8        # exp(log S) = S
+BLOCK_RESIDUAL_TOL = 1e-8   # ||T^{-1} B T - blockdiag(A^T, -A)||
 
 HAMILTON_MATRIX = "hamilton_matrix"
 POINCARE_MAP = "poincare_map"
@@ -96,8 +92,7 @@ def _as_matrix(obj):
         return np.asarray(obj.entries, dtype=float)
     if hasattr(obj, "coeff"):
         return np.asarray(obj.coeff, dtype=float)
-    arr = np.asarray(obj, dtype=float)
-    return arr
+    return np.asarray(obj, dtype=float)
 
 
 def _check_even_square(M, what="matrix"):
@@ -106,6 +101,13 @@ def _check_even_square(M, what="matrix"):
     if M.shape[0] % 2 != 0:
         raise SymplecticError(f"{what} must have even dimension, got {M.shape[0]}")
     return M.shape[0]
+
+
+def _checked_entries(entries, dim, name):
+    M = np.asarray(entries, dtype=float)
+    if _check_even_square(M, name) != dim:
+        raise SymplecticError(f"dim={dim} does not match {name} shape {M.shape}")
+    return M
 
 
 def hamilton_residual(B):
@@ -136,12 +138,8 @@ class QuadraticHamiltonian:
     coeff: np.ndarray
 
     def __post_init__(self):
-        Q = np.asarray(self.coeff, dtype=float)
-        n = _check_even_square(Q, "coeff")
-        if n != self.dim:
-            raise SymplecticError(f"dim={self.dim} does not match coeff shape {Q.shape}")
-        scale = max(1.0, la.norm(Q))
-        if la.norm(Q - Q.T) > DEFAULT_TOL.symmetry_rtol * scale:
+        Q = _checked_entries(self.coeff, self.dim, "coeff")
+        if la.norm(Q - Q.T) > SYMMETRY_RTOL * max(1.0, la.norm(Q)):
             raise SymplecticError("coeff matrix is not symmetric within 1e-12 (relative)")
         self.coeff = 0.5 * (Q + Q.T)
 
@@ -158,12 +156,8 @@ class HamiltonMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        B = np.asarray(self.entries, dtype=float)
-        n = _check_even_square(B, "entries")
-        if n != self.dim:
-            raise SymplecticError(f"dim={self.dim} does not match entries shape {B.shape}")
-        scale = max(1.0, la.norm(B))
-        if hamilton_residual(B) > DEFAULT_TOL.hamilton_tol * scale:
+        B = _checked_entries(self.entries, self.dim, "entries")
+        if hamilton_residual(B) > HAMILTON_TOL * max(1.0, la.norm(B)):
             raise NotSymplectic("J B + B^T J != 0 within 1e-10: not a Hamilton matrix")
         self.entries = B
 
@@ -176,12 +170,8 @@ class SymplecticTransform:
     entries: np.ndarray
 
     def __post_init__(self):
-        T = np.asarray(self.entries, dtype=float)
-        n = _check_even_square(T, "entries")
-        if n != self.dim:
-            raise SymplecticError(f"dim={self.dim} does not match entries shape {T.shape}")
-        scale = max(1.0, la.norm(T) ** 2)
-        if symplectic_residual(T) > 1e-10 * scale:
+        T = _checked_entries(self.entries, self.dim, "entries")
+        if symplectic_residual(T) > TRANSFORM_TOL * max(1.0, la.norm(T) ** 2):
             raise NotSymplectic("T^T J T != J within tolerance: not symplectic")
         self.entries = T
 
@@ -203,14 +193,6 @@ def hamilton_matrix(q: QuadraticHamiltonian) -> HamiltonMatrix:
     J = standard_symplectic_matrix(m)
     B = -J @ q.coeff
     return HamiltonMatrix(dim=q.dim, entries=B)
-
-
-def quadratic_form_of(B: Union[HamiltonMatrix, np.ndarray]) -> QuadraticHamiltonian:
-    """Inverse of :func:`hamilton_matrix`: Q = J B."""
-    Bm = _as_matrix(B)
-    m = Bm.shape[0] // 2
-    J = standard_symplectic_matrix(m)
-    return QuadraticHamiltonian(dim=Bm.shape[0], coeff=J @ Bm)
 
 
 # ---------------------------------------------------------------------------
@@ -313,17 +295,20 @@ def _cluster_values(vals, tol):
     return out
 
 
-def _block_sizes(M, lam, multiplicity, rank_rtol):
+def _block_sizes(M, lam, multiplicity, scale):
     """Jordan block sizes of eigenvalue lam via ranks of (M - lam I)^k."""
     n = M.shape[0]
     N = M.astype(complex) - lam * np.eye(n)
     norm_N = max(la.norm(N, 2), 1e-300)
+    if norm_N <= RANK_RTOL * scale:
+        # M = lam I up to roundoff, so every rank below would be noise
+        return [1] * multiplicity
     ranks = [n]
     P = np.eye(n, dtype=complex)
     for k in range(1, multiplicity + 1):
         P = P @ N
         s = la.svdvals(P)
-        thr = rank_rtol * norm_N ** k
+        thr = RANK_RTOL * norm_N ** k
         ranks.append(int(np.sum(s > max(thr, s[0] * 1e-14 if s.size else 0.0))))
         if ranks[-1] <= n - multiplicity:
             break
@@ -341,190 +326,133 @@ def _block_sizes(M, lam, multiplicity, rank_rtol):
     return sizes
 
 
-def classify(M, mode=HAMILTON_MATRIX, unit_tol=None, tol: Tolerances = DEFAULT_TOL):
-    """Group the spectrum of a Hamilton matrix or symplectic map.
+@dataclass(frozen=True)
+class _Rules:
+    """How classify reads the eigenvalues v of one kind of input; tol is
+    the absolute matching tolerance."""
 
-    Parameters
-    ----------
-    M : array or HamiltonMatrix or SymplecticTransform
-        The matrix to classify.
-    mode : str
-        ``"hamilton_matrix"`` or ``"poincare_map"``.
-    unit_tol : float, optional
-        Relative tolerance for the imaginary-axis / unit-circle test and
-        for pair/quadruple matching. Defaults to ``tol.unit_tol``.
+    identity: str             # the structural identity, for errors
+    violates: Callable        # (M, scale) -> the identity fails
+    on_axis: Callable         # (v, tol) -> v is elliptic
+    partner: Callable         # v -> the other member of its pair
+    representative: Callable  # v -> the Hamilton-level lambda
+    phase: Callable           # v -> rotation angle, up to sign
+    sort_key: Callable        # expanding members first
+    negative_real: Callable   # (v, tol) -> exp(lambda) < 0
 
-    Returns
-    -------
-    SpectrumClassification
-        Groups store Hamilton-level representatives: for maps the stored
-        lambda is the principal log of the expanding eigenvalue.
-    """
+
+_RULES = {
+    # eigenvalues mu: elliptic iff |mu| = 1 (a scale-free test, so it
+    # ignores tol), pairs (mu, 1/mu)
+    POINCARE_MAP: _Rules(
+        identity="symplectic",
+        violates=lambda M, s: symplectic_residual(M) > SYMPLECTIC_TOL * s ** 2,
+        on_axis=lambda mu, tol: abs(abs(mu) - 1.0) <= UNIT_TOL,
+        partner=lambda mu: 1.0 / mu, representative=np.log, phase=np.angle,
+        sort_key=lambda mu: (-abs(mu), -np.imag(mu)),
+        negative_real=lambda mu, tol: np.real(mu) < 0 and abs(np.imag(mu)) <= tol),
+    # eigenvalues lambda: elliptic iff Re lambda = 0, pairs (lambda, -lambda);
+    # exp(lambda) < 0 iff Im lambda is an odd multiple of pi
+    HAMILTON_MATRIX: _Rules(
+        identity="a Hamilton matrix",
+        violates=lambda M, s: hamilton_residual(M) > HAMILTON_TOL * s,
+        on_axis=lambda lam, tol: abs(np.real(lam)) <= tol,
+        partner=lambda lam: -lam, representative=lambda lam: lam, phase=np.imag,
+        sort_key=lambda lam: (-np.real(lam), -np.imag(lam)),
+        negative_real=lambda lam, tol: abs(math.remainder(
+            abs(np.imag(lam)) - math.pi, 2 * math.pi)) <= tol),
+}
+
+
+def _structured_input(M, rules):
+    """M as an even square array satisfying the identity of rules, with n
+    and the scale max(1, ||M||_2)."""
     Mm = _as_matrix(M)
     n = _check_even_square(Mm, "input")
-    if unit_tol is None:
-        unit_tol = tol.unit_tol
-
     scale = max(1.0, la.norm(Mm, 2))
-    if mode == POINCARE_MAP:
-        if symplectic_residual(Mm) > tol.symplectic_tol * scale ** 2:
-            raise NotSymplectic("map input is not symplectic within tolerance")
-    elif mode == HAMILTON_MATRIX:
-        if hamilton_residual(Mm) > tol.hamilton_tol * scale:
-            raise NotSymplectic("matrix input is not a Hamilton matrix within tolerance")
-    else:
-        raise SymplecticError(f"unknown mode {mode!r}")
+    if rules.violates(Mm, scale):
+        raise NotSymplectic(f"input is not {rules.identity} within tolerance")
+    return Mm, n, scale
 
+
+def classify(M, mode=HAMILTON_MATRIX):
+    """Group the spectrum of a Hamilton matrix (mode HAMILTON_MATRIX) or
+    of a symplectic map (mode POINCARE_MAP) into elliptic groups, real
+    pairs and complex quadruples, one group per Jordan chain.
+
+    Groups store Hamilton-level representatives: for maps the stored
+    lambda is the principal log of the expanding eigenvalue.
+    """
+    if mode not in _RULES:
+        raise SymplecticError(f"unknown mode {mode!r}")
+    rules = _RULES[mode]
+    Mm, n, scale = _structured_input(M, rules)
     eigs = la.eigvals(Mm)
     eig_scale = max(1.0, np.max(np.abs(eigs)))
-    clusters = _cluster_values(list(eigs), tol.cluster_rtol * eig_scale)
-    sizes = {}
-    reps = {}
-    for idx, (rep, members) in enumerate(clusters):
-        reps[idx] = rep
-        sizes[idx] = _block_sizes(Mm, rep, len(members), tol.rank_rtol)
-
-    match_tol = unit_tol * eig_scale
+    clusters = _cluster_values(list(eigs), CLUSTER_RTOL * eig_scale)
+    reps = [rep for rep, _ in clusters]
+    sizes = [_block_sizes(Mm, rep, len(members), scale)
+             for rep, members in clusters]
+    match_tol = UNIT_TOL * eig_scale
+    window = max(match_tol, 10 * CLUSTER_RTOL * eig_scale)
     consumed = set()
-    groups = []
-    has_negative_real = False
 
-    def find_cluster(value):
-        window = max(match_tol, 10 * tol.cluster_rtol * eig_scale)
+    def take(value):
+        """Consume the free cluster nearest to value within the window."""
         best, best_dist = None, window
-        for idx, rep in reps.items():
-            if idx in consumed:
-                continue
-            dist = abs(rep - value)
-            if dist <= best_dist:
-                best, best_dist = idx, dist
+        for idx, rep in enumerate(reps):
+            if idx not in consumed and abs(rep - value) <= best_dist:
+                best, best_dist = idx, abs(rep - value)
+        if best is None:
+            raise GroupingFailed(f"no eigenvalue matches {value}")
+        consumed.add(best)
         return best
 
-    if mode == POINCARE_MAP:
-        # eigenvalues mu; elliptic iff |mu| = 1
-        order = sorted(reps, key=lambda i: (-abs(reps[i]), -np.imag(reps[i])))
-        for idx in order:
-            if idx in consumed:
-                continue
-            mu = reps[idx]
-            if abs(abs(mu) - 1.0) <= unit_tol:
-                # elliptic: consume conjugate partner unless self-paired
-                consumed.add(idx)
-                theta = float(abs(np.angle(mu)))
-                count = sum(sizes[idx])
-                if abs(np.imag(mu)) <= match_tol:
-                    # mu = +-1, self-paired; multiplicity is even
-                    if count % 2 != 0:
-                        raise GroupingFailed(f"odd multiplicity at mu = {mu}")
-                    n_groups = count // 2
-                    if np.real(mu) < 0:
-                        has_negative_real = True
-                else:
-                    jdx = find_cluster(np.conj(mu))
-                    if jdx is None:
-                        raise GroupingFailed(f"no conjugate partner for |mu|=1 eigenvalue {mu}")
-                    if sum(sizes[jdx]) != count:
-                        raise GroupingFailed(f"multiplicity mismatch across conjugates of {mu}")
-                    consumed.add(jdx)
-                    n_groups = count
-                groups.extend(EllipticGroup(theta=theta) for _ in range(n_groups))
-            elif abs(np.imag(mu)) <= match_tol:
-                # real pair (mu, 1/mu); |mu| > 1 by ordering
-                mu_r = float(np.real(mu))
-                consumed.add(idx)
-                jdx = find_cluster(1.0 / mu_r)
-                if jdx is None:
-                    raise GroupingFailed(f"no 1/mu partner for real eigenvalue {mu_r}")
-                if sizes[jdx] != sizes[idx]:
-                    raise GroupingFailed(f"chain mismatch in pair ({mu_r}, {1/mu_r})")
-                consumed.add(jdx)
-                negative = mu_r < 0
-                if negative:
-                    has_negative_real = True
-                for k in sizes[idx]:
-                    groups.append(RealHyperbolicPair(lam=float(np.log(abs(mu_r))),
-                                                     chain_size=k,
-                                                     negative_real=negative))
-            else:
-                # complex quadruple (mu, 1/mu, conj mu, 1/conj mu)
-                consumed.add(idx)
-                partners = [np.conj(mu), 1.0 / mu, 1.0 / np.conj(mu)]
-                pidx = []
-                for p in partners:
-                    j = find_cluster(p)
-                    if j is None:
-                        raise GroupingFailed(f"incomplete quadruple for eigenvalue {mu}")
-                    pidx.append(j)
-                    consumed.add(j)
-                for j in pidx:
-                    if sizes[j] != sizes[idx]:
-                        raise GroupingFailed(f"chain mismatch in quadruple of {mu}")
-                lam = np.log(mu)  # principal branch; |mu|>1, Im log in (-pi, pi)
-                lam = complex(abs(np.real(lam)), abs(np.imag(lam)))
-                for k in sizes[idx]:
-                    groups.append(ComplexHyperbolicQuad(lam=lam, chain_size=k))
-    else:
-        # Hamilton matrix: eigenvalues lambda; elliptic iff purely imaginary
-        order = sorted(reps, key=lambda i: (-np.real(reps[i]), -np.imag(reps[i])))
-        for idx in order:
-            if idx in consumed:
-                continue
-            lam = reps[idx]
-            if abs(np.real(lam)) <= match_tol:
-                consumed.add(idx)
-                theta = float(abs(np.imag(lam)))
-                count = sum(sizes[idx])
-                if abs(np.imag(lam)) <= match_tol:
-                    if count % 2 != 0:
-                        raise GroupingFailed("odd multiplicity at lambda = 0")
-                    n_groups = count // 2
-                else:
-                    jdx = find_cluster(np.conj(lam))
-                    if jdx is None:
-                        raise GroupingFailed(f"no -i theta partner for {lam}")
-                    if sum(sizes[jdx]) != count:
-                        raise GroupingFailed(f"multiplicity mismatch at +-i{theta}")
-                    consumed.add(jdx)
-                    n_groups = count
-                groups.extend(EllipticGroup(theta=theta) for _ in range(n_groups))
-            elif abs(np.imag(lam)) <= match_tol:
-                lam_r = abs(float(np.real(lam)))
-                consumed.add(idx)
-                jdx = find_cluster(-lam_r)
-                if jdx is None:
-                    raise GroupingFailed(f"no -lambda partner for {lam}")
-                if sizes[jdx] != sizes[idx]:
-                    raise GroupingFailed(f"chain mismatch in pair +-{lam_r}")
-                consumed.add(jdx)
-                for k in sizes[idx]:
-                    groups.append(RealHyperbolicPair(lam=lam_r, chain_size=k))
-            else:
-                consumed.add(idx)
-                partners = [np.conj(lam), -lam, -np.conj(lam)]
-                pidx = []
-                for p in partners:
-                    j = find_cluster(p)
-                    if j is None:
-                        raise GroupingFailed(f"incomplete quadruple for eigenvalue {lam}")
-                    pidx.append(j)
-                    consumed.add(j)
-                for j in pidx:
-                    if sizes[j] != sizes[idx]:
-                        raise GroupingFailed(f"chain mismatch in quadruple of {lam}")
-                lam_rep = complex(abs(np.real(lam)), abs(np.imag(lam)))
-                # exp(lambda) on the negative real axis <=> Im lambda = pi (mod 2pi)
-                if abs((abs(np.imag(lam)) - np.pi) % (2 * np.pi)) <= match_tol:
-                    has_negative_real = True
-                for k in sizes[idx]:
-                    groups.append(ComplexHyperbolicQuad(lam=lam_rep, chain_size=k))
+    groups = []
+    has_negative_real = False
+    for idx in sorted(range(len(reps)), key=lambda i: rules.sort_key(reps[i])):
+        if idx in consumed:
+            continue
+        consumed.add(idx)
+        v = reps[idx]
+        negative = bool(rules.negative_real(v, match_tol))
+        has_negative_real |= negative
+        self_conjugate = abs(np.imag(v)) <= match_tol
+        if rules.on_axis(v, match_tol):
+            # a conjugate pair, or self-paired (mu = +-1, lambda = 0)
+            count = sum(sizes[idx])
+            if self_conjugate:
+                if count % 2 != 0:
+                    raise GroupingFailed(f"odd multiplicity at {v}")
+                count //= 2
+            elif sum(sizes[take(np.conj(v))]) != count:
+                raise GroupingFailed(f"multiplicity mismatch across conjugates of {v}")
+            theta = float(abs(rules.phase(v)))
+            groups.extend(EllipticGroup(theta) for _ in range(count))
+            continue
+        if self_conjugate:
+            # a real pair; v is its expanding member
+            x = float(np.real(v))
+            partners = [rules.partner(x)]
+            lam = float(rules.representative(abs(x)))
+            new = [RealHyperbolicPair(lam, k, negative) for k in sizes[idx]]
+        else:
+            partners = [np.conj(v), rules.partner(v), rules.partner(np.conj(v))]
+            lam = rules.representative(v)
+            lam = complex(abs(lam.real), abs(lam.imag))
+            new = [ComplexHyperbolicQuad(lam, k) for k in sizes[idx]]
+        matched = [take(p) for p in partners]
+        if any(sizes[j] != sizes[idx] for j in matched):
+            raise GroupingFailed(f"chain mismatch in the group of {v}")
+        groups += new
 
     total = sum(g.dim_count for g in groups)
     if total != n:
         raise GroupingFailed(f"group dimensions sum to {total}, expected {n}")
-    is_loxodromic = not any(g.tag == "elliptic" for g in groups)
-    return SpectrumClassification(dim=n, mode=mode, groups=groups,
-                                  is_loxodromic=is_loxodromic,
-                                  has_negative_real=has_negative_real)
+    return SpectrumClassification(
+        dim=n, mode=mode, groups=groups,
+        is_loxodromic=not any(g.tag == "elliptic" for g in groups),
+        has_negative_real=has_negative_real)
 
 
 # ---------------------------------------------------------------------------
@@ -538,48 +466,40 @@ def _hamilton_project(B):
     return 0.5 * (B + J @ B.T @ J)
 
 
-def symplectic_log(S, tol: Tolerances = DEFAULT_TOL) -> HamiltonMatrix:
+def symplectic_log(S) -> HamiltonMatrix:
     """Principal-branch Hamilton logarithm of a symplectic matrix.
 
     Eigenvalue logs take imaginary parts in (-pi, pi); spectra touching the
     closed negative real axis are rejected (no real Hamilton logarithm
     exists there), as is any non-symplectic input.
     """
-    Sm = _as_matrix(S)
-    n = _check_even_square(Sm, "input")
-    scale = max(1.0, la.norm(Sm, 2))
-    if symplectic_residual(Sm) > tol.symplectic_tol * scale ** 2:
-        raise NotSymplectic("input is not symplectic within tolerance")
+    Sm, n, scale = _structured_input(S, _RULES[POINCARE_MAP])
     eigs = la.eigvals(Sm)
     eig_scale = max(1.0, np.max(np.abs(eigs)))
     for mu in eigs:
-        if np.real(mu) <= tol.unit_tol * eig_scale and \
-                abs(np.imag(mu)) <= tol.unit_tol * eig_scale:
+        if np.real(mu) <= UNIT_TOL * eig_scale and \
+                abs(np.imag(mu)) <= UNIT_TOL * eig_scale:
             raise NegativeRealEigenvalue(
                 f"eigenvalue {mu} lies on the closed negative real axis")
     B = la.logm(Sm)
-    if la.norm(np.imag(B)) > tol.roundtrip_tol * max(1.0, la.norm(B)):
+    if la.norm(np.imag(B)) > ROUNDTRIP_TOL * max(1.0, la.norm(B)):
         raise NegativeRealEigenvalue("matrix logarithm is not real")
     B = _hamilton_project(np.real(B))
     back = la.expm(B)
-    if la.norm(back - Sm) > tol.roundtrip_tol * scale:
+    if la.norm(back - Sm) > ROUNDTRIP_TOL * scale:
         raise DefectiveBeyondTolerance(
             "exp(log S) failed to reproduce S within tolerance")
     return HamiltonMatrix(dim=n, entries=B)
 
 
-def symplectic_polar(K, tol: Tolerances = DEFAULT_TOL):
+def symplectic_polar(K):
     """Polar factorization K = Q P of a symplectic matrix.
 
     Returns (Q, P) as SymplecticTransforms: Q orthogonal and symplectic,
     P symmetric positive definite and symplectic. Computed from the
     eigendecomposition of K^T K (not an SVD).
     """
-    Km = _as_matrix(K)
-    n = _check_even_square(Km, "input")
-    scale = max(1.0, la.norm(Km, 2))
-    if symplectic_residual(Km) > tol.symplectic_tol * scale ** 2:
-        raise NotSymplectic("input is not symplectic within tolerance")
+    Km, n, _ = _structured_input(K, _RULES[POINCARE_MAP])
     w, V = la.eigh(Km.T @ Km)
     if np.min(w) <= 0:
         raise NotSymplectic("K^T K is singular; input is not invertible")

@@ -134,6 +134,11 @@ def test_resolvent_without_cutoff_writes_no_cutoff_band(tmp_path, capsys):
     ("resolvent", {"cutoff": "yes"}),
     ("resolvent", {"window": True}),
     ("spectrum", {"k": [10, "20"]}),
+    ("resolvent", {"n_z": 2.5}),
+    ("resolvent", {"n_z": True}),
+    ("resolvent", {"n_z": 0}),
+    ("spectrum", {"N": 2048.0}),
+    ("damped-wave", {"n_grid": 100.5}),
 ])
 def test_config_value_of_wrong_kind_is_usage_error(tmp_path, command, cfg,
                                                    capsys):

@@ -131,13 +131,57 @@ def test_classify_rejects_nonsymplectic():
 @given(st.integers(min_value=0, max_value=2**31 - 1),
        st.integers(min_value=1, max_value=3))
 def test_classify_map_and_generator_agree(seed, m):
-    # eigenvalues of exp(B) are the exponentials of those of B
+    # exp(B) is classified by the Hamilton-level logs of its eigenvalues,
+    # so both modes report the same groups and flags
     rng = rng_for(seed)
     C = 0.4 * rng.standard_normal((2 * m, 2 * m))
     B = lx.hamilton_matrix(lx.QuadraticHamiltonian(2 * m, C + C.T)).entries
-    mu = np.sort_complex(np.linalg.eigvals(la.expm(B)))
-    ex = np.sort_complex(np.exp(np.linalg.eigvals(B)))
-    assert np.allclose(mu, ex, atol=1e-8)
+    gen = lx.classify(B)
+    cmap = lx.classify(la.expm(B), mode=lx.POINCARE_MAP)
+
+    def multiset(c):
+        values = [complex(getattr(g, "lam", getattr(g, "theta", 0)))
+                  for g in c.groups]
+        return sorted((g.tag, getattr(g, "chain_size", 1), v.real, v.imag)
+                      for g, v in zip(c.groups, values))
+
+    a, b = multiset(gen), multiset(cmap)
+    assert [g[:2] for g in a] == [g[:2] for g in b]
+    assert all(abs(complex(*x[2:]) - complex(*y[2:])) <= 1e-8
+               for x, y in zip(a, b))
+    assert gen.is_loxodromic == cmap.is_loxodromic
+    assert gen.has_negative_real == cmap.has_negative_real
+
+
+def _rotation_scaling_generator(theta):
+    A = np.array([[0.5, -theta], [theta, 0.5]])
+    return la.block_diag(A.T, -A)
+
+
+@pytest.mark.parametrize("B", [
+    _rotation_scaling_generator(np.pi),
+    _rotation_scaling_generator(np.nextafter(np.pi, 0)),
+    _rotation_scaling_generator(np.pi - 1e-12),
+    _rotation_scaling_generator(np.pi + 1e-12),
+    np.array([[0.0, -np.pi], [np.pi, 0.0]]),     # elliptic pair +-i pi
+], ids=["quad_pi", "quad_pi_nextafter", "quad_pi_below", "quad_pi_above",
+        "elliptic_pi"])
+def test_negative_real_flag_agrees_across_modes(B):
+    # Im lambda = pi (mod 2 pi) from either side puts exp(lambda) on the
+    # negative real axis
+    assert lx.classify(B).has_negative_real
+    assert lx.classify(la.expm(B), mode=lx.POINCARE_MAP).has_negative_real
+
+
+@pytest.mark.parametrize("t, theta", [(np.pi, np.pi), (2 * np.pi, 0.0)])
+def test_classify_near_scalar_harmonic_monodromy(t, theta):
+    # half and full periods of the harmonic oscillator give -I and I up
+    # to roundoff; the cluster is semisimple, not a defective Jordan block
+    S = la.expm(t * lx.standard_symplectic_matrix(1))
+    c = lx.classify(S, mode=lx.POINCARE_MAP)
+    assert [g.tag for g in c.groups] == ["elliptic"]
+    assert c.groups[0].theta == pytest.approx(theta, abs=1e-8)
+    assert c.has_negative_real == (theta == np.pi)
 
 
 def test_group_counts_cover_dimension():
