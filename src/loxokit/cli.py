@@ -53,21 +53,28 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_integer(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _missing_kind(value, default):
     """The kind that value lacks, judged by its default (a bool, an
-    integer, another number or a list of numbers; a bool is never a
-    number), or None if it fits. Values with other defaults are checked
-    where they are read."""
+    integer, another number, a list of integers or a list of numbers; a
+    bool is never a number), or None if it fits. Values with other
+    defaults are checked where they are read."""
     if isinstance(default, bool):
         return None if isinstance(value, bool) else "true or false"
     if isinstance(default, int):
-        fits = isinstance(value, int) and not isinstance(value, bool)
-        return None if fits else "an integer"
+        return None if _is_integer(value) else "an integer"
     if _is_number(default):
         return None if _is_number(value) else "a number"
     if isinstance(default, list):
-        fits = isinstance(value, list) and all(map(_is_number, value))
-        return None if fits else "a list of numbers"
+        integers = all(map(_is_integer, default))
+        entry_fits = _is_integer if integers else _is_number
+        fits = isinstance(value, list) and all(map(entry_fits, value))
+        if fits:
+            return None
+        return "a list of integers" if integers else "a list of numbers"
     return None
 
 
@@ -330,7 +337,7 @@ def cmd_damped_wave(args):
     prob = dw.DampedWaveProblem(
         profile=profile,
         damping=dw.neck_damping(inner, float(cfg["damping_outer"])),
-        n_grid=cfg["n_grid"], modes=tuple(int(k) for k in cfg["modes"]),
+        n_grid=cfg["n_grid"], modes=tuple(cfg["modes"]),
         epsilon=float(cfg["epsilon"]), dead_zone_radius=inner)
     freq_rows = []
     strip = mirror = 0.0
@@ -340,7 +347,7 @@ def cmd_damped_wave(args):
         mirror = max(mirror, es.symmetry_defect)
         freq_rows += [[k, float(t.real), float(t.imag)]
                       for t in es.frequencies]
-    decay_modes = [int(k) for k in cfg["decay_modes"] if int(k) in prob.modes]
+    decay_modes = [k for k in cfg["decay_modes"] if k in prob.modes]
     rep = dw.decay_report(prob, modes=decay_modes or None,
                           t_max=float(cfg["t_max"]))
     out = _out_dir(args)

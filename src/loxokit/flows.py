@@ -239,6 +239,15 @@ class FlowResult:
     solver: object = None
 
 
+def _integrate(rhs, t_span, y0, tol, **options):
+    """DOP853 over t_span at rtol = atol = tol; failure raises StepFailure."""
+    sol = scipy.integrate.solve_ivp(rhs, t_span, y0, method="DOP853",
+                                    rtol=tol, atol=tol, **options)
+    if not sol.success:
+        raise StepFailure(f"integration failed: {sol.message}")
+    return sol
+
+
 def flow(sys, z0, t_span, tol=1e-10, t_eval=None, dense=False):
     """Integrate the Hamiltonian flow with an adaptive high-order RK.
 
@@ -247,11 +256,7 @@ def flow(sys, z0, t_span, tol=1e-10, t_eval=None, dense=False):
     """
     z0 = np.asarray(z0, dtype=float)
     rhs = lambda t, z: sys.vector_field(z)
-    sol = scipy.integrate.solve_ivp(rhs, t_span, z0, method="DOP853",
-                                    rtol=tol, atol=tol, t_eval=t_eval,
-                                    dense_output=dense)
-    if not sol.success:
-        raise StepFailure(f"integrator stopped: {sol.message}")
+    sol = _integrate(rhs, t_span, z0, tol, t_eval=t_eval, dense_output=dense)
     states = sol.y.T
     E0 = sys.p(z0)
     drift = max(abs(sys.p(s) - E0) for s in states[:: max(1, len(states) // 64)])
@@ -284,10 +289,7 @@ def _flow_with_monodromy(sys, z0, T, tol=1e-11):
     dim = 2 * sys.n
     rhs = _variational_rhs(sys)
     y0 = np.concatenate([np.asarray(z0, float), np.eye(dim).ravel()])
-    sol = scipy.integrate.solve_ivp(rhs, (0.0, T), y0, method="DOP853",
-                                    rtol=tol, atol=tol)
-    if not sol.success:
-        raise StepFailure(f"variational integration failed: {sol.message}")
+    sol = _integrate(rhs, (0.0, T), y0, tol)
     zT = sol.y[:dim, -1]
     M = sol.y[dim:, -1].reshape(dim, dim)
     return zT, M
@@ -332,12 +334,7 @@ def _poincare_return(sys, z, z_ref, v_sec, t_min, t_max, tol):
     filter discards.
     """
     dim = 2 * sys.n
-    rhs = _variational_rhs(sys)
-    y0 = np.concatenate([np.asarray(z, float), np.eye(dim).ravel()])
-    leg1 = scipy.integrate.solve_ivp(rhs, (0.0, t_min), y0, method="DOP853",
-                                     rtol=tol, atol=tol)
-    if not leg1.success:
-        raise StepFailure(f"variational integration failed: {leg1.message}")
+    z1, M1 = _flow_with_monodromy(sys, z, t_min, tol)
 
     def crossing(t, y):
         return np.dot(_wrap_diff(sys, y[:dim], z_ref), v_sec)
@@ -349,11 +346,9 @@ def _poincare_return(sys, z, z_ref, v_sec, t_min, t_max, tol):
     max_step = np.inf
     if sys.wraps:
         max_step = 0.45 * min(period for _, period in sys.wraps)
-    leg2 = scipy.integrate.solve_ivp(rhs, (t_min, t_max), leg1.y[:, -1],
-                                     method="DOP853", rtol=tol, atol=tol,
-                                     events=crossing, max_step=max_step)
-    if not leg2.success:
-        raise StepFailure(f"variational integration failed: {leg2.message}")
+    leg2 = _integrate(_variational_rhs(sys), (t_min, t_max),
+                      np.concatenate([z1, M1.ravel()]), tol,
+                      events=crossing, max_step=max_step)
     if not leg2.t_events[0].size:
         raise _NoReturn("no return to the section within the time budget")
     T = float(leg2.t_events[0][0])
@@ -598,11 +593,7 @@ def trajectory_average(sys, z0, T, observable, tol=1e-12):
         return np.concatenate([sys.vector_field(z), [observable(z)]])
 
     y0 = np.concatenate([z0, [0.0]])
-    sol = scipy.integrate.solve_ivp(rhs, (0.0, T), y0, method="DOP853",
-                                    rtol=tol, atol=tol)
-    if not sol.success:
-        raise StepFailure(f"average integration failed: {sol.message}")
-    return sol.y[dim, -1] / T
+    return _integrate(rhs, (0.0, T), y0, tol).y[dim, -1] / T
 
 
 @dataclass

@@ -13,6 +13,10 @@ parameter z is the minimum over modes. Scans normalize 1/sigma_min by
 h / log(1/h) (and the cutoff variant by h / sqrt(log(1/h))) so the scaling
 across an h-halving sequence can be read off directly.
 
+Both scanned quantities are one number, ||Q_m(z)^{-1} diag(phi)||: phi = 1
+gives 1/sigma_min and phi = default_cutoff gives the cutoff norm. One sweep
+class and one power iteration compute it for either phi.
+
 The sweeps solve half-size problems. On the grid of quantize_model the
 coupling of S across x = 0 is exactly zero (x_j + x_{j+1} = 0 there: the
 flow x' = rate x never crosses the orbit), so Q_m(z) = Q_L + Q_R is a
@@ -23,13 +27,13 @@ sweeps check the mirror equalities bitwise and refuse data that break
 them. Sweep points are keyed on w = z - h m snapped to steps of
 LATTICE_TOL * h, so the near-copies of one lattice point that different z
 produce share one evaluation and one certification; since w -> sigma_min
-is 1-Lipschitz, a merged value is off by less than LATTICE_TOL * h.
+is 1-Lipschitz, a merged sigma_min is off by less than LATTICE_TOL * h.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as la
@@ -97,11 +101,6 @@ class DiscretizedOperator:
     spacing: float = 0.0
     s_off: np.ndarray = field(default=None, repr=False)   # S upper diagonal
     absorb: np.ndarray = field(default=None, repr=False)  # h * C * a(x_i)
-    s_norm: float = 0.0
-
-    def modes(self):
-        half = self.n_modes // 2
-        return np.arange(-half, half)
 
 
 def quantize_model(h, rate=1.0, n_modes=None, n_grid=256, half_length=1.0,
@@ -127,15 +126,11 @@ def quantize_model(h, rate=1.0, n_modes=None, n_grid=256, half_length=1.0,
     x = dx * (np.arange(n_grid) - (n_grid - 1) / 2)
     # sym(x hD): Hermitian, zero diagonal, upper entries -i h (x_j+x_{j+1})/(4 dx)
     s_off = -1j * h * (x[:-1] + x[1:]) / (4.0 * dx)
-    # similarity by diag(i^j) makes S real symmetric tridiagonal
-    s_norm = float(np.abs(la.eigvalsh_tridiagonal(
-        np.zeros_like(x), np.abs(s_off))).max())
     return DiscretizedOperator(
         h=float(h), rate=float(rate), n_modes=int(n_modes),
         n_grid=int(n_grid), half_length=float(half_length), profile=profile,
         x=x, spacing=dx, s_off=s_off,
-        absorb=h * profile.strength * np.asarray(profile(x), dtype=float),
-        s_norm=s_norm)
+        absorb=h * profile.strength * np.asarray(profile(x), dtype=float))
 
 
 def mode_block(op, m, z):
@@ -177,7 +172,7 @@ def _mode_window(op, z, window):
 LATTICE_TOL = 1e-12
 
 
-def _right_half(op, phi=None):
+def _right_half(op, phi):
     """(absorb, s_off, phi) restricted to the half-line block x > 0.
 
     Raises unless the data are exact mirror images about x = 0, which is
@@ -187,133 +182,15 @@ def _right_half(op, phi=None):
     half = n // 2
     absorb = np.asarray(op.absorb, dtype=float)
     s_off = np.asarray(op.s_off)
-    mirrored = (n % 2 == 0 and s_off[half - 1] == 0
-                and np.array_equal(absorb, absorb[::-1])
-                and np.array_equal(s_off, -s_off[::-1]))
-    if phi is not None:
-        phi = np.asarray(phi, dtype=float)
-        mirrored = mirrored and phi.size == n and \
-            np.array_equal(phi, phi[::-1])
-        phi = phi[half:]
-    if not mirrored:
+    phi = np.asarray(phi, dtype=float)
+    if not (n % 2 == 0 and s_off[half - 1] == 0 and phi.size == n
+            and np.array_equal(absorb, absorb[::-1])
+            and np.array_equal(s_off, -s_off[::-1])
+            and np.array_equal(phi, phi[::-1])):
         raise ResolventError(
             "operator data are not mirror images about x = 0, so the "
             "half-line sweeps do not apply")
-    return absorb[half:], s_off[half:], phi
-
-
-class _HalfLineSweep:
-    """Per-w cache on the half-line block x > 0 of one operator.
-
-    Keys are w = z - h m snapped to steps of LATTICE_TOL * h; the first w
-    seen for a key is the point evaluated for it. values() runs one
-    warm-started sweep over the missing keys in increasing w, through the
-    subclass's _point(factorization, warm_start) -> (value, warm_start).
-    The cache is not locked: use one sweep per thread.
-    """
-
-    def __init__(self, op, phi=None):
-        absorb, s_off, self.phi = _right_half(op, phi)
-        self.diag0 = -1j * absorb
-        self.off = op.rate * s_off
-        self.lower = np.conj(self.off)
-        self.step = LATTICE_TOL * op.h
-        self.points = {}
-        self.cache = {}
-
-    def _key(self, w):
-        key = round(w / self.step)
-        self.points.setdefault(key, w)
-        return key
-
-    def _diag(self, key):
-        return self.diag0 - self.points[key]
-
-    def values(self, w_list):
-        keys = [self._key(float(w)) for w in w_list]
-        state = None
-        for key in sorted(set(keys).difference(self.cache)):
-            fact = _tridiag_factor(self._diag(key), self.off, self.lower)
-            self.cache[key], state = self._point(fact, state)
-        return np.array([self.cache[key] for key in keys])
-
-
-class _SigmaSweep(_HalfLineSweep):
-    """Cached sigma_min(Q_m(z)) evaluations for one operator.
-
-    Q_m(z) depends on (m, z) only through w = z - h m, so scans over many
-    (z, m) pairs collapse to one function g(w) = sigma_min(Q_R(w)), the
-    half-line block x > 0 carrying every singular value of Q_m(z) (see the
-    module docstring). g is 1-Lipschitz in w, which makes warm-started
-    inverse iteration converge in a few steps per point, and bounds the
-    error of snapping w to the key lattice by LATTICE_TOL * h. Reported
-    minima are certified with the exact banded eigensolver, once per key.
-    """
-
-    def __init__(self, op):
-        super().__init__(op)
-        self.exact = {}
-
-    def _point(self, fact, v0):
-        n = self.off.size + 1
-        v = v0 if v0 is not None else np.full(n, 1 / math.sqrt(n), complex)
-        prev = np.inf
-        sigma = np.inf
-        for _ in range(200):
-            a = _tridiag_solve(fact, v, trans="C")
-            b = _tridiag_solve(fact, a)
-            nb = math.sqrt(np.vdot(b, b).real)
-            if nb == 0:
-                return 0.0, v
-            # Rayleigh quotient of (Q^H Q)^{-1} at the normalized iterate
-            sigma = 1.0 / math.sqrt(max(np.vdot(v, b).real, 1e-300))
-            v = b / nb
-            if abs(sigma - prev) <= 1e-10 * max(sigma, 1e-300):
-                break
-            prev = sigma
-        return sigma, v
-
-    def certified(self, w):
-        """Exact banded-eigensolver value at the key point of w."""
-        key = self._key(float(w))
-        if key not in self.exact:
-            self.exact[key] = sigma_min_block(self._diag(key), self.off)
-        return self.exact[key]
-
-
-def sigma_min_point(op, z, window=0.6, sweep=None):
-    """min over Fourier modes of sigma_min(Q_m(z)) and the attaining mode.
-
-    The sweep value at the minimum is certified against the exact banded
-    eigensolver; disagreement beyond 1e-6 falls back to certifying every
-    mode in the window.
-    """
-    if np.imag(z) != 0:
-        if sweep is not None:
-            raise ValueError("sweep caches are keyed on real z - h m; "
-                             "complex z cannot reuse one")
-        # complex z breaks the w = z - hm reduction only through a constant
-        # imaginary shift; fold it into the absorption profile copy
-        op_shift = DiscretizedOperator(
-            h=op.h, rate=op.rate, n_modes=op.n_modes, n_grid=op.n_grid,
-            half_length=op.half_length, profile=op.profile, x=op.x,
-            spacing=op.spacing, s_off=op.s_off,
-            absorb=op.absorb + float(np.imag(z)), s_norm=op.s_norm)
-        return sigma_min_point(op_shift, float(np.real(z)), window=window)
-    sweep = sweep if sweep is not None else _SigmaSweep(op)
-    ms = np.array(list(_mode_window(op, z, window)))
-    w_vals = float(np.real(z)) - op.h * ms
-    sigmas = sweep.values(w_vals)
-    j = int(np.argmin(sigmas))
-    exact = sweep.certified(w_vals[j])
-    if abs(exact - sigmas[j]) > 1e-6 * max(exact, 1e-300):
-        sigmas = np.array([sweep.certified(w) for w in w_vals])
-        j = int(np.argmin(sigmas))
-        exact = sigmas[j]
-    if exact < 1e-14:
-        raise SingularAtZ(f"sigma_min = {exact:.2e} at z = {z}; "
-                          "the scan point sits on an eigenvalue")
-    return float(exact), int(ms[j])
+    return absorb[half:], s_off[half:], phi[half:]
 
 
 def _tridiag_factor(diag, off, lower):
@@ -331,15 +208,14 @@ def _tridiag_solve(fact, b, trans="N"):
     return x
 
 
-class _CutoffSweep(_HalfLineSweep):
-    """Cached ||Q^{-1} diag(phi)|| = ||Q_R^{-1} diag(phi_R)|| per w,
-    warm-started on the half-line block; construct with the cutoff phi."""
+def _power_norm(fact, phi, v0):
+    """||Q^{-1} diag(phi)|| by power iteration on diag(phi) Q^{-H} Q^{-1}
+    diag(phi), started from v0 (or phi); returns (value, last iterate).
 
-    def _point(self, fact, v0):
-        return _cutoff_power(fact, self.phi, v0)
-
-
-def _cutoff_power(fact, phi, v0=None, iters=200, rtol=1e-9):
+    The value is the norm of Q^{-1} diag(phi) at the unit iterate, a lower
+    bound that stops when it moves by at most 1e-9 relative, or after 200
+    steps.
+    """
     v = v0 if v0 is not None else phi.astype(complex)
     nv = math.sqrt(np.vdot(v, v).real)
     if nv == 0:
@@ -347,7 +223,7 @@ def _cutoff_power(fact, phi, v0=None, iters=200, rtol=1e-9):
     v = v / nv
     prev = 0.0
     val = 0.0
-    for _ in range(iters):
+    for _ in range(200):
         w = _tridiag_solve(fact, phi * v)
         y = _tridiag_solve(fact, w, trans="C")
         w2 = phi * y
@@ -356,19 +232,105 @@ def _cutoff_power(fact, phi, v0=None, iters=200, rtol=1e-9):
         if nw == 0:
             return 0.0, v
         v = w2 / nw
-        if abs(val - prev) <= rtol * max(val, 1e-300):
+        if abs(val - prev) <= 1e-9 * max(val, 1e-300):
             break
         prev = val
     return val, v
 
 
+class _NormSweep:
+    """Cached g(w) = ||Q_R(w)^{-1} diag(phi_R)|| for one operator and one
+    even weight phi on the grid.
+
+    Q_m(z) depends on (m, z) only through w = z - h m, so scans over many
+    (z, m) pairs collapse to one function of w on the half-line block
+    x > 0, which carries every singular value of Q_m(z) (see the module
+    docstring). phi = 1 gives g = 1/sigma_min; the default cutoff gives the
+    cutoff norm. Keys are w snapped to steps of LATTICE_TOL * h; the first
+    w seen for a key is the point evaluated for it. values() runs one
+    power iteration per missing key in increasing w, each warm-started
+    from the last iterate of the one before. certified() gives the exact
+    banded-eigensolver sigma_min at a key, once per key. The cache is not
+    locked: use one sweep per thread.
+    """
+
+    def __init__(self, op, phi):
+        absorb, s_off, self.phi = _right_half(op, phi)
+        self.diag0 = -1j * absorb
+        self.off = op.rate * s_off
+        self.lower = np.conj(self.off)
+        self.step = LATTICE_TOL * op.h
+        self.points = {}
+        self.cache = {}
+        self.exact = {}
+
+    def _key(self, w):
+        key = round(w / self.step)
+        self.points.setdefault(key, w)
+        return key
+
+    def _diag(self, key):
+        return self.diag0 - self.points[key]
+
+    def values(self, w_list):
+        keys = [self._key(float(w)) for w in w_list]
+        state = None
+        for key in sorted(set(keys).difference(self.cache)):
+            fact = _tridiag_factor(self._diag(key), self.off, self.lower)
+            self.cache[key], state = _power_norm(fact, self.phi, state)
+        return np.array([self.cache[key] for key in keys])
+
+    def certified(self, w):
+        """Exact banded-eigensolver sigma_min at the key point of w."""
+        key = self._key(float(w))
+        if key not in self.exact:
+            self.exact[key] = sigma_min_block(self._diag(key), self.off)
+        return self.exact[key]
+
+
+def _window_values(op, z, window, sweep):
+    """(modes, w = z - h m, sweep values) over the mode window of real z."""
+    ms = np.array(list(_mode_window(op, z, window)))
+    w_vals = float(np.real(z)) - op.h * ms
+    return ms, w_vals, sweep.values(w_vals)
+
+
+def sigma_min_point(op, z, window=0.6, sweep=None):
+    """min over Fourier modes of sigma_min(Q_m(z)) and the attaining mode.
+
+    The sweep value at the minimum is certified against the exact banded
+    eigensolver; disagreement beyond 1e-6 falls back to certifying every
+    mode in the window.
+    """
+    if np.imag(z) != 0:
+        if sweep is not None:
+            raise ValueError("sweep caches are keyed on real z - h m; "
+                             "complex z cannot reuse one")
+        # complex z breaks the w = z - hm reduction only through a constant
+        # imaginary shift; fold it into the absorption
+        op_shift = replace(op, absorb=op.absorb + float(np.imag(z)))
+        return sigma_min_point(op_shift, float(np.real(z)), window=window)
+    sweep = sweep if sweep is not None else _NormSweep(op, np.ones(op.n_grid))
+    ms, w_vals, norms = _window_values(op, z, window, sweep)
+    sigmas = 1.0 / norms
+    j = int(np.argmin(sigmas))
+    exact = sweep.certified(w_vals[j])
+    if abs(exact - sigmas[j]) > 1e-6 * max(exact, 1e-300):
+        sigmas = np.array([sweep.certified(w) for w in w_vals])
+        j = int(np.argmin(sigmas))
+        exact = sigmas[j]
+    if exact < 1e-14:
+        raise SingularAtZ(f"sigma_min = {exact:.2e} at z = {z}; "
+                          "the scan point sits on an eigenvalue")
+    return float(exact), int(ms[j])
+
+
 def cutoff_norm_point(op, z, phi, window=0.6, sweep=None):
     if np.imag(z) != 0:
         raise ValueError("cutoff norms are scanned at real z")
-    sweep = sweep if sweep is not None else _CutoffSweep(op, phi)
-    ms = np.array(list(_mode_window(op, z, window)))
-    vals = sweep.values(float(np.real(z)) - op.h * ms)
-    return float(vals.max())
+    sweep = sweep if sweep is not None else _NormSweep(op, phi)
+    _, _, norms = _window_values(op, z, window, sweep)
+    return float(norms.max())
 
 
 def default_cutoff(op):
@@ -441,8 +403,7 @@ def sigma_min_scan(op_builder, h_list, z_values=None, cutoff=True, window=0.6):
     """Scan sigma_min(Q(z)) over z for each h; normalized products and
     their across-h bands summarize the scaling.
 
-    `cutoff` is True for default_cutoff, False or None for no cutoff band,
-    or an even cutoff array on the grid of the operator.
+    `cutoff` adds the default_cutoff norm and its band when true.
 
     Per h, every (z, mode) pair reduces to w = z - h*m, so the scan first
     fills one warm-started sweep over the union of w values and the per-z
@@ -462,13 +423,10 @@ def sigma_min_scan(op_builder, h_list, z_values=None, cutoff=True, window=0.6):
     per_h_max_cut = {}
     for h in h_list:
         op = op_builder(h)
-        if isinstance(cutoff, bool):
-            phi = default_cutoff(op) if cutoff else None
-        else:
-            phi = cutoff
+        phi = default_cutoff(op) if cutoff else None
         log_h = math.log(1.0 / op.h)
-        sweep = _SigmaSweep(op)
-        cut_sweep = _CutoffSweep(op, phi) if phi is not None else None
+        sweep = _NormSweep(op, np.ones(op.n_grid))
+        cut_sweep = _NormSweep(op, phi) if cutoff else None
         w_all = _w_union(op, z_values, window)
         sweep.values(w_all)
         if cut_sweep is not None:

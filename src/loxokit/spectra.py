@@ -96,15 +96,21 @@ def _normalize_columns(op, vectors):
     return v / norms
 
 
+def _eigh(op, select, select_range):
+    """eigh_tridiagonal of the symmetric-frame operator; a LAPACK failure
+    raises ConvergenceFailure."""
+    try:
+        return la.eigh_tridiagonal(op.sym_diag, op.sym_off, select=select,
+                                   select_range=select_range)
+    except la.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from None
+
+
 def solve_eigenpairs(op, count):
     """First `count` eigenpairs, ascending, weight-normalized vectors."""
     if count < 1 or count > op.N // 4:
         raise ValueError(f"count must be in [1, N/4] = [1, {op.N // 4}]")
-    try:
-        vals, vecs = la.eigh_tridiagonal(
-            op.sym_diag, op.sym_off, select="i", select_range=(0, count - 1))
-    except la.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from None
+    vals, vecs = _eigh(op, "i", (0, count - 1))
     return vals, _normalize_columns(op, vecs)
 
 
@@ -117,11 +123,7 @@ def eigenpair_near(op, target):
     for width in (0.25, 0.5, 1.0):
         lo = target * (1 - width) - 1.0
         hi = target * (1 + width) + 1.0
-        try:
-            vals, vecs = la.eigh_tridiagonal(
-                op.sym_diag, op.sym_off, select="v", select_range=(lo, hi))
-        except la.LinAlgError as exc:
-            raise ConvergenceFailure(str(exc)) from None
+        vals, vecs = _eigh(op, "v", (lo, hi))
         if vals.size:
             j = int(np.argmin(np.abs(vals - target)))
             return float(vals[j]), _normalize_columns(op, vecs[:, j:j + 1])[:, 0]
@@ -149,18 +151,11 @@ def neck_mode(op, delta):
     k2 = float(op.k) ** 2
     width = 4.0 * op.k + 10.0
     for scale in (1.0, 2.0, 4.0):
-        try:
-            vals, vecs = la.eigh_tridiagonal(
-                op.sym_diag, op.sym_off, select="v",
-                select_range=(k2 - scale * width, k2 + scale * width))
-        except la.LinAlgError as exc:
-            raise ConvergenceFailure(str(exc)) from None
+        vals, vecs = _eigh(op, "v", (k2 - scale * width, k2 + scale * width))
         if vals.size:
             break
     else:
-        vals, vecs = la.eigh_tridiagonal(
-            op.sym_diag, op.sym_off, select="i",
-            select_range=(0, op.N // 4))
+        vals, vecs = _eigh(op, "i", (0, op.N // 4))
     v = _normalize_columns(op, vecs)
     masses = [mass_outside(op, v[:, j], delta) for j in range(vals.size)]
     j = int(np.argmin(masses))

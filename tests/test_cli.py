@@ -139,6 +139,9 @@ def test_resolvent_without_cutoff_writes_no_cutoff_band(tmp_path, capsys):
     ("resolvent", {"n_z": 0}),
     ("spectrum", {"N": 2048.0}),
     ("damped-wave", {"n_grid": 100.5}),
+    ("damped-wave", {"modes": [0.5, 1.7]}),
+    ("damped-wave", {"decay_modes": [1.9]}),
+    ("spectrum", {"k": [10.0]}),
 ])
 def test_config_value_of_wrong_kind_is_usage_error(tmp_path, command, cfg,
                                                    capsys):

@@ -118,6 +118,19 @@ def test_mass_bounds_and_normalization(neck_op):
     assert total == pytest.approx(1.0, abs=1e-10)
 
 
+def test_neck_mode_fallback_failure_is_typed(neck_op, monkeypatch):
+    # empty value windows send neck_mode to its index-range fallback; a
+    # LAPACK failure there must surface as ConvergenceFailure
+    def failing(diag, off, select, select_range):
+        if select == "v":
+            return np.empty(0), np.empty((diag.size, 0))
+        raise np.linalg.LinAlgError("eigenvalue iteration did not converge")
+
+    monkeypatch.setattr(spectra.la, "eigh_tridiagonal", failing)
+    with pytest.raises(spectra.ConvergenceFailure):
+        spectra.neck_mode(neck_op, 0.5)
+
+
 @settings(deadline=None, max_examples=15)
 @given(st.floats(min_value=0.0, max_value=1.4),
        st.floats(min_value=0.05, max_value=1.4))
