@@ -31,3 +31,10 @@ def plateau_bump(x, lo, hi):
     """1 for |x| <= lo, 0 for |x| >= hi, smooth and even in between."""
     out = 1.0 - plateau_step(x, lo, hi)
     return out if np.ndim(out) else float(out)
+
+
+def neck_damping(inner=0.5, outer=1.0):
+    """Damping profile a(r): 0 for |r| <= inner, 1 for |r| >= outer."""
+    def a(r):
+        return plateau_step(r, inner, outer)
+    return a

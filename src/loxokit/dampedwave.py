@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg as la
 from scipy.integrate import simpson
 
-from .cutoffs import plateau_bump, plateau_step
+from .cutoffs import neck_damping, plateau_bump
 from .errors import GridTooCoarse, LoxokitError, StepFailure
 
 
@@ -48,13 +48,6 @@ def periodic_warp(r):
     """
     r = np.asarray(r, dtype=float)
     return 1.0 + (np.cosh(r) - 1.0) * plateau_bump(r, 1.0, 2.0)
-
-
-def neck_damping(inner=0.5, outer=1.0):
-    """Damping profile: 0 for |r| <= inner, 1 for |r| >= outer."""
-    def a(r):
-        return plateau_step(r, inner, outer)
-    return a
 
 
 @dataclass

@@ -23,6 +23,7 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg as la
 
+from .cutoffs import neck_damping
 from .errors import LoxokitError, StepFailure
 from .symplectic import POINCARE_MAP, SpectrumClassification, classify
 
@@ -40,7 +41,8 @@ class SectionNotTransverse(FlowError):
 
 
 class _NoReturn(FlowError):
-    """Internal: a trajectory failed to re-cross the section in time."""
+    """Internal: a trial point has no usable return: its trajectory missed
+    the section in time, or its segment chain collapsed in period."""
 
 
 @dataclass
@@ -75,28 +77,27 @@ class HamiltonianSystem:
         Symmetrizing keeps the linearized flow exactly Hamiltonian, which
         protects the symplectic structure of monodromy matrices.
         """
-        dim = 2 * self.n
-        H = np.empty((dim, dim))
-        base = np.asarray(z, dtype=float)
-        for j in range(dim):
-            step = 6.0e-6 * max(1.0, abs(base[j]))
-            zp = base.copy(); zp[j] += step
-            zm = base.copy(); zm[j] -= step
-            H[:, j] = (self.gradient(zp) - self.gradient(zm)) / (2 * step)
+        H = np.column_stack(_central_differences(self.gradient, z, 6.0e-6))
         return 0.5 * (H + H.T)
+
+
+def _central_differences(f, z, rel_step):
+    """(f(z + h e_j) - f(z - h e_j)) / (2 h) for each coordinate j, with
+    h = rel_step * max(1, |z_j|)."""
+    base = np.asarray(z, dtype=float)
+    diffs = []
+    for j in range(base.size):
+        h = rel_step * max(1.0, abs(base[j]))
+        zp = base.copy(); zp[j] += h
+        zm = base.copy(); zm[j] -= h
+        diffs.append((f(zp) - f(zm)) / (2 * h))
+    return diffs
 
 
 def gradient_check(sys, z, step=1e-6):
     """Max abs difference between sys.gradient and central differences."""
-    z = np.asarray(z, dtype=float)
-    g = sys.gradient(z)
-    worst = 0.0
-    for j in range(2 * sys.n):
-        h = step * max(1.0, abs(z[j]))
-        zp = z.copy(); zp[j] += h
-        zm = z.copy(); zm[j] -= h
-        worst = max(worst, abs((sys.p(zp) - sys.p(zm)) / (2 * h) - g[j]))
-    return worst
+    diffs = np.array(_central_differences(sys.p, z, step))
+    return float(np.max(np.abs(diffs - sys.gradient(np.asarray(z, float)))))
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +218,9 @@ def neck_exclusion(r_width=0.2, clairaut_width=0.01):
     return inside
 
 
-def meridian_damping(inner=0.5, outer=1.0):
-    """Smooth damping a(r): 0 for |r| <= inner, 1 for |r| >= outer."""
-    from .cutoffs import plateau_step
-
-    def a(r):
-        return plateau_step(r, inner, outer)
-
-    return a
+# one definition with dampedwave.neck_damping: a(r) = 0 for |r| <= inner,
+# 1 for |r| >= outer
+meridian_damping = neck_damping
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +232,7 @@ class FlowResult:
     times: np.ndarray
     states: np.ndarray          # shape (len(times), 2n)
     energy_drift: float
-    solver: object = None
+    integral: Optional[float] = None   # of the observable over t_span
 
 
 def _integrate(rhs, t_span, y0, tol, **options):
@@ -248,24 +244,40 @@ def _integrate(rhs, t_span, y0, tol, **options):
     return sol
 
 
-def flow(sys, z0, t_span, tol=1e-10, t_eval=None, dense=False):
+def flow(sys, z0, t_span, tol=1e-10, t_eval=None, observable=None):
     """Integrate the Hamiltonian flow with an adaptive high-order RK.
 
-    Energy drift along the result is checked against 10 * tol; integrator
-    failure raises StepFailure.
+    With an observable, its integral over the whole t_span rides along as
+    one more state column (so it shares the step control) and comes back
+    as ``integral``. Energy drift along the result is checked against
+    10 * tol; integrator failure raises StepFailure.
     """
+    t0, t1 = t_span
+    if t1 == t0:
+        raise ValueError(f"empty time span {tuple(t_span)}")
     z0 = np.asarray(z0, dtype=float)
+    dim = 2 * sys.n
     rhs = lambda t, z: sys.vector_field(z)
-    sol = _integrate(rhs, t_span, z0, tol, t_eval=t_eval, dense_output=dense)
-    states = sol.y.T
+    y0, n_out = z0, None
+    if observable is not None:
+        rhs = lambda t, y: np.append(sys.vector_field(y[:dim]),
+                                     observable(y[:dim]))
+        y0 = np.append(z0, 0.0)
+        if t_eval is not None and t_eval[-1] != t1:
+            # the integral is read at the end of the span: sample it too
+            n_out = len(t_eval)
+            t_eval = np.append(t_eval, t1)
+    sol = _integrate(rhs, t_span, y0, tol, t_eval=t_eval)
+    states = sol.y[:dim].T
     E0 = sys.p(z0)
     drift = max(abs(sys.p(s) - E0) for s in states[:: max(1, len(states) // 64)])
     drift = max(drift, abs(sys.p(states[-1]) - E0))
     scale = max(1.0, abs(E0))
-    if drift > 10 * tol * scale * max(1.0, abs(t_span[1] - t_span[0])):
+    if drift > 10 * tol * scale * max(1.0, abs(t1 - t0)):
         raise StepFailure(f"energy drift {drift:.2e} exceeds budget")
-    return FlowResult(times=sol.t, states=states, energy_drift=drift,
-                      solver=sol.sol if dense else None)
+    integral = None if observable is None else float(sol.y[dim, -1])
+    return FlowResult(times=sol.t[:n_out], states=states[:n_out],
+                      energy_drift=drift, integral=integral)
 
 
 def _variational_rhs(sys):
@@ -356,6 +368,36 @@ def _poincare_return(sys, z, z_ref, v_sec, t_min, t_max, tol):
     return T, y_ev[:dim], y_ev[dim:].reshape(dim, dim)
 
 
+def _gauss_newton(residual, jacobian, x, first, tol, max_iter):
+    """Damped Gauss-Newton on residual(x) -> (F, aux) from x, where
+    first = residual(x) and jacobian(x, aux) = dF/dx. The lstsq step is
+    halved (at most 12 times) until |F| drops; a trial point that raises
+    StepFailure, _NoReturn or SectionNotTransverse is halved too. Returns
+    (x, |F|, aux) once |F| <= tol."""
+    F, aux = first
+    for _ in range(max_iter):
+        norm_F = la.norm(F)
+        if norm_F <= tol:
+            return x, norm_F, aux
+        step, *_ = np.linalg.lstsq(jacobian(x, aux), -F, rcond=None)
+        lam = 1.0
+        for _ in range(12):
+            x_new = x + lam * step
+            try:
+                F_new, aux_new = residual(x_new)
+            except (StepFailure, _NoReturn, SectionNotTransverse):
+                lam *= 0.5
+                continue
+            if la.norm(F_new) < norm_F:
+                break
+            lam *= 0.5
+        else:
+            raise MaxIterations(f"line search stalled (residual {norm_F:.2e})")
+        x, F, aux = x_new, F_new, aux_new
+    raise MaxIterations(f"no convergence after {max_iter} iterations "
+                        f"(residual {la.norm(F):.2e})")
+
+
 def _multiple_shooting(sys, guess, period_guess, v_sec, z_ref, E0, tol,
                        segment_time=1.0, max_iter=60):
     """Close a chain of short flow segments through a rough guess.
@@ -367,8 +409,9 @@ def _multiple_shooting(sys, guess, period_guess, v_sec, z_ref, E0, tol,
 
     Seeding all nodes at the guess would put the chain in the contractible
     homotopy class, where the Gauss-Newton step collapses the period toward
-    zero. Instead the cyclic coordinates advance ballistically at the guess
-    velocity so the seed winds once, and the other components stay frozen.
+    zero; a trial period below a tenth of the guess is rejected. Instead
+    the cyclic coordinates advance ballistically at the guess velocity so
+    the seed winds once, and the other components stay frozen.
 
     Returns a point near the orbit, good enough to restart return-map
     Newton from.
@@ -382,6 +425,8 @@ def _multiple_shooting(sys, guess, period_guess, v_sec, z_ref, E0, tol,
     x = np.concatenate([seed.ravel(), [period_guess]])
 
     def chain(x):
+        if x[-1] <= 0.1 * period_guess:
+            raise _NoReturn("segment chain period collapsed")
         nodes = x[:-1].reshape(K, dim)
         dt = x[-1] / K
         ends, mats, links = [], [], []
@@ -393,13 +438,10 @@ def _multiple_shooting(sys, guess, period_guess, v_sec, z_ref, E0, tol,
         F = np.concatenate(links
                            + [[np.dot(_wrap_diff(sys, nodes[0], z_ref), v_sec)],
                               [sys.p(nodes[0]) - E0]])
-        return F, nodes, ends, mats
+        return F, (ends, mats)
 
-    F, nodes, ends, mats = chain(x)
-    for _ in range(max_iter):
-        norm_F = la.norm(F)
-        if norm_F <= 1e-9:
-            return nodes[0].copy(), float(x[-1])
+    def jacobian(x, aux):
+        ends, mats = aux
         J = np.zeros((K * dim + 2, K * dim + 1))
         for i in range(K):
             rows = slice(i * dim, (i + 1) * dim)
@@ -408,27 +450,11 @@ def _multiple_shooting(sys, guess, period_guess, v_sec, z_ref, E0, tol,
             J[rows, j:j + dim] -= np.eye(dim)
             J[rows, -1] = sys.vector_field(ends[i]) / K
         J[K * dim, :dim] = v_sec
-        J[K * dim + 1, :dim] = sys.gradient(nodes[0])
-        step, *_ = np.linalg.lstsq(J, -F, rcond=None)
-        lam = 1.0
-        for _ in range(12):
-            x_new = x + lam * step
-            if x_new[-1] <= 0.1 * period_guess:
-                lam *= 0.5
-                continue
-            try:
-                F_new, nodes_n, ends_n, mats_n = chain(x_new)
-            except StepFailure:
-                lam *= 0.5
-                continue
-            if la.norm(F_new) < norm_F:
-                break
-            lam *= 0.5
-        else:
-            raise MaxIterations("segment chain stalled before closing")
-        x, F, nodes, ends, mats = x_new, F_new, nodes_n, ends_n, mats_n
-    raise MaxIterations(f"segment chain failed to close "
-                        f"(residual {la.norm(F):.2e})")
+        J[K * dim + 1, :dim] = sys.gradient(x[:dim])
+        return J
+
+    x, _, _ = _gauss_newton(chain, jacobian, x, chain(x), 1e-9, max_iter)
+    return x[:dim].copy()
 
 
 def find_closed_orbit(sys, guess, period_guess, tol=1e-11, max_iter=40,
@@ -460,23 +486,10 @@ def find_closed_orbit(sys, guess, period_guess, tol=1e-11, max_iter=40,
         F = np.concatenate([_wrap_diff(sys, zT, z),
                             [np.dot(_wrap_diff(sys, z, z_ref), v_sec)],
                             [sys.p(z) - E0]])
-        return F, T, zT, M
+        return F, (T, zT, M)
 
-    try:
-        F, T, zT, M = residual(z)
-    except _NoReturn:
-        # the raw guess escapes before its first section return; stabilize
-        # with short segments, then restart on the return map
-        z, _ = _multiple_shooting(sys, z, Tg, v_sec, z_ref, E0, tol)
-        try:
-            F, T, zT, M = residual(z)
-        except _NoReturn as exc2:
-            raise MaxIterations(str(exc2)) from None
-    for _ in range(max_iter):
-        norm_F = la.norm(F)
-        if norm_F <= return_tol:
-            return ClosedOrbit(point=z, period=T, energy=sys.p(z),
-                               residual=norm_F, section_normal=v_sec)
+    def jacobian(z, aux):
+        _, zT, M = aux
         v_T = sys.vector_field(zT)
         denom = np.dot(v_sec, v_T)
         if abs(denom) < 1e-10 * la.norm(v_T):
@@ -488,23 +501,22 @@ def find_closed_orbit(sys, guess, period_guess, tol=1e-11, max_iter=40,
         Jac[:dim, :] = DP - np.eye(dim)
         Jac[dim, :] = v_sec
         Jac[dim + 1, :] = sys.gradient(z)
-        step, *_ = np.linalg.lstsq(Jac, -F, rcond=None)
-        lam = 1.0
-        for _ in range(12):
-            z_new = z + lam * step
-            try:
-                F_new, T_new, zT_new, M_new = residual(z_new)
-            except (_NoReturn, SectionNotTransverse, StepFailure):
-                lam *= 0.5     # trial point lost the section; shrink
-                continue
-            if la.norm(F_new) < norm_F:
-                break
-            lam *= 0.5
-        else:
-            raise MaxIterations("line search stalled in Newton shooting")
-        z, F, T, zT, M = z_new, F_new, T_new, zT_new, M_new
-    raise MaxIterations(f"no convergence after {max_iter} iterations "
-                        f"(residual {la.norm(F):.2e})")
+        return Jac
+
+    try:
+        first = residual(z)
+    except _NoReturn:
+        # the raw guess escapes before its first section return; stabilize
+        # with short segments, then restart on the return map
+        z = _multiple_shooting(sys, z, Tg, v_sec, z_ref, E0, tol)
+        try:
+            first = residual(z)
+        except _NoReturn as exc2:
+            raise MaxIterations(str(exc2)) from None
+    z, norm_F, (T, _, _) = _gauss_newton(residual, jacobian, z, first,
+                                         return_tol, max_iter)
+    return ClosedOrbit(point=z, period=T, energy=sys.p(z),
+                       residual=norm_F, section_normal=v_sec)
 
 
 def _symplectic_pair_basis(C):
@@ -584,16 +596,9 @@ def linearized_poincare_map(sys, orbit, tol=1e-11):
 
 def trajectory_average(sys, z0, T, observable, tol=1e-12):
     """(1/T) int_0^T observable(z(t)) dt along the flow, by ride-along
-    quadrature inside the adaptive integrator."""
-    z0 = np.asarray(z0, dtype=float)
-    dim = 2 * sys.n
-
-    def rhs(t, y):
-        z = y[:dim]
-        return np.concatenate([sys.vector_field(z), [observable(z)]])
-
-    y0 = np.concatenate([z0, [0.0]])
-    return _integrate(rhs, (0.0, T), y0, tol).y[dim, -1] / T
+    quadrature inside the adaptive integrator. A negative T averages over
+    the backward trajectory; T = 0 is an empty span (ValueError)."""
+    return flow(sys, z0, (0.0, T), tol=tol, observable=observable).integral / T
 
 
 @dataclass
@@ -615,8 +620,14 @@ def check_geometric_control(sys, damping, exclusion, T=50.0, n_samples=500,
     neighborhood (counter-based Philox generator, so the draw is
     reproducible and splittable), then looks for a time |t| <= T at which
     the trajectory meets {damping > 0}. Also reports the smallest forward
-    time-average of the damping over the samples.
+    time-average of the damping over the samples; it rides along in the
+    forward run at the same tol, and a backward run is made only when the
+    forward one misses the damping.
     """
+    if not T > 0:
+        raise ValueError(f"control horizon T must be positive, got {T}")
+    if n_samples < 1:
+        raise ValueError(f"need at least one sample, got n_samples={n_samples}")
     r_max, _ = sample_box
     rng = np.random.Generator(np.random.Philox(seed))
     samples = []
@@ -628,29 +639,25 @@ def check_geometric_control(sys, damping, exclusion, T=50.0, n_samples=500,
         if not exclusion(sys, z):
             samples.append(z)
 
+    def first_hit(res):
+        hits = np.nonzero(damping(res.states[:, 0]) > threshold)[0]
+        return float(res.times[hits[0]]) if hits.size else None
+
     t_grid = np.arange(0.0, T + scan_dt, scan_dt)
+    t_grid = t_grid[t_grid <= T]     # arange can overshoot T by one step
     witnesses = []
     min_avg = np.inf
-    controlled = 0
     for idx, z in enumerate(samples):
-        hit_time = None
-        fwd = flow(sys, z, (0.0, T), tol=tol, t_eval=t_grid)
-        vals = damping(fwd.states[:, 0])
-        hits = np.nonzero(vals > threshold)[0]
-        if hits.size:
-            hit_time = t_grid[hits[0]]
-        else:
-            bwd = flow(sys, z, (0.0, -T), tol=tol, t_eval=-t_grid)
-            vals_b = damping(bwd.states[:, 0])
-            hits_b = np.nonzero(vals_b > threshold)[0]
-            if hits_b.size:
-                hit_time = -t_grid[hits_b[0]]
+        fwd = flow(sys, z, (0.0, T), tol=tol, t_eval=t_grid,
+                   observable=lambda s: damping(s[0]))
+        min_avg = min(min_avg, fwd.integral / T)
+        hit_time = first_hit(fwd)
+        if hit_time is None:
+            hit_time = first_hit(flow(sys, z, (0.0, -T), tol=tol,
+                                      t_eval=-t_grid))
         if hit_time is not None:
-            controlled += 1
-            witnesses.append((idx, float(hit_time)))
-        avg = trajectory_average(sys, z, T, lambda s: damping(s[0]), tol=1e-9)
-        min_avg = min(min_avg, avg)
+            witnesses.append((idx, hit_time))
     return ControlReport(n_samples=n_samples,
-                         controlled_fraction=controlled / n_samples,
+                         controlled_fraction=len(witnesses) / n_samples,
                          witnesses=witnesses, min_average=float(min_avg),
                          horizon=T, seed=seed)

@@ -295,22 +295,36 @@ def _cluster_values(vals, tol):
     return out
 
 
-def _block_sizes(M, lam, multiplicity, scale):
-    """Jordan block sizes of eigenvalue lam via ranks of (M - lam I)^k."""
-    n = M.shape[0]
-    N = M.astype(complex) - lam * np.eye(n)
+def _block_sizes(M, lam, members, eigs, scale):
+    """Jordan block sizes of the cluster eigs[members], with mean lam.
+
+    The ranks of (T11 - lam I)^k are taken on the cluster's own invariant
+    block T11 of an ordered Schur form T = Z^H M Z, so the chains of a
+    nearby eigenvalue cannot count toward the kernel.
+    """
+    k = len(members)
+    inner = max(abs(eigs[i] - lam) for i in members)
+    outer = min((abs(v - lam) for j, v in enumerate(eigs) if j not in members),
+                default=np.inf)
+    T, _, sdim = la.schur(M.astype(complex), output="complex",
+                          sort=lambda w: abs(w - lam) <= 0.5 * (inner + outer))
+    if sdim != k:
+        raise DefectiveBeyondTolerance(
+            f"Schur ordering for eigenvalue {lam} selected {sdim} "
+            f"eigenvalues, expected {k}")
+    N = T[:k, :k] - lam * np.eye(k)
     norm_N = max(la.norm(N, 2), 1e-300)
     if norm_N <= RANK_RTOL * scale:
-        # M = lam I up to roundoff, so every rank below would be noise
-        return [1] * multiplicity
-    ranks = [n]
-    P = np.eye(n, dtype=complex)
-    for k in range(1, multiplicity + 1):
+        # the block is lam I up to roundoff, so every rank below would be noise
+        return [1] * k
+    ranks = [k]
+    P = np.eye(k, dtype=complex)
+    for j in range(1, k + 1):
         P = P @ N
         s = la.svdvals(P)
-        thr = RANK_RTOL * norm_N ** k
-        ranks.append(int(np.sum(s > max(thr, s[0] * 1e-14 if s.size else 0.0))))
-        if ranks[-1] <= n - multiplicity:
+        thr = RANK_RTOL * norm_N ** j
+        ranks.append(int(np.sum(s > max(thr, s[0] * 1e-14))))
+        if ranks[-1] == 0:
             break
     # d_j = number of blocks of size >= j
     d = [ranks[j - 1] - ranks[j] for j in range(1, len(ranks))]
@@ -319,10 +333,10 @@ def _block_sizes(M, lam, multiplicity, scale):
         d_next = d[j] if j < len(d) else 0
         sizes.extend([j] * (dj - d_next))
     sizes.sort(reverse=True)
-    if sum(sizes) != multiplicity:
+    if sum(sizes) != k:
         raise DefectiveBeyondTolerance(
             f"rank sequence inconsistent for eigenvalue {lam}: "
-            f"block sizes {sizes} vs multiplicity {multiplicity}")
+            f"block sizes {sizes} vs multiplicity {k}")
     return sizes
 
 
@@ -391,7 +405,7 @@ def classify(M, mode=HAMILTON_MATRIX):
     eig_scale = max(1.0, np.max(np.abs(eigs)))
     clusters = _cluster_values(list(eigs), CLUSTER_RTOL * eig_scale)
     reps = [rep for rep, _ in clusters]
-    sizes = [_block_sizes(Mm, rep, len(members), scale)
+    sizes = [_block_sizes(Mm, rep, members, eigs, scale)
              for rep, members in clusters]
     match_tol = UNIT_TOL * eig_scale
     window = max(match_tol, 10 * CLUSTER_RTOL * eig_scale)

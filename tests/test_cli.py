@@ -299,3 +299,14 @@ def test_subcommands_accept_only_the_options_they_read():
                       if opt not in ("-h", "--help")}
     assert seen == EXPECTED_OPTIONS
     assert set(cli.COMMANDS) == set(EXPECTED_OPTIONS)
+
+
+def test_degenerate_flow_input_is_usage_error(monkeypatch, capsys):
+    def control(args):
+        flows.check_geometric_control(
+            flows.surface_of_revolution(), flows.meridian_damping(),
+            flows.neck_exclusion(), n_samples=0)
+
+    monkeypatch.setitem(cli.COMMANDS, "selftest", control)
+    assert main(["selftest"]) == 2
+    assert capsys.readouterr().err.startswith("error: need at least one")

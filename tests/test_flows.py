@@ -85,6 +85,57 @@ def test_energy_conservation_long_run(cosh_surface):
     assert res.energy_drift <= 10 * tol * 100.0
 
 
+@pytest.mark.parametrize("t_eval", [None, np.linspace(0.0, 5.0, 41),
+                                    np.linspace(0.0, 4.3, 30)])
+def test_flow_observable_integral_of_constant(cosh_surface, t_eval):
+    # the integral covers the whole span, also past the last t_eval sample
+    z0 = flows.surface_state(cosh_surface, 0.2, 0.0, 0.7)
+    res = flows.flow(cosh_surface, z0, (0.0, 5.0), tol=1e-10, t_eval=t_eval,
+                     observable=lambda z: 1.7)
+    assert res.integral == pytest.approx(1.7 * 5.0, abs=1e-12)
+    plain = flows.flow(cosh_surface, z0, (0.0, 5.0), tol=1e-10,
+                       t_eval=t_eval)
+    assert plain.integral is None
+    if t_eval is not None:
+        assert np.array_equal(res.times, t_eval)
+        assert res.states.shape == (len(t_eval), 4)
+        assert np.allclose(res.states, plain.states, atol=1e-8)
+
+
+def test_flow_rejects_empty_span():
+    sys = flows.harmonic_oscillator()
+    for span in [(0.0, 0.0), (2.0, 2.0)]:
+        with pytest.raises(ValueError, match="empty time span"):
+            flows.flow(sys, np.array([1.0, 0.0]), span)
+
+
+def test_hessian_is_the_central_difference_stencil():
+    # same step rule and arithmetic as a hand-written loop, bit for bit
+    sys = flows.double_bump()
+    z = np.array([0.3, -0.2, 0.5, 0.1])
+    H = np.empty((4, 4))
+    for j in range(4):
+        h = 6.0e-6 * max(1.0, abs(z[j]))
+        zp = z.copy(); zp[j] += h
+        zm = z.copy(); zm[j] -= h
+        H[:, j] = (sys.gradient(zp) - sys.gradient(zm)) / (2 * h)
+    assert np.array_equal(sys.hessian(z), 0.5 * (H + H.T))
+
+
+def test_gauss_newton_shrinks_rejected_trials():
+    # the full step lands where the residual refuses to evaluate; the
+    # driver halves it instead of failing
+    def residual(x):
+        if x[0] > 1.5:
+            raise flows.StepFailure("outside the domain")
+        return np.array([x[0] ** 2 - 1.0]), None
+
+    x, norm_F, _ = flows._gauss_newton(
+        residual, lambda x, aux: np.array([[2.0 * x[0]]]),
+        np.array([0.1]), residual(np.array([0.1])), 1e-12, 40)
+    assert x[0] == pytest.approx(1.0, abs=1e-12) and norm_F <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # closed orbits
 # ---------------------------------------------------------------------------
@@ -208,6 +259,20 @@ def test_meridian_geodesic_sees_damping(cosh_surface):
     assert avg > 0.5
 
 
+def test_average_rejects_zero_horizon(cosh_surface):
+    z0 = flows.surface_state(cosh_surface, 0.2, 0.0, 0.7)
+    with pytest.raises(ValueError):
+        flows.trajectory_average(cosh_surface, z0, 0.0, lambda z: 1.0)
+
+
+def test_backward_average(cosh_surface):
+    # a negative T averages over the backward trajectory
+    z0 = flows.surface_state(cosh_surface, 0.0, 0.0, np.pi / 2)
+    avg = flows.trajectory_average(cosh_surface, z0, -TWO_PI,
+                                   lambda z: np.sin(z[1]) ** 2)
+    assert avg == pytest.approx(0.5, abs=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # geometric control
 # ---------------------------------------------------------------------------
@@ -245,6 +310,42 @@ def test_control_is_seed_deterministic(cosh_surface):
                                          flows.neck_exclusion(), **kw)
     assert rep1.min_average == rep2.min_average
     assert rep1.witnesses == rep2.witnesses
+
+
+def test_control_regression_pin(cosh_surface):
+    # the average rides along in the forward run at tol = 1e-8; it agrees
+    # with the former separate average pass (tol 1e-9) to 1e-6
+    rep = flows.check_geometric_control(
+        cosh_surface, flows.meridian_damping(0.5, 1.0),
+        flows.neck_exclusion(), T=20.0, n_samples=25, seed=11)
+    assert rep.controlled_fraction == 1.0
+    assert rep.min_average == pytest.approx(0.6845391900607233, abs=1e-6)
+
+
+@pytest.mark.parametrize("kw", [dict(n_samples=0), dict(T=0.0),
+                                dict(T=-5.0)])
+def test_control_rejects_degenerate_inputs(cosh_surface, kw):
+    args = dict(T=5.0, n_samples=4, seed=1) | kw
+    with pytest.raises(ValueError):
+        flows.check_geometric_control(
+            cosh_surface, flows.meridian_damping(0.5, 1.0),
+            flows.neck_exclusion(), **args)
+
+
+@pytest.mark.parametrize("T", [0.3, 0.33, 0.01])
+def test_control_horizon_off_the_scan_lattice(cosh_surface, T):
+    # np.arange(0, T + dt, dt) ends past T here; the scan must stop at T
+    rep = flows.check_geometric_control(
+        cosh_surface, lambda r: 1.0 + 0.0 * np.asarray(r),
+        flows.neck_exclusion(), T=T, n_samples=3, seed=1)
+    assert rep.controlled_fraction == 1.0
+    assert rep.min_average == pytest.approx(1.0, abs=1e-9)
+
+
+def test_one_neck_damping():
+    from loxokit import cutoffs, dampedwave
+    assert flows.meridian_damping is cutoffs.neck_damping
+    assert dampedwave.neck_damping is cutoffs.neck_damping
 
 
 # ---------------------------------------------------------------------------

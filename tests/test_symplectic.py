@@ -184,6 +184,22 @@ def test_classify_near_scalar_harmonic_monodromy(t, theta):
     assert c.has_negative_real == (theta == np.pi)
 
 
+@pytest.mark.parametrize("gap", [0.03, 0.003])
+@pytest.mark.parametrize("mode", [lx.HAMILTON_MATRIX, lx.POINCARE_MAP])
+def test_classify_nearby_jordan_chains(mode, gap):
+    # two size-3 chains at 1.0 and 1.0 - gap: ranks taken on the whole
+    # matrix counted the other chain's (M - lam I)^3 as kernel
+    chain = lambda lam: lam * np.eye(3) + np.eye(3, k=1)
+    A = la.block_diag(chain(1.0), chain(1.0 - gap))
+    B = la.block_diag(A.T, -A)
+    c = lx.classify(B if mode == lx.HAMILTON_MATRIX else la.expm(B),
+                    mode=mode)
+    assert [(g.tag, g.chain_size) for g in c.groups] == \
+        [("real_hyperbolic", 3)] * 2
+    assert [g.lam for g in c.groups] == pytest.approx([1.0, 1.0 - gap],
+                                                      abs=1e-4)
+
+
 def test_group_counts_cover_dimension():
     rng = rng_for(7)
     S = random_symplectic(rng, 3)
