@@ -87,6 +87,7 @@ from .dampedwave import (
     assemble_pencil,
     decay_report,
     eigenfrequencies,
+    eigenfrequency_scan,
     evolve,
     interpolation_defect,
     mode_frame,

@@ -212,16 +212,12 @@ def criterion_harmonic_oscillator():
 
 def criterion_damped_wave():
     prob = dw.DampedWaveProblem()
-    strip = symm = 0.0
-    for k in prob.modes:
-        es = dw.eigenfrequencies(dw.assemble_pencil(prob, k))
-        strip = max(strip, es.strip_margin)
-        symm = max(symm, es.symmetry_defect)
+    _, strip, symm = dw.eigenfrequency_scan(prob)
     fine = dw.evolve(prob, 12, t_max=2.0, dt=2e-4)
     rises = np.diff(fine.e0)
     mono = float(rises.max() / fine.e0[0]) if rises.size else 0.0
-    rep = dw.decay_report(prob, modes=(0, 1, 2, 5, 10, 20, 40),
-                          t_max=60.0, epsilon=0.1)
+    rep = dw.decay_report(prob, modes=dw.DECAY_MODES, t_max=dw.T_MAX,
+                          epsilon=0.1)
     undamped = dw.DampedWaveProblem(
         damping=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         modes=(5,), dead_zone_radius=None)

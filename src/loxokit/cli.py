@@ -158,11 +158,16 @@ def cmd_normal_form(args):
         raise UsageError(f"cannot read input: {exc}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"input is not valid JSON: {exc}") from None
-    if "data" not in obj:
+    if not isinstance(obj, dict) or "data" not in obj:
         raise UsageError("input JSON needs a 'data' matrix field")
-    M = np.asarray(obj["data"], dtype=float)
+    try:
+        M = np.asarray(obj["data"], dtype=float)
+    except (TypeError, ValueError):
+        raise UsageError("input 'data' must be a matrix of numbers") from None
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise UsageError("input matrix must be square")
+    if M.shape[0] % 2:
+        raise UsageError("input matrix must have even dimension")
     kind = obj.get("kind", "map")
     if kind not in ("map", "generator"):
         raise UsageError("input 'kind' must be 'map' or 'generator'")
@@ -317,9 +322,9 @@ WAVE_KEYS = ("modes", "epsilon", "t_max", "n_grid", "damping_inner",
 
 def cmd_damped_wave(args):
     cfg = _load_config(args.config, WAVE_KEYS, {
-        "modes": list(range(41)), "epsilon": 0.1, "t_max": 60.0,
+        "modes": list(range(41)), "epsilon": 0.1, "t_max": dw.T_MAX,
         "n_grid": 192, "damping_inner": 0.5, "damping_outer": 1.0,
-        "warp": "neck", "decay_modes": [0, 1, 2, 5, 10, 20, 40],
+        "warp": "neck", "decay_modes": list(dw.DECAY_MODES),
     })
     if args.modes is not None:
         cfg["modes"] = _parse_mode_list(args.modes)
@@ -339,21 +344,16 @@ def cmd_damped_wave(args):
         damping=dw.neck_damping(inner, float(cfg["damping_outer"])),
         n_grid=cfg["n_grid"], modes=tuple(cfg["modes"]),
         epsilon=float(cfg["epsilon"]), dead_zone_radius=inner)
-    freq_rows = []
-    strip = mirror = 0.0
-    for k in prob.modes:
-        es = dw.eigenfrequencies(dw.assemble_pencil(prob, k))
-        strip = max(strip, es.strip_margin)
-        mirror = max(mirror, es.symmetry_defect)
-        freq_rows += [[k, float(t.real), float(t.imag)]
-                      for t in es.frequencies]
+    sets, strip, mirror = dw.eigenfrequency_scan(prob)
     decay_modes = [k for k in cfg["decay_modes"] if k in prob.modes]
     rep = dw.decay_report(prob, modes=decay_modes or None,
                           t_max=float(cfg["t_max"]))
     out = _out_dir(args)
     if out is not None:
         serialize.write_csv(os.path.join(out, "eigenfrequencies.csv"),
-                            ["k", "re_tau", "im_tau"], freq_rows)
+                            ["k", "re_tau", "im_tau"],
+                            [[es.k, float(t.real), float(t.imag)]
+                             for es in sets for t in es.frequencies])
         total_eeps = sum(tr.eeps for tr in rep.per_mode.values())
         serialize.write_csv(
             os.path.join(out, "energy.csv"), ["t", "E0", "Eeps"],

@@ -40,6 +40,11 @@ class LinearizationIllConditioned(DampedWaveError):
     pass
 
 
+# angular modes whose energies the decay fit superposes, and its horizon
+DECAY_MODES = (0, 1, 2, 5, 10, 20, 40)
+T_MAX = 60.0
+
+
 def periodic_warp(r):
     """Warp with f = cosh r for |r| <= 1, f = 1 for |r| >= 2.
 
@@ -104,65 +109,52 @@ class DampedWaveProblem:
 
 @dataclass
 class ModePencil:
-    """Quadratic pencil P(tau) = second*tau^2 + first*tau + zeroth for one
-    angular mode, assembled in the sqrt(f)-symmetrized frame."""
+    """Mode k's pencil P(tau) = -tau^2 + zeroth + 2i diag(a) tau in the
+    sqrt(f)-symmetrized frame: zeroth is the real symmetric matrix
+    similar to L_k, and a is read from problem."""
 
     k: int
-    second: np.ndarray
-    first: np.ndarray
     zeroth: np.ndarray
     problem: DampedWaveProblem
 
-    def __iter__(self):
-        return iter((self.second, self.first, self.zeroth))
-
 
 def assemble_pencil(problem, k):
-    """Symmetrized mode operator and pencil coefficient triple.
-
-    zeroth is the real symmetric matrix similar to L_k, first is
-    2i diag(a), second is -I.
-    """
+    """Symmetrized operator of mode k. With w = f_half / dr^2 the flux
+    stencil is periodic tridiagonal: diagonal w + roll(w, 1),
+    off-diagonals -w, and two wrap corners that close the period."""
     if k not in problem.modes:
         raise ValueError(f"mode {k} not in the problem's mode list")
     n = problem.n_grid
-    dr = problem.spacing
     f = problem.f
-    fh = problem.f_half  # fh[j] sits between j and j+1, fh[-1] wraps
-    L = np.zeros((n, n))
-    idx = np.arange(n)
-    nxt = (idx + 1) % n
-    w = fh / dr**2
-    np.add.at(L, (idx, idx), w)
-    np.add.at(L, (nxt, nxt), w)
-    np.add.at(L, (idx, nxt), -w)
-    np.add.at(L, (nxt, idx), -w)
+    w = problem.f_half / problem.spacing**2  # w[j] couples j and j+1
+    i = np.arange(n)
+    L = np.diag(w + np.roll(w, 1))
+    L[i[:-1], i[1:]] = L[i[1:], i[:-1]] = -w[:-1]
+    L[0, -1] = L[-1, 0] = -w[-1]
     scale = 1.0 / np.sqrt(f)
     L = L * scale[:, None] * scale[None, :]
-    L[idx, idx] += k**2 / f**2
-    return ModePencil(k=int(k), second=-np.eye(n),
-                      first=2j * np.diag(problem.a), zeroth=L,
-                      problem=problem)
+    L[i, i] += k**2 / f**2
+    return ModePencil(k=int(k), zeroth=L, problem=problem)
 
 
 @dataclass
 class ModeFrame:
     """Eigenbasis of one mode's symmetrized operator, with spectral norms.
 
+    pencil is the operator diagonalized, which evolve also marches.
     Coefficients carry the sqrt(spacing) quadrature weight so that
     norm_sq(w, 0) equals the f-weighted L^2 norm of the physical state.
     """
 
-    k: int
+    pencil: ModePencil
     lam: np.ndarray
     basis: np.ndarray
-    spacing: float
 
     def coeffs(self, w):
-        return (self.basis.T @ w) * math.sqrt(self.spacing)
+        return (self.basis.T @ w) * math.sqrt(self.pencil.problem.spacing)
 
     def synthesize(self, c):
-        return (self.basis @ c) / math.sqrt(self.spacing)
+        return (self.basis @ c) / math.sqrt(self.pencil.problem.spacing)
 
     def norm_sq(self, w, s):
         c = self.coeffs(w)
@@ -174,8 +166,7 @@ def mode_frame(pencil):
     # the k = 0 operator annihilates sqrt(f); tiny negative roundoff
     # eigenvalues would poison sqrt and fractional powers
     lam = np.maximum(lam, 0.0)
-    return ModeFrame(k=pencil.k, lam=lam, basis=basis,
-                     spacing=pencil.problem.spacing)
+    return ModeFrame(pencil=pencil, lam=lam, basis=basis)
 
 
 @dataclass
@@ -254,6 +245,16 @@ def eigenfrequencies(pencil, residual_tol=1e-6):
                              symmetry_defect=defect)
 
 
+def eigenfrequency_scan(problem, modes=None):
+    """(sets, strip_margin, mirror_defect): the EigenfrequencySet of each
+    mode in modes (default problem.modes), and the worst strip margin and
+    mirror defect over them (0 when none is positive)."""
+    sets = [eigenfrequencies(assemble_pencil(problem, k))
+            for k in (problem.modes if modes is None else modes)]
+    return (sets, max([0.0] + [es.strip_margin for es in sets]),
+            max([0.0] + [es.symmetry_defect for es in sets]))
+
+
 def default_initial(problem, frame, n_low=24, mode_seed=0):
     """Band-limited start: u = 0, velocity spread over the lowest modes.
 
@@ -275,31 +276,26 @@ class EnergyTrace:
     """Sampled energies of one evolved mode plus the decay-fit summary."""
 
     k: int
-    epsilon: float
     times: np.ndarray
     e0: np.ndarray
     eeps: np.ndarray
     rate: float
-    intercept: float
     r_squared: float
     dissipation_residual: float
 
-    def rows(self):
-        return list(zip(self.times, self.e0, self.eeps))
-
 
 def _fit_decay(times, energy, lo_frac=0.25):
-    """Least-squares line through log energy on [t_max/4, t_max]."""
+    """Decay rate and R^2 of the least-squares line through log energy
+    on [t_max/4, t_max]."""
     sel = times >= lo_frac * times[-1]
     t = times[sel]
     y = np.log(np.maximum(energy[sel], 1e-300))
     if np.ptp(y) < 1e-12:
-        return 0.0, float(y.mean()), 0.0
+        return 0.0, 0.0
     slope, intercept = np.polyfit(t, y, 1)
-    fitted = slope * t + intercept
-    ss_res = float(np.sum((y - fitted) ** 2))
+    ss_res = float(np.sum((y - (slope * t + intercept)) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
-    return -float(slope), float(intercept), 1.0 - ss_res / ss_tot
+    return -float(slope), 1.0 - ss_res / ss_tot
 
 
 # products of entries at or above this magnitude stay normal floats
@@ -346,7 +342,7 @@ def power_march(step, x0, n_steps):
     return hist
 
 
-def evolve(problem, k, initial=None, t_max=60.0, dt=0.004, frame=None):
+def evolve(problem, k, initial=None, t_max=T_MAX, dt=0.004, frame=None):
     """March one mode with the exact one-step propagator and record E^0,
     E^eps, and the damping quadrature.
 
@@ -354,12 +350,23 @@ def evolve(problem, k, initial=None, t_max=60.0, dt=0.004, frame=None):
     step = exp(A dt) for the real first-order generator A, filled by
     power doubling (power_march): about log2(n_steps) matrix products.
 
-    initial is (u0, v0) in the physical frame; None takes the default
-    band-limited data. dt must resolve the fastest excited frequency
-    (dt <= 0.1 / max |tau| over retained content), checked here.
+    frame is mode k's ModeFrame of this problem (None builds it), and
+    its pencil gives A; a frame of another mode or problem is a
+    ValueError. initial is (u0, v0) in the physical frame; None takes
+    the default band-limited data. Checked here: dt resolves the fastest
+    excited frequency (dt <= 0.1 / max |tau| over retained content), and
+    t_max spans two steps, so the decay fit on [t_max/4, t_max] has two
+    samples.
     """
-    pencil = assemble_pencil(problem, k)
-    frame = frame if frame is not None else mode_frame(pencil)
+    n_steps = int(round(t_max / dt))
+    if n_steps < 2:
+        raise ValueError(f"t_max = {t_max} spans {n_steps} steps of dt = "
+                         f"{dt}; the decay fit needs at least 2")
+    if frame is None:
+        frame = mode_frame(assemble_pencil(problem, k))
+    elif frame.pencil.k != k or frame.pencil.problem is not problem:
+        raise ValueError(f"frame of mode {frame.pencil.k} does not belong "
+                         f"to mode {k} of this problem")
     scale = np.sqrt(problem.f)
     if initial is None:
         u0, v0 = default_initial(problem, frame)
@@ -377,13 +384,10 @@ def evolve(problem, k, initial=None, t_max=60.0, dt=0.004, frame=None):
             f"dt = {dt} too coarse for content up to |tau| = {tau_max:.1f};"
             f" need dt <= {0.1 / tau_max:.2e}")
     n = problem.n_grid
-    step = la.expm(first_order_generator(pencil) * dt)
-    n_steps = int(round(t_max / dt))
+    step = la.expm(first_order_generator(frame.pencil) * dt)
     times = dt * np.arange(n_steps + 1)
     hist = power_march(step, np.concatenate([w0, wd0]), n_steps)
-    eps = problem.epsilon
-    dr = problem.spacing
-    diss = 2.0 * dr * (hist[:, n:] ** 2 @ problem.a)
+    diss = 2.0 * problem.spacing * (hist[:, n:] ** 2 @ problem.a)
     c = frame.coeffs(hist[:, :n].T)
     cd = frame.coeffs(hist[:, n:].T)
     # the states are spent; freeing them before the modal sums lowers
@@ -391,7 +395,8 @@ def evolve(problem, k, initial=None, t_max=60.0, dt=0.004, frame=None):
     del hist
     modal = cd**2 + frame.lam[:, None] * c**2
     e0 = 0.5 * modal.sum(axis=0)
-    eeps = 0.5 * ((1 + frame.lam[:, None]) ** eps * modal).sum(axis=0)
+    eeps = 0.5 * ((1 + frame.lam[:, None]) ** problem.epsilon
+                  * modal).sum(axis=0)
     rises = np.diff(e0)
     if rises.size and rises.max() > 1e-8 * max(e0[0], 1e-300):
         raise StepFailure(
@@ -399,10 +404,9 @@ def evolve(problem, k, initial=None, t_max=60.0, dt=0.004, frame=None):
             f"mode {k}; the damped propagator cannot do that")
     drop = e0[0] - e0[-1]
     resid = abs(drop - simpson(diss, dx=dt)) / max(e0[0], 1e-300)
-    rate, intercept, r2 = _fit_decay(times, e0)
-    return EnergyTrace(k=int(k), epsilon=eps, times=times, e0=e0, eeps=eeps,
-                       rate=rate, intercept=intercept, r_squared=r2,
-                       dissipation_residual=float(resid))
+    rate, r2 = _fit_decay(times, e0)
+    return EnergyTrace(k=int(k), times=times, e0=e0, eeps=eeps, rate=rate,
+                       r_squared=r2, dissipation_residual=float(resid))
 
 
 @dataclass
@@ -412,7 +416,6 @@ class DecayReport:
     epsilon: float
     modes: tuple
     rate: float
-    intercept: float
     r_squared: float
     envelope_constant: float
     hnorm_sq: float
@@ -421,7 +424,7 @@ class DecayReport:
     per_mode: dict
 
 
-def decay_report(problem, modes=None, t_max=60.0, dt=None, epsilon=None,
+def decay_report(problem, modes=None, t_max=T_MAX, dt=None, epsilon=None,
                  n_low=24):
     """Evolve every requested mode, superpose energies, fit the decay.
 
@@ -438,34 +441,28 @@ def decay_report(problem, modes=None, t_max=60.0, dt=None, epsilon=None,
     modes = tuple(problem.modes if modes is None else modes)
     if not modes:
         raise ValueError("need at least one mode")
-    scale = np.sqrt(problem.f)
-    prepared = []
-    tau_max = 1.0
-    for k in modes:
-        frame = mode_frame(assemble_pencil(problem, k))
-        u0, v0 = default_initial(problem, frame, n_low=n_low, mode_seed=k)
-        prepared.append((k, frame, u0, v0))
-        n_exc = min(n_low, frame.lam.size)
-        tau_max = max(tau_max, math.sqrt(frame.lam[n_exc - 1]))
+    frames = [mode_frame(assemble_pencil(problem, k)) for k in modes]
+    starts = [default_initial(problem, frame, n_low=n_low, mode_seed=k)
+              for k, frame in zip(modes, frames)]
     if dt is None:
+        # the n_low-th eigenvalue is the fastest excited frequency squared
+        tau_max = max([1.0] + [math.sqrt(fr.lam[min(n_low, fr.lam.size) - 1])
+                               for fr in frames])
         dt = min(0.004, 0.09 / tau_max)
-    total = None
-    hnorm_sq = 0.0
-    per_mode = {}
-    times = None
-    for k, frame, u0, v0 in prepared:
-        trace = evolve(problem, k, initial=(u0, v0), t_max=t_max, dt=dt,
-                       frame=frame)
-        hnorm_sq += frame.norm_sq(scale * v0, eps)
-        total = trace.e0 if total is None else total + trace.e0
-        times = trace.times
-        per_mode[k] = trace
-    rate, intercept, r2 = _fit_decay(times, total)
+    traces = [evolve(problem, k, initial=start, t_max=t_max, dt=dt,
+                     frame=frame)
+              for k, frame, start in zip(modes, frames, starts)]
+    scale = np.sqrt(problem.f)
+    hnorm_sq = sum(frame.norm_sq(scale * v0, eps)
+                   for frame, (_, v0) in zip(frames, starts))
+    total = sum(trace.e0 for trace in traces)
+    times = traces[-1].times
+    rate, r2 = _fit_decay(times, total)
     envelope = float(np.max(total * np.exp(rate * times)) / hnorm_sq)
-    return DecayReport(epsilon=eps, modes=modes, rate=rate,
-                       intercept=intercept, r_squared=r2,
+    return DecayReport(epsilon=eps, modes=modes, rate=rate, r_squared=r2,
                        envelope_constant=envelope, hnorm_sq=hnorm_sq,
-                       times=times, total_e0=total, per_mode=per_mode)
+                       times=times, total_e0=total,
+                       per_mode=dict(zip(modes, traces)))
 
 
 def interpolation_defect(frame, rng, n_samples=100, epsilon=0.1):

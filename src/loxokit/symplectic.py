@@ -510,16 +510,16 @@ def symplectic_polar(K):
     """Polar factorization K = Q P of a symplectic matrix.
 
     Returns (Q, P) as SymplecticTransforms: Q orthogonal and symplectic,
-    P symmetric positive definite and symplectic. Computed from the
-    eigendecomposition of K^T K (not an SVD).
+    P symmetric positive definite and symplectic. Computed from one SVD
+    K = U S V^T as Q = U V^T and P = V S V^T; the eigendecomposition of
+    K^T K would square the conditioning of K.
     """
     Km, n, _ = _structured_input(K, _RULES[POINCARE_MAP])
-    w, V = la.eigh(Km.T @ Km)
-    if np.min(w) <= 0:
-        raise NotSymplectic("K^T K is singular; input is not invertible")
-    P = (V * np.sqrt(w)) @ V.T
-    P_inv = (V / np.sqrt(w)) @ V.T
-    Q = Km @ P_inv
+    U, s, Vt = la.svd(Km)
+    if np.min(s) <= 0:
+        raise NotSymplectic("K is singular; input is not invertible")
+    Q = U @ Vt
+    P = (Vt.T * s) @ Vt
     P = 0.5 * (P + P.T)
     return (SymplecticTransform(dim=n, entries=Q),
             SymplecticTransform(dim=n, entries=P))

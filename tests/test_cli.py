@@ -49,6 +49,18 @@ def test_normal_form_usage_errors(tmp_path):
     assert main(["normal-form", "--input", str(tmp_path / "absent.json")]) == 2
 
 
+def test_normal_form_number_input_is_usage_error(tmp_path, capsys):
+    inp = write_json(tmp_path / "n.json", 3)
+    assert main(["normal-form", "--input", inp]) == 2
+    assert "'data'" in capsys.readouterr().err
+
+
+def test_normal_form_odd_dimension_is_usage_error(tmp_path, capsys):
+    inp = write_json(tmp_path / "odd.json", {"data": np.eye(3).tolist()})
+    assert main(["normal-form", "--input", inp]) == 2
+    assert "even dimension" in capsys.readouterr().err
+
+
 def test_normal_form_negative_real_is_numerical_failure(tmp_path, capsys):
     # orientation-reversed hyperbolic map has no real log; the solver
     # error surfaces as exit code 3, not a usage error
@@ -177,6 +189,28 @@ def test_damped_wave_quick_run(tmp_path, capsys):
     first = [float(v) for v in energy[1].split(",")]
     last = [float(v) for v in energy[-1].split(",")]
     assert last[1] < first[1]
+
+
+def test_damped_wave_runs_are_byte_identical(tmp_path):
+    cfg = write_json(tmp_path / "cfg.json",
+                     {"t_max": 3.0, "n_grid": 64, "modes": [0, 2],
+                      "decay_modes": [0, 2]})
+    for name in ("w1", "w2"):
+        assert main(["damped-wave", "--config", cfg, "--out",
+                     str(tmp_path / name)]) == 0
+    for out in ("eigenfrequencies.csv", "energy.csv", "damped_wave.json"):
+        a = (tmp_path / "w1" / out).read_bytes()
+        assert a == (tmp_path / "w2" / out).read_bytes()
+
+
+@pytest.mark.parametrize("t_max", [0, 0.001, -1])
+def test_damped_wave_horizon_too_short_is_usage_error(tmp_path, capsys,
+                                                      t_max):
+    # fewer than two steps leave fewer than two samples in the decay fit
+    cfg = write_json(tmp_path / "cfg.json",
+                     {"t_max": t_max, "n_grid": 64, "modes": [0]})
+    assert main(["damped-wave", "--config", cfg]) == 2
+    assert "t_max" in capsys.readouterr().err
 
 
 def test_damped_wave_rejects_bad_warp(tmp_path):

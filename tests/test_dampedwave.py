@@ -68,11 +68,41 @@ def test_mode_operator_weighted_symmetric(default_problem):
 
 
 def test_pencil_coefficients(default_problem):
+    # the pencil stores only its symmetric operator; -1 and 2i a are read
+    # from the problem
     pencil = dw.assemble_pencil(default_problem, 3)
-    second, first, zeroth = pencil
-    assert np.array_equal(second, -np.eye(default_problem.n_grid))
-    assert np.allclose(first, 2j * np.diag(default_problem.a))
+    assert set(vars(pencil)) == {"k", "zeroth", "problem"}
+    assert pencil.k == 3 and pencil.problem is default_problem
+    zeroth = pencil.zeroth
+    assert zeroth.shape == (default_problem.n_grid,) * 2
     assert np.abs(zeroth - zeroth.T).max() <= 1e-10
+
+
+def scatter_assembly(problem, k):
+    """Reference assembly: the flux stencil scattered edge by edge into a
+    dense zero matrix, then symmetrized and shifted by k^2 / f^2."""
+    n = problem.n_grid
+    L = np.zeros((n, n))
+    idx = np.arange(n)
+    nxt = (idx + 1) % n
+    w = problem.f_half / problem.spacing**2
+    np.add.at(L, (idx, idx), w)
+    np.add.at(L, (nxt, nxt), w)
+    np.add.at(L, (idx, nxt), -w)
+    np.add.at(L, (nxt, idx), -w)
+    scale = 1.0 / np.sqrt(problem.f)
+    L = L * scale[:, None] * scale[None, :]
+    L[idx, idx] += k**2 / problem.f**2
+    return L
+
+
+@pytest.mark.parametrize("n_grid", [32, 48, 192, 288])
+@pytest.mark.parametrize("warp", [None, flat], ids=["neck", "flat"])
+def test_direct_assembly_matches_scatter(n_grid, warp):
+    prob = dw.DampedWaveProblem(n_grid=n_grid, profile=warp)
+    for k in (0, 1, 7, 40):
+        got = dw.assemble_pencil(prob, k).zeroth
+        assert np.array_equal(got, scatter_assembly(prob, k))
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +178,26 @@ def test_real_generator_roots_match_complex_companion(default_problem, k):
     assert dist[rows, cols].max() <= 1e-10
 
 
+def test_scan_matches_per_mode_eigenfrequencies():
+    prob = dw.DampedWaveProblem(n_grid=64, modes=(0, 3, 9))
+    sets, strip, mirror = dw.eigenfrequency_scan(prob, modes=(9, 0))
+    assert [es.k for es in sets] == [9, 0]
+    for es in sets:
+        want = dw.eigenfrequencies(dw.assemble_pencil(prob, es.k))
+        assert np.array_equal(es.frequencies, want.frequencies)
+        assert es.strip_margin == want.strip_margin
+        assert es.symmetry_defect == want.symmetry_defect
+    assert strip == max([0.0] + [es.strip_margin for es in sets])
+    assert mirror == max([0.0] + [es.symmetry_defect for es in sets])
+    assert [es.k for es in dw.eigenfrequency_scan(prob)[0]] == [0, 3, 9]
+
+
 def gap_profile(n_grid):
     """min over modes and |Re tau| >= 1 of Im tau * log<Re tau>."""
     prob = dw.DampedWaveProblem(n_grid=n_grid, modes=tuple(range(0, 41, 4)))
     best = np.inf
-    for k in prob.modes:
-        t = dw.eigenfrequencies(dw.assemble_pencil(prob, k)).frequencies
+    for es in dw.eigenfrequency_scan(prob)[0]:
+        t = es.frequencies
         sel = np.abs(t.real) >= 1.0
         vals = t.imag[sel] * np.log(np.hypot(1.0, t.real[sel]))
         best = min(best, float(vals.min()))
@@ -266,6 +310,25 @@ def test_evolve_energies_independent_of_blas_threads():
 def test_step_size_guard(default_problem):
     with pytest.raises(dw.StepFailure):
         dw.evolve(default_problem, 0, t_max=1.0, dt=0.05)
+
+
+def test_horizon_must_span_two_steps():
+    prob = dw.DampedWaveProblem(n_grid=32, modes=(0,))
+    for t_max in (0.0, 0.005, -1.0):
+        with pytest.raises(ValueError, match="t_max"):
+            dw.evolve(prob, 0, t_max=t_max, dt=0.004)
+    assert dw.evolve(prob, 0, t_max=0.008, dt=0.004).times.size == 3
+
+
+def test_frame_of_another_mode_or_problem_is_rejected():
+    prob = dw.DampedWaveProblem(n_grid=64, modes=(3, 5))
+    frame5 = dw.mode_frame(dw.assemble_pencil(prob, 5))
+    with pytest.raises(ValueError, match="mode 5"):
+        dw.evolve(prob, 3, t_max=1.0, frame=frame5)
+    twin = dw.DampedWaveProblem(n_grid=64, modes=(3, 5))
+    with pytest.raises(ValueError, match="this problem"):
+        dw.evolve(twin, 5, t_max=1.0, frame=frame5)
+    assert dw.evolve(prob, 5, t_max=1.0, frame=frame5).k == 5
 
 
 def test_decay_report_epsilon_tradeoff(default_problem):
