@@ -245,12 +245,12 @@ def eigenfrequencies(pencil, residual_tol=1e-6):
                              symmetry_defect=defect)
 
 
-def eigenfrequency_scan(problem, modes=None):
+def eigenfrequency_scan(problem):
     """(sets, strip_margin, mirror_defect): the EigenfrequencySet of each
-    mode in modes (default problem.modes), and the worst strip margin and
-    mirror defect over them (0 when none is positive)."""
+    mode in problem.modes, and the worst strip margin and mirror defect
+    over them (0 when none is positive)."""
     sets = [eigenfrequencies(assemble_pencil(problem, k))
-            for k in (problem.modes if modes is None else modes)]
+            for k in problem.modes]
     return (sets, max([0.0] + [es.strip_margin for es in sets]),
             max([0.0] + [es.symmetry_defect for es in sets]))
 
@@ -355,13 +355,14 @@ def evolve(problem, k, initial=None, t_max=T_MAX, dt=0.004, frame=None):
     ValueError. initial is (u0, v0) in the physical frame; None takes
     the default band-limited data. Checked here: dt resolves the fastest
     excited frequency (dt <= 0.1 / max |tau| over retained content), and
-    t_max spans two steps, so the decay fit on [t_max/4, t_max] has two
-    samples.
+    t_max is finite and spans two steps, so the decay fit on
+    [t_max/4, t_max] has two samples.
     """
-    n_steps = int(round(t_max / dt))
-    if n_steps < 2:
-        raise ValueError(f"t_max = {t_max} spans {n_steps} steps of dt = "
-                         f"{dt}; the decay fit needs at least 2")
+    span = t_max / dt
+    if not math.isfinite(span) or round(span) < 2:
+        raise ValueError(f"t_max = {t_max} is not a horizon of at least 2 "
+                         f"steps of dt = {dt}, which the decay fit needs")
+    n_steps = int(round(span))
     if frame is None:
         frame = mode_frame(assemble_pencil(problem, k))
     elif frame.pencil.k != k or frame.pencil.problem is not problem:
@@ -441,6 +442,9 @@ def decay_report(problem, modes=None, t_max=T_MAX, dt=None, epsilon=None,
     modes = tuple(problem.modes if modes is None else modes)
     if not modes:
         raise ValueError("need at least one mode")
+    if len(set(modes)) < len(modes):
+        raise ValueError(f"modes {list(modes)} repeat a mode; each mode "
+                         f"counts once in the total energy")
     frames = [mode_frame(assemble_pencil(problem, k)) for k in modes]
     starts = [default_initial(problem, frame, n_low=n_low, mode_seed=k)
               for k, frame in zip(modes, frames)]

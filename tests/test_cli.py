@@ -203,7 +203,7 @@ def test_damped_wave_runs_are_byte_identical(tmp_path):
         assert a == (tmp_path / "w2" / out).read_bytes()
 
 
-@pytest.mark.parametrize("t_max", [0, 0.001, -1])
+@pytest.mark.parametrize("t_max", [0, 0.001, -1, float("inf")])
 def test_damped_wave_horizon_too_short_is_usage_error(tmp_path, capsys,
                                                       t_max):
     # fewer than two steps leave fewer than two samples in the decay fit
@@ -211,6 +211,18 @@ def test_damped_wave_horizon_too_short_is_usage_error(tmp_path, capsys,
                      {"t_max": t_max, "n_grid": 64, "modes": [0]})
     assert main(["damped-wave", "--config", cfg]) == 2
     assert "t_max" in capsys.readouterr().err
+
+
+def test_damped_wave_repeated_decay_mode_counts_once(tmp_path):
+    base = {"t_max": 4.0, "n_grid": 32, "modes": [0, 1]}
+    for name, decay in (("once", [0]), ("twice", [0, 0])):
+        cfg = write_json(tmp_path / f"{name}.json",
+                         dict(base, decay_modes=decay))
+        assert main(["damped-wave", "--config", cfg, "--out",
+                     str(tmp_path / name)]) == 0
+    for out in ("energy.csv", "damped_wave.json"):
+        a = (tmp_path / "once" / out).read_bytes()
+        assert a == (tmp_path / "twice" / out).read_bytes()
 
 
 def test_damped_wave_rejects_bad_warp(tmp_path):

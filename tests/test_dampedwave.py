@@ -179,8 +179,8 @@ def test_real_generator_roots_match_complex_companion(default_problem, k):
 
 
 def test_scan_matches_per_mode_eigenfrequencies():
-    prob = dw.DampedWaveProblem(n_grid=64, modes=(0, 3, 9))
-    sets, strip, mirror = dw.eigenfrequency_scan(prob, modes=(9, 0))
+    prob = dw.DampedWaveProblem(n_grid=64, modes=(9, 0))
+    sets, strip, mirror = dw.eigenfrequency_scan(prob)
     assert [es.k for es in sets] == [9, 0]
     for es in sets:
         want = dw.eigenfrequencies(dw.assemble_pencil(prob, es.k))
@@ -189,7 +189,6 @@ def test_scan_matches_per_mode_eigenfrequencies():
         assert es.symmetry_defect == want.symmetry_defect
     assert strip == max([0.0] + [es.strip_margin for es in sets])
     assert mirror == max([0.0] + [es.symmetry_defect for es in sets])
-    assert [es.k for es in dw.eigenfrequency_scan(prob)[0]] == [0, 3, 9]
 
 
 def gap_profile(n_grid):
@@ -314,7 +313,7 @@ def test_step_size_guard(default_problem):
 
 def test_horizon_must_span_two_steps():
     prob = dw.DampedWaveProblem(n_grid=32, modes=(0,))
-    for t_max in (0.0, 0.005, -1.0):
+    for t_max in (0.0, 0.005, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="t_max"):
             dw.evolve(prob, 0, t_max=t_max, dt=0.004)
     assert dw.evolve(prob, 0, t_max=0.008, dt=0.004).times.size == 3
@@ -351,6 +350,13 @@ def test_decay_report_epsilon_tradeoff(default_problem):
 def test_decay_report_rejects_zero_epsilon(default_problem):
     with pytest.raises(ValueError):
         dw.decay_report(default_problem, modes=(0,), epsilon=0.0)
+
+
+def test_decay_report_rejects_repeated_mode():
+    # a repeated mode would count twice in total_e0 but once in per_mode
+    prob = dw.DampedWaveProblem(n_grid=32, modes=(0, 1))
+    with pytest.raises(ValueError, match="repeat"):
+        dw.decay_report(prob, modes=(0, 0), t_max=1.0)
 
 
 def test_interpolation_inequality_holds(default_problem):
