@@ -345,8 +345,7 @@ def cmd_damped_wave(args):
         n_grid=cfg["n_grid"], modes=tuple(cfg["modes"]),
         epsilon=float(cfg["epsilon"]), dead_zone_radius=inner)
     sets, strip, mirror = dw.eigenfrequency_scan(prob)
-    decay_modes = [k for k in dict.fromkeys(cfg["decay_modes"])
-                   if k in prob.modes]
+    decay_modes = [k for k in cfg["decay_modes"] if k in prob.modes]
     rep = dw.decay_report(prob, modes=decay_modes or None,
                           t_max=float(cfg["t_max"]))
     out = _out_dir(args)

@@ -213,16 +213,13 @@ def test_damped_wave_horizon_too_short_is_usage_error(tmp_path, capsys,
     assert "t_max" in capsys.readouterr().err
 
 
-def test_damped_wave_repeated_decay_mode_counts_once(tmp_path):
-    base = {"t_max": 4.0, "n_grid": 32, "modes": [0, 1]}
-    for name, decay in (("once", [0]), ("twice", [0, 0])):
-        cfg = write_json(tmp_path / f"{name}.json",
-                         dict(base, decay_modes=decay))
-        assert main(["damped-wave", "--config", cfg, "--out",
-                     str(tmp_path / name)]) == 0
-    for out in ("energy.csv", "damped_wave.json"):
-        a = (tmp_path / "once" / out).read_bytes()
-        assert a == (tmp_path / "twice" / out).read_bytes()
+def test_damped_wave_repeated_decay_mode_is_usage_error(tmp_path, capsys):
+    # a repeated mode would count twice in E0 but once in Eeps
+    cfg = write_json(tmp_path / "cfg.json",
+                     {"t_max": 4.0, "n_grid": 32, "modes": [0, 1],
+                      "decay_modes": [0, 0]})
+    assert main(["damped-wave", "--config", cfg]) == 2
+    assert "repeat" in capsys.readouterr().err
 
 
 def test_damped_wave_rejects_bad_warp(tmp_path):
