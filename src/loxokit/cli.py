@@ -78,9 +78,9 @@ def _missing_kind(value, default):
     return None
 
 
-def _load_config(path, allowed, defaults):
-    """Merge defaults with a JSON config; unknown keys and values of the
-    wrong kind are an error."""
+def _load_config(path, defaults):
+    """Merge defaults with a JSON config; keys missing from defaults and
+    values of the wrong kind are an error."""
     merged = dict(defaults)
     if path is not None:
         try:
@@ -92,10 +92,10 @@ def _load_config(path, allowed, defaults):
             raise UsageError(f"config is not valid JSON: {exc}") from None
         if not isinstance(cfg, dict):
             raise UsageError("config must be a JSON object")
-        unknown = sorted(set(cfg) - set(allowed))
+        unknown = sorted(set(cfg) - set(defaults))
         if unknown:
             raise UsageError(
-                f"unknown config keys {unknown}; allowed: {sorted(allowed)}")
+                f"unknown config keys {unknown}; allowed: {sorted(defaults)}")
         for key, value in cfg.items():
             kind = _missing_kind(value, defaults[key])
             if kind is not None:
@@ -200,28 +200,35 @@ def cmd_normal_form(args):
     return 0
 
 
-ORBIT_KEYS = ("model", "guess", "period_guess", "tol")
-
-
 def cmd_orbit(args):
-    cfg = _load_config(args.config, ORBIT_KEYS, {
+    cfg = _load_config(args.config, {
         "model": {"model": "surface_of_revolution", "profile": "cosh"},
         "guess": {"r": 0.0, "theta": 0.0, "psi": math.pi / 2, "speed": 1.0},
         "period_guess": 2 * math.pi,
         "tol": args.tol if args.tol is not None else 1e-11,
     })
+    if not isinstance(cfg["model"], dict):
+        raise UsageError(f"config key 'model' must be an object, not "
+                         f"{cfg['model']!r}")
     sys_ = flows.system_from_config(cfg["model"])
     guess = cfg["guess"]
     if isinstance(guess, dict):
         unknown = sorted(set(guess) - {"r", "theta", "psi", "speed"})
         if unknown:
             raise UsageError(f"unknown guess keys {unknown}")
+        if not all(map(_is_number, guess.values())):
+            raise UsageError(f"config key 'guess' must map to numbers, not "
+                             f"{guess!r}")
         z0 = flows.surface_state(sys_, guess.get("r", 0.0),
                                  guess.get("theta", 0.0),
                                  guess.get("psi", math.pi / 2),
                                  guess.get("speed", 1.0))
-    else:
+    elif isinstance(guess, list) and all(map(_is_number, guess)) \
+            and len(guess) == 2 * sys_.n:
         z0 = np.asarray(guess, dtype=float)
+    else:
+        raise UsageError(f"config key 'guess' must be an object or a list "
+                         f"of {2 * sys_.n} numbers, not {guess!r}")
     tol = float(cfg["tol"])
     orbit = flows.find_closed_orbit(sys_, z0, float(cfg["period_guess"]),
                                     tol=tol)
@@ -249,11 +256,8 @@ def cmd_orbit(args):
     return 0
 
 
-SPECTRUM_KEYS = ("k", "delta", "R", "N", "profile")
-
-
 def cmd_spectrum(args):
-    cfg = _load_config(args.config, SPECTRUM_KEYS, {
+    cfg = _load_config(args.config, {
         "k": [10, 20, 40, 80], "delta": 0.5, "R": 3.0, "N": 2048,
         "profile": "cosh",
     })
@@ -279,11 +283,8 @@ def cmd_spectrum(args):
     return 0
 
 
-RESOLVENT_KEYS = ("h", "window", "cutoff", "rate", "half_length", "n_z")
-
-
 def cmd_resolvent(args):
-    cfg = _load_config(args.config, RESOLVENT_KEYS, {
+    cfg = _load_config(args.config, {
         "h": [1 / 50, 1 / 100, 1 / 200, 1 / 400],
         "window": 0.6, "cutoff": True, "rate": 1.0, "half_length": 1.0,
         "n_z": 11,
@@ -316,12 +317,8 @@ def cmd_resolvent(args):
     return 0
 
 
-WAVE_KEYS = ("modes", "epsilon", "t_max", "n_grid", "damping_inner",
-             "damping_outer", "warp", "decay_modes")
-
-
 def cmd_damped_wave(args):
-    cfg = _load_config(args.config, WAVE_KEYS, {
+    cfg = _load_config(args.config, {
         "modes": list(range(41)), "epsilon": 0.1, "t_max": dw.T_MAX,
         "n_grid": 192, "damping_inner": 0.5, "damping_outer": 1.0,
         "warp": "neck", "decay_modes": list(dw.DECAY_MODES),

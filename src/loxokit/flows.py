@@ -236,7 +236,10 @@ class FlowResult:
 
 
 def _integrate(rhs, t_span, y0, tol, **options):
-    """DOP853 over t_span at rtol = atol = tol; failure raises StepFailure."""
+    """DOP853 over t_span at rtol = atol = tol; failure raises StepFailure,
+    and a tol that is not finite and positive raises ValueError."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, not {tol}")
     sol = scipy.integrate.solve_ivp(rhs, t_span, y0, method="DOP853",
                                     rtol=tol, atol=tol, **options)
     if not sol.success:
@@ -467,10 +470,13 @@ def find_closed_orbit(sys, guess, period_guess, tol=1e-11, max_iter=40,
     zero-time fixed point is excluded), and a Gauss-Newton step contracts
     the return defect subject to the phase condition and an energy pin.
     A guess too unstable to return to the section at all is first pulled
-    into the basin by closing a chain of short flow segments.
+    into the basin by closing a chain of short flow segments. A
+    period_guess that is not finite and positive raises ValueError.
     """
     z = np.asarray(guess, dtype=float).copy()
     Tg = float(period_guess)
+    if not 0 < Tg < math.inf:
+        raise ValueError(f"period_guess must be finite and positive, not {Tg}")
     v_sec = sys.vector_field(z)
     nv = la.norm(v_sec)
     if nv < 1e-12:

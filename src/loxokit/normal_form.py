@@ -32,14 +32,13 @@ from .symplectic import (
     HamiltonMatrix,
     NotPositiveDefinite,
     QuadraticHamiltonian,
-    RANK_RTOL,
     SpectrumClassification,
     SymplecticError,
     SymplecticTransform,
     UNIT_TOL,
     _as_matrix,
     _check_even_square,
-    classify,
+    _classify,
     standard_symplectic_matrix,
     symplectic_pairing,
 )
@@ -87,32 +86,6 @@ class InvariantSubspaces:
     stable_basis: np.ndarray
 
 
-def _subspace_intersection(U, V, rtol=1e-8):
-    """Orthonormal basis of span(U) ^ span(V); U, V have orthonormal columns."""
-    if U.shape[1] == 0 or V.shape[1] == 0:
-        return np.zeros((U.shape[0], 0), dtype=U.dtype)
-    W, s, Xh = la.svd(U.conj().T @ V)
-    k = int(np.sum(s > 1 - rtol * 10))
-    if k == 0:
-        return np.zeros((U.shape[0], 0), dtype=U.dtype)
-    return U @ W[:, :k]
-
-
-def _nullspace(M, rtol):
-    """Orthonormal basis of ker(M) with a relative singular-value cutoff."""
-    U, s, Vh = la.svd(M)
-    thr = rtol * (s[0] if s.size and s[0] > 0 else 1.0)
-    rank = int(np.sum(s > thr))
-    return Vh[rank:].conj().T
-
-
-def _range_space(M, rtol):
-    U, s, Vh = la.svd(M)
-    thr = rtol * (s[0] if s.size and s[0] > 0 else 1.0)
-    rank = int(np.sum(s > thr))
-    return U[:, :rank]
-
-
 def _pick_new_direction(space, used):
     """Unit vector in span(space) most orthogonal to span(used)."""
     if used.shape[1] == 0:
@@ -125,82 +98,69 @@ def _pick_new_direction(space, used):
     return proj[:, j] / norms[j]
 
 
-def _fix_phase(vec):
-    """Scale so the first significant component is positive (real axis)."""
+def _phase(vec):
+    """Unit factor that turns the first significant component of vec
+    positive (real axis)."""
     idx = np.argmax(np.abs(vec) > 1e-8 * la.norm(vec))
     z = vec[idx]
-    if z == 0:
-        return vec
-    return vec * (np.conj(z) / abs(z))
+    return 1.0 if z == 0 else np.conj(z) / abs(z)
 
 
-def _jordan_chains(B, lam, block_sizes):
+def _jordan_chains(Z, T11, lam, block_sizes):
     """Jordan chains e_1..e_k per block (B e_l = lam e_l + e_{l-1}).
 
-    Bottoms are chosen pairwise independent inside ker(N) ^ range(N^{k-1})
-    and each chain is generated downward from a least-squares top, so the
-    chain relations hold to the accuracy of one lstsq solve.
+    The chains are built in the cluster block T11 = Z^H B Z and mapped back
+    by Z. Every subspace dimension follows from the block sizes (largest
+    first) that classify found, so no rank is decided here: ker N has one
+    direction per block, and N^{k-1} has rank sum_j max(0, k_j - k + 1) and
+    meets ker N in the blocks of size >= k. Bottoms are chosen pairwise
+    independent in that intersection and each chain is generated downward
+    from the minimum-norm top, so the chain relations hold to the accuracy
+    of one pseudo-inverse solve.
     """
-    n = B.shape[0]
-    N = B.astype(complex) - lam * np.eye(n)
-    kmax = max(block_sizes)
-    powers = [np.eye(n, dtype=complex)]
-    for _ in range(kmax):
+    d = T11.shape[0]
+    N = T11 - lam * np.eye(d)
+    powers = [np.eye(d, dtype=complex)]
+    for _ in range(block_sizes[0] - 1):
         powers.append(powers[-1] @ N)
-    kerN = _nullspace(N, RANK_RTOL)
+    kerN = la.svd(N)[2][d - len(block_sizes):].conj().T
     chains = []
-    used_bottoms = np.zeros((n, 0), dtype=complex)
-    for k in sorted(block_sizes, reverse=True):
-        if k == 1:
-            cand = kerN
-        else:
-            rng = _range_space(powers[k - 1], RANK_RTOL)
-            cand = _subspace_intersection(kerN, rng, RANK_RTOL)
-        if cand.shape[1] == 0:
-            raise DefectiveBeyondTolerance(
-                f"no admissible chain bottom for eigenvalue {lam}, size {k}")
+    used_bottoms = np.zeros((d, 0), dtype=complex)
+    for k in block_sizes:
+        U, s, Vh = la.svd(powers[k - 1])
+        rank = sum(max(0, kj - k + 1) for kj in block_sizes)
+        meet = sum(kj >= k for kj in block_sizes)
+        cand = kerN
+        if meet < len(block_sizes):
+            W = la.svd(kerN.conj().T @ U[:, :rank])[0]
+            cand = kerN @ W[:, :meet]
         bottom = _pick_new_direction(cand, used_bottoms)
-        bottom = _fix_phase(bottom)
+        bottom = bottom * _phase(Z @ bottom)
         used_bottoms = np.column_stack([used_bottoms, bottom])
-        if k == 1:
-            chain = [bottom]
-        else:
-            top, *_ = la.lstsq(powers[k - 1], bottom)
-            resid = la.norm(powers[k - 1] @ top - bottom)
-            if resid > 1e-6:
-                raise DefectiveBeyondTolerance(
-                    f"chain top solve failed for eigenvalue {lam}: residual {resid:.2e}")
-            chain = [powers[k - 1 - l] @ top for l in range(k)]
-            chain[0] = powers[k - 1] @ top  # bottom actually reached
-        chains.append(chain)
+        top = Vh[:rank].conj().T @ ((U[:, :rank].conj().T @ bottom) / s[:rank])
+        resid = la.norm(powers[k - 1] @ top - bottom)
+        if resid > 1e-6:
+            raise DefectiveBeyondTolerance(
+                f"chain top solve failed for eigenvalue {lam}: residual {resid:.2e}")
+        chains.append([Z @ (powers[k - 1 - l] @ top) for l in range(k)])
     return chains
 
 
-def _dual_chains(B, lam, e_chains):
-    """Vectors f with s(e_i, f_j) = delta_ij inside the -lam eigenspace.
+def _dual_chains(G, e_chains):
+    """Vectors f with s(e_i, f_j) = delta_ij inside span(G), the invariant
+    subspace of the eigenvalue -lam paired with the chains' lam.
 
     The dual basis of a Jordan chain family automatically satisfies
     B f_l = -lam f_l - f_{l+1}, so no second chain solve is needed.
     """
-    n = B.shape[0]
-    kmax = max(len(c) for c in e_chains)
-    M = B.astype(complex) + lam * np.eye(n)
-    P = np.eye(n, dtype=complex)
-    for _ in range(kmax):
-        P = P @ M
-    G = _nullspace(P, RANK_RTOL)
     E = np.column_stack([v for chain in e_chains for v in chain])
-    if G.shape[1] != E.shape[1]:
-        raise DefectiveBeyondTolerance(
-            f"generalized eigenspace dimension mismatch at -{lam}")
-    m = n // 2
-    J = standard_symplectic_matrix(m)
+    J = standard_symplectic_matrix(E.shape[0] // 2)
     W = (J @ E).T @ G  # W[i, j] = s(e_i, g_j)
     try:
         F = G @ la.inv(W)
     except la.LinAlgError as exc:
         raise DefectiveBeyondTolerance(
-            f"degenerate pairing between +-{lam} eigenspaces") from exc
+            "degenerate pairing between the +-lambda eigenspaces") from exc
     chains = []
     col = 0
     for chain in e_chains:
@@ -242,7 +202,7 @@ def birkhoff_normal_form(B, jordan_scale=None):
     """
     Bm = _as_matrix(B)
     n = _check_even_square(Bm, "input")
-    cls = classify(Bm, mode=HAMILTON_MATRIX)
+    cls, clusters = _classify(Bm, HAMILTON_MATRIX)
     if not cls.is_loxodromic:
         raise EllipticEigenvaluePresent(
             "normal form requires a loxodromic spectrum")
@@ -252,22 +212,20 @@ def birkhoff_normal_form(B, jordan_scale=None):
     if eps <= 0:
         raise SymplecticError("jordan_scale must be positive")
 
-    # classify() emits one group per Jordan block but chains sharing an
-    # eigenvalue must be built together; regroup by eigenvalue.
-    by_lam = {}
-    order = []
-    for g in cls.groups:
-        key = (g.tag, complex(g.lam))
-        if key not in by_lam:
-            by_lam[key] = []
-            order.append(key)
-        by_lam[key].append(g.chain_size)
-
     e_cols, f_cols, blocks = [], [], []
-    for tag, lam in order:
-        sizes = sorted(by_lam[(tag, lam)], reverse=True)
-        e_chains = _jordan_chains(Bm, lam, sizes)
-        f_chains = _dual_chains(Bm, lam, e_chains)
+    for groups, (Z, T11), G in clusters:
+        tag, lam = groups[0].tag, complex(groups[0].lam)
+        if tag == "real_hyperbolic":
+            # span(Z) is closed under conjugation, so Re(Z Z^H), which is
+            # [Re Z, Im Z] [Re Z, Im Z]^T, projects onto it: the k leading
+            # left singular vectors of [Re Z, Im Z] (singular values 1,
+            # the rest 0) are a real basis, and the chains come out real
+            real_basis = la.svd(np.column_stack([Z.real, Z.imag]),
+                                full_matrices=False)[0][:, :Z.shape[1]]
+            R = Z.conj().T @ real_basis
+            Z, T11 = real_basis, np.real(R.conj().T @ T11 @ R)
+        e_chains = _jordan_chains(Z, T11, lam, [g.chain_size for g in groups])
+        f_chains = _dual_chains(G, e_chains)
         for e_chain, f_chain in zip(e_chains, f_chains):
             k = len(e_chain)
             # scale relative to the chain bottom: couplings pick up eps,

@@ -295,24 +295,32 @@ def _cluster_values(vals, tol):
     return out
 
 
-def _block_sizes(M, lam, members, eigs, scale):
-    """Jordan block sizes of the cluster eigs[members], with mean lam.
-
-    The ranks of (T11 - lam I)^k are taken on the cluster's own invariant
-    block T11 of an ordered Schur form T = Z^H M Z, so the chains of a
-    nearby eigenvalue cannot count toward the kernel.
-    """
+def _cluster_schur(M, lam, members, eigs):
+    """Ordered complex Schur form M Z = Z T with the cluster eigs[members]
+    (mean lam) leading, cut to the cluster: an orthonormal basis Z of its
+    invariant subspace and the block T11 = Z^H M Z."""
     k = len(members)
     inner = max(abs(eigs[i] - lam) for i in members)
     outer = min((abs(v - lam) for j, v in enumerate(eigs) if j not in members),
                 default=np.inf)
-    T, _, sdim = la.schur(M.astype(complex), output="complex",
+    T, Z, sdim = la.schur(M.astype(complex), output="complex",
                           sort=lambda w: abs(w - lam) <= 0.5 * (inner + outer))
     if sdim != k:
         raise DefectiveBeyondTolerance(
             f"Schur ordering for eigenvalue {lam} selected {sdim} "
             f"eigenvalues, expected {k}")
-    N = T[:k, :k] - lam * np.eye(k)
+    return Z[:, :k], T[:k, :k]
+
+
+def _block_sizes(T11, lam, scale):
+    """Jordan block sizes, largest first, of a cluster with mean lam.
+
+    The ranks of (T11 - lam I)^k are taken on the cluster's own invariant
+    block T11 (see _cluster_schur), so the chains of a nearby eigenvalue
+    cannot count toward the kernel.
+    """
+    k = T11.shape[0]
+    N = T11 - lam * np.eye(k)
     norm_N = max(la.norm(N, 2), 1e-300)
     if norm_N <= RANK_RTOL * scale:
         # the block is lam I up to roundoff, so every rank below would be noise
@@ -397,6 +405,13 @@ def classify(M, mode=HAMILTON_MATRIX):
     Groups store Hamilton-level representatives: for maps the stored
     lambda is the principal log of the expanding eigenvalue.
     """
+    return _classify(M, mode)[0]
+
+
+def _classify(M, mode):
+    """classify, plus one entry per hyperbolic cluster v it visits:
+    (the groups of v, v's (Z, T11) from _cluster_schur, the basis Z of the
+    partner cluster -v (1/v for maps), which pairs with v under s)."""
     if mode not in _RULES:
         raise SymplecticError(f"unknown mode {mode!r}")
     rules = _RULES[mode]
@@ -405,8 +420,10 @@ def classify(M, mode=HAMILTON_MATRIX):
     eig_scale = max(1.0, np.max(np.abs(eigs)))
     clusters = _cluster_values(list(eigs), CLUSTER_RTOL * eig_scale)
     reps = [rep for rep, _ in clusters]
-    sizes = [_block_sizes(Mm, rep, members, eigs, scale)
+    schur = [_cluster_schur(Mm, rep, members, eigs)
              for rep, members in clusters]
+    sizes = [_block_sizes(T11, rep, scale)
+             for rep, (_, T11) in zip(reps, schur)]
     match_tol = UNIT_TOL * eig_scale
     window = max(match_tol, 10 * CLUSTER_RTOL * eig_scale)
     consumed = set()
@@ -422,7 +439,7 @@ def classify(M, mode=HAMILTON_MATRIX):
         consumed.add(best)
         return best
 
-    groups = []
+    groups, hyperbolic = [], []
     has_negative_real = False
     for idx in sorted(range(len(reps)), key=lambda i: rules.sort_key(reps[i])):
         if idx in consumed:
@@ -451,7 +468,7 @@ def classify(M, mode=HAMILTON_MATRIX):
             lam = float(rules.representative(abs(x)))
             new = [RealHyperbolicPair(lam, k, negative) for k in sizes[idx]]
         else:
-            partners = [np.conj(v), rules.partner(v), rules.partner(np.conj(v))]
+            partners = [rules.partner(v), np.conj(v), rules.partner(np.conj(v))]
             lam = rules.representative(v)
             lam = complex(abs(lam.real), abs(lam.imag))
             new = [ComplexHyperbolicQuad(lam, k) for k in sizes[idx]]
@@ -459,6 +476,8 @@ def classify(M, mode=HAMILTON_MATRIX):
         if any(sizes[j] != sizes[idx] for j in matched):
             raise GroupingFailed(f"chain mismatch in the group of {v}")
         groups += new
+        # partners[0] is the member that pairs with v under s
+        hyperbolic.append((new, schur[idx], schur[matched[0]][0]))
 
     total = sum(g.dim_count for g in groups)
     if total != n:
@@ -466,7 +485,7 @@ def classify(M, mode=HAMILTON_MATRIX):
     return SpectrumClassification(
         dim=n, mode=mode, groups=groups,
         is_loxodromic=not any(g.tag == "elliptic" for g in groups),
-        has_negative_real=has_negative_real)
+        has_negative_real=has_negative_real), hyperbolic
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from loxokit import cli, dampedwave, flows, spectra
 from loxokit.cli import main
@@ -30,6 +31,19 @@ def test_normal_form_map(tmp_path, capsys):
     assert obj["escape_rate"]["positive_definite"] is True
     assert obj["escape_rate"]["radii"] == [pytest.approx(1.0)]
     assert obj["classification"]["groups"][0]["lambda"] == pytest.approx(1.0)
+
+
+def test_normal_form_of_nearby_jordan_chains_map(tmp_path, capsys):
+    # size-3 chains at 1.0 and 0.97: the chains are built inside each
+    # eigenvalue cluster, so the other chain cannot enter the kernel
+    chain = lambda lam: lam * np.eye(3) + np.eye(3, k=1)
+    A = np.block([[chain(1.0), np.zeros((3, 3))],
+                  [np.zeros((3, 3)), chain(0.97)]])
+    B = np.block([[A.T, np.zeros((6, 6))], [np.zeros((6, 6)), -A]])
+    S = scipy.linalg.expm(B)
+    inp = write_json(tmp_path / "m.json", {"data": S.tolist(), "kind": "map"})
+    assert main(["normal-form", "--input", inp]) == 0
+    assert "escape rate definite" in capsys.readouterr().out
 
 
 def test_normal_form_generator(tmp_path):
@@ -84,6 +98,19 @@ def test_orbit_default_is_neck_geodesic(tmp_path):
     assert rows[0] == "re,im"
     eigs = sorted(float(r.split(",")[0]) for r in rows[1:])
     assert eigs[-1] == pytest.approx(math.exp(2 * math.pi), rel=1e-3)
+
+
+@pytest.mark.parametrize("cfg", [
+    {"tol": 0}, {"tol": float("inf")}, {"tol": float("nan")},
+    {"period_guess": 0}, {"period_guess": float("inf")},
+])
+def test_orbit_unusable_tol_or_period_is_usage_error(tmp_path, capsys, cfg):
+    # 0, inf and nan give the step control no usable bound and an infinite
+    # period guess an unbounded return search; a zero period guess would
+    # admit the zero-time fixed point
+    path = write_json(tmp_path / "cfg.json", cfg)
+    assert main(["orbit", "--config", path]) == 2
+    assert "must be finite and positive" in capsys.readouterr().err
 
 
 def test_orbit_rejects_unknown_config_key(tmp_path):
@@ -154,6 +181,10 @@ def test_resolvent_without_cutoff_writes_no_cutoff_band(tmp_path, capsys):
     ("damped-wave", {"modes": [0.5, 1.7]}),
     ("damped-wave", {"decay_modes": [1.9]}),
     ("spectrum", {"k": [10.0]}),
+    ("orbit", {"model": 5}),
+    ("orbit", {"guess": None}),
+    ("orbit", {"guess": {"r": "a"}}),
+    ("orbit", {"guess": [0.0, 0.0, 1.0]}),
 ])
 def test_config_value_of_wrong_kind_is_usage_error(tmp_path, command, cfg,
                                                    capsys):

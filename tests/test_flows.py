@@ -109,6 +109,13 @@ def test_flow_rejects_empty_span():
             flows.flow(sys, np.array([1.0, 0.0]), span)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-10, np.inf, np.nan])
+def test_integration_rejects_unusable_tolerance(tol):
+    sys = flows.harmonic_oscillator()
+    with pytest.raises(ValueError, match="tolerance must be finite"):
+        flows.flow(sys, np.array([1.0, 0.0]), (0.0, 1.0), tol=tol)
+
+
 def test_hessian_is_the_central_difference_stencil():
     # same step rule and arithmetic as a hand-written loop, bit for bit
     sys = flows.double_bump()
@@ -159,6 +166,20 @@ def test_far_guess_raises(cosh_surface):
     guess = flows.surface_state(cosh_surface, 2.5, 0.0, 0.3)
     with pytest.raises(flows.MaxIterations):
         flows.find_closed_orbit(cosh_surface, guess, 6.4)
+
+
+@pytest.mark.parametrize("period_guess", [0.0, -6.4, np.inf, np.nan])
+def test_closed_orbit_rejects_unusable_period_guess(cosh_surface,
+                                                   period_guess):
+    guess = flows.surface_state(cosh_surface, 0.0, 0.0, np.pi / 2)
+    with pytest.raises(ValueError, match="period_guess must be finite"):
+        flows.find_closed_orbit(cosh_surface, guess, period_guess)
+
+
+def test_closed_orbit_rejects_unusable_tolerance(cosh_surface):
+    guess = flows.surface_state(cosh_surface, 0.0, 0.0, np.pi / 2)
+    with pytest.raises(ValueError, match="tolerance must be finite"):
+        flows.find_closed_orbit(cosh_surface, guess, 6.4, tol=0.0)
 
 
 def axis_period_oracle(sys, energy):

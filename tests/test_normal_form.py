@@ -76,6 +76,52 @@ def test_normal_form_complex_quadruple():
     assert groups[0].lam == pytest.approx(1 + 2j, abs=1e-6)
 
 
+def assert_normal_form(B, nf):
+    m = B.shape[0] // 2
+    T = nf.transform.entries
+    A_rec = nf.block_matrix_A
+    B_blocks = np.block([[A_rec.T, np.zeros((m, m))],
+                         [np.zeros((m, m)), -A_rec]])
+    assert la.norm(np.linalg.solve(T, B @ T) - B_blocks) <= 1e-6
+    assert lx.symplectic_residual(T) <= 1e-9
+
+
+def jordan_block(lam, k):
+    return lam * np.eye(k) + np.eye(k, k=1)
+
+
+@pytest.mark.parametrize("gap", [0.03, 0.003])
+@pytest.mark.parametrize("as_map", [False, True])
+def test_normal_form_of_nearby_jordan_chains(gap, as_map):
+    # size-3 chains at 1.0 and 1.0 - gap: on the whole matrix, a rank cut
+    # on (B + lambda)^3 can count the other chain's directions, so the
+    # chains must be built inside each eigenvalue cluster
+    A = la.block_diag(jordan_block(1.0, 3), jordan_block(1.0 - gap, 3))
+    B = la.block_diag(A.T, -A)
+    if as_map:
+        B = lx.symplectic_log(la.expm(B)).entries
+    nf = lx.birkhoff_normal_form(B)
+    assert [g.chain_size for g in nf.eigenvalues.groups] == [3, 3]
+    # A is lower bidiagonal, so its eigenvalues are its diagonal
+    assert np.allclose(np.sort(np.diag(nf.block_matrix_A)),
+                       [1.0 - gap] * 3 + [1.0] * 3, atol=1e-8)
+    assert_normal_form(B, nf)
+
+
+@pytest.mark.parametrize("A", [
+    0.8 * np.eye(2),
+    la.block_diag(jordan_block(0.8, 2), jordan_block(0.8, 2)),
+    la.block_diag(jordan_block(0.8, 3), jordan_block(0.8, 1)),
+])
+def test_normal_form_of_repeated_real_eigenvalue(A):
+    # several chains share one real eigenvalue, so the chain bottoms are
+    # picked from a kernel of dimension > 1 and must still come out real
+    B = conjugated_normal_form(A, rng_for(17))
+    nf = lx.birkhoff_normal_form(B)
+    assert np.allclose(np.diag(nf.block_matrix_A), 0.8, atol=1e-6)
+    assert_normal_form(B, nf)
+
+
 def test_normal_form_rejects_elliptic():
     with pytest.raises(lx.EllipticEigenvaluePresent):
         lx.birkhoff_normal_form(np.array([[0.0, 1.0], [-1.0, 0.0]]))
