@@ -16,6 +16,7 @@ x' = dp/dxi, xi' = -dp/dx. Built-in models:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -50,8 +51,12 @@ class HamiltonianSystem:
     """Smooth Hamiltonian on R^{2n} with an analytic gradient.
 
     p maps a phase point z (length 2n) to a float; gradient returns the
-    length-2n gradient of p at z. The gradient is trusted but checkable:
-    ``gradient_check`` compares it with central differences (1e-5).
+    length-2n gradient of p at z. Both must broadcast over a (2n, N) stack
+    of phase points as columns, giving N values and a (2n, N) stack of
+    gradients: ``flow`` checks energy on a stack of states, and
+    ``check_geometric_control`` advances all its samples as one stacked
+    state. The gradient is trusted but checkable: ``gradient_check``
+    compares it with central differences (1e-5).
 
     wraps lists cyclic coordinates as (index, period) pairs. Closed-orbit
     residuals are computed modulo these periods, so an orbit that closes
@@ -122,7 +127,8 @@ def surface_of_revolution(profile="cosh", R=3.0):
     def gradient(z):
         r, _, pr, pth = z
         fr = f(r)
-        return np.array([-pth ** 2 * fp(r) / fr ** 3, 0.0, pr, pth / fr ** 2])
+        return np.array([-pth ** 2 * fp(r) / fr ** 3, np.zeros_like(r), pr,
+                         pth / fr ** 2])
 
     return HamiltonianSystem(n=2, p=p, gradient=gradient,
                              model_tag="surface_of_revolution",
@@ -230,9 +236,10 @@ meridian_damping = neck_damping
 @dataclass
 class FlowResult:
     times: np.ndarray
-    states: np.ndarray          # shape (len(times), 2n)
-    energy_drift: float
-    integral: Optional[float] = None   # of the observable over t_span
+    states: np.ndarray          # shape (len(times), 2n), or (len(times), 2n, N)
+    energy_drift: float         # or one per column, shape (N,)
+    integral: Optional[float] = None   # of the observable over t_span;
+                                       # one per column for a stack
 
 
 def _integrate(rhs, t_span, y0, tol, **options):
@@ -251,35 +258,55 @@ def flow(sys, z0, t_span, tol=1e-10, t_eval=None, observable=None):
     """Integrate the Hamiltonian flow with an adaptive high-order RK.
 
     With an observable, its integral over the whole t_span rides along as
-    one more state column (so it shares the step control) and comes back
-    as ``integral``. Energy drift along the result is checked against
-    10 * tol; integrator failure raises StepFailure.
+    one more state row (so it shares the step control) and comes back
+    as ``integral``. The energy drift |p - p(z0)| along the result must
+    stay within 10 * tol * max(1, |p(z0)|) * max(1, |t1 - t0|), or
+    StepFailure is raised; so does integrator failure.
+
+    z0 may be a (2n, N) stack of phase points as columns. They advance as
+    one state with one step sequence (its error norm is taken over all
+    columns), ``states`` has shape (len(times), 2n, N), and
+    ``energy_drift`` and ``integral`` hold one value per column; the
+    observable must then broadcast over the stack too. Any column over
+    its energy budget raises StepFailure.
     """
     t0, t1 = t_span
     if t1 == t0:
         raise ValueError(f"empty time span {tuple(t_span)}")
     z0 = np.asarray(z0, dtype=float)
     dim = 2 * sys.n
-    rhs = lambda t, z: sys.vector_field(z)
     y0, n_out = z0, None
     if observable is not None:
-        rhs = lambda t, y: np.append(sys.vector_field(y[:dim]),
-                                     observable(y[:dim]))
-        y0 = np.append(z0, 0.0)
+        y0 = np.concatenate([z0, np.zeros((1,) + z0.shape[1:])])
         if t_eval is not None and t_eval[-1] != t1:
             # the integral is read at the end of the span: sample it too
             n_out = len(t_eval)
             t_eval = np.append(t_eval, t1)
-    sol = _integrate(rhs, t_span, y0, tol, t_eval=t_eval)
-    states = sol.y[:dim].T
-    E0 = sys.p(z0)
-    drift = max(abs(sys.p(s) - E0) for s in states[:: max(1, len(states) // 64)])
-    drift = max(drift, abs(sys.p(states[-1]) - E0))
-    scale = max(1.0, abs(E0))
-    if drift > 10 * tol * scale * max(1.0, abs(t1 - t0)):
-        raise StepFailure(f"energy drift {drift:.2e} exceeds budget")
-    integral = None if observable is None else float(sol.y[dim, -1])
-    return FlowResult(times=sol.t[:n_out], states=states[:n_out],
+
+    def rhs(t, y):
+        z = y.reshape(y0.shape)[:dim]
+        v = sys.vector_field(z)
+        if observable is not None:
+            v = np.concatenate([v, np.asarray(observable(z))[None]])
+        return v.ravel()
+
+    sol = _integrate(rhs, t_span, y0.ravel(), tol, t_eval=t_eval)
+    y = sol.y.reshape(y0.shape + (-1,))
+    # energy drift of each trajectory on about 65 samples in time and at
+    # the last state
+    E0 = np.asarray(sys.p(z0))
+    k = y.shape[-1]
+    picks = np.append(np.arange(0, k, max(1, k // 64)), k - 1)
+    drift = np.abs(sys.p(y[:dim, ..., picks]) - E0[..., None]).max(axis=-1)
+    budget = 10 * tol * np.maximum(1.0, np.abs(E0)) * max(1.0, abs(t1 - t0))
+    if np.any(drift > budget):
+        raise StepFailure(f"energy drift {drift.max():.2e} exceeds budget")
+    integral = None if observable is None else y[dim, ..., -1]
+    if z0.ndim == 1:
+        drift = float(drift)
+        integral = None if integral is None else float(integral)
+    return FlowResult(times=sol.t[:n_out],
+                      states=np.moveaxis(y[:dim], -1, 0)[:n_out],
                       energy_drift=drift, integral=integral)
 
 
@@ -607,6 +634,12 @@ def trajectory_average(sys, z0, T, observable, tol=1e-12):
     return flow(sys, z0, (0.0, T), tol=tol, observable=observable).integral / T
 
 
+# Columns per stacked control integration. flow keeps the t_eval history,
+# (2n + 1) * columns * len(t_grid) doubles: at T = 50 (1001 grid times)
+# one batch holds 2 MB, so peak memory stays flat however many samples.
+_CONTROL_BATCH = 50
+
+
 @dataclass
 class ControlReport:
     n_samples: int
@@ -618,23 +651,31 @@ class ControlReport:
 
 
 def check_geometric_control(sys, damping, exclusion, T=50.0, n_samples=500,
-                            seed=0, sample_box=(1.5, 0.2), speed=1.0,
-                            tol=1e-8, scan_dt=0.05, threshold=1e-9):
+                            seed=0, r_max=1.5, speed=1.0, tol=1e-8,
+                            scan_dt=0.05, threshold=1e-9):
     """Seeded check of the geometric control condition for the surface model.
 
-    Samples phase points at the given speed outside the excluded
-    neighborhood (counter-based Philox generator, so the draw is
-    reproducible and splittable), then looks for a time |t| <= T at which
-    the trajectory meets {damping > 0}. Also reports the smallest forward
-    time-average of the damping over the samples; it rides along in the
-    forward run at the same tol, and a backward run is made only when the
-    forward one misses the damping.
+    Samples phase points at the given speed with |r| <= r_max outside the
+    excluded neighborhood (counter-based Philox generator, so the draw is
+    reproducible and splittable), then looks for a time |t| <= T on the
+    scan grid of step scan_dt at which the trajectory meets
+    {damping > threshold}. Also reports the smallest forward time-average
+    of the damping over the samples; it rides along in the forward run at
+    the same tol, and a backward run is made only for samples whose
+    forward run misses the damping. The samples advance in batches of
+    columns of one stacked ``flow`` state, so the model and the damping
+    must broadcast (see HamiltonianSystem). n_samples must be an integer
+    >= 1, and T, scan_dt, speed and r_max finite and positive
+    (ValueError).
     """
-    if not T > 0:
-        raise ValueError(f"control horizon T must be positive, got {T}")
-    if n_samples < 1:
-        raise ValueError(f"need at least one sample, got n_samples={n_samples}")
-    r_max, _ = sample_box
+    if not isinstance(n_samples, numbers.Integral) or n_samples < 1:
+        raise ValueError("need at least one sample (an integer), "
+                         f"got n_samples={n_samples!r}")
+    for name, value in (("control horizon T", T), ("scan_dt", scan_dt),
+                        ("speed", speed), ("r_max", r_max)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, "
+                             f"got {value}")
     rng = np.random.Generator(np.random.Philox(seed))
     samples = []
     while len(samples) < n_samples:
@@ -645,24 +686,28 @@ def check_geometric_control(sys, damping, exclusion, T=50.0, n_samples=500,
         if not exclusion(sys, z):
             samples.append(z)
 
-    def first_hit(res):
-        hits = np.nonzero(damping(res.states[:, 0]) > threshold)[0]
-        return float(res.times[hits[0]]) if hits.size else None
+    def first_hits(res):
+        hit = damping(res.states[:, 0]) > threshold     # (time, column)
+        return [float(res.times[h.argmax()]) if h.any() else None
+                for h in hit.T]
 
     t_grid = np.arange(0.0, T + scan_dt, scan_dt)
     t_grid = t_grid[t_grid <= T]     # arange can overshoot T by one step
     witnesses = []
     min_avg = np.inf
-    for idx, z in enumerate(samples):
-        fwd = flow(sys, z, (0.0, T), tol=tol, t_eval=t_grid,
+    for start in range(0, n_samples, _CONTROL_BATCH):
+        Z = np.column_stack(samples[start:start + _CONTROL_BATCH])
+        fwd = flow(sys, Z, (0.0, T), tol=tol, t_eval=t_grid,
                    observable=lambda s: damping(s[0]))
-        min_avg = min(min_avg, fwd.integral / T)
-        hit_time = first_hit(fwd)
-        if hit_time is None:
-            hit_time = first_hit(flow(sys, z, (0.0, -T), tol=tol,
-                                      t_eval=-t_grid))
-        if hit_time is not None:
-            witnesses.append((idx, hit_time))
+        min_avg = min(min_avg, np.min(fwd.integral / T))
+        hits = first_hits(fwd)
+        missed = [j for j, t in enumerate(hits) if t is None]
+        if missed:
+            bwd = flow(sys, Z[:, missed], (0.0, -T), tol=tol, t_eval=-t_grid)
+            for j, t in zip(missed, first_hits(bwd)):
+                hits[j] = t
+        witnesses += [(start + j, t) for j, t in enumerate(hits)
+                      if t is not None]
     return ControlReport(n_samples=n_samples,
                          controlled_fraction=len(witnesses) / n_samples,
                          witnesses=witnesses, min_average=float(min_avg),

@@ -1,12 +1,15 @@
 """Flow integration, closed orbits, monodromy, averages, control checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.optimize
 
 import loxokit as lx
-from loxokit import flows
+from loxokit import cutoffs, flows
+from loxokit.errors import StepFailure
 
 TWO_PI = 2 * np.pi
 
@@ -44,6 +47,20 @@ def test_builtin_gradients_match_finite_differences():
             z = rng.uniform(-1.0, 1.0, size=2 * sys.n)
             z[0] += 0.3        # keep clear of coordinate degeneracies
             assert flows.gradient_check(sys, z) <= 1e-5
+
+
+@pytest.mark.parametrize("sys", [flows.surface_of_revolution("cosh"),
+                                 flows.surface_of_revolution("flat"),
+                                 flows.double_bump(),
+                                 flows.harmonic_oscillator()],
+                         ids=["cosh", "flat", "double_bump", "harmonic"])
+def test_builtin_models_broadcast_over_columns(sys):
+    # flow's energy check and check_geometric_control evaluate stacks
+    Z = np.random.Generator(np.random.Philox(5)).uniform(
+        -1.0, 1.0, size=(2 * sys.n, 7))
+    for f in (sys.gradient, sys.p, sys.vector_field):
+        by_column = np.stack([np.asarray(f(z)) for z in Z.T], axis=-1)
+        assert np.array_equal(np.asarray(f(Z)), by_column)
 
 
 def test_harmonic_flow_full_turn():
@@ -344,7 +361,11 @@ def test_control_regression_pin(cosh_surface):
 
 
 @pytest.mark.parametrize("kw", [dict(n_samples=0), dict(T=0.0),
-                                dict(T=-5.0)])
+                                dict(T=-5.0), dict(n_samples=2.5),
+                                dict(T=np.inf), dict(scan_dt=0.0),
+                                dict(scan_dt=-0.05), dict(scan_dt=np.nan),
+                                dict(speed=0.0), dict(speed=-1.0),
+                                dict(r_max=np.nan), dict(r_max=-1.5)])
 def test_control_rejects_degenerate_inputs(cosh_surface, kw):
     args = dict(T=5.0, n_samples=4, seed=1) | kw
     with pytest.raises(ValueError):
@@ -361,6 +382,102 @@ def test_control_horizon_off_the_scan_lattice(cosh_surface, T):
         flows.neck_exclusion(), T=T, n_samples=3, seed=1)
     assert rep.controlled_fraction == 1.0
     assert rep.min_average == pytest.approx(1.0, abs=1e-9)
+
+
+def _control_draws(sys, exclusion, n_samples, seed, r_max=1.5):
+    """check_geometric_control's Philox draw, one sample at a time."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    samples = []
+    while len(samples) < n_samples:
+        r = rng.uniform(-r_max, r_max)
+        theta = rng.uniform(0.0, TWO_PI)
+        psi = rng.uniform(0.0, TWO_PI)
+        z = flows.surface_state(sys, r, theta, psi)
+        if not exclusion(sys, z):
+            samples.append(z)
+    return samples
+
+
+def _control_by_sample(sys, damping, samples, T, tol, scan_dt=0.05,
+                       threshold=1e-9):
+    """Witnesses and forward damping averages from one flow per sample,
+    plus one backward flow per sample that misses the damping forward."""
+    t_grid = np.arange(0.0, T + scan_dt, scan_dt)
+    t_grid = t_grid[t_grid <= T]
+
+    def first_hit(res):
+        hits = np.nonzero(damping(res.states[:, 0]) > threshold)[0]
+        return float(res.times[hits[0]]) if hits.size else None
+
+    witnesses, averages = [], []
+    for idx, z in enumerate(samples):
+        fwd = flows.flow(sys, z, (0.0, T), tol=tol, t_eval=t_grid,
+                         observable=lambda s: damping(s[0]))
+        averages.append(fwd.integral / T)
+        hit = first_hit(fwd)
+        if hit is None:
+            hit = first_hit(flows.flow(sys, z, (0.0, -T), tol=tol,
+                                       t_eval=-t_grid))
+        if hit is not None:
+            witnesses.append((idx, hit))
+    return witnesses, averages
+
+
+@pytest.mark.parametrize("seed", [5, 2024])
+def test_batched_control_matches_per_sample_flows(cosh_surface, seed):
+    # 110 samples span three column batches
+    a, neck = flows.meridian_damping(0.5, 1.0), flows.neck_exclusion()
+    n, T = 110, 10.0
+    rep = flows.check_geometric_control(cosh_surface, a, neck, T=T,
+                                        n_samples=n, seed=seed)
+    samples = _control_draws(cosh_surface, neck, n, seed)
+    witnesses, _ = _control_by_sample(cosh_surface, a, samples, T, 1e-8)
+    assert rep.witnesses == witnesses
+    assert rep.controlled_fraction == len(witnesses) / n
+    _, accurate = _control_by_sample(cosh_surface, a, samples, T, 1e-12)
+    assert rep.min_average == pytest.approx(min(accurate), abs=1e-6)
+
+
+def test_batched_control_one_sided_damping_hits_backward(cosh_surface):
+    # damping on r < -0.5 only: samples that escape to r > 0 forward are
+    # controlled, if at all, by the batched backward run
+    a = lambda r: cutoffs.smooth_bridge((-np.asarray(r) - 0.5) / 0.5)
+    neck, n, T = flows.neck_exclusion(), 60, 10.0
+    rep = flows.check_geometric_control(cosh_surface, a, neck, T=T,
+                                        n_samples=n, seed=8)
+    samples = _control_draws(cosh_surface, neck, n, 8)
+    witnesses, averages = _control_by_sample(cosh_surface, a, samples, T,
+                                             1e-8)
+    assert rep.witnesses == witnesses
+    assert rep.controlled_fraction == len(witnesses) / n < 1.0
+    assert any(t < 0 for _, t in witnesses)
+    assert rep.min_average == pytest.approx(min(averages), abs=1e-6)
+
+
+def test_batched_control_column_over_energy_budget_raises(cosh_surface):
+    neck, n, T = flows.neck_exclusion(), 12, 5.0
+    samples = _control_draws(cosh_surface, neck, n, 3)
+    c = samples[4][3]      # p_theta, conserved along every column's flow
+
+    def gradient(z):
+        # a push along p_r on the level p_theta = c only: that column's
+        # energy drifts by about 3x its budget, less than the budget when
+        # averaged over the 12 columns; the others follow the geodesic flow
+        g = cosh_surface.gradient(z)
+        g[0] = g[0] - 3e-7 * np.exp(-((z[3] - c) / 1e-6) ** 2)
+        return g
+
+    leaky = dataclasses.replace(cosh_surface, gradient=gradient)
+    a = flows.meridian_damping(0.5, 1.0)
+    for j, z in enumerate(samples):
+        if j == 4:
+            with pytest.raises(StepFailure):
+                flows.flow(leaky, z, (0.0, T), tol=1e-8)
+        else:
+            flows.flow(leaky, z, (0.0, T), tol=1e-8)
+    with pytest.raises(StepFailure):
+        flows.check_geometric_control(leaky, a, neck, T=T, n_samples=n,
+                                      seed=3)
 
 
 def test_one_neck_damping():
