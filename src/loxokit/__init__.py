@@ -29,17 +29,14 @@ from .symplectic import (
     standard_symplectic_matrix,
     symplectic_log,
     symplectic_pairing,
-    symplectic_polar,
     symplectic_residual,
 )
 from .normal_form import (
     BirkhoffNormalForm,
     EscapeRateForm,
-    InvariantSubspaces,
     WilliamsonDecomposition,
     birkhoff_normal_form,
     escape_rate_form,
-    stable_unstable_subspaces,
     williamson,
 )
 from .flows import (
@@ -61,7 +58,6 @@ from .spectra import (
     ConcentrationReport,
     RadialOperator,
     build_radial_operator,
-    eigenpair_near,
     mass_outside,
     neck_mode,
     nonconcentration_scan,
@@ -89,7 +85,6 @@ from .dampedwave import (
     eigenfrequencies,
     eigenfrequency_scan,
     evolve,
-    interpolation_defect,
     mode_frame,
 )
 

@@ -59,15 +59,17 @@ def _is_integer(value):
 
 def _missing_kind(value, default):
     """The kind that value lacks, judged by its default (a bool, an
-    integer, another number, a list of integers or a list of numbers; a
-    bool is never a number), or None if it fits. Values with other
-    defaults are checked where they are read."""
+    integer, another number, a string, a list of integers or a list of
+    numbers; a bool is never a number), or None if it fits. Values with
+    other defaults are checked where they are read."""
     if isinstance(default, bool):
         return None if isinstance(value, bool) else "true or false"
     if isinstance(default, int):
         return None if _is_integer(value) else "an integer"
     if _is_number(default):
         return None if _is_number(value) else "a number"
+    if isinstance(default, str):
+        return None if isinstance(value, str) else "a string"
     if isinstance(default, list):
         integers = all(map(_is_integer, default))
         entry_fits = _is_integer if integers else _is_number

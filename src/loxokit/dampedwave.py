@@ -468,24 +468,3 @@ def decay_report(problem, modes=None, t_max=T_MAX, dt=None, epsilon=None,
                        times=times, total_e0=total,
                        per_mode=dict(zip(modes, traces)))
 
-
-def interpolation_defect(frame, rng, n_samples=100, epsilon=0.1):
-    """Largest violation of the spectral interpolation inequality
-
-        ||f||^2_{H^{1-eps}} <= ||f||^{1-eps}_{H^2} ||f||^{1+eps}_{L^2}
-
-    over random band-limited grid functions. Returns max ratio - 1;
-    anything above roundoff means the discrete norms are inconsistent.
-    """
-    worst = -np.inf
-    n = frame.lam.size
-    keep = max(2, n // 2)
-    for _ in range(n_samples):
-        c = np.zeros(n)
-        c[:keep] = rng.standard_normal(keep)
-        w = frame.synthesize(c)
-        lhs = frame.norm_sq(w, 1.0 - epsilon)
-        rhs = (frame.norm_sq(w, 2.0) ** ((1.0 - epsilon) / 2)
-               * frame.norm_sq(w, 0.0) ** ((1.0 + epsilon) / 2))
-        worst = max(worst, lhs / rhs - 1.0)
-    return float(worst)

@@ -109,7 +109,7 @@ def gradient_check(sys, z, step=1e-6):
 # built-in models
 # ---------------------------------------------------------------------------
 
-def surface_of_revolution(profile="cosh", R=3.0):
+def surface_of_revolution(profile="cosh"):
     """Geodesic flow on ds^2 = dr^2 + f(r)^2 dtheta^2, z = (r, th, p_r, p_th)."""
     if profile == "cosh":
         f = np.cosh
@@ -132,7 +132,7 @@ def surface_of_revolution(profile="cosh", R=3.0):
 
     return HamiltonianSystem(n=2, p=p, gradient=gradient,
                              model_tag="surface_of_revolution",
-                             params={"profile": profile, "R": R},
+                             params={"profile": profile},
                              wraps=((1, 2 * np.pi),))
 
 
@@ -182,7 +182,7 @@ def harmonic_oscillator(omega=1.0):
 def system_from_config(cfg):
     """Build a model system from a JSON-style dict.
 
-    Examples: {"model": "surface_of_revolution", "profile": "cosh", "R": 3.0},
+    Examples: {"model": "surface_of_revolution", "profile": "cosh"},
     {"model": "double_bump", "height": 1.0}, {"model": "harmonic"}.
     """
     cfg = dict(cfg)
@@ -665,8 +665,8 @@ def check_geometric_control(sys, damping, exclusion, T=50.0, n_samples=500,
     forward run misses the damping. The samples advance in batches of
     columns of one stacked ``flow`` state, so the model and the damping
     must broadcast (see HamiltonianSystem). n_samples must be an integer
-    >= 1, and T, scan_dt, speed and r_max finite and positive
-    (ValueError).
+    >= 1, T, scan_dt, speed and r_max finite and positive, and threshold
+    finite and >= 0 (ValueError).
     """
     if not isinstance(n_samples, numbers.Integral) or n_samples < 1:
         raise ValueError("need at least one sample (an integer), "
@@ -676,6 +676,9 @@ def check_geometric_control(sys, damping, exclusion, T=50.0, n_samples=500,
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be finite and positive, "
                              f"got {value}")
+    if not 0 <= threshold < math.inf:
+        raise ValueError(f"threshold must be finite and >= 0, "
+                         f"got {threshold}")
     rng = np.random.Generator(np.random.Philox(seed))
     samples = []
     while len(samples) < n_samples:

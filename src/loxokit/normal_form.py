@@ -35,7 +35,6 @@ from .symplectic import (
     SpectrumClassification,
     SymplecticError,
     SymplecticTransform,
-    UNIT_TOL,
     _as_matrix,
     _check_even_square,
     _classify,
@@ -78,12 +77,6 @@ class EscapeRateForm:
     positive_definite: bool
     min_eigenvalue: float
     certificate: Optional[WilliamsonDecomposition]
-
-
-@dataclass
-class InvariantSubspaces:
-    unstable_basis: np.ndarray
-    stable_basis: np.ndarray
 
 
 def _pick_new_direction(space, used):
@@ -343,35 +336,3 @@ def escape_rate_form(nf: BirkhoffNormalForm) -> EscapeRateForm:
     return EscapeRateForm(form=form, positive_definite=False,
                           min_eigenvalue=min_eig, certificate=None)
 
-
-def stable_unstable_subspaces(B) -> InvariantSubspaces:
-    """Orthonormal bases of the unstable (Re > 0) and stable (Re < 0) spaces.
-
-    Both are Lagrangian and B-invariant for a loxodromic Hamilton matrix;
-    residuals are validated before returning.
-    """
-    Bm = _as_matrix(B)
-    n = _check_even_square(Bm, "input")
-    m = n // 2
-    eigs = la.eigvals(Bm)
-    scale = max(1.0, np.max(np.abs(eigs)))
-    if np.any(np.abs(np.real(eigs)) <= UNIT_TOL * scale):
-        raise EllipticEigenvaluePresent(
-            "stable/unstable splitting needs Re lambda != 0 for all eigenvalues")
-
-    def _invariant(side):
-        sort = (lambda re, im: re > 0) if side > 0 else (lambda re, im: re < 0)
-        _, Z, k = la.schur(Bm, output="real", sort=sort)
-        if k != m:
-            raise EllipticEigenvaluePresent("unexpected splitting dimensions")
-        return Z[:, :m]
-
-    V_plus = _invariant(+1)
-    V_minus = _invariant(-1)
-    J = standard_symplectic_matrix(m)
-    for V in (V_plus, V_minus):
-        inv_resid = la.norm(Bm @ V - V @ (V.T @ Bm @ V))
-        lag_resid = la.norm(V.T @ J @ V)
-        if inv_resid > 1e-9 * max(1.0, la.norm(Bm)) or lag_resid > 1e-9:
-            raise SymplecticError("invariant subspace residual out of tolerance")
-    return InvariantSubspaces(unstable_basis=V_plus, stable_basis=V_minus)

@@ -103,8 +103,7 @@ class DiscretizedOperator:
     absorb: np.ndarray = field(default=None, repr=False)  # h * C * a(x_i)
 
 
-def quantize_model(h, rate=1.0, n_modes=None, n_grid=256, half_length=1.0,
-                   profile=None):
+def quantize_model(h, rate=1.0, n_grid=256, half_length=1.0, profile=None):
     """Assemble the per-mode data for the model operator."""
     if not 0 < h <= 1:
         raise ValueError("h must lie in (0, 1]")
@@ -113,10 +112,10 @@ def quantize_model(h, rate=1.0, n_modes=None, n_grid=256, half_length=1.0,
         raise ProfileOutOfDomain(
             f"absorption plateau rho1 = {profile.rho1} must sit inside the "
             f"grid half-length {half_length}")
-    if n_modes is None:
-        n_modes = 2 * int(math.ceil(1.6 / h))
+    n_modes = 2 * int(math.ceil(1.6 / h))
     if n_modes < 32 or n_grid < 32:
-        raise ValueError("need n_modes, n_grid >= 32")
+        raise ValueError(f"need n_grid >= 32 and h small enough for 32 "
+                         f"modes, got n_grid={n_grid} and {n_modes} modes")
     if n_grid % 2:
         raise ValueError("n_grid must be even: the sweeps split the grid "
                          "into its two mirror halves")
@@ -127,7 +126,7 @@ def quantize_model(h, rate=1.0, n_modes=None, n_grid=256, half_length=1.0,
     # sym(x hD): Hermitian, zero diagonal, upper entries -i h (x_j+x_{j+1})/(4 dx)
     s_off = -1j * h * (x[:-1] + x[1:]) / (4.0 * dx)
     return DiscretizedOperator(
-        h=float(h), rate=float(rate), n_modes=int(n_modes),
+        h=float(h), rate=float(rate), n_modes=n_modes,
         n_grid=int(n_grid), half_length=float(half_length), profile=profile,
         x=x, spacing=dx, s_off=s_off,
         absorb=h * profile.strength * np.asarray(profile(x), dtype=float))
@@ -164,7 +163,7 @@ def _mode_window(op, z, window):
     hi = min(half - 1, int(math.floor((np.real(z) + window) / op.h)))
     if lo > hi:
         raise ModeWindowTooNarrow(
-            "mode window is empty; increase window or n_modes")
+            "mode window is empty; increase window")
     return range(lo, hi + 1)
 
 
@@ -372,11 +371,11 @@ def default_grid_size(h, half_length=1.0):
     return int(max(256, 2 ** math.ceil(math.log2(need))))
 
 
-def default_operator_builder(rate=1.0, half_length=1.0, profile=None):
+def default_operator_builder(rate=1.0, half_length=1.0):
     def build(h):
         return quantize_model(h, rate=rate,
                               n_grid=default_grid_size(h, half_length),
-                              half_length=half_length, profile=profile)
+                              half_length=half_length)
     return build
 
 

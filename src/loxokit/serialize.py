@@ -15,15 +15,7 @@ import tempfile
 
 import numpy as np
 
-from .symplectic import (
-    ComplexHyperbolicQuad,
-    EllipticGroup,
-    HamiltonMatrix,
-    QuadraticHamiltonian,
-    RealHyperbolicPair,
-    SpectrumClassification,
-    SymplecticTransform,
-)
+from .symplectic import SpectrumClassification
 
 SCHEMA_VERSION = 1
 
@@ -31,37 +23,6 @@ SCHEMA_VERSION = 1
 def matrix_to_json(M):
     M = np.asarray(M)
     return {"dim": int(M.shape[0]), "data": M.tolist()}
-
-
-def matrix_from_json(obj):
-    M = np.asarray(obj["data"], dtype=float)
-    if M.shape[0] != obj["dim"]:
-        raise ValueError("dim field does not match data shape")
-    return M
-
-
-def quadratic_to_json(q: QuadraticHamiltonian):
-    return {"type": "quadratic_hamiltonian", **matrix_to_json(q.coeff)}
-
-
-def quadratic_from_json(obj):
-    return QuadraticHamiltonian(dim=obj["dim"], coeff=matrix_from_json(obj))
-
-
-def hamilton_to_json(B: HamiltonMatrix):
-    return {"type": "hamilton_matrix", **matrix_to_json(B.entries)}
-
-
-def hamilton_from_json(obj):
-    return HamiltonMatrix(dim=obj["dim"], entries=matrix_from_json(obj))
-
-
-def transform_to_json(T: SymplecticTransform):
-    return {"type": "symplectic_transform", **matrix_to_json(T.entries)}
-
-
-def transform_from_json(obj):
-    return SymplecticTransform(dim=obj["dim"], entries=matrix_from_json(obj))
 
 
 def group_to_json(g):
@@ -74,19 +35,6 @@ def group_to_json(g):
     return {"tag": g.tag, "theta": float(g.theta)}
 
 
-def group_from_json(obj):
-    tag = obj["tag"]
-    if tag == "real_hyperbolic":
-        return RealHyperbolicPair(lam=obj["lambda"], chain_size=obj["chain_size"],
-                                  negative_real=obj.get("negative_real", False))
-    if tag == "complex_hyperbolic":
-        return ComplexHyperbolicQuad(lam=complex(obj["lambda_re"], obj["lambda_im"]),
-                                     chain_size=obj["chain_size"])
-    if tag == "elliptic":
-        return EllipticGroup(theta=obj["theta"])
-    raise ValueError(f"unknown group tag {tag!r}")
-
-
 def classification_to_json(c: SpectrumClassification):
     return {
         "type": "spectrum_classification",
@@ -97,15 +45,6 @@ def classification_to_json(c: SpectrumClassification):
         "is_loxodromic": c.is_loxodromic,
         "has_negative_real": c.has_negative_real,
     }
-
-
-def classification_from_json(obj):
-    return SpectrumClassification(
-        dim=obj["dim"], mode=obj["mode"],
-        groups=[group_from_json(g) for g in obj["groups"]],
-        is_loxodromic=obj["is_loxodromic"],
-        has_negative_real=obj["has_negative_real"],
-    )
 
 
 def format_float(x):

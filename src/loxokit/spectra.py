@@ -114,24 +114,6 @@ def solve_eigenpairs(op, count):
     return vals, _normalize_columns(op, vecs)
 
 
-def eigenpair_near(op, target):
-    """The eigenpair whose eigenvalue is nearest `target`.
-
-    Solves in a window around the target, widening it if the window comes
-    back empty; falls back to the lowest quarter of the spectrum.
-    """
-    for width in (0.25, 0.5, 1.0):
-        lo = target * (1 - width) - 1.0
-        hi = target * (1 + width) + 1.0
-        vals, vecs = _eigh(op, "v", (lo, hi))
-        if vals.size:
-            j = int(np.argmin(np.abs(vals - target)))
-            return float(vals[j]), _normalize_columns(op, vecs[:, j:j + 1])[:, 0]
-    vals, vecs = solve_eigenpairs(op, op.N // 4)
-    j = int(np.argmin(np.abs(vals - target)))
-    return float(vals[j]), vecs[:, j]
-
-
 def mass_outside(op, v, delta):
     """Weighted mass of v carried by |r| > delta (v weight-normalized)."""
     if not 0 <= delta < op.R:

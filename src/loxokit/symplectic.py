@@ -254,14 +254,6 @@ class SpectrumClassification:
     has_negative_real: bool
 
     @property
-    def n_hc(self):
-        return sum(1 for g in self.groups if g.tag == "complex_hyperbolic")
-
-    @property
-    def n_hr(self):
-        return sum(1 for g in self.groups if g.tag == "real_hyperbolic")
-
-    @property
     def min_real_part(self):
         parts = [abs(np.real(g.lam)) for g in self.groups if g.tag != "elliptic"]
         return min(parts) if parts else 0.0
@@ -489,7 +481,7 @@ def _classify(M, mode):
 
 
 # ---------------------------------------------------------------------------
-# principal logarithm and polar factorization
+# principal logarithm
 # ---------------------------------------------------------------------------
 
 def _hamilton_project(B):
@@ -524,21 +516,3 @@ def symplectic_log(S) -> HamiltonMatrix:
             "exp(log S) failed to reproduce S within tolerance")
     return HamiltonMatrix(dim=n, entries=B)
 
-
-def symplectic_polar(K):
-    """Polar factorization K = Q P of a symplectic matrix.
-
-    Returns (Q, P) as SymplecticTransforms: Q orthogonal and symplectic,
-    P symmetric positive definite and symplectic. Computed from one SVD
-    K = U S V^T as Q = U V^T and P = V S V^T; the eigendecomposition of
-    K^T K would square the conditioning of K.
-    """
-    Km, n, _ = _structured_input(K, _RULES[POINCARE_MAP])
-    U, s, Vt = la.svd(Km)
-    if np.min(s) <= 0:
-        raise NotSymplectic("K is singular; input is not invertible")
-    Q = U @ Vt
-    P = (Vt.T * s) @ Vt
-    P = 0.5 * (P + P.T)
-    return (SymplecticTransform(dim=n, entries=Q),
-            SymplecticTransform(dim=n, entries=P))

@@ -118,6 +118,13 @@ def test_orbit_rejects_unknown_config_key(tmp_path):
     assert main(["orbit", "--config", cfg]) == 2
 
 
+def test_orbit_rejects_unknown_model_parameter(tmp_path, capsys):
+    cfg = write_json(tmp_path / "cfg.json", {
+        "model": {"model": "surface_of_revolution", "R": 99}})
+    assert main(["orbit", "--config", cfg]) == 2
+    assert "bad parameters for model" in capsys.readouterr().err
+
+
 def test_spectrum_runs_are_byte_identical(tmp_path):
     cfg = write_json(tmp_path / "cfg.json", {"N": 512, "k": [8, 16]})
     for name in ("s1", "s2"):
@@ -185,6 +192,8 @@ def test_resolvent_without_cutoff_writes_no_cutoff_band(tmp_path, capsys):
     ("orbit", {"guess": None}),
     ("orbit", {"guess": {"r": "a"}}),
     ("orbit", {"guess": [0.0, 0.0, 1.0]}),
+    ("spectrum", {"profile": ["cosh"]}),
+    ("damped-wave", {"warp": 5}),
 ])
 def test_config_value_of_wrong_kind_is_usage_error(tmp_path, command, cfg,
                                                    capsys):

@@ -365,7 +365,9 @@ def test_control_regression_pin(cosh_surface):
                                 dict(T=np.inf), dict(scan_dt=0.0),
                                 dict(scan_dt=-0.05), dict(scan_dt=np.nan),
                                 dict(speed=0.0), dict(speed=-1.0),
-                                dict(r_max=np.nan), dict(r_max=-1.5)])
+                                dict(r_max=np.nan), dict(r_max=-1.5),
+                                dict(threshold=-1.0),
+                                dict(threshold=np.nan)])
 def test_control_rejects_degenerate_inputs(cosh_surface, kw):
     args = dict(T=5.0, n_samples=4, seed=1) | kw
     with pytest.raises(ValueError):
@@ -492,7 +494,7 @@ def test_one_neck_damping():
 
 def test_system_from_config_roundtrip():
     sys = flows.system_from_config(
-        {"model": "surface_of_revolution", "profile": "cosh", "R": 3.0})
+        {"model": "surface_of_revolution", "profile": "cosh"})
     assert sys.model_tag == "surface_of_revolution"
     assert sys.params["profile"] == "cosh"
 
@@ -503,5 +505,7 @@ def test_system_from_config_rejects_unknown_model():
 
 
 def test_system_from_config_rejects_bad_params():
-    with pytest.raises(ValueError):
-        flows.system_from_config({"model": "harmonic", "bogus": 1.0})
+    for cfg in ({"model": "harmonic", "bogus": 1.0},
+                {"model": "surface_of_revolution", "R": 3.0}):
+        with pytest.raises(ValueError, match="bad parameters"):
+            flows.system_from_config(cfg)

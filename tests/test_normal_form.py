@@ -273,44 +273,3 @@ def test_escape_rate_default_scale_certifies(seed):
     assert esc.positive_definite
     assert esc.certificate is not None
     assert np.all(esc.certificate.radii > 0)
-
-
-# ---------------------------------------------------------------------------
-# invariant subspaces
-# ---------------------------------------------------------------------------
-
-def test_subspaces_of_diagonal_generator():
-    sub = lx.stable_unstable_subspaces(np.diag([0.7, -0.7]))
-    u = sub.unstable_basis[:, 0] / la.norm(sub.unstable_basis[:, 0])
-    s = sub.stable_basis[:, 0] / la.norm(sub.stable_basis[:, 0])
-    assert np.allclose(np.abs(u), [1.0, 0.0], atol=1e-12)
-    assert np.allclose(np.abs(s), [0.0, 1.0], atol=1e-12)
-
-
-def test_subspaces_reject_elliptic():
-    with pytest.raises(lx.EllipticEigenvaluePresent):
-        lx.stable_unstable_subspaces(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-
-
-@settings(deadline=None, max_examples=15)
-@given(st.integers(min_value=0, max_value=2**31 - 1))
-def test_subspaces_random_loxodromic(seed):
-    rng = rng_for(seed)
-    lam1 = 0.3 + rng.uniform(0.0, 1.0)
-    lam2 = 0.3 + rng.uniform(0.0, 1.0)
-    beta = 0.5 + rng.uniform(0.0, 1.0)
-    A = np.zeros((3, 3))
-    A[0, 0] = lam1
-    A[1:, 1:] = [[lam2, -beta], [beta, lam2]]
-    B = conjugated_normal_form(A, rng)
-    sub = lx.stable_unstable_subspaces(B)
-    J = lx.standard_symplectic_matrix(3)
-    for basis, sign in ((sub.unstable_basis, 1), (sub.stable_basis, -1)):
-        # invariance: B maps the span into itself
-        proj = basis @ np.linalg.pinv(basis)
-        assert la.norm(B @ basis - proj @ (B @ basis)) <= 1e-9 * la.norm(B)
-        # isotropy of the symplectic form on the span
-        assert la.norm(basis.T @ J @ basis) <= 1e-9
-        # spectrum of the restriction sits in the expected half-plane
-        restricted = np.linalg.lstsq(basis, B @ basis, rcond=None)[0]
-        assert np.all(sign * np.linalg.eigvals(restricted).real > 0)

@@ -95,17 +95,6 @@ def test_refinement_moves_eigenvalues_little():
     assert np.max(np.abs(v1 - v2) / v2) <= 1e-3
 
 
-def test_eigenpair_near_picks_nearest(neck_op):
-    vals, _ = spectra.solve_eigenpairs(neck_op, 40)
-    target = 100.0
-    mu, v = spectra.eigenpair_near(neck_op, target)
-    # windowed and indexed LAPACK drivers differ in the last few bits
-    assert abs(mu - target) == pytest.approx(np.min(np.abs(vals - target)),
-                                             rel=1e-9)
-    assert neck_op.spacing * np.sum(v ** 2 * neck_op.weight) == \
-        pytest.approx(1.0, abs=1e-10)
-
-
 # ---------------------------------------------------------------------------
 # mass away from the neck
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Symplectic core: structure matrix, Hamilton matrices, classification,
-logarithm, polar splitting."""
+logarithm."""
 
 import numpy as np
 import pytest
 import scipy.linalg as la
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import loxokit as lx
 
@@ -251,42 +251,3 @@ def test_log_exp_roundtrip(seed, m):
     assert lx.hamilton_residual(B.entries) <= 1e-8
     # principal branch
     assert np.all(np.abs(np.linalg.eigvals(B.entries).imag) < np.pi)
-
-
-# ---------------------------------------------------------------------------
-# symplectic polar splitting
-# ---------------------------------------------------------------------------
-
-def test_polar_of_positive_diagonal():
-    K = np.diag([2.0, 0.5])
-    Qo, Pp = lx.symplectic_polar(K)
-    assert np.allclose(Qo.entries, np.eye(2), atol=1e-12)
-    assert np.allclose(Pp.entries, K, atol=1e-12)
-
-
-def test_polar_of_rotation():
-    th = 0.8
-    R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    Qo, Pp = lx.symplectic_polar(R)
-    assert np.allclose(Qo.entries, R, atol=1e-12)
-    assert np.allclose(Pp.entries, np.eye(2), atol=1e-12)
-
-
-@settings(deadline=None, max_examples=25)
-@given(st.integers(min_value=0, max_value=2**31 - 1))
-# seed 701 draws K with cond(K) ~ 2e3; a polar factor computed from
-# eigh(K^T K) squares that and missed the symplectic tolerance
-@example(701)
-def test_polar_factors_match_svd_oracle(seed):
-    rng = rng_for(seed)
-    K = random_symplectic(rng, 2) @ random_symplectic(rng, 2)
-    Qo, Pp = lx.symplectic_polar(K)
-    U, P = la.polar(K)            # SVD-based oracle
-    assert la.norm(Qo.entries - U) <= 1e-9 * max(1.0, la.norm(U))
-    assert la.norm(Pp.entries - P) <= 1e-9 * max(1.0, la.norm(P))
-    assert la.norm(Qo.entries @ Pp.entries - K) <= 1e-9 * la.norm(K)
-    # both factors are themselves symplectic
-    assert lx.symplectic_residual(Qo.entries) <= 1e-9
-    assert lx.symplectic_residual(Pp.entries) <= 1e-9
-    assert np.allclose(Qo.entries.T @ Qo.entries, np.eye(4), atol=1e-9)
-    assert np.min(np.linalg.eigvalsh(Pp.entries)) > 0
