@@ -15,7 +15,9 @@ across an h-halving sequence can be read off directly.
 
 Both scanned quantities are one number, ||Q_m(z)^{-1} diag(phi)||: phi = 1
 gives 1/sigma_min and phi = default_cutoff gives the cutoff norm. One sweep
-class and one power iteration compute it for either phi.
+class and one Lanczos iteration compute it for either phi, converged to a
+Ritz residual rather than capped at a step count, so the argmin over modes
+is right before the banded eigensolver certifies it.
 
 The sweeps solve half-size problems. On the grid of quantize_model the
 coupling of S across x = 0 is exactly zero (x_j + x_{j+1} = 0 there: the
@@ -107,6 +109,8 @@ def quantize_model(h, rate=1.0, n_grid=256, half_length=1.0, profile=None):
     """Assemble the per-mode data for the model operator."""
     if not 0 < h <= 1:
         raise ValueError("h must lie in (0, 1]")
+    if not (math.isfinite(rate) and rate > 0):
+        raise ValueError(f"rate must be finite and > 0, not {rate}")
     profile = profile if profile is not None else AbsorbingProfile()
     if profile.rho1 >= half_length:
         raise ProfileOutOfDomain(
@@ -155,6 +159,11 @@ def sigma_min_block(diag, off):
     vals = la.eig_banded(band, lower=False, eigvals_only=True,
                          select="i", select_range=(n, n))
     return float(vals[0])
+
+
+def _check_window(window):
+    if not (math.isfinite(window) and window > 0):
+        raise ValueError(f"mode window must be finite and > 0, not {window}")
 
 
 def _mode_window(op, z, window):
@@ -207,34 +216,72 @@ def _tridiag_solve(fact, b, trans="N"):
     return x
 
 
-def _power_norm(fact, phi, v0):
-    """||Q^{-1} diag(phi)|| by power iteration on diag(phi) Q^{-H} Q^{-1}
-    diag(phi), started from v0 (or phi); returns (value, last iterate).
+# Lanczos stops once the Ritz residual r is at most RITZ_TOL times the Ritz
+# value theta. An eigenvalue then lies within r of theta, and within r^2/gap
+# when the rest of the spectrum is gap away: the values agree with dense
+# norms to ~1e-12 even where the top singular values cluster.
+RITZ_TOL = 1e-6
 
-    The value is the norm of Q^{-1} diag(phi) at the unit iterate, a lower
-    bound that stops when it moves by at most 1e-9 relative, or after 200
-    steps.
+
+def _lanczos_norm(fact, phi, v0):
+    """||Q^{-1} diag(phi)|| by Lanczos on A = diag(phi) Q^{-H} Q^{-1}
+    diag(phi); returns (value, top Ritz vector).
+
+    The start vector is phi plus, when given, the unit vector v0 (the
+    previous sweep point's top Ritz vector) in equal parts. A warm vector
+    alone can be an eigenvector of A that is not the top one: where the
+    absorption is constant the Q(w) are normal and share their singular
+    vectors, so the last top vector is an exact eigenvector of the next A
+    and a Krylov space started from it never leaves it. The phi part keeps
+    every direction phi reaches in the space. Each step applies A with two
+    tridiagonal solves and reorthogonalizes against the whole basis. The
+    top Ritz value theta of the Lanczos tridiagonal is a lower bound on
+    ||A||; the iteration stops when the residual beta_k |e_k^T s| of its
+    Ritz vector is at most RITZ_TOL * theta, or when the basis spans an
+    invariant subspace, at the latest at the block size n, where theta is
+    exact. The value is sqrt(theta).
     """
-    v = v0 if v0 is not None else phi.astype(complex)
-    nv = math.sqrt(np.vdot(v, v).real)
-    if nv == 0:
-        return 0.0, v
-    v = v / nv
-    prev = 0.0
-    val = 0.0
-    for _ in range(200):
-        w = _tridiag_solve(fact, phi * v)
-        y = _tridiag_solve(fact, w, trans="C")
-        w2 = phi * y
-        val = math.sqrt(abs(np.vdot(v, w2).real))
-        nw = math.sqrt(np.vdot(w2, w2).real)
-        if nw == 0:
-            return 0.0, v
-        v = w2 / nw
-        if abs(val - prev) <= 1e-9 * max(val, 1e-300):
-            break
-        prev = val
-    return val, v
+    n = phi.size
+    nphi = math.sqrt(np.dot(phi, phi))
+    if nphi == 0:
+        return 0.0, v0
+    v = phi / nphi
+    if v0 is not None:
+        # v0's phase is free: align it with phi so the two cannot cancel
+        c = np.vdot(v0, v)
+        v = v + (v0 * (c / abs(c)) if c != 0 else v0)
+    # basis[0] holds the Lanczos vectors, basis[1] their conjugates, which
+    # give the projection coefficients in one reduction; rows grow on demand
+    basis = np.empty((2, min(n, 16), n), dtype=complex)
+    basis[0, 0] = v / math.sqrt(np.vdot(v, v).real)
+    np.conjugate(basis[0, 0], out=basis[1, 0])
+    alpha = np.empty(n)
+    beta = np.zeros(n)
+    for k in range(n):
+        w = phi * _tridiag_solve(
+            fact, _tridiag_solve(fact, phi * basis[0, k]), trans="C")
+        # one classical Gram-Schmidt pass against the whole basis, as
+        # elementwise reductions: a BLAS matrix-vector product can start
+        # BLAS threads that cost more CPU than products this small save
+        V = basis[0, :k + 1]
+        coef = np.einsum("ij,j->i", basis[1, :k + 1], w)
+        w -= np.add.reduce(coef[:, None] * V)
+        alpha[k] = coef[k].real
+        b = math.sqrt(np.vdot(w, w).real)
+        # dstev reads max(k, 1) off-diagonal entries
+        theta, s, info = lapack.dstev(alpha[:k + 1], beta[:max(k, 1)])
+        if info != 0:
+            raise ResolventError("Lanczos tridiagonal eigensolve failed")
+        if b * abs(s[-1, -1]) <= RITZ_TOL * theta[-1] or k == n - 1:
+            ritz = np.add.reduce(s[:, -1, None] * V)
+            return math.sqrt(max(theta[-1], 0.0)), ritz
+        beta[k] = b
+        if k + 1 == basis.shape[1]:
+            grow = min(k + 1, n - k - 1)
+            basis = np.concatenate(
+                [basis, np.empty((2, grow, n), dtype=complex)], axis=1)
+        np.multiply(w, 1.0 / b, out=basis[0, k + 1])
+        np.conjugate(basis[0, k + 1], out=basis[1, k + 1])
 
 
 class _NormSweep:
@@ -247,8 +294,10 @@ class _NormSweep:
     docstring). phi = 1 gives g = 1/sigma_min; the default cutoff gives the
     cutoff norm. Keys are w snapped to steps of LATTICE_TOL * h; the first
     w seen for a key is the point evaluated for it. values() runs one
-    power iteration per missing key in increasing w, each warm-started
-    from the last iterate of the one before. certified() gives the exact
+    Lanczos iteration (_lanczos_norm) per missing key in increasing w, each
+    started from phi and the top Ritz vector of the one before, and
+    converged to its Ritz residual, so the values are right uncertified
+    too. certified() gives the exact
     banded-eigensolver sigma_min at a key, once per key. The cache is not
     locked: use one sweep per thread.
     """
@@ -276,7 +325,7 @@ class _NormSweep:
         state = None
         for key in sorted(set(keys).difference(self.cache)):
             fact = _tridiag_factor(self._diag(key), self.off, self.lower)
-            self.cache[key], state = _power_norm(fact, self.phi, state)
+            self.cache[key], state = _lanczos_norm(fact, self.phi, state)
         return np.array([self.cache[key] for key in keys])
 
     def certified(self, w):
@@ -299,8 +348,9 @@ def sigma_min_point(op, z, window=0.6, sweep=None):
 
     The sweep value at the minimum is certified against the exact banded
     eigensolver; disagreement beyond 1e-6 falls back to certifying every
-    mode in the window.
+    mode in the window; with converged sweep values this is a safety net.
     """
+    _check_window(window)
     if np.imag(z) != 0:
         if sweep is not None:
             raise ValueError("sweep caches are keyed on real z - h m; "
@@ -325,6 +375,7 @@ def sigma_min_point(op, z, window=0.6, sweep=None):
 
 
 def cutoff_norm_point(op, z, phi, window=0.6, sweep=None):
+    _check_window(window)
     if np.imag(z) != 0:
         raise ValueError("cutoff norms are scanned at real z")
     sweep = sweep if sweep is not None else _NormSweep(op, phi)
@@ -412,6 +463,7 @@ def sigma_min_scan(op_builder, h_list, z_values=None, cutoff=True, window=0.6):
     window; a smaller minimum there means the window clipped a relevant
     mode, which raises instead of silently reporting a wrong norm.
     """
+    _check_window(window)
     if z_values is None:
         z_values = np.linspace(-0.5, 0.5, 11)
     if np.max(np.abs(np.imag(z_values))) > 0:

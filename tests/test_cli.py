@@ -212,6 +212,20 @@ def test_resolvent_empty_mode_window_is_numerical_failure(tmp_path, capsys):
     assert "mode window is empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cfg", [{"window": 0}, {"window": -0.6},
+                                 {"rate": 0}])
+def test_resolvent_nonpositive_window_or_rate_is_usage_error(tmp_path, capsys,
+                                                             cfg):
+    # before the check, a window of 0 or -0.6 exited 3 ("mode window is
+    # empty") and rate 0 exited 3 ("tridiagonal factorization broke down")
+    path = write_json(tmp_path / "cfg.json", dict(cfg, n_z=2))
+    rc = main(["resolvent", "--h", "1/25", "--config", path])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert ("window" if "window" in cfg else "rate") in err
+
+
 def test_damped_wave_quick_run(tmp_path, capsys):
     cfg = write_json(tmp_path / "cfg.json",
                      {"t_max": 6.0, "n_grid": 96, "decay_modes": [0, 3]})

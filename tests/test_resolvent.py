@@ -37,9 +37,12 @@ def dense_block(diag, off):
 
 def test_zero_rate_spectrum_is_fourier_ladder():
     # with the dilation part off and no absorption the operator is the
-    # angular derivative alone: each mode block is exactly (h m - z) I
-    op = rv.quantize_model(1 / 20, rate=0.0, n_grid=64,
-                           profile=rv.AbsorbingProfile(strength=0.0))
+    # angular derivative alone: each mode block is exactly (h m - z) I.
+    # quantize_model refuses rate 0, so the rate is switched off afterwards
+    op = dataclasses.replace(
+        rv.quantize_model(1 / 20, n_grid=64,
+                          profile=rv.AbsorbingProfile(strength=0.0)),
+        rate=0.0)
     for m in (-3, 0, 5):
         diag, off = rv.mode_block(op, m, 0.0)
         assert np.max(np.abs(off)) == 0.0
@@ -69,6 +72,26 @@ def test_adjoint_assembly_matches_conjugate_transpose(op20):
         A = dense_block(*rv.mode_block(op20, m, z))
         B = dense_block(*adjoint_mode_block(op20, m, z))
         assert np.max(np.abs(B - A.conj().T)) <= 1e-12
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
+def test_rate_must_be_finite_and_positive(rate):
+    with pytest.raises(ValueError):
+        rv.quantize_model(1 / 20, rate=rate, n_grid=64)
+
+
+@pytest.mark.parametrize("window", [0.0, -0.6, float("nan"), float("inf")])
+def test_window_must_be_finite_and_positive(op20, window):
+    phi = rv.default_cutoff(op20)
+    with pytest.raises(ValueError):
+        rv.sigma_min_point(op20, 0.1, window=window)
+    with pytest.raises(ValueError):
+        rv.sigma_min_point(op20, 0.1 + 0.01j, window=window)
+    with pytest.raises(ValueError):
+        rv.cutoff_norm_point(op20, 0.1, phi, window=window)
+    with pytest.raises(ValueError):
+        rv.sigma_min_scan(rv.default_operator_builder(), [1 / 20],
+                          z_values=np.array([0.1]), window=window)
 
 
 def test_profile_must_die_before_boundary():
@@ -209,9 +232,46 @@ def test_cutoff_sweep_matches_dense_norm(op20):
     assert got == pytest.approx(want, rel=1e-10)
 
 
+def dense_norm(op, w, phi):
+    """Dense ||Q^{-1} diag(phi)|| of the full block at w; 1/sigma_min for
+    phi = 1."""
+    Q = dense_block(*rv.mode_block(op, 0, w))
+    if np.all(phi == 1):
+        return 1.0 / np.linalg.svd(Q, compute_uv=False)[-1]
+    return np.linalg.norm(np.linalg.solve(Q, np.diag(phi)), 2)
+
+
+@pytest.fixture(scope="module")
+def clustered_ops():
+    """Two h = 1/100 operators whose lowest singular values cluster: the
+    default model with Im z = 0.0455 folded into the absorption, and the
+    a == 1 operator of global_absorption_check, where every Q(w) is normal
+    and the Q(w) share their singular vectors."""
+    op = rv.default_operator_builder()(1 / 100)
+    shifted = dataclasses.replace(op, absorb=op.absorb + 0.0455)
+    flat = rv.quantize_model(1 / 100, n_grid=op.n_grid,
+                             profile=rv.AbsorbingProfile(floor=1.0))
+    return {"shifted": shifted, "flat": flat}
+
+
+@pytest.mark.parametrize("name", ["shifted", "flat"])
+@pytest.mark.parametrize("cutoff", [False, True])
+def test_clustered_sweep_values_match_dense_norms(clustered_ops, name,
+                                                  cutoff):
+    # uncertified sweep values, with lattice neighbours (each warm-started
+    # from the one before) and far points of the doubled mode window
+    op = clustered_ops[name]
+    phi = rv.default_cutoff(op) if cutoff else np.ones(op.n_grid)
+    w_list = [0.13 - op.h * m for m in (-95, -60, -20, -2, -1, 0, 1, 2, 3,
+                                        20, 60, 95)]
+    got = rv._NormSweep(op, phi).values(w_list)
+    for w, g in zip(w_list, got):
+        assert g == pytest.approx(dense_norm(op, w, phi), rel=1e-10)
+
+
 @pytest.mark.parametrize("cutoff", [False, True])
 def test_sweep_values_match_dense_norms(op20, cutoff):
-    # uncertified power-iteration values against dense ||Q^{-1} diag(phi)||:
+    # uncertified Lanczos values against dense ||Q^{-1} diag(phi)||:
     # phi = 1 gives 1/sigma_min, the default cutoff gives the cutoff norm
     phi = rv.default_cutoff(op20) if cutoff else np.ones(op20.n_grid)
     m = 0
@@ -226,16 +286,31 @@ def test_sweep_values_match_dense_norms(op20, cutoff):
         assert g == pytest.approx(want, rel=1e-8)
 
 
-@pytest.mark.xfail(strict=True, reason="the power-iteration stop rule "
-                   "fires early where the two lowest singular values of a "
-                   "block nearly coincide, and only the chosen mode is "
-                   "certified")
-def test_complex_point_probe_finds_minimising_mode():
-    op = rv.default_operator_builder()(1 / 100)
-    z = 0.13 + 0.0365j
-    s, m_star = rv.sigma_min_point(op, z)
-    full = {m: rv.sigma_min_block(*rv.mode_block(op, m, z))
-            for m in rv._mode_window(op, z, 0.6)}
+@pytest.fixture(scope="module")
+def op100():
+    return rv.default_operator_builder()(1 / 100)
+
+
+# the lowest singular values of a block cluster more tightly as Im z grows
+@pytest.mark.parametrize("im_z", [0.0185, 0.0275, 0.0365, 0.0455])
+@pytest.mark.parametrize("re_z", [-0.37, 0.13, 0.41])
+def test_complex_point_probe_finds_minimising_mode(op100, re_z, im_z,
+                                                   monkeypatch):
+    z = complex(re_z, im_z)
+    calls = []
+    original = rv.sigma_min_block
+
+    def counting(diag, off):
+        calls.append(diag.size)
+        return original(diag, off)
+
+    monkeypatch.setattr(rv, "sigma_min_block", counting)
+    s, m_star = rv.sigma_min_point(op100, z)
+    monkeypatch.undo()
+    # one certification of the sweep's argmin, no fallback
+    assert len(calls) == 1
+    full = {m: rv.sigma_min_block(*rv.mode_block(op100, m, z))
+            for m in rv._mode_window(op100, z, 0.6)}
     m_best = min(full, key=full.get)
     assert m_star == m_best
     assert s == pytest.approx(full[m_best], rel=1e-12)
