@@ -328,6 +328,30 @@ class _NormSweep:
             self.cache[key], state = _lanczos_norm(fact, self.phi, state)
         return np.array([self.cache[key] for key in keys])
 
+    def proves_below(self, w, c):
+        """True only if ||Q_R(w)^{-1} diag(phi_R)|| < c is proved.
+
+        c^2 Q Q^H - diag(phi)^2 is positive definite exactly when
+        ||diag(phi) Q^{-H}|| = ||Q^{-1} diag(phi)|| < c. For tridiagonal Q
+        it is a Hermitian pentadiagonal band, and the proof is that its
+        banded Cholesky factorization (zpbtrf) succeeds. In floating point
+        a success proves the bound up to the factorization's backward
+        error; see PROOF_MARGIN for how the doubled-window check absorbs it.
+        """
+        d = self.diag0 - w
+        u, l = self.off, self.lower
+        side = np.zeros(d.size)
+        side[:-1] += u.real ** 2 + u.imag ** 2
+        side[1:] += l.real ** 2 + l.imag ** 2
+        c2 = c * c
+        # lower band storage: band[k, j] holds entry (j + k, j)
+        band = np.zeros((3, d.size), dtype=complex, order="F")
+        band[0] = c2 * (d.real ** 2 + d.imag ** 2 + side) - self.phi ** 2
+        band[1, :-1] = c2 * (np.conj(d[:-1]) * l + np.conj(u) * d[1:])
+        band[2, :-2] = c2 * (np.conj(u[:-1]) * l[1:])
+        _, info = lapack.zpbtrf(band, lower=1, overwrite_ab=1)
+        return info == 0
+
     def certified(self, w):
         """Exact banded-eigensolver sigma_min at the key point of w."""
         key = self._key(float(w))
@@ -336,10 +360,15 @@ class _NormSweep:
         return self.exact[key]
 
 
+def _window_points(op, z, window):
+    """(modes, w = z - h m) over the mode window of real z."""
+    ms = np.array(list(_mode_window(op, z, window)))
+    return ms, float(np.real(z)) - op.h * ms
+
+
 def _window_values(op, z, window, sweep):
     """(modes, w = z - h m, sweep values) over the mode window of real z."""
-    ms = np.array(list(_mode_window(op, z, window)))
-    w_vals = float(np.real(z)) - op.h * ms
+    ms, w_vals = _window_points(op, z, window)
     return ms, w_vals, sweep.values(w_vals)
 
 
@@ -449,6 +478,37 @@ def _w_union(op, z_values, window):
             for m in _mode_window(op, z, window)]
 
 
+# The doubled-window check proves sigma_min(Q_R(w)) >= floor at a new point
+# with proves_below(w, c) at c = (1 - PROOF_MARGIN) / floor. A zpbtrf success
+# proves that the computed band plus some E is positive definite, where
+# ||E|| <= n eps (c ||Q_R||)^2 up to a small constant (the banded Cholesky
+# backward error, plus a few eps of the same size from forming the entries).
+# For phi = 1 that gives sigma_min(Q_R)^2 > (1 - ||E||) / c^2, so sigma_min >
+# floor sqrt(1 - ||E||) / (1 - PROOF_MARGIN) >= floor whenever ||E|| <=
+# PROOF_MARGIN. The check evaluates this rounding bound and falls back to
+# the converged sweep when it exceeds PROOF_MARGIN; on the default ladder
+# (h = 1/50 ... 1/400) it is at most 1.2e-5. There the new points have
+# 1/sigma_min <= 0.18 / floor, so shrinking c by PROOF_MARGIN loses no
+# proof; on the a == 1 operator sigma_min is nearly flat in w, the new
+# points sit within PROOF_MARGIN of floor, and the sweep decides.
+PROOF_MARGIN = 1e-3
+
+
+def _proved_clear(sweep, w_vals, floor):
+    """True if proves_below shows sigma_min(Q_R(w)) >= floor at every w of
+    a phi = 1 sweep that the sweep has not evaluated. The evaluated points
+    are skipped: the scan's rows read them, and floor sits below the
+    smallest row minimum. Evaluates and caches nothing."""
+    c = (1 - PROOF_MARGIN) / floor
+    q_norm = (np.max(np.abs(sweep.diag0)) + np.max(np.abs(sweep.off))
+              + np.max(np.abs(sweep.lower)) + np.max(np.abs(w_vals)))
+    if sweep.phi.size * np.finfo(float).eps * (c * q_norm) ** 2 \
+            > PROOF_MARGIN:
+        return False
+    return all(sweep.proves_below(w, c) for w in w_vals
+               if round(w / sweep.step) not in sweep.cache)
+
+
 def sigma_min_scan(op_builder, h_list, z_values=None, cutoff=True, window=0.6):
     """Scan sigma_min(Q(z)) over z for each h; normalized products and
     their across-h bands summarize the scaling.
@@ -461,11 +521,20 @@ def sigma_min_scan(op_builder, h_list, z_values=None, cutoff=True, window=0.6):
     multiples of h, so their rows share sweep points and certifications.
     For each h, the binding z is then re-checked with a doubled mode
     window; a smaller minimum there means the window clipped a relevant
-    mode, which raises instead of silently reporting a wrong norm.
+    mode, which raises instead of silently reporting a wrong norm. The
+    check proves sigma_min >= (1 - 1e-9) sigma* at every point the doubled
+    window adds with one banded Cholesky factorization each
+    (_NormSweep.proves_below); only when a point is not proved does it run
+    the converged sweep over the doubled window, and it raises on the same
+    condition either way.
     """
     _check_window(window)
     if z_values is None:
         z_values = np.linspace(-0.5, 0.5, 11)
+    if len(h_list) == 0:
+        raise ValueError("need at least one h")
+    if np.size(z_values) == 0:
+        raise ValueError("need at least one z")
     if np.max(np.abs(np.imag(z_values))) > 0:
         raise ValueError("scan grid must be real; use sigma_min_point for "
                          "individual complex z")
@@ -485,12 +554,17 @@ def sigma_min_scan(op_builder, h_list, z_values=None, cutoff=True, window=0.6):
         h_rows = [_scan_one_z(op, z, window, log_h, sweep, phi, cut_sweep)
                   for z in z_values]
         worst = max(h_rows, key=lambda r: r.norm_product)
-        wide, _ = sigma_min_point(op, worst.re_z, window=2 * window,
-                                  sweep=sweep)
-        if wide < worst.sigma_min * (1 - 1e-9):
-            raise ModeWindowTooNarrow(
-                f"mode window {window} too narrow at h = {h}: doubling it "
-                f"lowered sigma_min from {worst.sigma_min:.3e} to {wide:.3e}")
+        floor = worst.sigma_min * (1 - 1e-9)
+        _, w_wide = _window_points(op, worst.re_z, 2 * window)
+        if not _proved_clear(sweep, w_wide, floor):
+            wide, _ = sigma_min_point(op, worst.re_z, window=2 * window,
+                                      sweep=sweep)
+            if wide < floor:
+                raise ModeWindowTooNarrow(
+                    f"mode window {window} too narrow at h = {h}: doubling "
+                    f"it lowered sigma_min by "
+                    f"{1 - wide / worst.sigma_min:.2e} relative, from "
+                    f"{worst.sigma_min:.9e} to {wide:.9e}")
         rows.extend(h_rows)
         per_h_max[h] = worst.norm_product
         if cut_sweep is not None:

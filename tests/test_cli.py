@@ -226,6 +226,15 @@ def test_resolvent_nonpositive_window_or_rate_is_usage_error(tmp_path, capsys,
     assert ("window" if "window" in cfg else "rate") in err
 
 
+@pytest.mark.parametrize("argv, cfg", [(["--h", ","], {}),
+                                       ([], {"h": []})])
+def test_resolvent_empty_h_list_is_usage_error(tmp_path, capsys, argv, cfg):
+    # an empty h list used to exit 2 with "min() arg is an empty sequence"
+    path = write_json(tmp_path / "cfg.json", cfg)
+    assert main(["resolvent", "--config", path, *argv]) == 2
+    assert capsys.readouterr().err == "error: need at least one h\n"
+
+
 def test_damped_wave_quick_run(tmp_path, capsys):
     cfg = write_json(tmp_path / "cfg.json",
                      {"t_max": 6.0, "n_grid": 96, "decay_modes": [0, 3]})

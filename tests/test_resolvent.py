@@ -178,6 +178,20 @@ def test_global_absorption_is_numerical_range_bound():
     assert rep["rel_err"] <= 0.10
 
 
+def test_global_absorption_check_returns_window_minimum():
+    # the rel_err <= 0.10 gate cannot see a wrong minimiser: the returned
+    # sigma must be the window's minimum and its mode one of the modes
+    # that attain it (15 and 35 tie to ~2e-17 at h = 1/100)
+    rep = rv.global_absorption_check(1 / 100)
+    op = rv.quantize_model(1 / 100, n_grid=256,
+                           profile=rv.AbsorbingProfile(floor=1.0))
+    full = {m: rv.sigma_min_block(*rv.mode_block(op, m, 0.25))
+            for m in rv._mode_window(op, 0.25, 0.6)}
+    lowest = min(full.values())
+    assert rep["sigma_min"] == pytest.approx(lowest, rel=1e-12)
+    assert full[rep["mode"]] == pytest.approx(lowest, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # half-line reduction and lattice keying
 # ---------------------------------------------------------------------------
@@ -284,6 +298,101 @@ def test_sweep_values_match_dense_norms(op20, cutoff):
         else:
             want = 1.0 / np.linalg.svd(Q, compute_uv=False)[-1]
         assert g == pytest.approx(want, rel=1e-8)
+
+
+def dense_half_norm(sweep, w):
+    """Dense ||Q_R(w)^{-1} diag(phi_R)|| of a sweep's half block, from an
+    SVD; 1/sigma_min for phi = 1."""
+    Q = np.diag(sweep.diag0 - w) + np.diag(sweep.off, 1) \
+        + np.diag(sweep.lower, -1)
+    return np.linalg.svd(np.linalg.solve(Q, np.diag(sweep.phi)),
+                         compute_uv=False)[0]
+
+
+@pytest.fixture(scope="module")
+def proof_ops():
+    """The default model, the same with Im z = 0.0455 folded into the
+    absorption, and the a == 1 operator, at h = 1/50 and 1/100."""
+    ops = {}
+    for h in (1 / 50, 1 / 100):
+        op = rv.default_operator_builder()(h)
+        ops["default", h] = op
+        ops["shifted", h] = dataclasses.replace(op,
+                                                absorb=op.absorb + 0.0455)
+        ops["flat", h] = rv.quantize_model(
+            h, n_grid=op.n_grid, profile=rv.AbsorbingProfile(floor=1.0))
+    return ops
+
+
+@pytest.mark.parametrize("name", ["default", "shifted", "flat"])
+@pytest.mark.parametrize("h", [1 / 50, 1 / 100])
+@pytest.mark.parametrize("cutoff", [False, True])
+def test_proves_below_matches_dense_norms(proof_ops, name, h, cutoff):
+    # the Cholesky proof holds just above the dense norm and never below
+    # it, at points inside and outside the default window |w| <= 0.6
+    op = proof_ops[name, h]
+    phi = rv.default_cutoff(op) if cutoff else np.ones(op.n_grid)
+    sweep = rv._NormSweep(op, phi)
+    for w in (-1.13, -0.57, -0.05, 0.0, 0.21, 0.6, 0.87, 1.19):
+        g = dense_half_norm(sweep, w)
+        assert sweep.proves_below(w, g * (1 + 1e-6))
+        assert not sweep.proves_below(w, g * (1 - 1e-6))
+
+
+def flat_builder(h):
+    return rv.quantize_model(h, n_grid=256,
+                             profile=rv.AbsorbingProfile(floor=1.0))
+
+
+@pytest.fixture
+def point_windows(monkeypatch):
+    """The window of every sigma_min_point call, in call order."""
+    windows = []
+    original = rv.sigma_min_point
+
+    def recording(*args, **kwargs):
+        windows.append(kwargs["window"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(rv, "sigma_min_point", recording)
+    return windows
+
+
+@pytest.mark.parametrize("window, clipped", [(0.6, False), (0.3, False),
+                                             (0.1, True), (0.05, True)])
+def test_doubled_window_check_fires(window, clipped, point_windows):
+    # on the a == 1 operator sigma_min sits just above h C and falls
+    # slowly as |w| grows, so a narrow window clips the minimising mode;
+    # its new points are not proved, and the converged sweep over the
+    # doubled window decides
+    scan = lambda: rv.sigma_min_scan(flat_builder, [1 / 50],
+                                     z_values=np.array([0.0]),
+                                     cutoff=False, window=window)
+    if not clipped:
+        scan()
+        return
+    with pytest.raises(rv.ModeWindowTooNarrow) as info:
+        scan()
+    assert point_windows == [window, 2 * window]
+    # the message shows the drop, which is far below its 4-digit values
+    drop = float(str(info.value).split(" by ")[1].split()[0])
+    assert 0 < drop < 1e-3
+
+
+def test_default_scan_proves_its_doubled_window(point_windows):
+    # every point the doubled window adds is proved, so the check runs no
+    # sweep: one sigma_min_point call per z
+    rv.sigma_min_scan(rv.default_operator_builder(), [1 / 50],
+                      cutoff=False)
+    assert point_windows == [0.6] * 11
+
+
+@pytest.mark.parametrize("h_list, z_values, what", [
+    ([], None, "h"), ((), None, "h"), ([1 / 20], np.array([]), "z")])
+def test_scan_needs_an_h_and_a_z(h_list, z_values, what):
+    with pytest.raises(ValueError, match=f"need at least one {what}"):
+        rv.sigma_min_scan(rv.default_operator_builder(), h_list,
+                          z_values=z_values)
 
 
 @pytest.fixture(scope="module")
