@@ -39,7 +39,6 @@ from .symplectic import (
     _check_even_square,
     _classify,
     standard_symplectic_matrix,
-    symplectic_pairing,
 )
 
 
@@ -279,33 +278,31 @@ def williamson(q) -> WilliamsonDecomposition:
     R_inv = (EV / np.sqrt(ew)) @ EV.T            # Q^{-1/2}
     W = R_inv @ J @ R_inv                        # antisymmetric
     S, K = la.schur(np.asarray(W), output="real")
-    # normalize 2x2 blocks to [[0, s], [-s, 0]], s > 0, via column swaps
-    for j in range(m):
-        i0, i1 = 2 * j, 2 * j + 1
-        if S[i0, i1] < 0:
-            K[:, [i0, i1]] = K[:, [i1, i0]]
-            S[[i0, i1], :] = S[[i1, i0], :]
-            S[:, [i0, i1]] = S[:, [i1, i0]]
-    s_vals = np.array([S[2 * j, 2 * j + 1] for j in range(m)])
+    # normalize 2x2 blocks to [[0, s], [-s, 0]], s > 0: a block with
+    # S[2j, 2j+1] < 0 swaps its two Schur vectors, which makes its s the
+    # old S[2j+1, 2j]
+    upper, lower = np.diagonal(S, 1)[::2], np.diagonal(S, -1)[::2]
+    flip = upper < 0
+    s_vals = np.where(flip, lower, upper)
     if np.any(s_vals <= 0):
         raise NotPositiveDefinite("degenerate symplectic spectrum")
     d_vals = 1.0 / s_vals                        # symplectic eigenvalues of Q
-    # interleaved (x_j, xi_j) -> (x..., xi...) ordering
-    perm = np.zeros((n, n))
-    for j in range(m):
-        perm[2 * j, j] = 1.0
-        perm[2 * j + 1, m + j] = 1.0
+    # pair j's Schur vectors (swapped where flipped) become columns j and
+    # m + j: interleaved (x_j, xi_j) -> (x..., xi...) ordering
+    first = np.arange(0, n, 2) + flip
+    K = K[:, np.concatenate([first, first ^ 1])]
     D_half = np.sqrt(np.concatenate([d_vals, d_vals]))
-    T = (R_inv @ K @ perm) * D_half[np.newaxis, :]
-    # orient each canonical pair so T is symplectic for J (not -J)
-    for j in range(m):
-        sij = symplectic_pairing(T[:, j], T[:, m + j])
-        if sij < 0:
-            T[:, [j, m + j]] = T[:, [m + j, j]]
+    T = (R_inv @ K) * D_half[np.newaxis, :]
+    # orient each canonical pair so T is symplectic for J (not -J): the
+    # pairings s(T[:, j], T[:, m + j]), all j at once
+    pairing = np.einsum("ij,ij->j", T[:m, :m], T[m:, m:]) - \
+        np.einsum("ij,ij->j", T[m:, :m], T[:m, m:])
+    x_cols = np.where(pairing < 0, np.arange(m) + m, np.arange(m))
     radii = np.sqrt(2.0 / d_vals)
     order = np.argsort(radii)
     radii = radii[order]
-    T = T[:, np.concatenate([order, m + order])]
+    x_cols = x_cols[order]
+    T = T[:, np.concatenate([x_cols, (x_cols + m) % n])]
     transform = SymplecticTransform(dim=n, entries=T)
     resid = la.norm(T.T @ Q @ T - np.diag(np.concatenate([2.0 / radii ** 2] * 2)))
     if resid > 1e-9 * max(1.0, la.norm(Q)) * max(1.0, np.linalg.cond(T)):

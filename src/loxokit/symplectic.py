@@ -13,7 +13,8 @@ which makes the canonical pair e = (1, 0), f = (0, 1) satisfy s(e, f) = 1.
 
 Tolerances are fixed module constants: SYMMETRY_RTOL, HAMILTON_TOL,
 SYMPLECTIC_TOL, TRANSFORM_TOL, UNIT_TOL, CLUSTER_RTOL, RANK_RTOL,
-ROUNDTRIP_TOL and BLOCK_RESIDUAL_TOL (see their definitions).
+ROUNDTRIP_TOL, BLOCK_RESIDUAL_TOL and LOG_CLUSTER_TOL (see their
+definitions).
 """
 
 from __future__ import annotations
@@ -68,16 +69,21 @@ CLUSTER_RTOL = 1e-4         # same-eigenvalue clustering (Jordan); a
 RANK_RTOL = 1e-8            # SVD threshold for rank decisions
 ROUNDTRIP_TOL = 1e-8        # exp(log S) = S
 BLOCK_RESIDUAL_TOL = 1e-8   # ||T^{-1} B T - blockdiag(A^T, -A)||
+LOG_CLUSTER_TOL = 1e-2      # symplectic_log: eigenvalues whose logs lie
+                            # this close share one Schur block; see there
+LOG_SERIES_CAP = 100        # terms of one block's log series
 
 HAMILTON_MATRIX = "hamilton_matrix"
 POINCARE_MAP = "poincare_map"
 
 
 def standard_symplectic_matrix(m):
-    """Return the 2m x 2m matrix J = [[0, -I], [I, 0]]."""
-    eye = np.eye(m)
-    zero = np.zeros((m, m))
-    return np.block([[zero, -eye], [eye, zero]])
+    """Return a new 2m x 2m matrix J = [[0, -I], [I, 0]]."""
+    J = np.zeros((2 * m, 2 * m))
+    idx = np.arange(m)
+    J[idx, m + idx] = -1.0
+    J[m + idx, idx] = 1.0
+    return J
 
 
 def symplectic_pairing(u, v):
@@ -491,22 +497,74 @@ def _hamilton_project(B):
     return 0.5 * (B + J @ B.T @ J)
 
 
+def _cluster_log(T11, mu):
+    """Principal log of a cluster block T11 (eigenvalues near mu) by the
+    series log mu I + sum_j (-1)^(j+1) (E/mu)^j / j, E = T11 - mu I.
+
+    The series is finite for a Jordan block (E nilpotent); otherwise it
+    stops once a term past the block size is negligible, and a block whose
+    series has not converged within LOG_SERIES_CAP terms is rejected
+    rather than returned unconverged.
+    """
+    k = T11.shape[0]
+    X = (T11 - mu * np.eye(k)) / mu
+    log_block = np.log(mu) * np.eye(k, dtype=complex)
+    power = np.eye(k, dtype=complex)
+    for j in range(1, LOG_SERIES_CAP + 1):
+        power = power @ X
+        term = power * ((-1) ** (j + 1) / j)
+        log_block += term
+        if j >= k and la.norm(term) <= np.finfo(float).eps * max(
+                1.0, la.norm(log_block)):
+            return log_block
+    raise DefectiveBeyondTolerance(
+        f"log series for the eigenvalue cluster at {mu} did not converge "
+        f"within {LOG_SERIES_CAP} terms")
+
+
 def symplectic_log(S) -> HamiltonMatrix:
     """Principal-branch Hamilton logarithm of a symplectic matrix.
 
     Eigenvalue logs take imaginary parts in (-pi, pi); spectra touching the
     closed negative real axis are rejected (no real Hamilton logarithm
     exists there), as is any non-symplectic input.
+
+    The log is assembled on clusters of the eigenvalue logs: a single
+    eigenvalue contributes its eigenvector and log mu, a cluster its
+    ordered-Schur basis and the series log of its block (_cluster_log),
+    and B = W blockdiag(logs) W^{-1}. The clusters are taken in log space,
+    that is relative to each |mu|: e^-4pi and e^0.3 in a map with e^4pi
+    are close next to the largest |mu| but have no common series. The
+    width LOG_CLUSTER_TOL is far above CLUSTER_RTOL: a size-4 chain
+    scatters by ~eps^(1/4), more than CLUSTER_RTOL, and its scattered
+    eigenvalues as separate eigenvectors would make W near singular, while
+    a wider cluster only costs a few more series terms.
     """
     Sm, n, scale = _structured_input(S, _RULES[POINCARE_MAP])
-    eigs = la.eigvals(Sm)
-    eig_scale = max(1.0, np.max(np.abs(eigs)))
+    eigs, V = la.eig(Sm)
     for mu in eigs:
-        if np.real(mu) <= UNIT_TOL * eig_scale and \
-                abs(np.imag(mu)) <= UNIT_TOL * eig_scale:
+        # relative to |mu|: a tiny positive eigenvalue of a strongly
+        # hyperbolic map is not on the negative axis
+        if np.real(mu) < 0 and abs(np.imag(mu)) <= UNIT_TOL * abs(mu):
             raise NegativeRealEigenvalue(
                 f"eigenvalue {mu} lies on the closed negative real axis")
-    B = la.logm(Sm)
+    lams = np.log(eigs)
+    bases, images = [], []   # W = [bases], W L = [images]
+    for lam, members in _cluster_values(list(lams), LOG_CLUSTER_TOL):
+        if len(members) == 1:
+            Z = V[:, members]
+            images.append(Z * lam)
+        else:
+            mu = np.mean(eigs[members])
+            Z, T11 = _cluster_schur(Sm, mu, members, eigs)
+            images.append(Z @ _cluster_log(T11, mu))
+        bases.append(Z)
+    # B = W L W^{-1}, as the solve B^T = W^{-T} (W L)^T
+    try:
+        B = la.solve(np.hstack(bases).T, np.hstack(images).T).T
+    except la.LinAlgError as exc:
+        raise DefectiveBeyondTolerance(
+            "eigenvector and cluster bases are singular") from exc
     if la.norm(np.imag(B)) > ROUNDTRIP_TOL * max(1.0, la.norm(B)):
         raise NegativeRealEigenvalue("matrix logarithm is not real")
     B = _hamilton_project(np.real(B))
@@ -515,4 +573,3 @@ def symplectic_log(S) -> HamiltonMatrix:
         raise DefectiveBeyondTolerance(
             "exp(log S) failed to reproduce S within tolerance")
     return HamiltonMatrix(dim=n, entries=B)
-

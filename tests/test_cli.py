@@ -3,15 +3,24 @@
 import argparse
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import loxokit
 from loxokit import cli, dampedwave, flows, spectra
 from loxokit.cli import main
 from loxokit.errors import LoxokitError
 from loxokit.serialize import SCHEMA_VERSION
+
+# an 8 x 8 map exp(P B0 P^-1): B0 holds a size-2 chain at 0.9 and the
+# quadruple 0.4 +- 1.1i, P is exp of a seeded random Hamilton matrix
+MAP_INPUT = pathlib.Path(__file__).parent / "data" / "map_j2_quad.json"
 
 
 def write_json(path, obj):
@@ -44,6 +53,35 @@ def test_normal_form_of_nearby_jordan_chains_map(tmp_path, capsys):
     inp = write_json(tmp_path / "m.json", {"data": S.tolist(), "kind": "map"})
     assert main(["normal-form", "--input", inp]) == 0
     assert "escape rate definite" in capsys.readouterr().out
+
+
+def test_normal_form_of_strongly_hyperbolic_map(tmp_path, capsys):
+    # a shear with eigenvalues e^+-4pi; any 2 x 2 matrix of determinant 1
+    # is symplectic
+    mu = math.exp(4 * math.pi)
+    S = np.array([[mu, 1.0], [0.0, 1.0 / mu]])
+    inp = write_json(tmp_path / "m.json", {"data": S.tolist(), "kind": "map"})
+    assert main(["normal-form", "--input", inp]) == 0
+    assert "escape rate definite" in capsys.readouterr().out
+
+
+def test_normal_form_of_map_is_repeatable_across_processes(tmp_path):
+    # the log of a map comes from LAPACK eigen- and Schur decompositions
+    # alone, with no randomized norm estimate, so fresh processes agree
+    src = os.path.dirname(os.path.dirname(loxokit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    outputs = []
+    for i in range(4):
+        out = tmp_path / f"o{i}"
+        subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from loxokit.cli import main; "
+             "sys.exit(main(sys.argv[1:]))",
+             "normal-form", "--input", str(MAP_INPUT), "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=120)
+        outputs.append((out / "normal_form.json").read_bytes())
+    assert all(o == outputs[0] for o in outputs)
 
 
 def test_normal_form_generator(tmp_path):

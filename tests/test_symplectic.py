@@ -1,12 +1,17 @@
 """Symplectic core: structure matrix, Hamilton matrices, classification,
 logarithm."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as la
 from hypothesis import given, settings, strategies as st
 
 import loxokit as lx
+from loxokit import acceptance
+from loxokit.symplectic import _cluster_log as cluster_log
 
 
 def rng_for(seed):
@@ -251,3 +256,112 @@ def test_log_exp_roundtrip(seed, m):
     assert lx.hamilton_residual(B.entries) <= 1e-8
     # principal branch
     assert np.all(np.abs(np.linalg.eigvals(B.entries).imag) < np.pi)
+
+
+@pytest.mark.parametrize("lam", [8.5, 9.0, 4 * np.pi, 20.0],
+                         ids=["8.5", "9", "4pi", "20"])
+def test_log_of_strongly_hyperbolic_map(lam):
+    # the negative-axis test is relative to each |mu|: e^-lam is tiny next
+    # to e^lam but positive
+    S = np.diag([np.exp(lam), np.exp(-lam)])
+    B = lx.symplectic_log(S).entries
+    assert np.allclose(B, np.diag([lam, -lam]), rtol=1e-12, atol=0)
+    assert la.norm(la.expm(B) - S) <= 1e-8 * la.norm(S, 2)
+
+
+def test_log_separates_eigenvalues_far_apart_next_to_their_modulus():
+    # e^-4pi and e^+-0.3 lie within CLUSTER_RTOL * e^4pi of each other but
+    # have no common log series
+    B0 = np.diag([4 * np.pi, 0.3, -4 * np.pi, -0.3])
+    B = lx.symplectic_log(la.expm(B0)).entries
+    assert np.allclose(B, B0, rtol=1e-12, atol=1e-12)
+
+
+def test_cluster_log_series_converges_or_raises():
+    # the series in E/mu converges for eigenvalues within |mu| of mu, and
+    # slowly near that radius; an unconverged sum is never returned
+    got = cluster_log(np.diag([1.0, 3.0]).astype(complex), 2.0)
+    assert np.allclose(got, np.diag(np.log([1.0, 3.0])), rtol=0, atol=1e-14)
+    with pytest.raises(lx.DefectiveBeyondTolerance):
+        cluster_log(np.diag([0.1, 3.9]).astype(complex), 2.0)
+
+
+# ---------------------------------------------------------------------------
+# scipy.linalg.logm as the oracle of symplectic_log
+# ---------------------------------------------------------------------------
+
+def assert_log_matches_logm(S):
+    with warnings.catch_warnings():
+        # logm warns about its own error estimate on Jordan blocks
+        warnings.simplefilter("ignore", RuntimeWarning)
+        ref = la.logm(S)
+    assert la.norm(ref.imag) <= 1e-12 * max(1.0, la.norm(ref))
+    B = lx.symplectic_log(S).entries
+    assert la.norm(B - ref.real) <= 1e-10 * max(1.0, la.norm(ref))
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.integers(min_value=0, max_value=2**31 - 1),
+       st.integers(min_value=1, max_value=4))
+def test_log_matches_logm_on_random_maps(seed, m):
+    assert_log_matches_logm(random_symplectic(rng_for(seed), m))
+
+
+def _jordan(mu, k):
+    return mu * np.eye(k) + np.eye(k, k=1)
+
+
+def _rotation(theta):
+    return np.array([[math.cos(theta), -math.sin(theta)],
+                     [math.sin(theta), math.cos(theta)]])
+
+
+def _map_of(M):
+    """blockdiag(M, M^-T) is symplectic for every invertible M."""
+    return la.block_diag(M, la.inv(M).T)
+
+
+def _elliptic_map(a, b):
+    """Rotations by a in the (x1, xi1) plane and by b in (x2, xi2)."""
+    S = np.zeros((4, 4))
+    S[np.ix_([0, 2], [0, 2])] = _rotation(a)
+    S[np.ix_([1, 3], [1, 3])] = _rotation(b)
+    return S
+
+
+PLANTED_MAPS = {
+    **{f"J{k}({mu})": _map_of(_jordan(mu, k))
+       for k in (1, 2, 3, 4) for mu in (1.0, 0.6, 2.0)},
+    **{f"J3(1)+J3({1 - g:g})": _map_of(la.block_diag(_jordan(1.0, 3),
+                                                      _jordan(1.0 - g, 3)))
+       for g in (0.03, 0.003)},
+    "quad": _map_of(1.5 * _rotation(0.8)),
+    "quad_near_pi": _map_of(0.7 * _rotation(3.1)),
+    "quad_chain": _map_of(np.kron(np.eye(2), 0.7 * _rotation(2.0))
+                          + np.eye(4, k=2)),
+    **{f"elliptic({a},{b})": _elliptic_map(a, b)
+       for a, b in ((0.3, 0.15), (2.0, 1.0), (3.1, 0.4))},
+}
+
+
+@pytest.mark.parametrize("conjugate", [False, True], ids=["plain", "conj"])
+@pytest.mark.parametrize("name", sorted(PLANTED_MAPS))
+def test_log_matches_logm_on_planted_maps(name, conjugate):
+    S = PLANTED_MAPS[name]
+    if conjugate:
+        # a random symplectic conjugation hides the block structure
+        P = random_symplectic(rng_for(sum(map(ord, name))), S.shape[0] // 2,
+                              scale=0.3)
+        S = P @ S @ la.inv(P)
+    assert_log_matches_logm(S)
+
+
+def test_no_product_path_calls_logm(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scipy.linalg.logm was called")
+
+    monkeypatch.setattr(la, "logm", forbidden)
+    B = lx.symplectic_log(PLANTED_MAPS["J3(1)+J3(0.97)"])
+    assert lx.hamilton_residual(B.entries) <= 1e-10
+    ok, detail = acceptance.criterion_log_exp_roundtrip()
+    assert ok, detail
