@@ -69,9 +69,7 @@ from .resolvent import (
     ResolventScan,
     global_absorption_check,
     harm_osc_lower_bound,
-    positive_commutator_check,
     quantize_model,
-    rescale_state,
     sigma_min_point,
     sigma_min_scan,
 )

@@ -333,13 +333,9 @@ def cmd_damped_wave(args):
         cfg["damping_inner"] = args.r0
         cfg["damping_outer"] = max(float(args.r0) + 0.5,
                                    cfg["damping_outer"])
-    if cfg["warp"] not in ("neck", "flat"):
-        raise UsageError("warp must be 'neck' or 'flat'")
-    profile = dw.periodic_warp if cfg["warp"] == "neck" else \
-        (lambda r: np.ones_like(np.asarray(r, dtype=float)))
     inner = float(cfg["damping_inner"])
     prob = dw.DampedWaveProblem(
-        profile=profile,
+        profile=cfg["warp"],
         damping=dw.neck_damping(inner, float(cfg["damping_outer"])),
         n_grid=cfg["n_grid"], modes=tuple(cfg["modes"]),
         epsilon=float(cfg["epsilon"]), dead_zone_radius=inner)

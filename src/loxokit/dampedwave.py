@@ -1,10 +1,11 @@
 """Damped wave equation on a warped-product surface with a hyperbolic neck.
 
 The surface is ds^2 = dr^2 + f(r)^2 dtheta^2 with r on a circle of
-circumference `period` and a warp f that equals cosh r near the neck
-r = 0 and flattens to 1 before the period boundary, so the closed
-geodesic at r = 0 is hyperbolic and the manifold is smooth and compact.
-Damping a(r) >= 0 vanishes on a neighborhood of the neck.
+circumference `period` and a warp f from cutoffs.WARPS whose slope
+vanishes where the circle wraps. The default "neck" warp equals cosh r
+near the neck r = 0 and flattens to 1 before the period boundary, so the
+closed geodesic at r = 0 is hyperbolic and the manifold is smooth and
+compact. Damping a(r) >= 0 vanishes on a neighborhood of the neck.
 
 Separating u = v(r) e^{i k theta} turns (d_t^2 - Lap + 2 a d_t) u = 0
 into, per angular mode k,
@@ -28,7 +29,7 @@ import numpy as np
 import scipy.linalg as la
 from scipy.integrate import simpson
 
-from .cutoffs import neck_damping, plateau_bump
+from .cutoffs import get_warp, neck_damping
 from .errors import GridTooCoarse, LoxokitError, StepFailure
 
 
@@ -45,26 +46,19 @@ DECAY_MODES = (0, 1, 2, 5, 10, 20, 40)
 T_MAX = 60.0
 
 
-def periodic_warp(r):
-    """Warp with f = cosh r for |r| <= 1, f = 1 for |r| >= 2.
-
-    Smooth on the period-6 circle: the constant tail makes all
-    derivatives match where the fundamental domain [-3, 3) wraps.
-    """
-    r = np.asarray(r, dtype=float)
-    return 1.0 + (np.cosh(r) - 1.0) * plateau_bump(r, 1.0, 2.0)
-
-
 @dataclass
 class DampedWaveProblem:
     """Separable damped wave setup on one warped period.
 
-    profile and damping are callables of r on the fundamental domain
-    [-period/2, period/2). dead_zone_radius declares where damping must
-    vanish (None skips that check, for constant-damping oracles).
+    profile names a warp of cutoffs.WARPS; its slope must be 0 at
+    r = +-period/2, so the warp closes up smoothly on the circle. damping
+    is a callable of r on the fundamental domain [-period/2, period/2).
+    dead_zone_radius declares where damping must vanish (None skips that
+    check, for constant-damping oracles). epsilon must be finite and
+    >= 0.
     """
 
-    profile: object = None
+    profile: str = "neck"
     damping: object = None
     n_grid: int = 192
     modes: tuple = tuple(range(41))
@@ -80,20 +74,26 @@ class DampedWaveProblem:
     def __post_init__(self):
         if self.n_grid < 32:
             raise GridTooCoarse("need at least 32 grid points per period")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
-        if self.profile is None:
-            self.profile = periodic_warp
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and >= 0, not "
+                             f"{self.epsilon}")
+        warp = get_warp(self.profile)
+        slopes = warp.slope(np.array([-0.5, 0.5]) * self.period)
+        if np.any(slopes != 0):
+            raise ValueError(
+                f"warp {self.profile!r} has slopes {slopes.tolist()} at "
+                f"r = -+{0.5 * self.period}, so it does not close up "
+                f"smoothly on the circle of period {self.period}")
         if self.damping is None:
             self.damping = neck_damping()
         n = self.n_grid
         self.spacing = self.period / n
         self.r = -0.5 * self.period + self.spacing * np.arange(n)
-        self.f = np.asarray(self.profile(self.r), dtype=float)
+        self.f = np.asarray(warp.f(self.r), dtype=float)
         # midpoint warp values feed the flux stencil; the last midpoint
         # wraps around the period
         half = self.r + 0.5 * self.spacing
-        self.f_half = np.asarray(self.profile(half), dtype=float)
+        self.f_half = np.asarray(warp.f(half), dtype=float)
         self.a = np.asarray(self.damping(self.r), dtype=float)
         if np.any(self.f <= 0):
             raise ValueError("warp profile must be positive")
@@ -176,7 +176,6 @@ class EigenfrequencySet:
 
     k: int
     frequencies: np.ndarray
-    max_damping: float
     strip_margin: float
     symmetry_defect: float
 
@@ -241,8 +240,7 @@ def eigenfrequencies(pencil, residual_tol=1e-6):
             f"{pencil.k}")
     order = np.lexsort((taus.imag, taus.real))
     return EigenfrequencySet(k=pencil.k, frequencies=taus[order],
-                             max_damping=amax, strip_margin=margin,
-                             symmetry_defect=defect)
+                             strip_margin=margin, symmetry_defect=defect)
 
 
 def eigenfrequency_scan(problem):
@@ -437,8 +435,9 @@ def decay_report(problem, modes=None, t_max=T_MAX, dt=None, epsilon=None,
     E(t) <= C exp(-rate t) ||data||^2_{H^eps} along the whole trace.
     """
     eps = problem.epsilon if epsilon is None else float(epsilon)
-    if eps <= 0:
-        raise ValueError("decay reports need epsilon > 0")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"decay reports need a finite epsilon > 0, not "
+                         f"{eps}")
     modes = tuple(problem.modes if modes is None else modes)
     if not modes:
         raise ValueError("need at least one mode")

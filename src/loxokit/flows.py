@@ -4,7 +4,8 @@ Phase points are z = (x, xi) in R^{2n}; the flow solves
 x' = dp/dxi, xi' = -dp/dx. Built-in models:
 
 * geodesic flow on a surface of revolution ds^2 = dr^2 + f(r)^2 dtheta^2
-  with f = cosh r (hyperbolic neck) or f = 1 (flat cylinder), coordinates
+  with a warp f from cutoffs.WARPS (cosh r, a hyperbolic neck; 1, a flat
+  cylinder; or the periodic neck of the damped wave), coordinates
   (r, theta, p_r, p_theta) and p = (1/2)(p_r^2 + p_theta^2 / f^2); the
   unit-speed shell is p = 1/2 and the neck orbit r = p_r = 0, |p_theta| =
   f(0) is closed with period 2 pi f(0);
@@ -24,7 +25,7 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg as la
 
-from .cutoffs import neck_damping
+from .cutoffs import get_warp, neck_damping
 from .errors import LoxokitError, StepFailure
 from .symplectic import POINCARE_MAP, SpectrumClassification, classify
 
@@ -110,15 +111,10 @@ def gradient_check(sys, z, step=1e-6):
 # ---------------------------------------------------------------------------
 
 def surface_of_revolution(profile="cosh"):
-    """Geodesic flow on ds^2 = dr^2 + f(r)^2 dtheta^2, z = (r, th, p_r, p_th)."""
-    if profile == "cosh":
-        f = np.cosh
-        fp = np.sinh
-    elif profile == "flat":
-        f = lambda r: 1.0 + 0.0 * r
-        fp = lambda r: 0.0 * r
-    else:
-        raise ValueError(f"unknown profile {profile!r}")
+    """Geodesic flow on ds^2 = dr^2 + f(r)^2 dtheta^2, z = (r, th, p_r, p_th),
+    for the warp f named profile (see cutoffs.WARPS)."""
+    warp = get_warp(profile)
+    f, fp = warp.f, warp.slope
 
     def p(z):
         r, _, pr, pth = z
@@ -207,7 +203,7 @@ def surface_state(sys, r, theta, psi, speed=1.0):
     """
     if sys.model_tag != "surface_of_revolution":
         raise ValueError("surface_state needs the surface model")
-    f = np.cosh if sys.params["profile"] == "cosh" else (lambda r: 1.0)
+    f = get_warp(sys.params["profile"]).f
     return np.array([r, theta, speed * np.cos(psi), speed * f(r) * np.sin(psi)])
 
 
@@ -347,7 +343,6 @@ class ClosedOrbit:
     period: float
     energy: float
     residual: float
-    section_normal: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -548,8 +543,7 @@ def find_closed_orbit(sys, guess, period_guess, tol=1e-11, max_iter=40,
             raise MaxIterations(str(exc2)) from None
     z, norm_F, (T, _, _) = _gauss_newton(residual, jacobian, z, first,
                                          return_tol, max_iter)
-    return ClosedOrbit(point=z, period=T, energy=sys.p(z),
-                       residual=norm_F, section_normal=v_sec)
+    return ClosedOrbit(point=z, period=T, energy=sys.p(z), residual=norm_F)
 
 
 def _symplectic_pair_basis(C):
@@ -646,8 +640,6 @@ class ControlReport:
     controlled_fraction: float
     witnesses: list                  # (sample_index, time) pairs, |time| minimal found
     min_average: float
-    horizon: float
-    seed: int
 
 
 def check_geometric_control(sys, damping, exclusion, T=50.0, n_samples=500,
@@ -713,5 +705,4 @@ def check_geometric_control(sys, damping, exclusion, T=50.0, n_samples=500,
                       if t is not None]
     return ControlReport(n_samples=n_samples,
                          controlled_fraction=len(witnesses) / n_samples,
-                         witnesses=witnesses, min_average=float(min_avg),
-                         horizon=T, seed=seed)
+                         witnesses=witnesses, min_average=float(min_avg))

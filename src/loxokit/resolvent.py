@@ -57,10 +57,6 @@ class SingularAtZ(ResolventError):
     pass
 
 
-class SupportOverflow(ResolventError):
-    pass
-
-
 class ModeWindowTooNarrow(ResolventError):
     """The mode window around Re z holds no mode, or clips one that sets
     sigma_min."""
@@ -97,12 +93,17 @@ class DiscretizedOperator:
     rate: float
     n_modes: int
     n_grid: int
-    half_length: float
     profile: AbsorbingProfile
     x: np.ndarray = field(repr=False)
     spacing: float = 0.0
     s_off: np.ndarray = field(default=None, repr=False)   # S upper diagonal
     absorb: np.ndarray = field(default=None, repr=False)  # h * C * a(x_i)
+
+
+def _check_half_length(half_length):
+    if not 0 < half_length < math.inf:
+        raise ValueError(f"half_length must be finite and > 0, not "
+                         f"{half_length}")
 
 
 def quantize_model(h, rate=1.0, n_grid=256, half_length=1.0, profile=None):
@@ -111,6 +112,7 @@ def quantize_model(h, rate=1.0, n_grid=256, half_length=1.0, profile=None):
         raise ValueError("h must lie in (0, 1]")
     if not (math.isfinite(rate) and rate > 0):
         raise ValueError(f"rate must be finite and > 0, not {rate}")
+    _check_half_length(half_length)
     profile = profile if profile is not None else AbsorbingProfile()
     if profile.rho1 >= half_length:
         raise ProfileOutOfDomain(
@@ -131,7 +133,7 @@ def quantize_model(h, rate=1.0, n_grid=256, half_length=1.0, profile=None):
     s_off = -1j * h * (x[:-1] + x[1:]) / (4.0 * dx)
     return DiscretizedOperator(
         h=float(h), rate=float(rate), n_modes=n_modes,
-        n_grid=int(n_grid), half_length=float(half_length), profile=profile,
+        n_grid=int(n_grid), profile=profile,
         x=x, spacing=dx, s_off=s_off,
         absorb=h * profile.strength * np.asarray(profile(x), dtype=float))
 
@@ -452,6 +454,8 @@ def default_grid_size(h, half_length=1.0):
 
 
 def default_operator_builder(rate=1.0, half_length=1.0):
+    _check_half_length(half_length)
+
     def build(h):
         return quantize_model(h, rate=rate,
                               n_grid=default_grid_size(h, half_length),
@@ -594,43 +598,6 @@ def global_absorption_check(h, rate=1.0, strength=10.0, z=0.25,
 
 
 # ---------------------------------------------------------------------------
-# zoom rescaling
-# ---------------------------------------------------------------------------
-
-def rescale_state(u, x, h, h_tilde, mass_tol=1e-10):
-    """Unitary zoom u(x) -> (h/h_tilde)^{1/4} u(sqrt(h/h_tilde) x).
-
-    For h < h_tilde this magnifies sqrt(h)-scale structure to the fixed
-    scale sqrt(h_tilde). Mass that the zoom would push past the grid ends
-    raises SupportOverflow rather than being silently truncated.
-    """
-    from scipy.interpolate import CubicSpline
-
-    u = np.asarray(u)
-    x = np.asarray(x, dtype=float)
-    if h <= 0 or h_tilde <= 0:
-        raise ValueError("h and h_tilde must be positive")
-    factor = math.sqrt(h / h_tilde)
-    dx = x[1] - x[0]
-    total = np.sum(np.abs(u) ** 2) * dx
-    if total == 0:
-        return np.zeros_like(u)
-    inside = np.abs(x) <= min(factor, 1.0) * np.abs(x).max()
-    kept = np.sum(np.abs(u[inside]) ** 2) * dx
-    if (total - kept) / total > mass_tol and factor < 1.0:
-        raise SupportOverflow(
-            "state carries significant mass beyond the rescaled window")
-    spline_re = CubicSpline(x, np.real(u), extrapolate=False)
-    args = factor * x
-    out = spline_re(args)
-    if np.iscomplexobj(u):
-        out = out.astype(complex)
-        out += 1j * CubicSpline(x, np.imag(u), extrapolate=False)(args)
-    out = np.nan_to_num(out, nan=0.0)
-    return math.sqrt(factor) * out
-
-
-# ---------------------------------------------------------------------------
 # harmonic-oscillator lower bound
 # ---------------------------------------------------------------------------
 
@@ -678,58 +645,3 @@ def harm_osc_lower_bound(h_tilde_list, n_grid=512, half_width=6.0,
         rows.append({"h_tilde": float(h_tilde), "lam_min": lam_min,
                      "ratio": lam_min / h_tilde})
     return rows
-
-
-# ---------------------------------------------------------------------------
-# conjugated positivity check
-# ---------------------------------------------------------------------------
-
-def positive_commutator_check(h_tilde=0.05, s=0.1, rate=1.0, n_grid=512,
-                              half_width=6.0, samples=None):
-    """Conjugate the dilation generator by the escape-function pair and
-    report the damping ratio on localized states.
-
-    P = rate * sym(y h~D) is Hermitian; conjugating by M_s F_s with
-    M_s = (1+y^2)^{s/2} (multiplication) and F_s = (1+eta^2)^{-s/2}
-    (Fourier multiplier) tilts it so that -Im<P_s u, u> picks up
-    s * h_tilde times the quantized escape rate, which is positive on
-    states localized at the hyperbolic fixed point.
-    """
-    dy = 2.0 * half_width / n_grid
-    y = -half_width + dy * np.arange(n_grid)
-    eta = h_tilde * 2.0 * np.pi * np.fft.fftfreq(n_grid, d=dy)
-    D_eta = _fourier_multiplier_matrix(eta.astype(complex))
-    P = 0.5 * rate * (np.diag(y) @ D_eta + D_eta @ np.diag(y))
-    P = 0.5 * (P + P.conj().T)
-
-    def conjugated(s_val):
-        if s_val == 0:
-            return P
-        M = np.diag((1.0 + y ** 2) ** (0.5 * s_val))
-        M_inv = np.diag((1.0 + y ** 2) ** (-0.5 * s_val))
-        F = _fourier_multiplier_matrix(
-            ((1.0 + eta ** 2) ** (-0.5 * s_val)).astype(complex))
-        F_inv = _fourier_multiplier_matrix(
-            ((1.0 + eta ** 2) ** (0.5 * s_val)).astype(complex))
-        return F_inv @ M_inv @ P @ M @ F
-
-    if samples is None:
-        width = math.sqrt(h_tilde)
-        base = np.exp(-y ** 2 / (2 * h_tilde))
-        shifted = np.exp(-(y - 0.5 * width) ** 2 / (2 * h_tilde))
-        modulated = base * np.exp(1j * 0.5 * width * y / h_tilde)
-        samples = [base, shifted, modulated]
-
-    Ps = conjugated(s)
-    ratios = []
-    residual0 = 0.0
-    for u in samples:
-        u = np.asarray(u, dtype=complex)
-        nrm2 = np.vdot(u, u).real
-        residual0 = max(residual0, abs(np.vdot(u, P @ u).imag) / nrm2)
-        if s != 0:
-            ratios.append(-np.vdot(u, Ps @ u).imag / (s * h_tilde * nrm2))
-    return {"s": s, "h_tilde": h_tilde, "rate": rate,
-            "ratios": [float(r) for r in ratios],
-            "min_ratio": float(min(ratios)) if ratios else 0.0,
-            "self_adjoint_residual": float(residual0)}

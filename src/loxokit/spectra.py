@@ -1,8 +1,8 @@
 """Dirichlet eigenmodes on a warped cylinder segment, per angular mode.
 
-The surface is ds^2 = dr^2 + f(r)^2 dtheta^2 on r in [-R, R] with f = cosh
-(or f = 1 for the flat oracle case). Separating u = v(r) e^{ik theta}
-leaves the radial Sturm-Liouville problem
+The surface is ds^2 = dr^2 + f(r)^2 dtheta^2 on r in [-R, R] with a warp
+f from cutoffs.WARPS: cosh by default, 1 for the flat oracle case.
+Separating u = v(r) e^{ik theta} leaves the radial Sturm-Liouville problem
 
     -(1/f) (f v')' + (k^2 / f^2) v = mu v,   v(+-R) = 0,
 
@@ -15,11 +15,13 @@ their mass escapes a fixed neighborhood as k grows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as la
 
+from .cutoffs import get_warp
 from .errors import GridTooCoarse, LoxokitError
 
 
@@ -29,12 +31,6 @@ class SpectraError(LoxokitError):
 
 class ConvergenceFailure(SpectraError):
     pass
-
-
-_PROFILES = {
-    "cosh": np.cosh,
-    "flat": lambda r: np.ones_like(np.asarray(r, dtype=float)),
-}
 
 
 @dataclass
@@ -59,16 +55,18 @@ class RadialOperator:
     sym_off: np.ndarray
 
 
+def _check_radius(R):
+    if not 0 < R < math.inf:
+        raise ValueError(f"R must be finite and positive, not {R}")
+
+
 def build_radial_operator(k, R=3.0, N=2048, profile="cosh"):
     if N < 64:
         raise GridTooCoarse(f"N = {N} below the minimum grid size 64")
-    if R <= 0:
-        raise ValueError("R must be positive")
+    _check_radius(R)
     if k < 0 or k != int(k):
         raise ValueError("mode k must be a nonnegative integer")
-    if profile not in _PROFILES:
-        raise ValueError(f"unknown profile {profile!r}")
-    f = _PROFILES[profile]
+    f = get_warp(profile).f
     dr = 2.0 * R / (N + 1)
     nodes = -R + dr * np.arange(1, N + 1)
     w = f(nodes)
@@ -188,6 +186,7 @@ def nonconcentration_scan(k_list, delta=0.5, R=3.0, N=2048, profile="cosh"):
     logarithmic products; band statistics summarize the scan."""
     if not k_list:
         raise ValueError("k_list must not be empty")
+    _check_radius(R)
     if not delta < R:
         raise ValueError("delta must be smaller than R")
     rows = [_scan_one(k, delta, R, N, profile) for k in k_list]

@@ -323,9 +323,42 @@ def test_damped_wave_repeated_decay_mode_is_usage_error(tmp_path, capsys):
     assert "repeat" in capsys.readouterr().err
 
 
-def test_damped_wave_rejects_bad_warp(tmp_path):
-    cfg = write_json(tmp_path / "cfg.json", {"warp": "saddle"})
-    assert main(["damped-wave", "--config", cfg]) == 2
+def test_damped_wave_rejects_bad_warp(tmp_path, capsys):
+    # cosh is a registered warp, but its slope at r = +-3 is sinh 3
+    for warp, why in (("saddle", "unknown warp"),
+                      ("cosh", "does not close up")):
+        cfg = write_json(tmp_path / "cfg.json", {"warp": warp})
+        assert main(["damped-wave", "--config", cfg]) == 2
+        assert why in capsys.readouterr().err
+
+
+def test_damped_wave_nan_epsilon_flag_is_usage_error(tmp_path, capsys):
+    # before the check this exited 0 and wrote NaN into damped_wave.json
+    out = tmp_path / "wave"
+    assert main(["damped-wave", "--epsilon", "nan", "--out", str(out)]) == 2
+    assert "epsilon must be finite and >= 0, not nan" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("damped-wave", "epsilon", float("nan")),
+    ("damped-wave", "epsilon", float("inf")),
+    ("resolvent", "half_length", float("inf")),
+    ("resolvent", "half_length", float("nan")),
+    ("spectrum", "R", float("inf")),
+    ("spectrum", "R", float("nan")),
+], ids=lambda v: str(v))
+def test_non_finite_config_value_is_usage_error(tmp_path, capsys, command,
+                                                key, value):
+    # each of these exited 0 (epsilon), died with an OverflowError
+    # traceback (half_length inf) or exited 2 with a message that did not
+    # name the value
+    path = write_json(tmp_path / "cfg.json", {key: value})
+    assert main([command, "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be finite")
+    assert err.rstrip().endswith(f"not {value}")
 
 
 def test_selftest_criteria_subset(tmp_path, capsys):

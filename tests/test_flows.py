@@ -49,11 +49,31 @@ def test_builtin_gradients_match_finite_differences():
             assert flows.gradient_check(sys, z) <= 1e-5
 
 
+@pytest.mark.parametrize("name", sorted(cutoffs.WARPS))
+def test_surface_state_on_every_warp(name):
+    # the phase point reads f from the warp registry: it sits on the shell
+    # p = speed^2 / 2 with Clairaut constant f(r) |sin psi|, and the
+    # gradient built from the warp's slope matches finite differences
+    sys = flows.surface_of_revolution(name)
+    f = cutoffs.get_warp(name).f
+    for r in (-2.9, -1.5, -0.3, 0.0, 1.2, 1.7, 2.5):
+        for psi in (0.4, 2.0, -1.1):
+            for speed in (1.0, 2.5):
+                z = flows.surface_state(sys, r, 0.3, psi, speed=speed)
+                assert sys.p(z) == pytest.approx(0.5 * speed ** 2,
+                                                 rel=1e-14)
+                assert flows.clairaut_constant(sys, z) == pytest.approx(
+                    f(r) * abs(np.sin(psi)), rel=1e-14)
+                assert flows.gradient_check(sys, z) <= 1e-5
+
+
 @pytest.mark.parametrize("sys", [flows.surface_of_revolution("cosh"),
                                  flows.surface_of_revolution("flat"),
+                                 flows.surface_of_revolution("neck"),
                                  flows.double_bump(),
                                  flows.harmonic_oscillator()],
-                         ids=["cosh", "flat", "double_bump", "harmonic"])
+                         ids=["cosh", "flat", "neck", "double_bump",
+                              "harmonic"])
 def test_builtin_models_broadcast_over_columns(sys):
     # flow's energy check and check_geometric_control evaluate stacks
     Z = np.random.Generator(np.random.Philox(5)).uniform(

@@ -474,48 +474,6 @@ def test_scan_products_match_recorded_values(counted_scan):
 
 
 # ---------------------------------------------------------------------------
-# zoom rescaling
-# ---------------------------------------------------------------------------
-
-def grid(n=512, half=8.0):
-    return -half + 2.0 * half / n * np.arange(n)
-
-
-def test_rescale_preserves_norm_and_width():
-    x = grid()
-    h, ht = 0.02, 0.08
-    w = 0.5
-    u = np.exp(-x ** 2 / (2 * w ** 2)).astype(complex)
-    v = rv.rescale_state(u, x, h, ht)
-    dx = x[1] - x[0]
-    n_u = np.sqrt(np.sum(np.abs(u) ** 2) * dx)
-    n_v = np.sqrt(np.sum(np.abs(v) ** 2) * dx)
-    assert n_v == pytest.approx(n_u, rel=1e-6)
-    # the zoom stretches every length scale by sqrt(ht/h) = 2
-    rms_u = np.sqrt(np.sum(x ** 2 * np.abs(u) ** 2) * dx) / n_u
-    rms_v = np.sqrt(np.sum(x ** 2 * np.abs(v) ** 2) * dx) / n_v
-    assert rms_v / rms_u == pytest.approx(math.sqrt(ht / h), rel=1e-6)
-
-
-def test_rescale_roundtrip():
-    x = grid()
-    u = np.exp(-x ** 2 / 0.8) * (1.0 + 0.3j)
-    v = rv.rescale_state(u, x, 0.02, 0.08)
-    w = rv.rescale_state(v, x, 0.08, 0.02)
-    assert np.max(np.abs(w - u)) <= 1e-6
-
-
-def test_rescale_overflow_detected():
-    x = grid(n=256, half=4.0)
-    u = np.exp(-(np.abs(x) - 4.0) ** 2 / 0.05).astype(complex)
-    # stretching by sqrt(0.08/0.02) = 2 would push the edge bumps past the
-    # grid ends; the compressive direction is always safe
-    with pytest.raises(rv.SupportOverflow):
-        rv.rescale_state(u, x, 0.02, 0.08)
-    rv.rescale_state(u, x, 0.08, 0.02)
-
-
-# ---------------------------------------------------------------------------
 # quantized lower bounds
 # ---------------------------------------------------------------------------
 
@@ -538,21 +496,3 @@ def test_weighted_symbol_ratio_band():
 def test_lower_bound_nonnegative():
     rows = rv.harm_osc_lower_bound([0.1, 0.05], n_grid=512)
     assert all(r["lam_min"] >= 0.0 for r in rows)
-
-
-def test_conjugation_off_is_self_adjoint():
-    rep = rv.positive_commutator_check(s=0.0, n_grid=256)
-    assert rep["self_adjoint_residual"] <= 1e-10
-    assert rep["ratios"] == []
-
-
-def test_conjugated_damping_positive_and_stable():
-    rep = rv.positive_commutator_check(h_tilde=0.05, s=0.1, n_grid=256)
-    assert rep["min_ratio"] > 0.0
-    # localization window scaling plays the role of shrinking h
-    y = -6.0 + 12.0 / 512 * np.arange(512)
-    wide = [np.exp(-y ** 2 / (2 * 0.1)),
-            np.exp(-(y - 0.5 * math.sqrt(0.1)) ** 2 / (2 * 0.1))]
-    rep2 = rv.positive_commutator_check(h_tilde=0.05, s=0.1, n_grid=512,
-                                        samples=wide)
-    assert rep2["min_ratio"] == pytest.approx(rep["min_ratio"], rel=0.30)
