@@ -216,8 +216,7 @@ def criterion_damped_wave():
     fine = dw.evolve(prob, 12, t_max=2.0, dt=2e-4)
     rises = np.diff(fine.e0)
     mono = float(rises.max() / fine.e0[0]) if rises.size else 0.0
-    rep = dw.decay_report(prob, modes=dw.DECAY_MODES, t_max=dw.T_MAX,
-                          epsilon=0.1)
+    rep = dw.decay_report(prob, modes=dw.DECAY_MODES, t_max=dw.T_MAX)
     undamped = dw.DampedWaveProblem(
         damping=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         modes=(5,), dead_zone_radius=None)

@@ -2,10 +2,8 @@
 
 JSON configs in, CSV/JSON outputs (written atomically) out. Exit codes:
 0 success, 2 configuration or usage error, 3 numerical failure inside a
-solver. Each subcommand accepts only the options it reads. Environment
-variables LOXOKIT_OUT and LOXOKIT_TOL stand in for --out and --tol when
-the flag is absent, so CI can steer runs without editing configs; only
-orbit has --tol, and the other subcommands ignore LOXOKIT_TOL.
+solver. Each subcommand accepts only the options it reads, and a flag
+beats the config key it stands for.
 """
 
 from __future__ import annotations
@@ -28,25 +26,8 @@ from .errors import LoxokitError
 from .normal_form import birkhoff_normal_form, escape_rate_form
 from .symplectic import symplectic_log
 
-ENV_PREFIX = "LOXOKIT_"
-
-
 class UsageError(ValueError):
     pass
-
-
-def _env_default(args, name, cast):
-    """Fill an absent flag from LOXOKIT_<NAME>, if the subcommand has it."""
-    if not hasattr(args, name) or getattr(args, name) is not None:
-        return
-    var = ENV_PREFIX + name.upper()
-    raw = os.environ.get(var)
-    if raw is not None:
-        try:
-            setattr(args, name, cast(raw))
-        except ValueError:
-            raise UsageError(f"{var}={raw!r} is not a valid "
-                             f"{cast.__name__}") from None
 
 
 def _is_number(value):
@@ -202,13 +183,20 @@ def cmd_normal_form(args):
     return 0
 
 
+def _check_guess_finite(items):
+    for key, value in items:
+        if not math.isfinite(value):
+            raise UsageError(f"guess[{key!r}] must be finite, not {value}")
+
+
 def cmd_orbit(args):
     cfg = _load_config(args.config, {
         "model": {"model": "surface_of_revolution", "profile": "cosh"},
         "guess": {"r": 0.0, "theta": 0.0, "psi": math.pi / 2, "speed": 1.0},
-        "period_guess": 2 * math.pi,
-        "tol": args.tol if args.tol is not None else 1e-11,
+        "period_guess": 2 * math.pi, "tol": 1e-11,
     })
+    if args.tol is not None:
+        cfg["tol"] = args.tol
     if not isinstance(cfg["model"], dict):
         raise UsageError(f"config key 'model' must be an object, not "
                          f"{cfg['model']!r}")
@@ -221,12 +209,14 @@ def cmd_orbit(args):
         if not all(map(_is_number, guess.values())):
             raise UsageError(f"config key 'guess' must map to numbers, not "
                              f"{guess!r}")
+        _check_guess_finite(guess.items())
         z0 = flows.surface_state(sys_, guess.get("r", 0.0),
                                  guess.get("theta", 0.0),
                                  guess.get("psi", math.pi / 2),
                                  guess.get("speed", 1.0))
     elif isinstance(guess, list) and all(map(_is_number, guess)) \
             and len(guess) == 2 * sys_.n:
+        _check_guess_finite(enumerate(guess))
         z0 = np.asarray(guess, dtype=float)
     else:
         raise UsageError(f"config key 'guess' must be an object or a list "
@@ -457,8 +447,6 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _env_default(args, "out", str)
-        _env_default(args, "tol", float)
         return COMMANDS[args.command](args)
     except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -1,7 +1,7 @@
 """Damped wave equation on a warped-product surface with a hyperbolic neck.
 
 The surface is ds^2 = dr^2 + f(r)^2 dtheta^2 with r on a circle of
-circumference `period` and a warp f from cutoffs.WARPS whose slope
+circumference PERIOD and a warp f from cutoffs.WARPS whose slope
 vanishes where the circle wraps. The default "neck" warp equals cosh r
 near the neck r = 0 and flattens to 1 before the period boundary, so the
 closed geodesic at r = 0 is hyperbolic and the manifold is smooth and
@@ -44,6 +44,9 @@ class LinearizationIllConditioned(DampedWaveError):
 # angular modes whose energies the decay fit superposes, and its horizon
 DECAY_MODES = (0, 1, 2, 5, 10, 20, 40)
 T_MAX = 60.0
+PERIOD = 6.0         # circumference of the r circle
+RESIDUAL_TOL = 1e-6  # relative eigenpair residual bound of eigenfrequencies
+N_LOW = 24           # eigenmodes that default_initial excites, per mode
 
 
 @dataclass
@@ -51,11 +54,12 @@ class DampedWaveProblem:
     """Separable damped wave setup on one warped period.
 
     profile names a warp of cutoffs.WARPS; its slope must be 0 at
-    r = +-period/2, so the warp closes up smoothly on the circle. damping
-    is a callable of r on the fundamental domain [-period/2, period/2).
+    r = +-PERIOD/2, so the warp closes up smoothly on the circle. damping
+    is a callable of r on the fundamental domain [-PERIOD/2, PERIOD/2).
     dead_zone_radius declares where damping must vanish (None skips that
-    check, for constant-damping oracles). epsilon must be finite and
-    >= 0.
+    check, for constant-damping oracles). epsilon, the regularity of the
+    data norm H^epsilon that decay reports measure against, must be
+    finite and > 0.
     """
 
     profile: str = "neck"
@@ -63,7 +67,6 @@ class DampedWaveProblem:
     n_grid: int = 192
     modes: tuple = tuple(range(41))
     epsilon: float = 0.1
-    period: float = 6.0
     dead_zone_radius: float = 0.5
     r: np.ndarray = field(init=False, repr=False)
     spacing: float = field(init=False)
@@ -74,21 +77,21 @@ class DampedWaveProblem:
     def __post_init__(self):
         if self.n_grid < 32:
             raise GridTooCoarse("need at least 32 grid points per period")
-        if not 0 <= self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be finite and >= 0, not "
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and > 0, not "
                              f"{self.epsilon}")
         warp = get_warp(self.profile)
-        slopes = warp.slope(np.array([-0.5, 0.5]) * self.period)
+        slopes = warp.slope(np.array([-0.5, 0.5]) * PERIOD)
         if np.any(slopes != 0):
             raise ValueError(
                 f"warp {self.profile!r} has slopes {slopes.tolist()} at "
-                f"r = -+{0.5 * self.period}, so it does not close up "
-                f"smoothly on the circle of period {self.period}")
+                f"r = -+{0.5 * PERIOD}, so it does not close up "
+                f"smoothly on the circle of period {PERIOD}")
         if self.damping is None:
             self.damping = neck_damping()
         n = self.n_grid
-        self.spacing = self.period / n
-        self.r = -0.5 * self.period + self.spacing * np.arange(n)
+        self.spacing = PERIOD / n
+        self.r = -0.5 * PERIOD + self.spacing * np.arange(n)
         self.f = np.asarray(warp.f(self.r), dtype=float)
         # midpoint warp values feed the flux stencil; the last midpoint
         # wraps around the period
@@ -195,12 +198,12 @@ def first_order_generator(pencil):
     return A
 
 
-def eigenfrequencies(pencil, residual_tol=1e-6):
+def eigenfrequencies(pencil):
     """All roots of the mode pencil, tau = -i mu over the eigenvalues mu
     of the real first-order generator (a real eigensolve, dgeev).
 
     Postconditions enforced here: residuals of every eigenpair below
-    residual_tol (else LinearizationIllConditioned), containment in the
+    RESIDUAL_TOL (else LinearizationIllConditioned), containment in the
     strip 0 <= Im tau <= 2 max a, and tau -> -conj(tau) mirror symmetry,
     both within 1e-8. Real arithmetic returns complex mu in exact
     conjugate pairs, so the mirror defect of the returned roots is zero.
@@ -219,10 +222,10 @@ def eigenfrequencies(pencil, residual_tol=1e-6):
         + 2j * taus[ok] * (a[:, None] * w[:, ok]), axis=0) / norms[ok]
     scale = la.norm(L, 1) + 2 * a.max() * np.abs(taus).max() + 1.0
     worst = float(resid.max() / scale)
-    if worst > residual_tol or not np.all(ok):
+    if worst > RESIDUAL_TOL or not np.all(ok):
         raise LinearizationIllConditioned(
             f"companion eigenpair residual {worst:.2e} exceeds "
-            f"{residual_tol:.0e} for mode {pencil.k}")
+            f"{RESIDUAL_TOL:.0e} for mode {pencil.k}")
     amax = float(a.max())
     im = taus.imag
     margin = float(max(-im.min(), im.max() - 2 * amax))
@@ -253,13 +256,14 @@ def eigenfrequency_scan(problem):
             max([0.0] + [es.symmetry_defect for es in sets]))
 
 
-def default_initial(problem, frame, n_low=24, mode_seed=0):
-    """Band-limited start: u = 0, velocity spread over the lowest modes.
+def default_initial(problem, frame, mode_seed=0):
+    """Band-limited start: u = 0, velocity spread over the lowest N_LOW
+    modes.
 
     Coefficients decay like 1/(1+j) with deterministic alternating signs,
     so every retained eigenmode is excited and runs are reproducible.
     """
-    n_low = min(n_low, frame.lam.size)
+    n_low = min(N_LOW, frame.lam.size)
     j = np.arange(n_low)
     c = (-1.0) ** (j + mode_seed) / (1.0 + j)
     w = frame.synthesize(np.concatenate(
@@ -423,21 +427,16 @@ class DecayReport:
     per_mode: dict
 
 
-def decay_report(problem, modes=None, t_max=T_MAX, dt=None, epsilon=None,
-                 n_low=24):
+def decay_report(problem, modes=None, t_max=T_MAX):
     """Evolve every requested mode, superpose energies, fit the decay.
 
     Angular modes are L^2-orthogonal, so the total energy is the sum of
-    per-mode traces and the squared H^eps size of the initial data is
-    the sum of per-mode sizes. All modes share one time grid; dt = None
-    picks the largest step resolving the fastest excited frequency. The
-    envelope constant is the smallest C with
+    per-mode traces and the squared H^eps size of the initial data, at
+    eps = problem.epsilon, is the sum of per-mode sizes. All modes share
+    one time grid, at the largest step that resolves the fastest excited
+    frequency. The envelope constant is the smallest C with
     E(t) <= C exp(-rate t) ||data||^2_{H^eps} along the whole trace.
     """
-    eps = problem.epsilon if epsilon is None else float(epsilon)
-    if not 0 < eps < math.inf:
-        raise ValueError(f"decay reports need a finite epsilon > 0, not "
-                         f"{eps}")
     modes = tuple(problem.modes if modes is None else modes)
     if not modes:
         raise ValueError("need at least one mode")
@@ -445,25 +444,24 @@ def decay_report(problem, modes=None, t_max=T_MAX, dt=None, epsilon=None,
         raise ValueError(f"modes {list(modes)} repeat a mode; each mode "
                          f"counts once in the total energy")
     frames = [mode_frame(assemble_pencil(problem, k)) for k in modes]
-    starts = [default_initial(problem, frame, n_low=n_low, mode_seed=k)
+    starts = [default_initial(problem, frame, mode_seed=k)
               for k, frame in zip(modes, frames)]
-    if dt is None:
-        # the n_low-th eigenvalue is the fastest excited frequency squared
-        tau_max = max([1.0] + [math.sqrt(fr.lam[min(n_low, fr.lam.size) - 1])
-                               for fr in frames])
-        dt = min(0.004, 0.09 / tau_max)
+    # the N_LOW-th eigenvalue is the fastest excited frequency squared
+    tau_max = max([1.0] + [math.sqrt(fr.lam[min(N_LOW, fr.lam.size) - 1])
+                           for fr in frames])
+    dt = min(0.004, 0.09 / tau_max)
     traces = [evolve(problem, k, initial=start, t_max=t_max, dt=dt,
                      frame=frame)
               for k, frame, start in zip(modes, frames, starts)]
     scale = np.sqrt(problem.f)
-    hnorm_sq = sum(frame.norm_sq(scale * v0, eps)
+    hnorm_sq = sum(frame.norm_sq(scale * v0, problem.epsilon)
                    for frame, (_, v0) in zip(frames, starts))
     total = sum(trace.e0 for trace in traces)
     times = traces[-1].times
     rate, r2 = _fit_decay(times, total)
     envelope = float(np.max(total * np.exp(rate * times)) / hnorm_sq)
-    return DecayReport(epsilon=eps, modes=modes, rate=rate, r_squared=r2,
-                       envelope_constant=envelope, hnorm_sq=hnorm_sq,
-                       times=times, total_e0=total,
+    return DecayReport(epsilon=problem.epsilon, modes=modes, rate=rate,
+                       r_squared=r2, envelope_constant=envelope,
+                       hnorm_sq=hnorm_sq, times=times, total_e0=total,
                        per_mode=dict(zip(modes, traces)))
 

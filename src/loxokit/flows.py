@@ -30,6 +30,20 @@ from .errors import LoxokitError, StepFailure
 from .symplectic import POINCARE_MAP, SpectrumClassification, classify
 
 
+NECK_R_WIDTH = 0.2          # neck_exclusion half-width in r
+NECK_CLAIRAUT_WIDTH = 0.01  # and in the Clairaut constant
+ORBIT_MAX_ITER = 40         # Gauss-Newton steps of find_closed_orbit
+ORBIT_RETURN_TOL = 1e-8     # and the return defect they must reach
+AVERAGE_TOL = 1e-12         # integrator tolerance of trajectory_average
+# check_geometric_control draws unit-speed samples with |r| <= CONTROL_R_MAX,
+# flows them at CONTROL_TOL and scans every CONTROL_SCAN_DT for damping
+# above CONTROL_THRESHOLD
+CONTROL_R_MAX = 1.5
+CONTROL_TOL = 1e-8
+CONTROL_SCAN_DT = 0.05
+CONTROL_THRESHOLD = 1e-9
+
+
 class FlowError(LoxokitError):
     pass
 
@@ -213,10 +227,11 @@ def clairaut_constant(sys, z):
     return abs(z[3]) / speed
 
 
-def neck_exclusion(r_width=0.2, clairaut_width=0.01):
+def neck_exclusion():
     """Neighborhood of the trapped neck orbits (both directions)."""
     def inside(sys, z):
-        return abs(z[0]) < r_width and abs(clairaut_constant(sys, z) - 1.0) < clairaut_width
+        return (abs(z[0]) < NECK_R_WIDTH
+                and abs(clairaut_constant(sys, z) - 1.0) < NECK_CLAIRAUT_WIDTH)
     return inside
 
 
@@ -482,8 +497,7 @@ def _multiple_shooting(sys, guess, period_guess, v_sec, z_ref, E0, tol,
     return x[:dim].copy()
 
 
-def find_closed_orbit(sys, guess, period_guess, tol=1e-11, max_iter=40,
-                      return_tol=1e-8):
+def find_closed_orbit(sys, guess, period_guess, tol=1e-11):
     """Newton shooting on the Poincare return map near a guess.
 
     The section is the hyperplane through the guess orthogonal to the flow
@@ -542,7 +556,7 @@ def find_closed_orbit(sys, guess, period_guess, tol=1e-11, max_iter=40,
         except _NoReturn as exc2:
             raise MaxIterations(str(exc2)) from None
     z, norm_F, (T, _, _) = _gauss_newton(residual, jacobian, z, first,
-                                         return_tol, max_iter)
+                                         ORBIT_RETURN_TOL, ORBIT_MAX_ITER)
     return ClosedOrbit(point=z, period=T, energy=sys.p(z), residual=norm_F)
 
 
@@ -621,11 +635,12 @@ def linearized_poincare_map(sys, orbit, tol=1e-11):
 # averages and geometric control
 # ---------------------------------------------------------------------------
 
-def trajectory_average(sys, z0, T, observable, tol=1e-12):
+def trajectory_average(sys, z0, T, observable):
     """(1/T) int_0^T observable(z(t)) dt along the flow, by ride-along
     quadrature inside the adaptive integrator. A negative T averages over
     the backward trajectory; T = 0 is an empty span (ValueError)."""
-    return flow(sys, z0, (0.0, T), tol=tol, observable=observable).integral / T
+    return flow(sys, z0, (0.0, T), tol=AVERAGE_TOL,
+                observable=observable).integral / T
 
 
 # Columns per stacked control integration. flow keeps the t_eval history,
@@ -643,62 +658,56 @@ class ControlReport:
 
 
 def check_geometric_control(sys, damping, exclusion, T=50.0, n_samples=500,
-                            seed=0, r_max=1.5, speed=1.0, tol=1e-8,
-                            scan_dt=0.05, threshold=1e-9):
+                            seed=0):
     """Seeded check of the geometric control condition for the surface model.
 
-    Samples phase points at the given speed with |r| <= r_max outside the
+    Samples unit-speed phase points with |r| <= CONTROL_R_MAX outside the
     excluded neighborhood (counter-based Philox generator, so the draw is
     reproducible and splittable), then looks for a time |t| <= T on the
-    scan grid of step scan_dt at which the trajectory meets
-    {damping > threshold}. Also reports the smallest forward time-average
-    of the damping over the samples; it rides along in the forward run at
-    the same tol, and a backward run is made only for samples whose
-    forward run misses the damping. The samples advance in batches of
-    columns of one stacked ``flow`` state, so the model and the damping
-    must broadcast (see HamiltonianSystem). n_samples must be an integer
-    >= 1, T, scan_dt, speed and r_max finite and positive, and threshold
-    finite and >= 0 (ValueError).
+    scan grid of step CONTROL_SCAN_DT at which the trajectory meets
+    {damping > CONTROL_THRESHOLD}. Also reports the smallest forward
+    time-average of the damping over the samples; it rides along in the
+    forward run at the same CONTROL_TOL, and a backward run is made only
+    for samples whose forward run misses the damping. The samples advance
+    in batches of columns of one stacked ``flow`` state, so the model and
+    the damping must broadcast (see HamiltonianSystem). n_samples must be
+    an integer >= 1 and T finite and positive (ValueError).
     """
     if not isinstance(n_samples, numbers.Integral) or n_samples < 1:
         raise ValueError("need at least one sample (an integer), "
                          f"got n_samples={n_samples!r}")
-    for name, value in (("control horizon T", T), ("scan_dt", scan_dt),
-                        ("speed", speed), ("r_max", r_max)):
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be finite and positive, "
-                             f"got {value}")
-    if not 0 <= threshold < math.inf:
-        raise ValueError(f"threshold must be finite and >= 0, "
-                         f"got {threshold}")
+    if not 0 < T < math.inf:
+        raise ValueError(f"control horizon T must be finite and positive, "
+                         f"got {T}")
     rng = np.random.Generator(np.random.Philox(seed))
     samples = []
     while len(samples) < n_samples:
-        r = rng.uniform(-r_max, r_max)
+        r = rng.uniform(-CONTROL_R_MAX, CONTROL_R_MAX)
         theta = rng.uniform(0.0, 2 * np.pi)
         psi = rng.uniform(0.0, 2 * np.pi)
-        z = surface_state(sys, r, theta, psi, speed=speed)
+        z = surface_state(sys, r, theta, psi)
         if not exclusion(sys, z):
             samples.append(z)
 
     def first_hits(res):
-        hit = damping(res.states[:, 0]) > threshold     # (time, column)
+        hit = damping(res.states[:, 0]) > CONTROL_THRESHOLD  # (time, column)
         return [float(res.times[h.argmax()]) if h.any() else None
                 for h in hit.T]
 
-    t_grid = np.arange(0.0, T + scan_dt, scan_dt)
+    t_grid = np.arange(0.0, T + CONTROL_SCAN_DT, CONTROL_SCAN_DT)
     t_grid = t_grid[t_grid <= T]     # arange can overshoot T by one step
     witnesses = []
     min_avg = np.inf
     for start in range(0, n_samples, _CONTROL_BATCH):
         Z = np.column_stack(samples[start:start + _CONTROL_BATCH])
-        fwd = flow(sys, Z, (0.0, T), tol=tol, t_eval=t_grid,
+        fwd = flow(sys, Z, (0.0, T), tol=CONTROL_TOL, t_eval=t_grid,
                    observable=lambda s: damping(s[0]))
         min_avg = min(min_avg, np.min(fwd.integral / T))
         hits = first_hits(fwd)
         missed = [j for j, t in enumerate(hits) if t is None]
         if missed:
-            bwd = flow(sys, Z[:, missed], (0.0, -T), tol=tol, t_eval=-t_grid)
+            bwd = flow(sys, Z[:, missed], (0.0, -T), tol=CONTROL_TOL,
+                       t_eval=-t_grid)
             for j, t in zip(missed, first_hits(bwd)):
                 hits[j] = t
         witnesses += [(start + j, t) for j, t in enumerate(hits)

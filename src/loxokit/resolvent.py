@@ -100,6 +100,11 @@ class DiscretizedOperator:
     absorb: np.ndarray = field(default=None, repr=False)  # h * C * a(x_i)
 
 
+def _check_h(h):
+    if not 0 < h <= 1:
+        raise ValueError(f"h must lie in (0, 1], not {h}")
+
+
 def _check_half_length(half_length):
     if not 0 < half_length < math.inf:
         raise ValueError(f"half_length must be finite and > 0, not "
@@ -108,8 +113,7 @@ def _check_half_length(half_length):
 
 def quantize_model(h, rate=1.0, n_grid=256, half_length=1.0, profile=None):
     """Assemble the per-mode data for the model operator."""
-    if not 0 < h <= 1:
-        raise ValueError("h must lie in (0, 1]")
+    _check_h(h)
     if not (math.isfinite(rate) and rate > 0):
         raise ValueError(f"rate must be finite and > 0, not {rate}")
     _check_half_length(half_length)
@@ -368,12 +372,6 @@ def _window_points(op, z, window):
     return ms, float(np.real(z)) - op.h * ms
 
 
-def _window_values(op, z, window, sweep):
-    """(modes, w = z - h m, sweep values) over the mode window of real z."""
-    ms, w_vals = _window_points(op, z, window)
-    return ms, w_vals, sweep.values(w_vals)
-
-
 def sigma_min_point(op, z, window=0.6, sweep=None):
     """min over Fourier modes of sigma_min(Q_m(z)) and the attaining mode.
 
@@ -391,8 +389,8 @@ def sigma_min_point(op, z, window=0.6, sweep=None):
         op_shift = replace(op, absorb=op.absorb + float(np.imag(z)))
         return sigma_min_point(op_shift, float(np.real(z)), window=window)
     sweep = sweep if sweep is not None else _NormSweep(op, np.ones(op.n_grid))
-    ms, w_vals, norms = _window_values(op, z, window, sweep)
-    sigmas = 1.0 / norms
+    ms, w_vals = _window_points(op, z, window)
+    sigmas = 1.0 / sweep.values(w_vals)
     j = int(np.argmin(sigmas))
     exact = sweep.certified(w_vals[j])
     if abs(exact - sigmas[j]) > 1e-6 * max(exact, 1e-300):
@@ -410,8 +408,7 @@ def cutoff_norm_point(op, z, phi, window=0.6, sweep=None):
     if np.imag(z) != 0:
         raise ValueError("cutoff norms are scanned at real z")
     sweep = sweep if sweep is not None else _NormSweep(op, phi)
-    _, _, norms = _window_values(op, z, window, sweep)
-    return float(norms.max())
+    return float(sweep.values(_window_points(op, z, window)[1]).max())
 
 
 def default_cutoff(op):
@@ -449,6 +446,7 @@ class ResolventScan:
 
 def default_grid_size(h, half_length=1.0):
     """Power-of-two grid resolving symbol-scale frequencies |xi| <~ 4."""
+    _check_h(h)
     need = 8.0 * half_length / (math.pi * h)
     return int(max(256, 2 ** math.ceil(math.log2(need))))
 
@@ -585,14 +583,15 @@ def _band(per_h):
             "ratio": hi / lo if lo > 0 else float("inf")}
 
 
-def global_absorption_check(h, rate=1.0, strength=10.0, z=0.25,
-                            n_grid=256, half_length=1.0, window=0.6):
-    """With a == 1 everywhere, the numerical range pins sigma_min to h*C."""
-    profile = AbsorbingProfile(strength=strength, floor=1.0)
-    op = quantize_model(h, rate=rate, n_grid=n_grid,
-                        half_length=half_length, profile=profile)
-    s, m = sigma_min_point(op, z, window=window)
-    expected = h * strength
+GLOBAL_ABSORPTION_Z = 0.25  # spectral parameter of the a == 1 check
+
+
+def global_absorption_check(h):
+    """With a == 1 everywhere, the numerical range pins sigma_min to h*C
+    (default operator and mode window, z = GLOBAL_ABSORPTION_Z)."""
+    op = quantize_model(h, profile=AbsorbingProfile(floor=1.0))
+    s, m = sigma_min_point(op, GLOBAL_ABSORPTION_Z)
+    expected = h * op.profile.strength
     return {"h": h, "sigma_min": s, "expected": expected,
             "rel_err": abs(s - expected) / expected, "mode": m}
 
@@ -620,20 +619,22 @@ def quantize_separated_symbol(m_values, g_values):
     return H
 
 
-def harm_osc_lower_bound(h_tilde_list, n_grid=512, half_width=6.0,
-                         weighted=True):
+HARM_OSC_HALF_WIDTH = 6.0  # the y grid of harm_osc_lower_bound
+
+
+def harm_osc_lower_bound(h_tilde_list, n_grid=512, weighted=True):
     """Smallest eigenvalue of the quantized nonnegative symbol
     a0 = y^2/(1+y^2) + eta^2/(1+eta^2) (or the pure harmonic y^2 + eta^2),
     reported relative to h_tilde."""
     rows = []
+    dy = 2.0 * HARM_OSC_HALF_WIDTH / n_grid
     for h_tilde in h_tilde_list:
-        if half_width / n_grid > 0.25 * math.sqrt(h_tilde):
+        if HARM_OSC_HALF_WIDTH / n_grid > 0.25 * math.sqrt(h_tilde):
             raise GridTooCoarse(
                 f"grid spacing does not resolve sqrt(h_tilde) = "
                 f"{math.sqrt(h_tilde):.3f}")
-        y = -half_width + (2.0 * half_width / n_grid) * np.arange(n_grid)
-        eta = h_tilde * 2.0 * np.pi * np.fft.fftfreq(n_grid,
-                                                     d=2.0 * half_width / n_grid)
+        y = -HARM_OSC_HALF_WIDTH + dy * np.arange(n_grid)
+        eta = h_tilde * 2.0 * np.pi * np.fft.fftfreq(n_grid, d=dy)
         if weighted:
             m_vals = y ** 2 / (1.0 + y ** 2)
             g_vals = eta ** 2 / (1.0 + eta ** 2)

@@ -60,6 +60,12 @@ def _check_radius(R):
         raise ValueError(f"R must be finite and positive, not {R}")
 
 
+def _check_delta(delta, R):
+    if not 0 <= delta < R:
+        raise ValueError(f"delta must be finite and lie in [0, R) = "
+                         f"[0, {R}), not {delta}")
+
+
 def build_radial_operator(k, R=3.0, N=2048, profile="cosh"):
     if N < 64:
         raise GridTooCoarse(f"N = {N} below the minimum grid size 64")
@@ -114,8 +120,7 @@ def solve_eigenpairs(op, count):
 
 def mass_outside(op, v, delta):
     """Weighted mass of v carried by |r| > delta (v weight-normalized)."""
-    if not 0 <= delta < op.R:
-        raise ValueError("delta must lie in [0, R)")
+    _check_delta(delta, op.R)
     sel = np.abs(op.nodes) > delta
     return float(op.spacing * np.sum(v[sel] ** 2 * op.weight[sel]))
 
@@ -187,8 +192,7 @@ def nonconcentration_scan(k_list, delta=0.5, R=3.0, N=2048, profile="cosh"):
     if not k_list:
         raise ValueError("k_list must not be empty")
     _check_radius(R)
-    if not delta < R:
-        raise ValueError("delta must be smaller than R")
+    _check_delta(delta, R)
     rows = [_scan_one(k, delta, R, N, profile) for k in k_list]
     products = [r.product for r in rows]
     band = {"product_min": float(min(products)),

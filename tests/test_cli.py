@@ -151,6 +151,14 @@ def test_orbit_unusable_tol_or_period_is_usage_error(tmp_path, capsys, cfg):
     assert "must be finite and positive" in capsys.readouterr().err
 
 
+def test_orbit_tol_flag_beats_config(tmp_path, capsys):
+    # every flag overrides its config key; the config's usable tol must
+    # not hide an unusable --tol
+    path = write_json(tmp_path / "cfg.json", {"tol": 1e-11})
+    assert main(["orbit", "--tol", "0", "--config", path]) == 2
+    assert "must be finite and positive, not 0.0" in capsys.readouterr().err
+
+
 def test_orbit_rejects_unknown_config_key(tmp_path):
     cfg = write_json(tmp_path / "cfg.json", {"bogus": 1})
     assert main(["orbit", "--config", cfg]) == 2
@@ -336,9 +344,22 @@ def test_damped_wave_nan_epsilon_flag_is_usage_error(tmp_path, capsys):
     # before the check this exited 0 and wrote NaN into damped_wave.json
     out = tmp_path / "wave"
     assert main(["damped-wave", "--epsilon", "nan", "--out", str(out)]) == 2
-    assert "epsilon must be finite and >= 0, not nan" in \
+    assert "epsilon must be finite and > 0, not nan" in \
         capsys.readouterr().err
     assert not out.exists()
+
+
+def test_damped_wave_zero_epsilon_exits_before_the_scan(monkeypatch,
+                                                        capsys):
+    # the eigenfrequency scan is most of a run, so an epsilon the decay
+    # report cannot use must stop the run before it
+    def scan(problem):
+        pytest.fail("eigenfrequency_scan ran for an unusable epsilon")
+
+    monkeypatch.setattr(dampedwave, "eigenfrequency_scan", scan)
+    assert main(["damped-wave", "--epsilon", "0"]) == 2
+    assert "epsilon must be finite and > 0, not 0.0" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, key, value", [
@@ -361,6 +382,23 @@ def test_non_finite_config_value_is_usage_error(tmp_path, capsys, command,
     assert err.rstrip().endswith(f"not {value}")
 
 
+@pytest.mark.parametrize("argv, cfg, key", [
+    (["spectrum", "--delta", "nan"], {}, "delta"),
+    (["spectrum"], {"delta": float("nan")}, "delta"),
+    (["orbit"], {"guess": {"r": float("nan")}}, "guess['r']"),
+    (["orbit"], {"guess": [float("nan"), 0.0, 0.0, 1.0]}, "guess[0]"),
+], ids=["delta-flag", "delta-config", "guess-object", "guess-list"])
+def test_nan_input_message_names_key_and_value(tmp_path, capsys, argv, cfg,
+                                               key):
+    # the message names the key, down to the entry of a nested guess, and
+    # the value
+    path = write_json(tmp_path / "cfg.json", cfg)
+    assert main(argv + ["--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be finite")
+    assert err.rstrip().endswith("not nan")
+
+
 def test_selftest_criteria_subset(tmp_path, capsys):
     out = tmp_path / "self"
     # symplectic-residuals ends in a numpy boolean internally; writing the
@@ -378,32 +416,28 @@ def test_selftest_unknown_criterion():
     assert main(["selftest", "--criteria", "nonexistent"]) == 2
 
 
-def test_env_var_sets_output_dir(tmp_path, monkeypatch):
-    monkeypatch.setenv("LOXOKIT_OUT", str(tmp_path / "envout"))
-    inp = write_json(tmp_path / "m.json",
-                     {"data": [[math.e, 0.0], [0.0, 1.0 / math.e]]})
-    assert main(["normal-form", "--input", inp]) == 0
-    assert (tmp_path / "envout" / "normal_form.json").exists()
-
-
 def test_env_var_skipped_by_subcommands_without_the_flag(tmp_path,
                                                          monkeypatch):
-    # only orbit has --tol, so normal-form never parses LOXOKIT_TOL
+    # flags and config keys are the only ways to set a value: no
+    # subcommand reads LOXOKIT_OUT or LOXOKIT_TOL
+    monkeypatch.setenv("LOXOKIT_OUT", str(tmp_path / "envout"))
     monkeypatch.setenv("LOXOKIT_TOL", "abc")
     inp = write_json(tmp_path / "m.json",
                      {"data": [[math.e, 0.0], [0.0, 1.0 / math.e]]})
     assert main(["normal-form", "--input", inp]) == 0
-
-
-def test_bad_env_tol_is_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("LOXOKIT_TOL", "abc")
-    assert main(["orbit"]) == 2
-    assert capsys.readouterr().err.startswith("error: LOXOKIT_TOL")
+    assert not (tmp_path / "envout").exists()
 
 
 def test_h_division_by_zero_is_usage_error(capsys):
     assert main(["resolvent", "--h", "1/0"]) == 2
     assert capsys.readouterr().err.startswith("error: '1/0'")
+
+
+def test_nan_h_is_usage_error_naming_h(capsys):
+    # h is checked before the grid size is computed from it
+    assert main(["resolvent", "--h", "nan"]) == 2
+    assert capsys.readouterr().err.rstrip() == \
+        "error: h must lie in (0, 1], not nan"
 
 
 @pytest.mark.parametrize("argv", [

@@ -36,7 +36,7 @@ def default_problem():
 def test_problem_validation():
     with pytest.raises(dw.GridTooCoarse):
         dw.DampedWaveProblem(n_grid=16)
-    for epsilon in (-0.1, float("nan"), float("inf")):
+    for epsilon in (-0.1, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match=f"epsilon .* not {epsilon}"):
             dw.DampedWaveProblem(epsilon=epsilon)
     with pytest.raises(ValueError):
@@ -47,8 +47,6 @@ def test_problem_validation():
     # warp flattens out only for |r| >= 2
     with pytest.raises(ValueError, match="does not close up"):
         dw.DampedWaveProblem(profile="cosh")
-    with pytest.raises(ValueError, match="does not close up"):
-        dw.DampedWaveProblem(period=3.0)
     with pytest.raises(ValueError, match="unknown warp"):
         dw.DampedWaveProblem(profile="saddle")
 
@@ -334,9 +332,9 @@ def test_frame_of_another_mode_or_problem_is_rejected():
     assert dw.evolve(prob, 5, t_max=1.0, frame=frame5).k == 5
 
 
-def test_decay_report_epsilon_tradeoff(default_problem):
-    reps = [dw.decay_report(default_problem, modes=(0, 2, 5), t_max=20.0,
-                            epsilon=e) for e in (0.1, 0.3)]
+def test_decay_report_epsilon_tradeoff():
+    reps = [dw.decay_report(dw.DampedWaveProblem(epsilon=e),
+                            modes=(0, 2, 5), t_max=20.0) for e in (0.1, 0.3)]
     lo, hi = reps
     # the fitted rate comes from the same flat-energy traces
     assert hi.rate == lo.rate
@@ -351,10 +349,24 @@ def test_decay_report_epsilon_tradeoff(default_problem):
         assert np.all(rep.total_e0 <= bound * (1 + 1e-9))
 
 
-def test_decay_report_rejects_zero_epsilon(default_problem):
+def test_decay_report_rejects_zero_epsilon():
+    # decay_report reads epsilon from the problem, which refuses any
+    # epsilon a decay report cannot use before anything is solved
     for epsilon in (0.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match=f"epsilon > 0, not {epsilon}"):
-            dw.decay_report(default_problem, modes=(0,), epsilon=epsilon)
+        with pytest.raises(ValueError, match=f"epsilon .* > 0, not {epsilon}"):
+            dw.DampedWaveProblem(epsilon=epsilon)
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 0.3])
+def test_decay_report_data_norm_is_twice_the_initial_weighted_energy(
+        epsilon):
+    # the data start at zero displacement, so 2 E^eps(0) of each mode is
+    # the squared H^eps norm of its velocity, at the problem's one epsilon
+    prob = dw.DampedWaveProblem(n_grid=64, modes=(0, 2, 5), epsilon=epsilon)
+    rep = dw.decay_report(prob, t_max=1.0)
+    assert rep.epsilon == epsilon
+    initial = 2 * sum(trace.eeps[0] for trace in rep.per_mode.values())
+    assert initial == pytest.approx(rep.hnorm_sq, rel=1e-12)
 
 
 def test_decay_report_rejects_repeated_mode():

@@ -382,12 +382,7 @@ def test_control_regression_pin(cosh_surface):
 
 @pytest.mark.parametrize("kw", [dict(n_samples=0), dict(T=0.0),
                                 dict(T=-5.0), dict(n_samples=2.5),
-                                dict(T=np.inf), dict(scan_dt=0.0),
-                                dict(scan_dt=-0.05), dict(scan_dt=np.nan),
-                                dict(speed=0.0), dict(speed=-1.0),
-                                dict(r_max=np.nan), dict(r_max=-1.5),
-                                dict(threshold=-1.0),
-                                dict(threshold=np.nan)])
+                                dict(T=np.inf)])
 def test_control_rejects_degenerate_inputs(cosh_surface, kw):
     args = dict(T=5.0, n_samples=4, seed=1) | kw
     with pytest.raises(ValueError):
@@ -406,12 +401,12 @@ def test_control_horizon_off_the_scan_lattice(cosh_surface, T):
     assert rep.min_average == pytest.approx(1.0, abs=1e-9)
 
 
-def _control_draws(sys, exclusion, n_samples, seed, r_max=1.5):
+def _control_draws(sys, exclusion, n_samples, seed):
     """check_geometric_control's Philox draw, one sample at a time."""
     rng = np.random.Generator(np.random.Philox(seed))
     samples = []
     while len(samples) < n_samples:
-        r = rng.uniform(-r_max, r_max)
+        r = rng.uniform(-flows.CONTROL_R_MAX, flows.CONTROL_R_MAX)
         theta = rng.uniform(0.0, TWO_PI)
         psi = rng.uniform(0.0, TWO_PI)
         z = flows.surface_state(sys, r, theta, psi)
@@ -420,15 +415,16 @@ def _control_draws(sys, exclusion, n_samples, seed, r_max=1.5):
     return samples
 
 
-def _control_by_sample(sys, damping, samples, T, tol, scan_dt=0.05,
-                       threshold=1e-9):
+def _control_by_sample(sys, damping, samples, T, tol):
     """Witnesses and forward damping averages from one flow per sample,
     plus one backward flow per sample that misses the damping forward."""
-    t_grid = np.arange(0.0, T + scan_dt, scan_dt)
+    dt = flows.CONTROL_SCAN_DT
+    t_grid = np.arange(0.0, T + dt, dt)
     t_grid = t_grid[t_grid <= T]
 
     def first_hit(res):
-        hits = np.nonzero(damping(res.states[:, 0]) > threshold)[0]
+        hits = np.nonzero(damping(res.states[:, 0])
+                          > flows.CONTROL_THRESHOLD)[0]
         return float(res.times[hits[0]]) if hits.size else None
 
     witnesses, averages = [], []

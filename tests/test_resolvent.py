@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from loxokit import resolvent as rv
 
@@ -174,7 +175,7 @@ def test_scan_products_use_log_normalization():
 
 def test_global_absorption_is_numerical_range_bound():
     # a == 1 everywhere makes -Im<Qu, u> = h C |u|^2, so sigma_min = h C
-    rep = rv.global_absorption_check(1 / 50, n_grid=256)
+    rep = rv.global_absorption_check(1 / 50)
     assert rep["rel_err"] <= 0.10
 
 
@@ -190,6 +191,29 @@ def test_global_absorption_check_returns_window_minimum():
     lowest = min(full.values())
     assert rep["sigma_min"] == pytest.approx(lowest, rel=1e-12)
     assert full[rep["mode"]] == pytest.approx(lowest, rel=1e-12)
+
+
+def test_global_absorption_check_matches_closed_form():
+    # with a == 1, Q_m(z) = (h m - z) + rate S - i h C is normal, so
+    # sigma_min over the window is min_m sqrt((h C)^2 + dist(z - h m,
+    # spec(rate S))^2); the zero-diagonal Hermitian tridiagonal rate S has
+    # the spectrum of the real one with off-diagonal |rate s_off|
+    h, z = 1 / 100, rv.GLOBAL_ABSORPTION_Z
+    rep = rv.global_absorption_check(h)
+    op = rv.quantize_model(h, profile=rv.AbsorbingProfile(floor=1.0))
+    spec = scipy.linalg.eigvalsh_tridiagonal(np.zeros(op.n_grid),
+                                             np.abs(op.rate * op.s_off))
+    modes = np.array(list(rv._mode_window(op, z, 0.6)))
+    dist = np.abs((z - h * modes)[:, None] - spec[None, :]).min(axis=1)
+    sigma = np.sqrt((h * op.profile.strength) ** 2 + dist ** 2)
+    j = int(np.argmin(sigma))
+    assert rep["sigma_min"] == pytest.approx(sigma[j], rel=1e-12)
+    assert rep["mode"] == modes[j]
+
+
+def test_nan_h_is_rejected_before_the_grid_size():
+    with pytest.raises(ValueError, match=r"h must lie in \(0, 1\], not nan"):
+        rv.default_operator_builder()(float("nan"))
 
 
 # ---------------------------------------------------------------------------
