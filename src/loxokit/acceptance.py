@@ -165,9 +165,9 @@ def criterion_normal_form_recovery():
 
 
 def criterion_monodromy_oracle():
-    sys = flows.surface_of_revolution("cosh")
-    guess = flows.surface_state(sys, 0.0, 0.0, np.pi / 2)
-    orbit = flows.find_closed_orbit(sys, guess, 2 * np.pi)
+    sys = flows.surface_of_revolution()
+    guess = flows.surface_state(sys, **flows.NECK_GUESS)
+    orbit = flows.find_closed_orbit(sys, guess, flows.NECK_PERIOD)
     mono = flows.linearized_poincare_map(sys, orbit)
     eigs = np.sort(la.eigvals(mono.reduced_map).real)
     want = np.array([math.exp(-2 * math.pi), math.exp(2 * math.pi)])
@@ -179,10 +179,10 @@ def criterion_monodromy_oracle():
 
 
 def criterion_nonconcentration():
-    ks = [10, 20, 40, 80]
-    scan = spectra.nonconcentration_scan(ks, delta=0.5, R=3.0, N=2048)
+    ks = spectra.K_LADDER
+    scan = spectra.nonconcentration_scan(ks)
     ratio = scan.band["product_ratio"]
-    coarse = spectra.nonconcentration_scan(ks, delta=0.5, R=3.0, N=1024)
+    coarse = spectra.nonconcentration_scan(ks, N=spectra.GRID_N // 2)
     drift = max(abs(a.product - b.product) / b.product
                 for a, b in zip(coarse.rows, scan.rows))
     ok = ratio <= 2.0 and drift <= 0.05
@@ -190,8 +190,7 @@ def criterion_nonconcentration():
 
 
 def criterion_resolvent_bounds():
-    build = rv.default_operator_builder()
-    scan = rv.sigma_min_scan(build, [1 / 50, 1 / 100, 1 / 200, 1 / 400])
+    scan = rv.sigma_min_scan(rv.default_operator_builder(), rv.H_LADDER)
     r1 = scan.bands["inv_norm"]["ratio"]
     r2 = scan.bands["cutoff"]["ratio"]
     glob = rv.global_absorption_check(1 / 100)
@@ -231,12 +230,11 @@ def criterion_damped_wave():
 
 
 def criterion_geometric_control():
-    sys = flows.surface_of_revolution("cosh")
+    sys = flows.surface_of_revolution()
     report = flows.check_geometric_control(
-        sys, flows.meridian_damping(0.5, 1.0), flows.neck_exclusion(),
-        T=50.0, n_samples=500, seed=2024)
-    orbit_pt = flows.surface_state(sys, 0.0, 0.0, np.pi / 2)
-    avg = flows.trajectory_average(sys, orbit_pt, 2 * np.pi,
+        sys, flows.meridian_damping(), flows.neck_exclusion(), seed=2024)
+    orbit_pt = flows.surface_state(sys, **flows.NECK_GUESS)
+    avg = flows.trajectory_average(sys, orbit_pt, flows.NECK_PERIOD,
                                    lambda z: math.sin(z[1]) ** 2)
     avg_err = abs(avg - 0.5)
     ok = (report.controlled_fraction == 1.0 and report.min_average > 0

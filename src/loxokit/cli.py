@@ -3,7 +3,7 @@
 JSON configs in, CSV/JSON outputs (written atomically) out. Exit codes:
 0 success, 2 configuration or usage error, 3 numerical failure inside a
 solver. Each subcommand accepts only the options it reads, and a flag
-beats the config key it stands for.
+beats the config key it stands for; every default is the library's own.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 import numpy as np
 import scipy.linalg as la
 
-from . import acceptance, serialize
+from . import acceptance, cutoffs, serialize
 from . import dampedwave as dw
 from . import flows
 from . import resolvent as rv
@@ -61,9 +61,9 @@ def _missing_kind(value, default):
     return None
 
 
-def _load_config(path, defaults):
-    """Merge defaults with a JSON config; keys missing from defaults and
-    values of the wrong kind are an error."""
+def _load_config(path, defaults, **flags):
+    """Defaults, then a JSON config's keys, then each flag given (not None)
+    under its key; unknown keys and wrong kinds in the config are errors."""
     merged = dict(defaults)
     if path is not None:
         try:
@@ -85,45 +85,44 @@ def _load_config(path, defaults):
                 raise UsageError(
                     f"config key {key!r} must be {kind}, not {value!r}")
         merged.update(cfg)
+    merged.update((key, v) for key, v in flags.items() if v is not None)
     return merged
 
 
 def _parse_float(token):
-    token = token.strip()
-    if "/" in token:
-        num, den = token.split("/", 1)
+    num, slash, den = token.partition("/")
+    return float(num) / float(den) if slash else float(token)
+
+
+def _parse_list(flag, text, parse):
+    """Entries of a list flag, comma-separated or an integer range '0:41'
+    (half-open), or None; a bad entry is a usage error naming the flag."""
+    if text is None:
+        return None
+    ranged = parse is int and ":" in text
+    tokens = text.split(":", 1) if ranged else [
+        tok for tok in text.split(",") if tok.strip()]
+    values = []
+    for token in (tok.strip() for tok in tokens):
         try:
-            return float(num) / float(den)
+            values.append(parse(token))
         except ZeroDivisionError:
             raise UsageError(f"{token!r} divides by zero") from None
-    return float(token)
-
-
-def _parse_float_list(text):
-    return [_parse_float(tok) for tok in str(text).split(",") if tok.strip()]
-
-
-def _parse_mode_list(text):
-    """Modes as '0,1,5' or a range '0:41' (half-open)."""
-    text = str(text).strip()
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi)))
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError:
+            kind = "an integer" if parse is int else "a number"
+            raise UsageError(f"{flag} entry {token!r} is not {kind}") from None
+    return list(range(*values)) if ranged else values
 
 
 def _out_dir(args):
-    out = args.out
-    if out is None:
-        return None
-    os.makedirs(out, exist_ok=True)
-    return out
+    if args.out is not None:
+        os.makedirs(args.out, exist_ok=True)
+    return args.out
 
 
 def _emit_json(out, name, payload):
-    payload = dict(payload)
-    payload["schema_version"] = serialize.SCHEMA_VERSION
-    serialize.write_json(os.path.join(out, name), payload)
+    serialize.write_json(os.path.join(out, name), {
+        **payload, "schema_version": serialize.SCHEMA_VERSION})
 
 
 # ---------------------------------------------------------------------------
@@ -191,29 +190,24 @@ def _check_guess_finite(items):
 
 def cmd_orbit(args):
     cfg = _load_config(args.config, {
-        "model": {"model": "surface_of_revolution", "profile": "cosh"},
-        "guess": {"r": 0.0, "theta": 0.0, "psi": math.pi / 2, "speed": 1.0},
-        "period_guess": 2 * math.pi, "tol": 1e-11,
-    })
-    if args.tol is not None:
-        cfg["tol"] = args.tol
+        "model": {"model": "surface_of_revolution"},
+        "guess": dict(flows.NECK_GUESS),
+        "period_guess": flows.NECK_PERIOD, "tol": flows.ORBIT_TOL,
+    }, tol=args.tol)
     if not isinstance(cfg["model"], dict):
         raise UsageError(f"config key 'model' must be an object, not "
                          f"{cfg['model']!r}")
     sys_ = flows.system_from_config(cfg["model"])
     guess = cfg["guess"]
     if isinstance(guess, dict):
-        unknown = sorted(set(guess) - {"r", "theta", "psi", "speed"})
+        unknown = sorted(set(guess) - set(flows.NECK_GUESS))
         if unknown:
             raise UsageError(f"unknown guess keys {unknown}")
         if not all(map(_is_number, guess.values())):
             raise UsageError(f"config key 'guess' must map to numbers, not "
                              f"{guess!r}")
         _check_guess_finite(guess.items())
-        z0 = flows.surface_state(sys_, guess.get("r", 0.0),
-                                 guess.get("theta", 0.0),
-                                 guess.get("psi", math.pi / 2),
-                                 guess.get("speed", 1.0))
+        z0 = flows.surface_state(sys_, **{**flows.NECK_GUESS, **guess})
     elif isinstance(guess, list) and all(map(_is_number, guess)) \
             and len(guess) == 2 * sys_.n:
         _check_guess_finite(enumerate(guess))
@@ -250,13 +244,9 @@ def cmd_orbit(args):
 
 def cmd_spectrum(args):
     cfg = _load_config(args.config, {
-        "k": [10, 20, 40, 80], "delta": 0.5, "R": 3.0, "N": 2048,
-        "profile": "cosh",
-    })
-    if args.k is not None:
-        cfg["k"] = [int(v) for v in _parse_mode_list(args.k)]
-    if args.delta is not None:
-        cfg["delta"] = args.delta
+        "k": list(spectra.K_LADDER), "delta": spectra.DELTA,
+        "R": spectra.RADIUS, "N": spectra.GRID_N, "profile": spectra.PROFILE,
+    }, k=_parse_list("--k", args.k, int), delta=args.delta)
     report = spectra.nonconcentration_scan(
         cfg["k"], delta=float(cfg["delta"]), R=float(cfg["R"]),
         N=cfg["N"], profile=cfg["profile"])
@@ -266,8 +256,7 @@ def cmd_spectrum(args):
                             report.csv_columns(), report.csv_rows())
         _emit_json(out, "spectrum.json", {
             "delta": report.delta, "R": report.R, "profile": report.profile,
-            "band": report.band,
-        })
+            "band": report.band})
     band = report.band
     print(f"spectrum: {len(report.rows)} modes, product band "
           f"[{band['product_min']:.4f}, {band['product_max']:.4f}] "
@@ -277,29 +266,24 @@ def cmd_spectrum(args):
 
 def cmd_resolvent(args):
     cfg = _load_config(args.config, {
-        "h": [1 / 50, 1 / 100, 1 / 200, 1 / 400],
-        "window": 0.6, "cutoff": True, "rate": 1.0, "half_length": 1.0,
-        "n_z": 11,
-    })
-    if args.h is not None:
-        cfg["h"] = _parse_float_list(args.h)
+        "h": list(rv.H_LADDER), "window": rv.MODE_WINDOW, "cutoff": rv.CUTOFF,
+        "rate": rv.RATE, "half_length": rv.HALF_LENGTH, "n_z": rv.N_Z,
+    }, h=_parse_list("--h", args.h, _parse_float))
     if cfg["n_z"] < 1:
         raise UsageError(f"config key 'n_z' must be at least 1, "
                          f"not {cfg['n_z']}")
     build = rv.default_operator_builder(rate=float(cfg["rate"]),
                                         half_length=float(cfg["half_length"]))
-    z_values = np.linspace(-0.5, 0.5, cfg["n_z"])
     scan = rv.sigma_min_scan(build, [float(h) for h in cfg["h"]],
-                             z_values=z_values, cutoff=bool(cfg["cutoff"]),
+                             z_values=rv.z_grid(cfg["n_z"]),
+                             cutoff=bool(cfg["cutoff"]),
                              window=float(cfg["window"]))
     out = _out_dir(args)
     if out is not None:
         serialize.write_csv(os.path.join(out, "resolvent.csv"),
                             scan.csv_columns(), scan.csv_rows())
-        _emit_json(out, "resolvent.json", {
-            "window": scan.window,
-            "bands": scan.bands,
-        })
+        _emit_json(out, "resolvent.json",
+                   {"window": scan.window, "bands": scan.bands})
     b = scan.bands["inv_norm"]
     line = (f"resolvent: inv-norm product band [{b['min']:.3f}, "
             f"{b['max']:.3f}] ratio {b['ratio']:.3f}")
@@ -311,22 +295,17 @@ def cmd_resolvent(args):
 
 def cmd_damped_wave(args):
     cfg = _load_config(args.config, {
-        "modes": list(range(41)), "epsilon": 0.1, "t_max": dw.T_MAX,
-        "n_grid": 192, "damping_inner": 0.5, "damping_outer": 1.0,
-        "warp": "neck", "decay_modes": list(dw.DECAY_MODES),
-    })
-    if args.modes is not None:
-        cfg["modes"] = _parse_mode_list(args.modes)
-    if args.epsilon is not None:
-        cfg["epsilon"] = args.epsilon
-    if args.r0 is not None:
-        cfg["damping_inner"] = args.r0
-        cfg["damping_outer"] = max(float(args.r0) + 0.5,
-                                   cfg["damping_outer"])
-    inner = float(cfg["damping_inner"])
+        "modes": list(dw.MODES), "decay_modes": list(dw.DECAY_MODES),
+        "epsilon": dw.EPSILON, "t_max": dw.T_MAX, "n_grid": dw.N_GRID,
+        "warp": dw.WARP, "damping_inner": cutoffs.DAMPING_INNER,
+        "damping_outer": cutoffs.DAMPING_OUTER}, epsilon=args.epsilon,
+        modes=_parse_list("--modes", args.modes, int), damping_inner=args.r0)
+    inner, outer = float(cfg["damping_inner"]), float(cfg["damping_outer"])
+    if not 0 <= inner < outer:
+        raise UsageError(f"damping_inner must lie in [0, damping_outer) = "
+                         f"[0, {outer}), not {inner}")
     prob = dw.DampedWaveProblem(
-        profile=cfg["warp"],
-        damping=dw.neck_damping(inner, float(cfg["damping_outer"])),
+        profile=cfg["warp"], damping=dw.neck_damping(inner, outer),
         n_grid=cfg["n_grid"], modes=tuple(cfg["modes"]),
         epsilon=float(cfg["epsilon"]), dead_zone_radius=inner)
     sets, strip, mirror = dw.eigenfrequency_scan(prob)
@@ -451,7 +430,7 @@ def main(argv=None):
     except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

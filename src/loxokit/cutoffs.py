@@ -58,7 +58,11 @@ def plateau_bump(x, lo, hi):
     return out if np.ndim(out) else float(out)
 
 
-def neck_damping(inner=0.5, outer=1.0):
+DAMPING_INNER = 0.5
+DAMPING_OUTER = 1.0
+
+
+def neck_damping(inner=DAMPING_INNER, outer=DAMPING_OUTER):
     """Damping profile a(r): 0 for |r| <= inner, 1 for |r| >= outer."""
     def a(r):
         return plateau_step(r, inner, outer)

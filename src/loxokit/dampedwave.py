@@ -29,7 +29,7 @@ import numpy as np
 import scipy.linalg as la
 from scipy.integrate import simpson
 
-from .cutoffs import get_warp, neck_damping
+from .cutoffs import DAMPING_INNER, get_warp, neck_damping
 from .errors import GridTooCoarse, LoxokitError, StepFailure
 
 
@@ -41,6 +41,11 @@ class LinearizationIllConditioned(DampedWaveError):
     pass
 
 
+# the default problem; its damping is cutoffs.neck_damping()
+WARP = "neck"
+N_GRID = 192         # grid points per period
+MODES = tuple(range(41))
+EPSILON = 0.1        # regularity of the data norm H^epsilon
 # angular modes whose energies the decay fit superposes, and its horizon
 DECAY_MODES = (0, 1, 2, 5, 10, 20, 40)
 T_MAX = 60.0
@@ -62,12 +67,12 @@ class DampedWaveProblem:
     finite and > 0.
     """
 
-    profile: str = "neck"
+    profile: str = WARP
     damping: object = None
-    n_grid: int = 192
-    modes: tuple = tuple(range(41))
-    epsilon: float = 0.1
-    dead_zone_radius: float = 0.5
+    n_grid: int = N_GRID
+    modes: tuple = MODES
+    epsilon: float = EPSILON
+    dead_zone_radius: float = DAMPING_INNER
     r: np.ndarray = field(init=False, repr=False)
     spacing: float = field(init=False)
     f: np.ndarray = field(init=False, repr=False)

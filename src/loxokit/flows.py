@@ -27,9 +27,14 @@ import scipy.linalg as la
 
 from .cutoffs import get_warp, neck_damping
 from .errors import LoxokitError, StepFailure
-from .symplectic import POINCARE_MAP, SpectrumClassification, classify
+from .symplectic import (POINCARE_MAP, SpectrumClassification, classify,
+                         standard_symplectic_matrix, symplectic_pairing)
 
 
+# the neck orbit that `loxokit orbit` and the monodromy-oracle criterion close
+NECK_GUESS = {"r": 0.0, "theta": 0.0, "psi": math.pi / 2, "speed": 1.0}
+NECK_PERIOD = 2 * math.pi
+ORBIT_TOL = 1e-11
 NECK_R_WIDTH = 0.2          # neck_exclusion half-width in r
 NECK_CLAIRAUT_WIDTH = 0.01  # and in the Clairaut constant
 ORBIT_MAX_ITER = 40         # Gauss-Newton steps of find_closed_orbit
@@ -337,7 +342,7 @@ def _variational_rhs(sys):
     return rhs
 
 
-def _flow_with_monodromy(sys, z0, T, tol=1e-11):
+def _flow_with_monodromy(sys, z0, T, tol):
     """Integrate z and the variational matrix over [0, T]."""
     dim = 2 * sys.n
     rhs = _variational_rhs(sys)
@@ -497,7 +502,7 @@ def _multiple_shooting(sys, guess, period_guess, v_sec, z_ref, E0, tol,
     return x[:dim].copy()
 
 
-def find_closed_orbit(sys, guess, period_guess, tol=1e-11):
+def find_closed_orbit(sys, guess, period_guess, tol=ORBIT_TOL):
     """Newton shooting on the Poincare return map near a guess.
 
     The section is the hyperplane through the guess orthogonal to the flow
@@ -562,8 +567,6 @@ def find_closed_orbit(sys, guess, period_guess, tol=1e-11):
 
 def _symplectic_pair_basis(C):
     """Symplectic basis (u_i, w_i) of the column span of C, s(u_i, w_j) = delta."""
-    from .symplectic import symplectic_pairing
-
     cols = [C[:, j] for j in range(C.shape[1])]
     us, ws = [], []
     while cols:
@@ -589,15 +592,13 @@ def _symplectic_pair_basis(C):
     return np.column_stack(us + ws)
 
 
-def linearized_poincare_map(sys, orbit, tol=1e-11):
+def linearized_poincare_map(sys, orbit, tol=ORBIT_TOL):
     """Monodromy over one period and its transverse symplectic reduction.
 
     The section is the hyperplane orthogonal to the flow direction; the
     reduced map acts on a symplectic basis of the section intersected with
     the energy shell, so it is symplectic for the standard (2n-2)-form.
     """
-    from .symplectic import standard_symplectic_matrix, symplectic_pairing
-
     z0 = np.asarray(orbit.point, dtype=float)
     _, M = _flow_with_monodromy(sys, z0, orbit.period, tol=tol)
     v = sys.vector_field(z0)

@@ -45,6 +45,15 @@ from .cutoffs import plateau_step
 from .errors import GridTooCoarse, LoxokitError
 
 
+# the scan that `loxokit resolvent` and the resolvent-bounds criterion run
+H_LADDER = (1 / 50, 1 / 100, 1 / 200, 1 / 400)
+MODE_WINDOW = 0.6  # modes m with |h m - Re z| <= MODE_WINDOW
+RATE = 1.0         # p = tau + RATE * x xi
+HALF_LENGTH = 1.0  # x runs over [-HALF_LENGTH, HALF_LENGTH]
+N_Z = 11           # points of z_grid
+CUTOFF = True      # scan the cutoff norm too
+
+
 class ResolventError(LoxokitError):
     pass
 
@@ -111,7 +120,8 @@ def _check_half_length(half_length):
                          f"{half_length}")
 
 
-def quantize_model(h, rate=1.0, n_grid=256, half_length=1.0, profile=None):
+def quantize_model(h, rate=RATE, n_grid=256, half_length=HALF_LENGTH,
+                   profile=None):
     """Assemble the per-mode data for the model operator."""
     _check_h(h)
     if not (math.isfinite(rate) and rate > 0):
@@ -372,7 +382,7 @@ def _window_points(op, z, window):
     return ms, float(np.real(z)) - op.h * ms
 
 
-def sigma_min_point(op, z, window=0.6, sweep=None):
+def sigma_min_point(op, z, window=MODE_WINDOW, sweep=None):
     """min over Fourier modes of sigma_min(Q_m(z)) and the attaining mode.
 
     The sweep value at the minimum is certified against the exact banded
@@ -403,7 +413,7 @@ def sigma_min_point(op, z, window=0.6, sweep=None):
     return float(exact), int(ms[j])
 
 
-def cutoff_norm_point(op, z, phi, window=0.6, sweep=None):
+def cutoff_norm_point(op, z, phi, window=MODE_WINDOW, sweep=None):
     _check_window(window)
     if np.imag(z) != 0:
         raise ValueError("cutoff norms are scanned at real z")
@@ -444,19 +454,16 @@ class ResolventScan:
                  r.norm_product, r.cutoff_product] for r in self.rows]
 
 
-def default_grid_size(h, half_length=1.0):
-    """Power-of-two grid resolving symbol-scale frequencies |xi| <~ 4."""
-    _check_h(h)
-    need = 8.0 * half_length / (math.pi * h)
-    return int(max(256, 2 ** math.ceil(math.log2(need))))
-
-
-def default_operator_builder(rate=1.0, half_length=1.0):
+def default_operator_builder(rate=RATE, half_length=HALF_LENGTH):
+    """h -> quantize_model(h) on the power-of-two grid that resolves
+    symbol-scale frequencies |xi| <~ 4."""
     _check_half_length(half_length)
 
     def build(h):
-        return quantize_model(h, rate=rate,
-                              n_grid=default_grid_size(h, half_length),
+        _check_h(h)
+        need = 8.0 * half_length / (math.pi * h)
+        n_grid = int(max(256, 2 ** math.ceil(math.log2(need))))
+        return quantize_model(h, rate=rate, n_grid=n_grid,
                               half_length=half_length)
     return build
 
@@ -511,11 +518,17 @@ def _proved_clear(sweep, w_vals, floor):
                if round(w / sweep.step) not in sweep.cache)
 
 
-def sigma_min_scan(op_builder, h_list, z_values=None, cutoff=True, window=0.6):
+def z_grid(n_z):
+    """n_z real spectral parameters evenly spread over [-0.5, 0.5]."""
+    return np.linspace(-0.5, 0.5, n_z)
+
+
+def sigma_min_scan(op_builder, h_list, z_values=None, cutoff=CUTOFF,
+                   window=MODE_WINDOW):
     """Scan sigma_min(Q(z)) over z for each h; normalized products and
     their across-h bands summarize the scaling.
 
-    `cutoff` adds the default_cutoff norm and its band when true.
+    z_values None scans z_grid(N_Z). `cutoff` adds the cutoff norm band.
 
     Per h, every (z, mode) pair reduces to w = z - h*m, so the scan first
     fills one warm-started sweep over the union of w values and the per-z
@@ -532,7 +545,7 @@ def sigma_min_scan(op_builder, h_list, z_values=None, cutoff=True, window=0.6):
     """
     _check_window(window)
     if z_values is None:
-        z_values = np.linspace(-0.5, 0.5, 11)
+        z_values = z_grid(N_Z)
     if len(h_list) == 0:
         raise ValueError("need at least one h")
     if np.size(z_values) == 0:

@@ -25,6 +25,14 @@ from .cutoffs import get_warp
 from .errors import GridTooCoarse, LoxokitError
 
 
+# the scan that `loxokit spectrum` and the non-concentration criterion run
+K_LADDER = (10, 20, 40, 80)  # angular modes
+DELTA = 0.5                  # neck half-width
+RADIUS = 3.0                 # r runs over [-RADIUS, RADIUS]
+GRID_N = 2048                # interior grid nodes
+PROFILE = "cosh"             # warp
+
+
 class SpectraError(LoxokitError):
     pass
 
@@ -66,7 +74,7 @@ def _check_delta(delta, R):
                          f"[0, {R}), not {delta}")
 
 
-def build_radial_operator(k, R=3.0, N=2048, profile="cosh"):
+def build_radial_operator(k, R, N, profile=PROFILE):
     if N < 64:
         raise GridTooCoarse(f"N = {N} below the minimum grid size 64")
     _check_radius(R)
@@ -186,7 +194,8 @@ def _scan_one(k, delta, R, N, profile):
                    product=m_out * np.log(lam), grid_N=int(N))
 
 
-def nonconcentration_scan(k_list, delta=0.5, R=3.0, N=2048, profile="cosh"):
+def nonconcentration_scan(k_list, delta=DELTA, R=RADIUS, N=GRID_N,
+                          profile=PROFILE):
     """Barrier-top mode per k, its mass away from the neck, and the
     logarithmic products; band statistics summarize the scan."""
     if not k_list:

@@ -181,15 +181,6 @@ class SymplecticTransform:
             raise NotSymplectic("T^T J T != J within tolerance: not symplectic")
         self.entries = T
 
-    @property
-    def inverse(self):
-        # J^{-1} T^T J = T^{-1} for symplectic T; cheaper and better
-        # conditioned than a generic solve.
-        T = self.entries
-        m = self.dim // 2
-        J = standard_symplectic_matrix(m)
-        return -J @ T.T @ J
-
 
 def hamilton_matrix(q: QuadraticHamiltonian) -> HamiltonMatrix:
     """Hamilton matrix B = -J Q of a quadratic Hamiltonian."""

@@ -362,6 +362,53 @@ def test_damped_wave_zero_epsilon_exits_before_the_scan(monkeypatch,
         capsys.readouterr().err
 
 
+def test_r0_flag_stands_for_damping_inner_alone(tmp_path):
+    # --r0 used to raise damping_outer to r0 + 0.5 as well, so the flag
+    # and the config key ran different problems
+    base = {"n_grid": 64, "modes": [0, 1], "decay_modes": [0, 1],
+            "t_max": 2.0}
+    flag = write_json(tmp_path / "flag.json", base)
+    key = write_json(tmp_path / "key.json", dict(base, damping_inner=0.8))
+    assert main(["damped-wave", "--config", flag, "--r0", "0.8",
+                 "--out", str(tmp_path / "flag")]) == 0
+    assert main(["damped-wave", "--config", key,
+                 "--out", str(tmp_path / "key")]) == 0
+    for out in ("eigenfrequencies.csv", "energy.csv", "damped_wave.json"):
+        assert (tmp_path / "flag" / out).read_bytes() == \
+            (tmp_path / "key" / out).read_bytes()
+
+
+@pytest.mark.parametrize("argv, cfg, inner, outer", [
+    (["--r0", "1.2"], {}, 1.2, 1.0),
+    ([], {"damping_inner": 1.2}, 1.2, 1.0),
+    ([], {"damping_inner": 0.7, "damping_outer": 0.7}, 0.7, 0.7),
+    (["--r0", "-0.5"], {}, -0.5, 1.0),
+], ids=["flag", "config", "equal", "negative"])
+def test_damping_inner_outside_0_to_outer_is_usage_error(tmp_path, capsys,
+                                                         argv, cfg, inner,
+                                                         outer):
+    # the message names both keys and both values; it used to be "need
+    # 0 <= lo < hi"
+    path = write_json(tmp_path / "cfg.json", cfg)
+    assert main(["damped-wave", "--config", path, *argv]) == 2
+    assert capsys.readouterr().err == (
+        f"error: damping_inner must lie in [0, damping_outer) = "
+        f"[0, {outer}), not {inner}\n")
+
+
+@pytest.mark.parametrize("argv, flag, entry, kind", [
+    (["spectrum", "--k", "10,1.5"], "--k", "1.5", "an integer"),
+    (["damped-wave", "--modes", "0:x"], "--modes", "x", "an integer"),
+    (["resolvent", "--h", "1/50,1/x"], "--h", "1/x", "a number"),
+], ids=["k", "modes", "h"])
+def test_bad_list_flag_entry_names_flag_and_entry(capsys, argv, flag, entry,
+                                                  kind):
+    # these printed the bare int() or float() message, which names no flag
+    assert main(argv) == 2
+    assert capsys.readouterr().err == \
+        f"error: {flag} entry {entry!r} is not {kind}\n"
+
+
 @pytest.mark.parametrize("command, key, value", [
     ("damped-wave", "epsilon", float("nan")),
     ("damped-wave", "epsilon", float("inf")),
