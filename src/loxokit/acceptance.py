@@ -211,21 +211,21 @@ def criterion_harmonic_oscillator():
 
 def criterion_damped_wave():
     prob = dw.DampedWaveProblem()
-    _, strip, symm = dw.eigenfrequency_scan(prob)
-    fine = dw.evolve(prob, 12, t_max=2.0, dt=2e-4)
-    rises = np.diff(fine.e0)
-    mono = float(rises.max() / fine.e0[0]) if rises.size else 0.0
+    _, strip, symm = dw.eigenfrequency_scan(prob, modes=dw.MODES)
     rep = dw.decay_report(prob, modes=dw.DECAY_MODES, t_max=dw.T_MAX)
+    # the worst rise and dissipation residual over the decay report's traces
+    traces = rep.per_mode.values()
+    mono = max(float(np.diff(tr.e0).max() / tr.e0[0]) for tr in traces)
+    diss = max(tr.dissipation_residual for tr in traces)
     undamped = dw.DampedWaveProblem(
         damping=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        modes=(5,), dead_zone_radius=None)
-    cons = dw.evolve(undamped, 5, t_max=100.0, dt=0.004)
+        dead_zone_radius=None)
+    cons = dw.evolve(undamped, 5, t_max=100.0, dt=0.1)
     drift = float(np.abs(cons.e0 - cons.e0[0]).max() / cons.e0[0])
     ok = (strip <= 1e-8 and symm <= 1e-8 and mono <= 1e-8
-          and fine.dissipation_residual <= 1e-6 and rep.r_squared >= 0.95
-          and drift <= 1e-8)
+          and diss <= 1e-6 and rep.r_squared >= 0.95 and drift <= 1e-8)
     return ok, (f"strip {strip:.1e}, mirror {symm:.1e}, rise {mono:.1e}, "
-                f"dissipation {fine.dissipation_residual:.1e}, decay R^2 "
+                f"dissipation {diss:.1e}, decay R^2 "
                 f"{rep.r_squared:.3f}, conservation drift {drift:.1e}")
 
 

@@ -199,6 +199,10 @@ def cmd_orbit(args):
                          f"{cfg['model']!r}")
     sys_ = flows.system_from_config(cfg["model"])
     guess = cfg["guess"]
+    if isinstance(guess, dict) and sys_.model_tag != "surface_of_revolution":
+        raise UsageError(f"config key 'guess' must be a list of {2 * sys_.n} "
+                         f"numbers for model {sys_.model_tag!r}; an object "
+                         f"guess needs the surface model")
     if isinstance(guess, dict):
         unknown = sorted(set(guess) - set(flows.NECK_GUESS))
         if unknown:
@@ -306,11 +310,10 @@ def cmd_damped_wave(args):
                          f"[0, {outer}), not {inner}")
     prob = dw.DampedWaveProblem(
         profile=cfg["warp"], damping=dw.neck_damping(inner, outer),
-        n_grid=cfg["n_grid"], modes=tuple(cfg["modes"]),
-        epsilon=float(cfg["epsilon"]), dead_zone_radius=inner)
-    sets, strip, mirror = dw.eigenfrequency_scan(prob)
-    decay_modes = [k for k in cfg["decay_modes"] if k in prob.modes]
-    rep = dw.decay_report(prob, modes=decay_modes or None,
+        n_grid=cfg["n_grid"], epsilon=float(cfg["epsilon"]),
+        dead_zone_radius=inner)
+    sets, strip, mirror = dw.eigenfrequency_scan(prob, modes=cfg["modes"])
+    rep = dw.decay_report(prob, modes=cfg["decay_modes"],
                           t_max=float(cfg["t_max"]))
     out = _out_dir(args)
     if out is not None:
@@ -324,7 +327,7 @@ def cmd_damped_wave(args):
             list(zip(rep.times, rep.total_e0, total_eeps)))
         _emit_json(out, "damped_wave.json", {
             "epsilon": rep.epsilon,
-            "modes": list(prob.modes),
+            "modes": cfg["modes"],
             "decay_modes": list(rep.modes),
             "rate": rep.rate,
             "r_squared": rep.r_squared,

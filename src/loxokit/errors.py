@@ -1,9 +1,9 @@
 """Typed numerical failures shared by every solver module.
 
 Each module's base error (SymplecticError, FlowError, SpectraError,
-ResolventError, DampedWaveError) subclasses LoxokitError, and failures
-that more than one module can raise are defined here once. The command
-line maps every LoxokitError to exit code 3.
+ResolventError, DampedWaveError) subclasses LoxokitError;
+GridTooCoarse and StepFailure are defined here once. The command line
+maps every LoxokitError to exit code 3.
 """
 
 

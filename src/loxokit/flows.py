@@ -598,7 +598,11 @@ def linearized_poincare_map(sys, orbit, tol=ORBIT_TOL):
     The section is the hyperplane orthogonal to the flow direction; the
     reduced map acts on a symplectic basis of the section intersected with
     the energy shell, so it is symplectic for the standard (2n-2)-form.
+    A system with n = 1 has no transverse directions: ValueError.
     """
+    if sys.n < 2:
+        raise ValueError(f"the return map needs n >= 2 degrees of freedom; "
+                         f"model {sys.model_tag!r} has n = {sys.n}")
     z0 = np.asarray(orbit.point, dtype=float)
     _, M = _flow_with_monodromy(sys, z0, orbit.period, tol=tol)
     v = sys.vector_field(z0)

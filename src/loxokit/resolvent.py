@@ -58,10 +58,6 @@ class ResolventError(LoxokitError):
     pass
 
 
-class ProfileOutOfDomain(ResolventError):
-    pass
-
-
 class SingularAtZ(ResolventError):
     pass
 
@@ -129,9 +125,9 @@ def quantize_model(h, rate=RATE, n_grid=256, half_length=HALF_LENGTH,
     _check_half_length(half_length)
     profile = profile if profile is not None else AbsorbingProfile()
     if profile.rho1 >= half_length:
-        raise ProfileOutOfDomain(
-            f"absorption plateau rho1 = {profile.rho1} must sit inside the "
-            f"grid half-length {half_length}")
+        raise ValueError(
+            f"half_length must exceed the absorption plateau rho1 = "
+            f"{profile.rho1}, not {half_length}")
     n_modes = 2 * int(math.ceil(1.6 / h))
     if n_modes < 32 or n_grid < 32:
         raise ValueError(f"need n_grid >= 32 and h small enough for 32 "

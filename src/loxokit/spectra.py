@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .cutoffs import get_warp
-from .errors import GridTooCoarse, LoxokitError
+from .errors import LoxokitError
 
 
 # the scan that `loxokit spectrum` and the non-concentration criterion run
@@ -76,7 +76,7 @@ def _check_delta(delta, R):
 
 def build_radial_operator(k, R, N, profile=PROFILE):
     if N < 64:
-        raise GridTooCoarse(f"N = {N} below the minimum grid size 64")
+        raise ValueError(f"N must be at least 64, not {N}")
     _check_radius(R)
     if k < 0 or k != int(k):
         raise ValueError("mode k must be a nonnegative integer")

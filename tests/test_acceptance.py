@@ -94,8 +94,11 @@ def _resolvent(calls):
 def _damped_wave(calls):
     args = dict(calls["decay_report"])
     prob = args.pop("problem")
+    scan = calls["eigenfrequency_scan"]
     args["modes"] = list(args["modes"])
-    args["problem"] = (prob.profile, prob.n_grid, prob.modes, prob.epsilon,
+    args["scan_modes"] = list(scan["modes"])
+    args["one_problem"] = scan["problem"] is prob
+    args["problem"] = (prob.profile, prob.n_grid, prob.epsilon,
                        prob.dead_zone_radius, prob.a.tolist())
     return args
 
@@ -113,11 +116,10 @@ DEFAULT_RUNS = {
                  {(spectra, "nonconcentration_scan"): _stop}, _spectrum),
     "resolvent": (acceptance.criterion_resolvent_bounds,
                   {(rv, "sigma_min_scan"): _stop}, _resolvent),
-    # the eigenfrequency scan is skipped; the criterion's short fine evolve
-    # runs for real before the decay report
+    # the eigenfrequency scan is recorded and skipped
     "damped-wave": (acceptance.criterion_damped_wave,
                     {(dw, "eigenfrequency_scan"):
-                         lambda real, problem: ([], 0.0, 0.0),
+                         lambda real, *args, **kwargs: ([], 0.0, 0.0),
                      (dw, "decay_report"): _stop}, _damped_wave),
     "orbit": (acceptance.criterion_monodromy_oracle,
               {(flows, "find_closed_orbit"): lambda real, *a, **k: "orbit",

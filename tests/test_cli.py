@@ -13,7 +13,7 @@ import pytest
 import scipy.linalg
 
 import loxokit
-from loxokit import cli, dampedwave, flows, spectra
+from loxokit import cli, dampedwave, flows, resolvent
 from loxokit.cli import main
 from loxokit.errors import LoxokitError
 from loxokit.serialize import SCHEMA_VERSION
@@ -162,6 +162,29 @@ def test_orbit_tol_flag_beats_config(tmp_path, capsys):
 def test_orbit_rejects_unknown_config_key(tmp_path):
     cfg = write_json(tmp_path / "cfg.json", {"bogus": 1})
     assert main(["orbit", "--config", cfg]) == 2
+
+
+def test_orbit_object_guess_needs_the_surface_model(tmp_path, capsys):
+    # the default guess object used to reach surface_state, whose message
+    # ("surface_state needs the surface model") named no config key
+    path = write_json(tmp_path / "cfg.json", {"model": {"model": "harmonic"}})
+    assert main(["orbit", "--config", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: config key 'guess' must be a list of 2 numbers for model "
+        "'harmonic'; an object guess needs the surface model\n")
+
+
+def test_orbit_return_map_needs_two_degrees_of_freedom(tmp_path, capsys):
+    # the orbit closes, but one degree of freedom leaves no transverse
+    # section; this exited 2 with numpy's "need at least one array to
+    # concatenate"
+    path = write_json(tmp_path / "cfg.json", {
+        "model": {"model": "harmonic"}, "guess": [1.0, 0.0],
+        "period_guess": 6.3})
+    assert main(["orbit", "--config", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: the return map needs n >= 2 degrees of freedom; model "
+        "'harmonic' has n = 1\n")
 
 
 def test_orbit_rejects_unknown_model_parameter(tmp_path, capsys):
@@ -329,6 +352,49 @@ def test_damped_wave_repeated_decay_mode_is_usage_error(tmp_path, capsys):
                       "decay_modes": [0, 0]})
     assert main(["damped-wave", "--config", cfg]) == 2
     assert "repeat" in capsys.readouterr().err
+
+
+def test_decay_modes_alone_pick_the_decayed_modes(tmp_path):
+    # decay_modes used to be cut down to the modes of the eigenfrequency
+    # scan, and an empty cut fell back to those modes: [5] decayed modes
+    # 0 and 1, and [1, 5] dropped 5
+    base = {"n_grid": 64, "t_max": 2.0, "modes": [0, 1]}
+    for decay in ([5], [1, 5]):
+        out = tmp_path / "-".join(map(str, decay))
+        cfg = write_json(tmp_path / "cfg.json", dict(base, decay_modes=decay))
+        assert main(["damped-wave", "--config", cfg, "--out", str(out)]) == 0
+        obj = json.loads((out / "damped_wave.json").read_text())
+        assert obj["modes"] == [0, 1] and obj["decay_modes"] == decay
+    # the scan's modes do not move the decay run
+    cfg = write_json(tmp_path / "cfg.json",
+                     dict(base, modes=[5], decay_modes=[5]))
+    assert main(["damped-wave", "--config", cfg,
+                 "--out", str(tmp_path / "alone")]) == 0
+    assert (tmp_path / "alone" / "energy.csv").read_bytes() == \
+        (tmp_path / "5" / "energy.csv").read_bytes()
+
+
+def test_empty_decay_modes_is_usage_error(tmp_path, capsys):
+    # an empty list used to fall back to the scan's modes
+    cfg = write_json(tmp_path / "cfg.json", {
+        "n_grid": 64, "t_max": 2.0, "modes": [0, 1], "decay_modes": []})
+    assert main(["damped-wave", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "error: need at least one mode\n"
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("damped-wave", {"n_grid": 16}, "n_grid must be at least 32, not 16"),
+    ("spectrum", {"N": 32}, "N must be at least 64, not 32"),
+    ("resolvent", {"half_length": 0.5},
+     "half_length must exceed the absorption plateau rho1 = 0.6, not 0.5"),
+], ids=["n_grid", "N", "half_length"])
+def test_fixed_minimum_of_a_config_value_is_usage_error(tmp_path, capsys,
+                                                       command, cfg,
+                                                       message):
+    # these exited 3 as numerical failures
+    path = write_json(tmp_path / "cfg.json", cfg)
+    assert main([command, "--config", path]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_damped_wave_rejects_bad_warp(tmp_path, capsys):
@@ -521,7 +587,7 @@ def test_numerical_errors_cover_every_module():
     assert {"LoxokitError", "GridTooCoarse", "StepFailure",
             "SymplecticError", "FlowError", "SpectraError",
             "ResolventError", "DampedWaveError"} <= names
-    assert spectra.GridTooCoarse is dampedwave.GridTooCoarse
+    assert resolvent.GridTooCoarse is loxokit.errors.GridTooCoarse
     assert flows.StepFailure is dampedwave.StepFailure
 
 

@@ -34,7 +34,7 @@ def default_problem():
 # ---------------------------------------------------------------------------
 
 def test_problem_validation():
-    with pytest.raises(dw.GridTooCoarse):
+    with pytest.raises(ValueError, match="n_grid must be at least 32, not 16"):
         dw.DampedWaveProblem(n_grid=16)
     for epsilon in (-0.1, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match=f"epsilon .* not {epsilon}"):
@@ -51,9 +51,14 @@ def test_problem_validation():
         dw.DampedWaveProblem(profile="saddle")
 
 
-def test_pencil_requires_listed_mode(default_problem):
-    with pytest.raises(ValueError):
-        dw.assemble_pencil(default_problem, 99)
+def test_pencil_of_any_mode(default_problem):
+    # each call names its modes; the problem holds no mode list that a
+    # pencil must belong to
+    pencil = dw.assemble_pencil(default_problem, 99)
+    shift = pencil.zeroth - dw.assemble_pencil(default_problem, 0).zeroth
+    want = 99**2 / default_problem.f**2
+    assert np.allclose(np.diag(shift), want, rtol=1e-12, atol=0)
+    assert np.array_equal(shift, np.diag(np.diag(shift)))
 
 
 def delta_matrix(pencil):
@@ -113,7 +118,7 @@ def test_direct_assembly_matches_scatter(n_grid, warp):
 # ---------------------------------------------------------------------------
 
 def test_flat_undamped_spectrum_is_real_sqrt_ladder():
-    prob = dw.DampedWaveProblem(profile="flat", damping=zero, modes=(3,))
+    prob = dw.DampedWaveProblem(profile="flat", damping=zero)
     pencil = dw.assemble_pencil(prob, 3)
     lam = dw.mode_frame(pencil).lam
     es = dw.eigenfrequencies(pencil)
@@ -134,7 +139,7 @@ def test_constant_damping_scalar_quadratic_oracle():
     # a == c shifts every undamped pair to i c +- sqrt(mu^2 - c^2)
     c = 0.15
     prob = dw.DampedWaveProblem(profile="flat", damping=const(c),
-                                dead_zone_radius=None, modes=(2,))
+                                dead_zone_radius=None)
     pencil = dw.assemble_pencil(prob, 2)
     lam = dw.mode_frame(pencil).lam
     got = dw.eigenfrequencies(pencil).frequencies
@@ -181,8 +186,8 @@ def test_real_generator_roots_match_complex_companion(default_problem, k):
 
 
 def test_scan_matches_per_mode_eigenfrequencies():
-    prob = dw.DampedWaveProblem(n_grid=64, modes=(9, 0))
-    sets, strip, mirror = dw.eigenfrequency_scan(prob)
+    prob = dw.DampedWaveProblem(n_grid=64)
+    sets, strip, mirror = dw.eigenfrequency_scan(prob, modes=(9, 0))
     assert [es.k for es in sets] == [9, 0]
     for es in sets:
         want = dw.eigenfrequencies(dw.assemble_pencil(prob, es.k))
@@ -195,9 +200,9 @@ def test_scan_matches_per_mode_eigenfrequencies():
 
 def gap_profile(n_grid):
     """min over modes and |Re tau| >= 1 of Im tau * log<Re tau>."""
-    prob = dw.DampedWaveProblem(n_grid=n_grid, modes=tuple(range(0, 41, 4)))
+    prob = dw.DampedWaveProblem(n_grid=n_grid)
     best = np.inf
-    for es in dw.eigenfrequency_scan(prob)[0]:
+    for es in dw.eigenfrequency_scan(prob, modes=range(0, 41, 4))[0]:
         t = es.frequencies
         sel = np.abs(t.real) >= 1.0
         vals = t.imag[sel] * np.log(np.hypot(1.0, t.real[sel]))
@@ -223,7 +228,7 @@ def test_log_weighted_gap_positive_and_grid_stable():
 def test_single_constant_damped_mode_decays_at_2c():
     c = 0.05
     prob = dw.DampedWaveProblem(profile="flat", damping=const(c),
-                                dead_zone_radius=None, modes=(1,))
+                                dead_zone_radius=None)
     frame = dw.mode_frame(dw.assemble_pencil(prob, 1))
     v0 = frame.basis[:, 4] / np.sqrt(prob.f) / math.sqrt(prob.spacing)
     trace = dw.evolve(prob, 1, initial=(np.zeros(prob.n_grid), v0),
@@ -241,7 +246,7 @@ def test_energy_monotone_and_dissipation_accounted(default_problem):
 
 
 def test_undamped_energy_conserved():
-    prob = dw.DampedWaveProblem(damping=zero, modes=(2,))
+    prob = dw.DampedWaveProblem(damping=zero)
     trace = dw.evolve(prob, 2, t_max=30.0, dt=0.004)
     drift = np.abs(trace.e0 - trace.e0[0]).max() / trace.e0[0]
     assert drift <= 1e-8
@@ -259,7 +264,7 @@ def stepwise_states(step, x0, n_steps):
 
 @pytest.mark.parametrize("damping", [None, zero], ids=["damped", "undamped"])
 def test_power_march_matches_stepwise_loop(damping):
-    prob = dw.DampedWaveProblem(n_grid=48, damping=damping, modes=(3,))
+    prob = dw.DampedWaveProblem(n_grid=48, damping=damping)
     dt, n_steps = 0.004, 1500
     pencil = dw.assemble_pencil(prob, 3)
     frame = dw.mode_frame(pencil)
@@ -285,7 +290,7 @@ def test_power_march_matches_stepwise_loop(damping):
 THREAD_PROBE = """
 import json, sys
 from loxokit import dampedwave as dw
-trace = dw.evolve(dw.DampedWaveProblem(modes=(5,)), 5, t_max=2.0, dt=0.002)
+trace = dw.evolve(dw.DampedWaveProblem(), 5, t_max=2.0, dt=0.002)
 json.dump([float(e) for e in trace.e0], sys.stdout)
 """
 
@@ -308,13 +313,29 @@ def test_evolve_energies_independent_of_blas_threads():
     assert np.abs(two / one - 1.0).max() <= 1e-12
 
 
-def test_step_size_guard(default_problem):
-    with pytest.raises(dw.StepFailure):
-        dw.evolve(default_problem, 0, t_max=1.0, dt=0.05)
+def test_samples_are_exact_at_any_step(default_problem):
+    # the propagator is exp(A dt), so a coarse step lands on the fine
+    # step's states at the shared times; only the Simpson dissipation
+    # quadrature needs a step that resolves the excited band
+    coarse = dw.evolve(default_problem, 12, t_max=2.0, dt=0.1)
+    fine = dw.evolve(default_problem, 12, t_max=2.0, dt=2e-4)
+    assert coarse.times.size == 21 and fine.times.size == 10001
+    assert np.allclose(fine.times[::500], coarse.times, rtol=0, atol=1e-12)
+    scale = fine.e0[0]
+    assert np.abs(coarse.e0 - fine.e0[::500]).max() <= 1e-12 * scale
+    assert np.abs(coarse.eeps - fine.eeps[::500]).max() <= 1e-12 * scale
+    assert fine.dissipation_residual <= 1e-6
+
+
+def test_zero_initial_data_is_rejected():
+    prob = dw.DampedWaveProblem(n_grid=32)
+    zeros = np.zeros(prob.n_grid)
+    with pytest.raises(ValueError, match="identically zero"):
+        dw.evolve(prob, 0, initial=(zeros, zeros), t_max=1.0)
 
 
 def test_horizon_must_span_two_steps():
-    prob = dw.DampedWaveProblem(n_grid=32, modes=(0,))
+    prob = dw.DampedWaveProblem(n_grid=32)
     for t_max in (0.0, 0.005, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="t_max"):
             dw.evolve(prob, 0, t_max=t_max, dt=0.004)
@@ -322,11 +343,11 @@ def test_horizon_must_span_two_steps():
 
 
 def test_frame_of_another_mode_or_problem_is_rejected():
-    prob = dw.DampedWaveProblem(n_grid=64, modes=(3, 5))
+    prob = dw.DampedWaveProblem(n_grid=64)
     frame5 = dw.mode_frame(dw.assemble_pencil(prob, 5))
     with pytest.raises(ValueError, match="mode 5"):
         dw.evolve(prob, 3, t_max=1.0, frame=frame5)
-    twin = dw.DampedWaveProblem(n_grid=64, modes=(3, 5))
+    twin = dw.DampedWaveProblem(n_grid=64)
     with pytest.raises(ValueError, match="this problem"):
         dw.evolve(twin, 5, t_max=1.0, frame=frame5)
     assert dw.evolve(prob, 5, t_max=1.0, frame=frame5).k == 5
@@ -362,8 +383,8 @@ def test_decay_report_data_norm_is_twice_the_initial_weighted_energy(
         epsilon):
     # the data start at zero displacement, so 2 E^eps(0) of each mode is
     # the squared H^eps norm of its velocity, at the problem's one epsilon
-    prob = dw.DampedWaveProblem(n_grid=64, modes=(0, 2, 5), epsilon=epsilon)
-    rep = dw.decay_report(prob, t_max=1.0)
+    prob = dw.DampedWaveProblem(n_grid=64, epsilon=epsilon)
+    rep = dw.decay_report(prob, modes=(0, 2, 5), t_max=1.0)
     assert rep.epsilon == epsilon
     initial = 2 * sum(trace.eeps[0] for trace in rep.per_mode.values())
     assert initial == pytest.approx(rep.hnorm_sq, rel=1e-12)
@@ -371,7 +392,7 @@ def test_decay_report_data_norm_is_twice_the_initial_weighted_energy(
 
 def test_decay_report_rejects_repeated_mode():
     # a repeated mode would count twice in total_e0 but once in per_mode
-    prob = dw.DampedWaveProblem(n_grid=32, modes=(0, 1))
+    prob = dw.DampedWaveProblem(n_grid=32)
     with pytest.raises(ValueError, match="repeat"):
         dw.decay_report(prob, modes=(0, 0), t_max=1.0)
 

@@ -199,6 +199,24 @@ def test_neck_orbit_from_offset_guess(cosh_surface):
     assert abs(orbit.point[0]) <= 1e-6
 
 
+@pytest.fixture
+def no_segment_shooting(monkeypatch):
+    def refuse(*args, **kwargs):
+        pytest.fail("the guess needed segment shooting")
+
+    monkeypatch.setattr(flows, "_multiple_shooting", refuse)
+
+
+def test_neck_orbit_from_near_guess_by_return_map_newton(
+        cosh_surface, no_segment_shooting):
+    # r = 1e-4 is off the orbit by far more than the return tolerance, so
+    # the return-map Newton step, not the first residual, closes it
+    guess = flows.surface_state(cosh_surface, 1e-4, 0.0, np.pi / 2)
+    orbit = flows.find_closed_orbit(cosh_surface, guess, flows.NECK_PERIOD)
+    assert orbit.period == pytest.approx(TWO_PI, abs=1e-9)
+    assert orbit.residual <= flows.ORBIT_RETURN_TOL
+
+
 def test_far_guess_raises(cosh_surface):
     guess = flows.surface_state(cosh_surface, 2.5, 0.0, 0.3)
     with pytest.raises(flows.MaxIterations):
@@ -246,6 +264,16 @@ def test_bump_axis_orbit_period_matches_quadrature():
     assert abs(orbit.point[1]) <= 1e-8      # stays on the axis
     want = axis_period_oracle(sys, orbit.energy)
     assert orbit.period == pytest.approx(want, rel=1e-7)
+
+
+def test_bump_orbit_from_off_axis_guess_by_return_map_newton(
+        no_segment_shooting):
+    sys = flows.double_bump()
+    orbit = flows.find_closed_orbit(sys, np.array([0.0, 1e-3, 0.9, 0.0]),
+                                    6.0)
+    want = axis_period_oracle(sys, orbit.energy)
+    assert orbit.period == pytest.approx(want, rel=1e-7)
+    assert orbit.residual <= flows.ORBIT_RETURN_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,34 @@ def test_normal_form_of_repeated_real_eigenvalue(A):
     assert_normal_form(B, nf)
 
 
+COMPLEX_LAM = np.array([[1.0, -2.0], [2.0, 1.0]])
+
+
+@pytest.mark.parametrize("A, chains, want", [
+    # J_2(0.8) + J_1(0.8): the size-1 bottom is picked off the size-2
+    # chain's bottom inside one kernel; the chain couples at 0.8 / 2
+    (la.block_diag(jordan_block(0.8, 2), jordan_block(0.8, 1)), [2, 1],
+     np.array([[0.8, 0.0, 0.0], [0.4, 0.8, 0.0], [0.0, 0.0, 0.8]])),
+    # a size-2 chain of the quadruple 1 +- 2i, coupled at Re lambda / 2
+    (np.block([[COMPLEX_LAM, np.zeros((2, 2))], [np.eye(2), COMPLEX_LAM]]),
+     [2], np.block([[COMPLEX_LAM, np.zeros((2, 2))],
+                    [0.5 * np.eye(2), COMPLEX_LAM]])),
+], ids=["J2+J1", "complex-J2"])
+@pytest.mark.parametrize("conjugate", [False, True])
+def test_normal_form_of_mixed_and_complex_chains(A, chains, want, conjugate):
+    m = A.shape[0]
+    B = (conjugated_normal_form(A, rng_for(17)) if conjugate
+         else la.block_diag(A.T, -A))
+    nf = lx.birkhoff_normal_form(B)
+    assert [g.chain_size for g in nf.eigenvalues.groups] == chains
+    assert np.allclose(nf.block_matrix_A, want, atol=1e-8)
+    T = nf.transform.entries
+    resid = la.norm(la.solve(T, B @ T) - nf.normal_matrix)
+    assert resid <= 1e-12 * max(1.0, la.norm(B))
+    assert lx.symplectic_residual(T) <= 1e-9
+    assert nf.normal_matrix.shape == (2 * m, 2 * m)
+
+
 def test_normal_form_rejects_elliptic():
     with pytest.raises(lx.EllipticEigenvaluePresent):
         lx.birkhoff_normal_form(np.array([[0.0, 1.0], [-1.0, 0.0]]))

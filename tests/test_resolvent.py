@@ -96,7 +96,8 @@ def test_window_must_be_finite_and_positive(op20, window):
 
 
 def test_profile_must_die_before_boundary():
-    with pytest.raises(rv.ProfileOutOfDomain):
+    with pytest.raises(ValueError, match="half_length must exceed the "
+                       "absorption plateau rho1 = 1.5, not 1.0"):
         rv.quantize_model(1 / 20, n_grid=64,
                           profile=rv.AbsorbingProfile(rho0=0.8, rho1=1.5))
 
@@ -134,6 +135,26 @@ def test_point_probe_minimizes_over_modes(op20):
         if abs(0.13 - op20.h * m) <= 0.6:
             svals.append(rv.sigma_min_block(*rv.mode_block(op20, m, 0.13)))
     assert s == pytest.approx(min(svals), rel=1e-9)
+
+
+def test_point_probe_certifies_every_mode_when_the_sweep_disagrees(op20):
+    # a sweep value at the sweep's minimum that the exact solver does not
+    # confirm sends the probe to certify every mode of the window
+    z = 0.13
+    ms, w_vals = rv._window_points(op20, z, rv.MODE_WINDOW)
+    dense = [np.linalg.svd(dense_block(*rv.mode_block(op20, m, z)),
+                           compute_uv=False)[-1] for m in ms]
+    sweep = rv._NormSweep(op20, np.ones(op20.n_grid))
+    sweep.values(w_vals)
+    # the mode with the largest sigma_min now looks like the minimum
+    sweep.cache[sweep._key(w_vals[int(np.argmax(dense))])] = 1e6
+    certified = []
+    exact = sweep.certified
+    sweep.certified = lambda w: certified.append(w) or exact(w)
+    s, m_star = rv.sigma_min_point(op20, z, sweep=sweep)
+    assert len(certified) == 1 + len(ms)
+    assert m_star == ms[int(np.argmin(dense))]
+    assert s == pytest.approx(min(dense), rel=1e-10)
 
 
 def test_point_probe_rejects_complex_z_with_sweep(op20):

@@ -60,7 +60,7 @@ def test_effective_potential_peaks_at_neck(neck_op):
 
 
 def test_grid_too_coarse_rejected():
-    with pytest.raises(spectra.GridTooCoarse):
+    with pytest.raises(ValueError, match="N must be at least 64, not 32"):
         spectra.build_radial_operator(0, R=3.0, N=32)
 
 
