@@ -211,8 +211,8 @@ def criterion_harmonic_oscillator():
 
 def criterion_damped_wave():
     prob = dw.DampedWaveProblem()
-    _, strip, symm = dw.eigenfrequency_scan(prob, modes=dw.MODES)
     rep = dw.decay_report(prob, modes=dw.DECAY_MODES, t_max=dw.T_MAX)
+    _, strip, symm = dw.eigenfrequency_scan(prob, modes=dw.MODES)
     traces = rep.per_mode.values()
     mono = max(float(np.diff(tr.e0).max() / tr.e0[0]) for tr in traces)
     diss = max(tr.dissipation_residual for tr in traces)

@@ -312,9 +312,11 @@ def cmd_damped_wave(args):
         profile=cfg["warp"], damping=dw.neck_damping(inner, outer),
         n_grid=cfg["n_grid"], epsilon=float(cfg["epsilon"]),
         dead_zone_radius=inner)
-    sets, strip, mirror = dw.eigenfrequency_scan(prob, modes=cfg["modes"])
+    # the decay report first: it refuses unusable decay_modes or t_max
+    # at once, where the eigenfrequency scan takes most of the run
     rep = dw.decay_report(prob, modes=cfg["decay_modes"],
                           t_max=float(cfg["t_max"]))
+    sets, strip, mirror = dw.eigenfrequency_scan(prob, modes=cfg["modes"])
     out = _out_dir(args)
     if out is not None:
         serialize.write_csv(os.path.join(out, "eigenfrequencies.csv"),

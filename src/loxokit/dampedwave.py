@@ -18,6 +18,11 @@ product; conjugating by sqrt(f) makes it a plain symmetric matrix, which
 is the frame used internally. Stationary solutions e^{i tau t} give the
 quadratic pencil P(tau) = -tau^2 + L_k + 2 i a tau whose roots are the
 mode's eigenfrequencies; decaying modes sit in the upper half plane.
+
+mode_frame, eigenfrequencies, evolve and decay_report run on one BLAS
+thread (_blas.one_thread), which was measured faster at these sizes and
+makes their results independent of OPENBLAS_NUM_THREADS; the setting is
+process-wide while one of them runs.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import numpy as np
 import scipy.linalg as la
 from scipy.integrate import simpson
 
+from ._blas import one_thread
 from .cutoffs import DAMPING_INNER, get_warp, neck_damping
 from .errors import LoxokitError, StepFailure
 
@@ -167,6 +173,7 @@ class ModeFrame:
         return float(np.sum((1.0 + self.lam) ** s * np.abs(c) ** 2))
 
 
+@one_thread()
 def mode_frame(pencil):
     lam, basis = la.eigh(pencil.zeroth)
     # the k = 0 operator annihilates sqrt(f); tiny negative roundoff
@@ -201,6 +208,7 @@ def first_order_generator(pencil):
     return A
 
 
+@one_thread()
 def eigenfrequencies(pencil):
     """All roots of the mode pencil, tau = -i mu over the eigenvalues mu
     of the real first-order generator (a real eigensolve, dgeev).
@@ -346,6 +354,7 @@ def power_march(step, x0, n_steps):
     return hist
 
 
+@one_thread()
 def evolve(problem, k, initial=None, t_max=T_MAX, dt=0.004, frame=None):
     """March one mode with the exact one-step propagator and record E^0,
     E^eps, and the damping quadrature.
@@ -361,10 +370,12 @@ def evolve(problem, k, initial=None, t_max=T_MAX, dt=0.004, frame=None):
     frame is mode k's ModeFrame of this problem (None builds it), and
     its pencil gives A; a frame of another mode or problem is a
     ValueError. initial is (u0, v0) in the physical frame; None takes
-    the default band-limited data. Checked here: the data are not all
-    zero, and t_max is finite and spans two steps, so the decay fit on
-    [t_max/4, t_max] has two samples.
+    the default band-limited data. Checked here: dt is finite and > 0,
+    the data are not all zero, and t_max is finite and spans two steps,
+    so the decay fit on [t_max/4, t_max] has two samples.
     """
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and > 0, not {dt}")
     span = t_max / dt
     if not math.isfinite(span) or round(span) < 2:
         raise ValueError(f"t_max = {t_max} is not a horizon of at least 2 "
@@ -424,6 +435,7 @@ class DecayReport:
     per_mode: dict
 
 
+@one_thread()
 def decay_report(problem, modes=DECAY_MODES, t_max=T_MAX):
     """Evolve each of the angular modes, superpose energies, fit the decay.
 

@@ -116,11 +116,11 @@ DEFAULT_RUNS = {
                  {(spectra, "nonconcentration_scan"): _stop}, _spectrum),
     "resolvent": (acceptance.criterion_resolvent_bounds,
                   {(rv, "sigma_min_scan"): _stop}, _resolvent),
-    # the eigenfrequency scan is recorded and skipped
+    # the decay report, which runs first, is recorded and skipped
     "damped-wave": (acceptance.criterion_damped_wave,
-                    {(dw, "eigenfrequency_scan"):
-                         lambda real, *args, **kwargs: ([], 0.0, 0.0),
-                     (dw, "decay_report"): _stop}, _damped_wave),
+                    {(dw, "decay_report"):
+                         lambda real, *args, **kwargs: None,
+                     (dw, "eigenfrequency_scan"): _stop}, _damped_wave),
     "orbit": (acceptance.criterion_monodromy_oracle,
               {(flows, "find_closed_orbit"): lambda real, *a, **k: "orbit",
                (flows, "linearized_poincare_map"): _stop}, _orbit),

@@ -382,6 +382,24 @@ def test_empty_decay_modes_is_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: need at least one mode\n"
 
 
+@pytest.mark.parametrize("cfg, message", [
+    ({"decay_modes": []}, "need at least one mode"),
+    ({"decay_modes": [5, 5]}, "repeat a mode"),
+    ({"t_max": 0.001}, "t_max = 0.001 is not a horizon"),
+], ids=["empty", "repeated", "t_max"])
+def test_unusable_decay_setting_exits_before_the_scan(tmp_path, monkeypatch,
+                                                      capsys, cfg, message):
+    # the eigenfrequency scan is most of a default run; these settings
+    # used to be refused only after it
+    def solve(pencil):
+        pytest.fail("eigenfrequencies ran for an unusable decay setting")
+
+    monkeypatch.setattr(dampedwave, "eigenfrequencies", solve)
+    path = write_json(tmp_path / "cfg.json", cfg)
+    assert main(["damped-wave", "--config", path]) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, cfg, message", [
     ("damped-wave", {"n_grid": 16}, "n_grid must be at least 32, not 16"),
     ("spectrum", {"N": 32}, "N must be at least 64, not 32"),

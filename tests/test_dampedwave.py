@@ -1,7 +1,6 @@
 """Damped wave on a warped period: pencil assembly, eigenfrequency
 structure, exact-propagator energy traces."""
 
-import json
 import math
 import os
 import subprocess
@@ -288,16 +287,18 @@ def test_power_march_matches_stepwise_loop(damping):
 
 
 THREAD_PROBE = """
-import json, sys
+import sys
 from loxokit import dampedwave as dw
-trace = dw.evolve(dw.DampedWaveProblem(), 5, t_max=2.0, dt=0.002)
-json.dump([float(e) for e in trace.e0], sys.stdout)
+prob = dw.DampedWaveProblem()
+trace = dw.evolve(prob, 5, t_max=2.0, dt=0.002)
+taus = dw.eigenfrequencies(dw.assemble_pencil(prob, 40)).frequencies
+sys.stdout.write(trace.e0.tobytes().hex() + " " + taus.tobytes().hex())
 """
 
 
 def test_evolve_energies_independent_of_blas_threads():
-    # the propagator itself differs in the last bits between one and two
-    # BLAS threads, so the energies agree to roundoff, not bitwise
+    # the kernels run on one BLAS thread whatever OPENBLAS_NUM_THREADS
+    # says, so energies and eigenfrequencies agree bit for bit
     src = str(Path(dw.__file__).resolve().parents[1])
     runs = []
     for threads in ("1", "2"):
@@ -307,10 +308,12 @@ def test_evolve_energies_independent_of_blas_threads():
         done = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
                               capture_output=True, text=True, check=True,
                               timeout=300)
-        runs.append(np.array(json.loads(done.stdout)))
-    one, two = runs
-    assert one.size == two.size == 1001
-    assert np.abs(two / one - 1.0).max() <= 1e-12
+        runs.append(done.stdout.split())
+    (e_one, tau_one), (e_two, tau_two) = runs
+    assert len(bytes.fromhex(e_one)) == 1001 * 8
+    assert len(bytes.fromhex(tau_one)) == 2 * 192 * 16
+    assert e_one == e_two
+    assert tau_one == tau_two
 
 
 def test_samples_are_exact_at_any_step(default_problem):
@@ -340,6 +343,18 @@ def test_horizon_must_span_two_steps():
         with pytest.raises(ValueError, match="t_max"):
             dw.evolve(prob, 0, t_max=t_max, dt=0.004)
     assert dw.evolve(prob, 0, t_max=0.008, dt=0.004).times.size == 3
+
+
+@pytest.mark.parametrize("dt, t_max", [(0.0, 1.0), (-0.004, -1.0),
+                                       (math.nan, 1.0)],
+                         ids=["zero", "negative", "nan"])
+def test_step_must_be_finite_and_positive(dt, t_max):
+    # dt = 0 ended in ZeroDivisionError, and dt < 0 with t_max < 0 passed
+    # the horizon check and marched backward until the energy rose
+    prob = dw.DampedWaveProblem(n_grid=32)
+    with pytest.raises(ValueError) as err:
+        dw.evolve(prob, 0, t_max=t_max, dt=dt)
+    assert str(err.value) == f"dt must be finite and > 0, not {dt}"
 
 
 def test_frame_of_another_mode_or_problem_is_rejected():
