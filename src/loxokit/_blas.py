@@ -6,7 +6,10 @@ At the damped wave's sizes (a 384 x 384 generator) two threads were
 measured slower than one, and their dgeev and products differ in the last
 bits from one thread's. one_thread() pins both pools to one thread while
 a kernel runs, so its results do not depend on OPENBLAS_NUM_THREADS, and
-puts the caller's counts back afterwards.
+puts the caller's counts back afterwards. The damped wave's thread pool
+over angular modes runs inside one such scope, which its worker threads
+share: each mode's BLAS calls run on the worker that made them, and the
+modes, not the BLAS, are what runs in parallel.
 """
 
 from __future__ import annotations
@@ -64,9 +67,9 @@ def one_thread():
     also when the body raises.
 
     The setting is process-wide while a scope is open: BLAS calls from
-    other Python threads run on one thread too. Scopes may nest and
-    overlap across threads. Without a bundled OpenBLAS this does
-    nothing.
+    other Python threads, such as the workers of a pool started inside
+    the scope, run on one thread too. Scopes may nest and overlap across
+    threads. Without a bundled OpenBLAS this does nothing.
     """
     global _open, _saved
     with _LOCK:

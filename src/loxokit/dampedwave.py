@@ -19,15 +19,23 @@ is the frame used internally. Stationary solutions e^{i tau t} give the
 quadratic pencil P(tau) = -tau^2 + L_k + 2 i a tau whose roots are the
 mode's eigenfrequencies; decaying modes sit in the upper half plane.
 
-mode_frame, eigenfrequencies, evolve and decay_report run on one BLAS
-thread (_blas.one_thread), which was measured faster at these sizes and
-makes their results independent of OPENBLAS_NUM_THREADS; the setting is
-process-wide while one of them runs.
+The angular modes are independent, so eigenfrequency_scan solves its
+modes, and decay_report marches its modes, concurrently on a thread pool
+of one worker per usable CPU (at most one per mode). Every dense kernel
+(mode_frame, eigenfrequencies, evolve, decay_report and the scan) runs on
+one BLAS thread (_blas.one_thread), which was measured faster at these
+sizes and makes each mode's result independent of OPENBLAS_NUM_THREADS
+and of the worker count; the setting is process-wide while one of them
+runs, and the pool's workers share the caller's scope. The kernels that
+carry the time, numpy's dgeev and matrix products, release the GIL, so
+the workers run in parallel.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +66,7 @@ DECAY_MODES = (0, 1, 2, 5, 10, 20, 40)
 T_MAX = 60.0
 PERIOD = 6.0         # circumference of the r circle
 RESIDUAL_TOL = 1e-6  # relative eigenpair residual bound of eigenfrequencies
+TRACE_TOL = 1e-10    # relative bound on |sum of roots - generator trace|
 N_LOW = 24           # eigenmodes that default_initial excites, per mode
 
 
@@ -211,19 +220,22 @@ def first_order_generator(pencil):
 @one_thread()
 def eigenfrequencies(pencil):
     """All roots of the mode pencil, tau = -i mu over the eigenvalues mu
-    of the real first-order generator (a real eigensolve, dgeev).
+    of the real first-order generator (a real eigensolve, numpy's dgeev,
+    which releases the GIL so that scan workers solve in parallel).
 
     Postconditions enforced here: residuals of every eigenpair below
     RESIDUAL_TOL (else LinearizationIllConditioned), containment in the
     strip 0 <= Im tau <= 2 max a, and tau -> -conj(tau) mirror symmetry,
     both within 1e-8. Real arithmetic returns complex mu in exact
     conjugate pairs, so the mirror defect of the returned roots is zero.
+    The roots must also sum to the generator's trace, sum tau = 2i sum a,
+    within TRACE_TOL of the residual scale: a root set that repeats one
+    root in place of another passes the other checks and fails this one.
     """
     n = pencil.problem.n_grid
     a = pencil.problem.a
     L = pencil.zeroth
-    mus, vecs = la.eig(first_order_generator(pencil), overwrite_a=True,
-                       check_finite=False)
+    mus, vecs = np.linalg.eig(first_order_generator(pencil))
     taus = -1j * mus
     w = vecs[:n]
     norms = la.norm(w, axis=0)
@@ -252,16 +264,47 @@ def eigenfrequencies(pencil):
         raise DampedWaveError(
             f"spectrum not mirror symmetric (defect {defect:.2e}) at mode "
             f"{pencil.k}")
+    trace_defect = abs(taus.sum() - 2j * a.sum()) / scale
+    if trace_defect > TRACE_TOL:
+        raise DampedWaveError(
+            f"roots miss the generator trace by {trace_defect:.2e} of the "
+            f"residual scale at mode {pencil.k}: a root is missing or "
+            "repeated")
     order = np.lexsort((taus.imag, taus.real))
     return EigenfrequencySet(k=pencil.k, frequencies=taus[order],
                              strip_margin=margin, symmetry_defect=defect)
 
 
+def _workers(n_tasks):
+    """Threads for n_tasks independent modes: one per CPU this process
+    may run on, and no more than there are modes."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return max(1, min(n_tasks, cpus))
+
+
+def _map_modes(fn, *columns):
+    """[fn(*row) for row in zip(*columns)], run on _workers threads.
+
+    The caller holds the one-BLAS-thread scope, which the workers share.
+    When a call raises, the calls not yet started are dropped and the
+    error reaches the caller once the running ones end.
+    """
+    rows = list(zip(*columns))
+    pool = ThreadPoolExecutor(max_workers=_workers(len(rows)))
+    try:
+        return list(pool.map(lambda row: fn(*row), rows))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+@one_thread()
 def eigenfrequency_scan(problem, modes=MODES):
     """(sets, strip_margin, mirror_defect): the EigenfrequencySet of each
-    of the angular modes, and the worst strip margin and mirror defect
-    over them (0 when none is positive)."""
-    sets = [eigenfrequencies(assemble_pencil(problem, k)) for k in modes]
+    of the angular modes, solved concurrently, and the worst strip margin
+    and mirror defect over them (0 when none is positive)."""
+    sets = _map_modes(
+        lambda k: eigenfrequencies(assemble_pencil(problem, k)), modes)
     return (sets, max([0.0] + [es.strip_margin for es in sets]),
             max([0.0] + [es.symmetry_defect for es in sets]))
 
@@ -354,6 +397,39 @@ def power_march(step, x0, n_steps):
     return hist
 
 
+def _energies(frame, hist):
+    """(e0, eeps, diss) of the states in the rows of hist: the energies
+    E^0 and E^eps of each state, at eps = problem.epsilon, and its damping
+    power 2 int a w_t^2.
+
+    Computed over slabs of 2 n_grid rows, so the modal coefficients and
+    their temporaries are a small part of the history's size instead of
+    about twice it, and two concurrent marches fit in the memory of one.
+    A short last slab joins the one before it: a product of a few rows
+    can take OpenBLAS's small-matrix kernel, whose last bits differ. At
+    n_grid 192 every value equals the whole-history one; at n_grid 64,
+    where a slab's products are small enough for that kernel and a long
+    history's are not, rows of the last partial tile can differ in the
+    last bit.
+    """
+    problem = frame.pencil.problem
+    n = problem.n_grid
+    rows = hist.shape[0]
+    slab = 2 * n
+    bounds = [*range(0, slab * max(rows // slab, 1), slab), rows]
+    weight = (1 + frame.lam[:, None]) ** problem.epsilon
+    e0, eeps, diss = np.empty(rows), np.empty(rows), np.empty(rows)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        part = hist[lo:hi]
+        diss[lo:hi] = 2.0 * problem.spacing * (part[:, n:] ** 2 @ problem.a)
+        c = frame.coeffs(part[:, :n].T)
+        cd = frame.coeffs(part[:, n:].T)
+        modal = cd**2 + frame.lam[:, None] * c**2
+        e0[lo:hi] = 0.5 * modal.sum(axis=0)
+        eeps[lo:hi] = 0.5 * (weight * modal).sum(axis=0)
+    return e0, eeps, diss
+
+
 @one_thread()
 def evolve(problem, k, initial=None, t_max=T_MAX, dt=0.004, frame=None):
     """March one mode with the exact one-step propagator and record E^0,
@@ -394,20 +470,10 @@ def evolve(problem, k, initial=None, t_max=T_MAX, dt=0.004, frame=None):
     w0, wd0 = scale * u0, scale * v0
     if not (np.any(w0) or np.any(wd0)):
         raise ValueError("initial data is identically zero")
-    n = problem.n_grid
     step = la.expm(first_order_generator(frame.pencil) * dt)
     times = dt * np.arange(n_steps + 1)
-    hist = power_march(step, np.concatenate([w0, wd0]), n_steps)
-    diss = 2.0 * problem.spacing * (hist[:, n:] ** 2 @ problem.a)
-    c = frame.coeffs(hist[:, :n].T)
-    cd = frame.coeffs(hist[:, n:].T)
-    # the states are spent; freeing them before the modal sums lowers
-    # the peak memory by the size of the history
-    del hist
-    modal = cd**2 + frame.lam[:, None] * c**2
-    e0 = 0.5 * modal.sum(axis=0)
-    eeps = 0.5 * ((1 + frame.lam[:, None]) ** problem.epsilon
-                  * modal).sum(axis=0)
+    e0, eeps, diss = _energies(
+        frame, power_march(step, np.concatenate([w0, wd0]), n_steps))
     rises = np.diff(e0)
     if rises.size and rises.max() > 1e-8 * max(e0[0], 1e-300):
         raise StepFailure(
@@ -437,7 +503,8 @@ class DecayReport:
 
 @one_thread()
 def decay_report(problem, modes=DECAY_MODES, t_max=T_MAX):
-    """Evolve each of the angular modes, superpose energies, fit the decay.
+    """Evolve each of the angular modes, concurrently, superpose
+    energies, fit the decay.
 
     Angular modes are L^2-orthogonal, so the total energy is the sum of
     per-mode traces and the squared H^eps size of the initial data, at
@@ -461,9 +528,12 @@ def decay_report(problem, modes=DECAY_MODES, t_max=T_MAX):
     tau_max = max([1.0] + [math.sqrt(fr.lam[min(N_LOW, fr.lam.size) - 1])
                            for fr in frames])
     dt = min(0.004, 0.09 / tau_max)
-    traces = [evolve(problem, k, initial=start, t_max=t_max, dt=dt,
-                     frame=frame)
-              for k, frame, start in zip(modes, frames, starts)]
+
+    def march(k, frame, start):
+        return evolve(problem, k, initial=start, t_max=t_max, dt=dt,
+                      frame=frame)
+
+    traces = _map_modes(march, modes, frames, starts)
     scale = np.sqrt(problem.f)
     hnorm_sq = sum(frame.norm_sq(scale * v0, problem.epsilon)
                    for frame, (_, v0) in zip(frames, starts))

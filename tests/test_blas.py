@@ -7,6 +7,7 @@ import time
 import pytest
 
 from loxokit import _blas
+from loxokit import dampedwave as dw
 
 
 def counts():
@@ -81,4 +82,26 @@ def test_overlapping_scopes_across_threads(pools_at_two):
     assert not any(worker.is_alive() for worker in workers)
     assert len(inside) == 2000
     assert all(seen == [1] * pools_at_two for seen in inside)
+    assert counts() == [2] * pools_at_two
+
+
+def test_counts_restored_after_a_pooled_scan_raises(pools_at_two,
+                                                    monkeypatch):
+    # the scan's workers run inside the caller's scope; a mode that
+    # raises in a worker must still hand back the caller's counts
+    seen = []
+    solve = dw.eigenfrequencies
+
+    def solve_or_fail(pencil):
+        seen.append(counts())
+        if pencil.k == 1:
+            raise dw.LinearizationIllConditioned("planted at mode 1")
+        return solve(pencil)
+
+    monkeypatch.setattr(dw, "eigenfrequencies", solve_or_fail)
+    monkeypatch.setattr(dw, "_workers", lambda n_tasks: 2)
+    with pytest.raises(dw.LinearizationIllConditioned, match="mode 1"):
+        dw.eigenfrequency_scan(dw.DampedWaveProblem(n_grid=32),
+                               modes=(0, 1, 2, 3))
+    assert seen and all(c == [1] * pools_at_two for c in seen)
     assert counts() == [2] * pools_at_two

@@ -382,6 +382,28 @@ def test_empty_decay_modes_is_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: need at least one mode\n"
 
 
+def test_ill_conditioned_mode_in_a_scan_worker_exits_3(tmp_path, monkeypatch,
+                                                      capsys):
+    # the scan solves its modes on pool threads; an error raised in one
+    # must reach main as the numerical failure it is
+    solve = dampedwave.eigenfrequencies
+
+    def fail_mode_2(pencil):
+        if pencil.k == 2:
+            raise dampedwave.LinearizationIllConditioned("planted at mode 2")
+        return solve(pencil)
+
+    monkeypatch.setattr(dampedwave, "eigenfrequencies", fail_mode_2)
+    monkeypatch.setattr(dampedwave, "_workers", lambda n_tasks: 2)
+    path = write_json(tmp_path / "cfg.json", {
+        "n_grid": 32, "t_max": 1.0, "modes": [0, 1, 2, 3], "decay_modes": [0]})
+    assert main(["damped-wave", "--config", path,
+                 "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == \
+        "numerical failure: planted at mode 2\n"
+    assert not (tmp_path / "out" / "eigenfrequencies.csv").exists()
+
+
 @pytest.mark.parametrize("cfg, message", [
     ({"decay_modes": []}, "need at least one mode"),
     ({"decay_modes": [5, 5]}, "repeat a mode"),

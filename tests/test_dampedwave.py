@@ -1,6 +1,7 @@
 """Damped wave on a warped period: pencil assembly, eigenfrequency
 structure, exact-propagator energy traces."""
 
+import json
 import math
 import os
 import subprocess
@@ -13,6 +14,7 @@ import scipy.linalg as la
 from scipy.optimize import linear_sum_assignment
 
 from loxokit import dampedwave as dw
+from loxokit._blas import one_thread
 
 
 def zero(r):
@@ -197,6 +199,29 @@ def test_scan_matches_per_mode_eigenfrequencies():
     assert mirror == max([0.0] + [es.symmetry_defect for es in sets])
 
 
+def test_trace_check_catches_a_repeated_root(monkeypatch):
+    # copy one conjugate pair of eigenpairs over another: every eigenpair
+    # keeps its small residual, the roots stay in the strip and mirror
+    # symmetric, and only the sum of the roots misses the trace
+    pencil = dw.assemble_pencil(dw.DampedWaveProblem(n_grid=64), 3)
+    real_eig = np.linalg.eig
+
+    def repeat_a_pair(A):
+        mus, vecs = real_eig(A)
+        first = np.flatnonzero(mus.imag > 0)
+        j, i = first[0], first[1]
+        mus[[j, j + 1]] = mus[[i, i + 1]]
+        vecs[:, [j, j + 1]] = vecs[:, [i, i + 1]]
+        return mus, vecs
+
+    es = dw.eigenfrequencies(pencil)
+    assert es.symmetry_defect == 0.0
+    monkeypatch.setattr(np.linalg, "eig", repeat_a_pair)
+    with pytest.raises(dw.DampedWaveError,
+                       match="miss the generator trace .* at mode 3"):
+        dw.eigenfrequencies(pencil)
+
+
 def gap_profile(n_grid):
     """min over modes and |Re tau| >= 1 of Im tau * log<Re tau>."""
     prob = dw.DampedWaveProblem(n_grid=n_grid)
@@ -284,6 +309,88 @@ def test_power_march_matches_stepwise_loop(damping):
     trace = dw.evolve(prob, 3, t_max=n_steps * dt, dt=dt, frame=frame)
     assert trace.times.size == n_steps + 1
     assert np.abs(trace.e0 / e0 - 1.0).max() <= 1e-12
+
+
+def full_history_energies(frame, hist):
+    """e0, eeps and diss of every row of hist, in one pass over the whole
+    history."""
+    prob = frame.pencil.problem
+    n = prob.n_grid
+    diss = 2.0 * prob.spacing * (hist[:, n:] ** 2 @ prob.a)
+    c, cd = frame.coeffs(hist[:, :n].T), frame.coeffs(hist[:, n:].T)
+    modal = cd**2 + frame.lam[:, None] * c**2
+    e0 = 0.5 * modal.sum(axis=0)
+    eeps = 0.5 * ((1 + frame.lam[:, None]) ** prob.epsilon
+                  * modal).sum(axis=0)
+    return e0, eeps, diss
+
+
+@pytest.mark.parametrize("n_grid, rows", [
+    (64, 100), (64, 128), (64, 148), (192, 3 * 384 + 5)],
+    ids=["below-one-slab", "one-slab", "slab-and-remainder",
+         "slabs-and-remainder"])
+def test_slab_energies_equal_the_full_history(n_grid, rows):
+    # slabs hold 2 n_grid rows, and a short remainder joins the last one.
+    # The many-slab case is at n_grid 192: at n_grid 64 a slab's products
+    # are small enough for OpenBLAS's small-matrix kernel while the whole
+    # history's are not, and rows of the last partial tile then differ in
+    # the last bit (3 * 128 + 5 rows: 2 of e0, 5 of eeps). The reference
+    # runs on one BLAS thread, as evolve does
+    prob = dw.DampedWaveProblem(n_grid=n_grid)
+    dt = 0.004
+    frame = dw.mode_frame(dw.assemble_pencil(prob, 5))
+    u0, v0 = dw.default_initial(prob, frame)
+    scale = np.sqrt(prob.f)
+    with one_thread():
+        step = la.expm(dw.first_order_generator(frame.pencil) * dt)
+        hist = dw.power_march(
+            step, np.concatenate([scale * u0, scale * v0]), rows - 1)
+        e0, eeps, diss = full_history_energies(frame, hist)
+        for got, want in zip(dw._energies(frame, hist), (e0, eeps, diss)):
+            assert np.array_equal(got, want)
+    trace = dw.evolve(prob, 5, t_max=(rows - 1) * dt, dt=dt, frame=frame)
+    assert np.array_equal(trace.e0, e0)
+    assert np.array_equal(trace.eeps, eeps)
+
+
+def test_worker_count_changes_no_bit(monkeypatch, tmp_path):
+    # each mode runs whole on one worker and one BLAS thread, so the
+    # roots, traces and written files cannot depend on the worker count
+    from loxokit.cli import main
+
+    parallel_modes = {"n_grid": 64, "t_max": 3.0, "modes": [0, 3, 7, 11],
+                      "decay_modes": [0, 3, 7, 11]}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(parallel_modes))
+    prob = dw.DampedWaveProblem(n_grid=parallel_modes["n_grid"])
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(dw, "_workers", lambda n_tasks: workers)
+        sets, strip, mirror = dw.eigenfrequency_scan(
+            prob, modes=parallel_modes["modes"])
+        rep = dw.decay_report(prob, modes=parallel_modes["decay_modes"],
+                              t_max=parallel_modes["t_max"])
+        out = tmp_path / f"workers-{workers}"
+        assert main(["damped-wave", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        runs.append((
+            [es.k for es in sets],
+            [es.frequencies.tobytes() for es in sets], strip, mirror,
+            [(k, tr.e0.tobytes(), tr.eeps.tobytes(),
+              tr.dissipation_residual) for k, tr in rep.per_mode.items()],
+            rep.total_e0.tobytes(), rep.rate, rep.envelope_constant,
+            [(out / name).read_bytes() for name in (
+                "damped_wave.json", "eigenfrequencies.csv", "energy.csv")]))
+    assert runs[0][0] == parallel_modes["modes"]
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+
+
+def test_workers_bounded_by_modes_and_cpus():
+    cpus = len(os.sched_getaffinity(0))
+    assert dw._workers(0) == 1
+    assert dw._workers(1) == 1
+    assert dw._workers(1000) == cpus
 
 
 THREAD_PROBE = """
