@@ -28,7 +28,7 @@ sizes and makes each mode's result independent of OPENBLAS_NUM_THREADS
 and of the worker count; the setting is process-wide while one of them
 runs, and the pool's workers share the caller's scope. The kernels that
 carry the time, numpy's dgeev and matrix products, release the GIL, so
-the workers run in parallel.
+the workers run in parallel; scipy's expm, one per march, does not.
 """
 
 from __future__ import annotations
