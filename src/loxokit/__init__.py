@@ -4,7 +4,14 @@ Subpackages cover symplectic linear algebra and normal forms, Hamiltonian
 flows with closed-orbit and control diagnostics, radial model spectra on a
 hyperbolic cylinder, complex-absorbed model resolvents, and the damped wave
 equation on a warped product.
+
+Importing loxokit runs numpy's and scipy's bundled OpenBLAS on one thread
+for the rest of the process (see _blas).
 """
+
+from ._blas import pin_single_thread
+
+pin_single_thread()
 
 from .symplectic import (
     HAMILTON_MATRIX,

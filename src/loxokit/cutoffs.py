@@ -48,7 +48,7 @@ def bridge_slope(t):
 def plateau_step(x, lo, hi):
     """0 for |x| <= lo, 1 for |x| >= hi, smooth and even in between."""
     if not hi > lo >= 0:
-        raise ValueError("need 0 <= lo < hi")
+        raise ValueError(f"need 0 <= lo < hi, not lo = {lo}, hi = {hi}")
     return smooth_bridge((np.abs(x) - lo) / (hi - lo))
 
 

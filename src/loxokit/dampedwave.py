@@ -21,14 +21,12 @@ mode's eigenfrequencies; decaying modes sit in the upper half plane.
 
 The angular modes are independent, so eigenfrequency_scan solves its
 modes, and decay_report marches its modes, concurrently on a thread pool
-of one worker per usable CPU (at most one per mode). Every dense kernel
-(mode_frame, eigenfrequencies, evolve, decay_report and the scan) runs on
-one BLAS thread (_blas.one_thread), which was measured faster at these
-sizes and makes each mode's result independent of OPENBLAS_NUM_THREADS
-and of the worker count; the setting is process-wide while one of them
-runs, and the pool's workers share the caller's scope. The kernels that
-carry the time, numpy's dgeev and matrix products, release the GIL, so
-the workers run in parallel; scipy's expm, one per march, does not.
+of one worker per usable CPU (at most one per mode). BLAS runs on the one
+thread that importing loxokit pins it to (_blas), which was measured
+faster at these sizes and makes each mode's result independent of
+OPENBLAS_NUM_THREADS and of the worker count. The kernels that carry the
+time, numpy's dgeev and matrix products, release the GIL, so the workers
+run in parallel; scipy's expm, one per march, does not.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ import numpy as np
 import scipy.linalg as la
 from scipy.integrate import simpson
 
-from ._blas import one_thread
 from .cutoffs import DAMPING_INNER, get_warp, neck_damping
 from .errors import LoxokitError, StepFailure
 
@@ -119,15 +116,22 @@ class DampedWaveProblem:
         self.f_half = np.asarray(warp.f(half), dtype=float)
         self.a = np.asarray(self.damping(self.r), dtype=float)
         if np.any(self.f <= 0):
-            raise ValueError("warp profile must be positive")
+            i = np.argmin(self.f)
+            raise ValueError(f"warp profile must be positive, not "
+                             f"{self.f[i]} at r = {self.r[i]}")
         if np.any(self.a < -1e-15):
-            raise ValueError("damping must be nonnegative")
+            i = np.argmin(self.a)
+            raise ValueError(f"damping must be nonnegative, not "
+                             f"{self.a[i]} at r = {self.r[i]}")
         self.a = np.maximum(self.a, 0.0)
         if self.dead_zone_radius is not None:
             dead = np.abs(self.r) <= self.dead_zone_radius
             if np.any(self.a[dead] > 1e-15):
+                i = np.argmax(np.where(dead, self.a, 0.0))
                 raise ValueError(
-                    "damping must vanish for |r| <= dead_zone_radius")
+                    f"damping must vanish for |r| <= dead_zone_radius = "
+                    f"{self.dead_zone_radius}, not {self.a[i]} at "
+                    f"r = {self.r[i]}")
 
 
 @dataclass
@@ -182,7 +186,6 @@ class ModeFrame:
         return float(np.sum((1.0 + self.lam) ** s * np.abs(c) ** 2))
 
 
-@one_thread()
 def mode_frame(pencil):
     lam, basis = la.eigh(pencil.zeroth)
     # the k = 0 operator annihilates sqrt(f); tiny negative roundoff
@@ -217,7 +220,6 @@ def first_order_generator(pencil):
     return A
 
 
-@one_thread()
 def eigenfrequencies(pencil):
     """All roots of the mode pencil, tau = -i mu over the eigenvalues mu
     of the real first-order generator (a real eigensolve, numpy's dgeev,
@@ -286,7 +288,6 @@ def _workers(n_tasks):
 def _map_modes(fn, *columns):
     """[fn(*row) for row in zip(*columns)], run on _workers threads.
 
-    The caller holds the one-BLAS-thread scope, which the workers share.
     When a call raises, the calls not yet started are dropped and the
     error reaches the caller once the running ones end.
     """
@@ -298,7 +299,6 @@ def _map_modes(fn, *columns):
         pool.shutdown(cancel_futures=True)
 
 
-@one_thread()
 def eigenfrequency_scan(problem, modes=MODES):
     """(sets, strip_margin, mirror_defect): the EigenfrequencySet of each
     of the angular modes, solved concurrently, and the worst strip margin
@@ -430,7 +430,6 @@ def _energies(frame, hist):
     return e0, eeps, diss
 
 
-@one_thread()
 def evolve(problem, k, initial=None, t_max=T_MAX, dt=0.004, frame=None):
     """March one mode with the exact one-step propagator and record E^0,
     E^eps, and the damping quadrature.
@@ -501,7 +500,6 @@ class DecayReport:
     per_mode: dict
 
 
-@one_thread()
 def decay_report(problem, modes=DECAY_MODES, t_max=T_MAX):
     """Evolve each of the angular modes, concurrently, superpose
     energies, fit the decay.

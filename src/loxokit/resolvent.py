@@ -83,9 +83,10 @@ class AbsorbingProfile:
 
     def __post_init__(self):
         if not 0 < self.rho0 < self.rho1:
-            raise ValueError("need 0 < rho0 < rho1")
+            raise ValueError(f"need 0 < rho0 < rho1, not rho0 = {self.rho0}, "
+                             f"rho1 = {self.rho1}")
         if not 0 <= self.floor <= 1:
-            raise ValueError("floor must lie in [0, 1]")
+            raise ValueError(f"floor must lie in [0, 1], not {self.floor}")
 
     def __call__(self, x):
         step = plateau_step(x, self.rho0, self.rho1)
@@ -133,8 +134,8 @@ def quantize_model(h, rate=RATE, n_grid=256, half_length=HALF_LENGTH,
         raise ValueError(f"need n_grid >= 32 and h small enough for 32 "
                          f"modes, got n_grid={n_grid} and {n_modes} modes")
     if n_grid % 2:
-        raise ValueError("n_grid must be even: the sweeps split the grid "
-                         "into its two mirror halves")
+        raise ValueError(f"n_grid must be even, not {n_grid}: the sweeps "
+                         "split the grid into its two mirror halves")
     dx = 2.0 * half_length / (n_grid + 1)
     # half-integer offsets are exact, so x is bitwise antisymmetric and
     # absorb, s_off and even cutoffs are bitwise mirror images
@@ -273,8 +274,8 @@ def _lanczos_norm(fact, phi, v0):
         w = phi * _tridiag_solve(
             fact, _tridiag_solve(fact, phi * basis[0, k]), trans="C")
         # one classical Gram-Schmidt pass against the whole basis, as
-        # elementwise reductions: a BLAS matrix-vector product can start
-        # BLAS threads that cost more CPU than products this small save
+        # elementwise reductions: BLAS matrix-vector products here and for
+        # the Ritz vector round differently and change the written norms
         V = basis[0, :k + 1]
         coef = np.einsum("ij,j->i", basis[1, :k + 1], w)
         w -= np.add.reduce(coef[:, None] * V)

@@ -79,7 +79,7 @@ def build_radial_operator(k, R, N, profile=PROFILE):
         raise ValueError(f"N must be at least 64, not {N}")
     _check_radius(R)
     if k < 0 or k != int(k):
-        raise ValueError("mode k must be a nonnegative integer")
+        raise ValueError(f"mode k must be a nonnegative integer, not {k}")
     f = get_warp(profile).f
     dr = 2.0 * R / (N + 1)
     nodes = -R + dr * np.arange(1, N + 1)

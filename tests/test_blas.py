@@ -1,8 +1,9 @@
-"""The one-BLAS-thread scope of the damped-wave kernels."""
+"""The one BLAS thread that importing loxokit pins."""
 
+import os
+import subprocess
 import sys
-import threading
-import time
+from pathlib import Path
 
 import pytest
 
@@ -30,78 +31,50 @@ def pools_at_two():
         set_(count)
 
 
-def test_one_thread_inside_and_counts_restored(pools_at_two):
-    with _blas.one_thread():
-        assert counts() == [1] * pools_at_two
-        with _blas.one_thread():
-            assert counts() == [1] * pools_at_two
-        assert counts() == [1] * pools_at_two
-    assert counts() == [2] * pools_at_two
+IMPORT_PROBE = """
+import sys
+import loxokit
+from loxokit import _blas
+sys.stdout.write(" ".join(str(get()) for get, _ in _blas._pools()))
+"""
 
 
-def test_counts_restored_after_an_exception(pools_at_two):
-    @_blas.one_thread()
-    def kernel():
-        assert counts() == [1] * pools_at_two
-        raise ZeroDivisionError
-
-    with pytest.raises(ZeroDivisionError):
-        kernel()
-    assert counts() == [2] * pools_at_two
+def test_import_pins_every_pool_to_a_single_thread():
+    # OPENBLAS_NUM_THREADS=2 starts both pools on two threads; importing
+    # loxokit leaves each on one
+    pools = _blas._pools()
+    if not pools:
+        pytest.skip("numpy and scipy bundle no OpenBLAS here")
+    src = str(Path(_blas.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=120)
+    assert done.stdout.split() == ["1"] * len(pools)
 
 
 def test_no_op_without_a_bundled_openblas(pools_at_two, monkeypatch):
     found = _blas._pools()
     monkeypatch.setattr(_blas, "_pools", lambda: ())
-    with _blas.one_thread():
-        assert [get() for get, _ in found] == [2] * pools_at_two
+    _blas.pin_single_thread()
+    assert [get() for get, _ in found] == [2] * pools_at_two
 
 
-def test_overlapping_scopes_across_threads(pools_at_two):
-    # counts saved and restored per scope would hand two BLAS threads to
-    # a thread whose scope is still open, and could leave the process on
-    # one after the last scope closes
-    inside = []
-
-    def work():
-        for _ in range(500):
-            with _blas.one_thread():
-                time.sleep(0)
-                inside.append(counts())
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        workers = [threading.Thread(target=work) for _ in range(4)]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(worker.is_alive() for worker in workers)
-    assert len(inside) == 2000
-    assert all(seen == [1] * pools_at_two for seen in inside)
-    assert counts() == [2] * pools_at_two
-
-
-def test_counts_restored_after_a_pooled_scan_raises(pools_at_two,
-                                                    monkeypatch):
-    # the scan's workers run inside the caller's scope; a mode that
-    # raises in a worker must still hand back the caller's counts
+def test_scan_workers_run_on_a_single_thread(monkeypatch):
+    # the scan's workers make their BLAS calls under the import-time pin
+    if not _blas._pools():
+        pytest.skip("numpy and scipy bundle no OpenBLAS here")
     seen = []
     solve = dw.eigenfrequencies
 
-    def solve_or_fail(pencil):
+    def solve_and_count(pencil):
         seen.append(counts())
-        if pencil.k == 1:
-            raise dw.LinearizationIllConditioned("planted at mode 1")
         return solve(pencil)
 
-    monkeypatch.setattr(dw, "eigenfrequencies", solve_or_fail)
+    monkeypatch.setattr(dw, "eigenfrequencies", solve_and_count)
     monkeypatch.setattr(dw, "_workers", lambda n_tasks: 2)
-    with pytest.raises(dw.LinearizationIllConditioned, match="mode 1"):
-        dw.eigenfrequency_scan(dw.DampedWaveProblem(n_grid=32),
-                               modes=(0, 1, 2, 3))
-    assert seen and all(c == [1] * pools_at_two for c in seen)
-    assert counts() == [2] * pools_at_two
+    dw.eigenfrequency_scan(dw.DampedWaveProblem(n_grid=32),
+                           modes=(0, 1, 2, 3))
+    assert seen == [[1] * len(_blas._pools())] * 4

@@ -14,7 +14,6 @@ import scipy.linalg as la
 from scipy.optimize import linear_sum_assignment
 
 from loxokit import dampedwave as dw
-from loxokit._blas import one_thread
 
 
 def zero(r):
@@ -335,19 +334,18 @@ def test_slab_energies_equal_the_full_history(n_grid, rows):
     # are small enough for OpenBLAS's small-matrix kernel while the whole
     # history's are not, and rows of the last partial tile then differ in
     # the last bit (3 * 128 + 5 rows: 2 of e0, 5 of eeps). The reference
-    # runs on one BLAS thread, as evolve does
+    # runs on the one BLAS thread that importing loxokit pins
     prob = dw.DampedWaveProblem(n_grid=n_grid)
     dt = 0.004
     frame = dw.mode_frame(dw.assemble_pencil(prob, 5))
     u0, v0 = dw.default_initial(prob, frame)
     scale = np.sqrt(prob.f)
-    with one_thread():
-        step = la.expm(dw.first_order_generator(frame.pencil) * dt)
-        hist = dw.power_march(
-            step, np.concatenate([scale * u0, scale * v0]), rows - 1)
-        e0, eeps, diss = full_history_energies(frame, hist)
-        for got, want in zip(dw._energies(frame, hist), (e0, eeps, diss)):
-            assert np.array_equal(got, want)
+    step = la.expm(dw.first_order_generator(frame.pencil) * dt)
+    hist = dw.power_march(
+        step, np.concatenate([scale * u0, scale * v0]), rows - 1)
+    e0, eeps, diss = full_history_energies(frame, hist)
+    for got, want in zip(dw._energies(frame, hist), (e0, eeps, diss)):
+        assert np.array_equal(got, want)
     trace = dw.evolve(prob, 5, t_max=(rows - 1) * dt, dt=dt, frame=frame)
     assert np.array_equal(trace.e0, e0)
     assert np.array_equal(trace.eeps, eeps)
@@ -395,17 +393,23 @@ def test_workers_bounded_by_modes_and_cpus():
 
 THREAD_PROBE = """
 import sys
-from loxokit import dampedwave as dw
+from loxokit import dampedwave as dw, flows
 prob = dw.DampedWaveProblem()
 trace = dw.evolve(prob, 5, t_max=2.0, dt=0.002)
 taus = dw.eigenfrequencies(dw.assemble_pencil(prob, 40)).frequencies
-sys.stdout.write(trace.e0.tobytes().hex() + " " + taus.tobytes().hex())
+neck = flows.surface_of_revolution()
+orbit = flows.find_closed_orbit(
+    neck, flows.surface_state(neck, **flows.NECK_GUESS), flows.NECK_PERIOD)
+mono = flows.linearized_poincare_map(neck, orbit).monodromy
+sys.stdout.write(" ".join(a.tobytes().hex() for a in (trace.e0, taus, mono)))
 """
 
 
 def test_evolve_energies_independent_of_blas_threads():
-    # the kernels run on one BLAS thread whatever OPENBLAS_NUM_THREADS
-    # says, so energies and eigenfrequencies agree bit for bit
+    # importing loxokit pins BLAS to one thread whatever
+    # OPENBLAS_NUM_THREADS says, so the damped wave's energies and
+    # eigenfrequencies and the neck orbit's monodromy, a kernel outside
+    # the damped wave, agree bit for bit
     src = str(Path(dw.__file__).resolve().parents[1])
     runs = []
     for threads in ("1", "2"):
@@ -416,11 +420,13 @@ def test_evolve_energies_independent_of_blas_threads():
                               capture_output=True, text=True, check=True,
                               timeout=300)
         runs.append(done.stdout.split())
-    (e_one, tau_one), (e_two, tau_two) = runs
+    (e_one, tau_one, mono_one), (e_two, tau_two, mono_two) = runs
     assert len(bytes.fromhex(e_one)) == 1001 * 8
     assert len(bytes.fromhex(tau_one)) == 2 * 192 * 16
+    assert len(bytes.fromhex(mono_one)) == 4 * 4 * 8
     assert e_one == e_two
     assert tau_one == tau_two
+    assert mono_one == mono_two
 
 
 def test_samples_are_exact_at_any_step(default_problem):
