@@ -61,20 +61,29 @@ def _missing_kind(value, default):
     return None
 
 
+def _read_json_object(path, what, required=None):
+    """The JSON object in the file at path, which must hold the key
+    required if one is given; what names the file in errors."""
+    try:
+        with open(path) as handle:
+            obj = json.load(handle)
+    except OSError as exc:
+        raise UsageError(f"cannot read {what}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{what} is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict) or (required is not None
+                                     and required not in obj):
+        field = "" if required is None else f" with a {required!r} field"
+        raise UsageError(f"{what} must be a JSON object{field}")
+    return obj
+
+
 def _load_config(path, defaults, **flags):
     """Defaults, then a JSON config's keys, then each flag given (not None)
     under its key; unknown keys and wrong kinds in the config are errors."""
     merged = dict(defaults)
     if path is not None:
-        try:
-            with open(path) as handle:
-                cfg = json.load(handle)
-        except OSError as exc:
-            raise UsageError(f"cannot read config: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config is not valid JSON: {exc}") from None
-        if not isinstance(cfg, dict):
-            raise UsageError("config must be a JSON object")
+        cfg = _read_json_object(path, "config")
         unknown = sorted(set(cfg) - set(defaults))
         if unknown:
             raise UsageError(
@@ -133,23 +142,14 @@ def cmd_normal_form(args):
     if args.input is None:
         raise UsageError("normal-form needs --input pointing to a matrix "
                          "JSON file")
-    try:
-        with open(args.input) as handle:
-            obj = json.load(handle)
-    except OSError as exc:
-        raise UsageError(f"cannot read input: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"input is not valid JSON: {exc}") from None
-    if not isinstance(obj, dict) or "data" not in obj:
-        raise UsageError("input JSON needs a 'data' matrix field")
+    obj = _read_json_object(args.input, "input", required="data")
     try:
         M = np.asarray(obj["data"], dtype=float)
     except (TypeError, ValueError):
         raise UsageError("input 'data' must be a matrix of numbers") from None
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise UsageError("input matrix must be square")
-    if M.shape[0] % 2:
-        raise UsageError("input matrix must have even dimension")
+    if not np.isfinite(M).all():  # json reads NaN and Infinity
+        raise UsageError("input 'data' must hold finite numbers, not NaN "
+                         "or Infinity")
     kind = obj.get("kind", "map")
     if kind not in ("map", "generator"):
         raise UsageError("input 'kind' must be 'map' or 'generator'")

@@ -65,6 +65,7 @@ PERIOD = 6.0         # circumference of the r circle
 RESIDUAL_TOL = 1e-6  # relative eigenpair residual bound of eigenfrequencies
 TRACE_TOL = 1e-10    # relative bound on |sum of roots - generator trace|
 N_LOW = 24           # eigenmodes that default_initial excites, per mode
+DT = 0.004           # evolve's default step and decay_report's largest
 
 
 @dataclass
@@ -430,7 +431,7 @@ def _energies(frame, hist):
     return e0, eeps, diss
 
 
-def evolve(problem, k, initial=None, t_max=T_MAX, dt=0.004, frame=None):
+def evolve(problem, k, initial=None, t_max=T_MAX, dt=DT, frame=None):
     """March one mode with the exact one-step propagator and record E^0,
     E^eps, and the damping quadrature.
 
@@ -507,7 +508,7 @@ def decay_report(problem, modes=DECAY_MODES, t_max=T_MAX):
     Angular modes are L^2-orthogonal, so the total energy is the sum of
     per-mode traces and the squared H^eps size of the initial data, at
     eps = problem.epsilon, is the sum of per-mode sizes. All modes share
-    one time grid, dt = min(0.004, 0.09 / tau) for the fastest excited
+    one time grid, dt = min(DT, 0.09 / tau) for the fastest excited
     frequency tau: the samples are exact at any dt, and this step keeps
     the dissipation quadrature accurate. The envelope constant is the
     smallest C with E(t) <= C exp(-rate t) ||data||^2_{H^eps} along the
@@ -525,7 +526,7 @@ def decay_report(problem, modes=DECAY_MODES, t_max=T_MAX):
     # the N_LOW-th eigenvalue is the fastest excited frequency squared
     tau_max = max([1.0] + [math.sqrt(fr.lam[min(N_LOW, fr.lam.size) - 1])
                            for fr in frames])
-    dt = min(0.004, 0.09 / tau_max)
+    dt = min(DT, 0.09 / tau_max)
 
     def march(k, frame, start):
         return evolve(problem, k, initial=start, t_max=t_max, dt=dt,

@@ -1,9 +1,10 @@
 """Typed numerical failures shared by every solver module.
 
 Each module's base error (SymplecticError, FlowError, SpectraError,
-ResolventError, DampedWaveError) subclasses LoxokitError;
+ResolventError, DampedWaveError) subclasses LoxokitError only;
 GridTooCoarse and StepFailure are defined here once. The command line
-maps every LoxokitError to exit code 3.
+maps every LoxokitError to exit code 3, and a ValueError, which is how
+every module reports a bad input, to exit code 2.
 """
 
 

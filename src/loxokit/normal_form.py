@@ -18,6 +18,7 @@ real parts, hence the default eps = min(1, min_j Re lambda_j / 2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,7 +37,6 @@ from .symplectic import (
     SymplecticError,
     SymplecticTransform,
     _as_matrix,
-    _check_even_square,
     _classify,
     standard_symplectic_matrix,
 )
@@ -184,8 +184,9 @@ def birkhoff_normal_form(B, jordan_scale=None):
     B : array or HamiltonMatrix
         Hamilton matrix with no purely imaginary eigenvalues.
     jordan_scale : float, optional
-        Chain coupling epsilon. Defaults to min(1, min_j Re lambda_j / 2),
-        which keeps sym(A) positive definite for nontrivial chains.
+        Chain coupling epsilon, finite and > 0 (else ValueError). Defaults
+        to min(1, min_j Re lambda_j / 2), which keeps sym(A) positive
+        definite for nontrivial chains.
 
     Returns
     -------
@@ -193,7 +194,6 @@ def birkhoff_normal_form(B, jordan_scale=None):
         transform T with T^{-1} B T = blockdiag(A^T, -A).
     """
     Bm = _as_matrix(B)
-    n = _check_even_square(Bm, "input")
     cls, clusters = _classify(Bm, HAMILTON_MATRIX)
     if not cls.is_loxodromic:
         raise EllipticEigenvaluePresent(
@@ -201,8 +201,8 @@ def birkhoff_normal_form(B, jordan_scale=None):
     if jordan_scale is None:
         jordan_scale = min(1.0, cls.min_real_part / 2.0)
     eps = float(jordan_scale)
-    if eps <= 0:
-        raise SymplecticError("jordan_scale must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"jordan_scale must be finite and > 0, not {eps}")
 
     e_cols, f_cols, blocks = [], [], []
     for groups, (Z, T11), G in clusters:
@@ -250,7 +250,7 @@ def birkhoff_normal_form(B, jordan_scale=None):
     if residual > BLOCK_RESIDUAL_TOL * scale * max(1.0, np.linalg.cond(T) * 1e-6):
         raise DefectiveBeyondTolerance(
             f"normal-form residual {residual:.2e} exceeds tolerance")
-    transform = SymplecticTransform(dim=n, entries=T)
+    transform = SymplecticTransform(T)
     return BirkhoffNormalForm(transform=transform, block_matrix_A=A,
                               eigenvalues=cls, jordan_scale=eps)
 
@@ -266,7 +266,7 @@ def williamson(q) -> WilliamsonDecomposition:
     q(T(x, xi)) = sum_j (x_j^2 + xi_j^2) / r_j^2.
     """
     if not isinstance(q, QuadraticHamiltonian):
-        q = QuadraticHamiltonian(dim=_as_matrix(q).shape[0], coeff=q)
+        q = QuadraticHamiltonian(q)
     Q = q.coeff
     n = q.dim
     m = n // 2
@@ -303,7 +303,7 @@ def williamson(q) -> WilliamsonDecomposition:
     radii = radii[order]
     x_cols = x_cols[order]
     T = T[:, np.concatenate([x_cols, (x_cols + m) % n])]
-    transform = SymplecticTransform(dim=n, entries=T)
+    transform = SymplecticTransform(T)
     resid = la.norm(T.T @ Q @ T - np.diag(np.concatenate([2.0 / radii ** 2] * 2)))
     if resid > 1e-9 * max(1.0, la.norm(Q)) * max(1.0, np.linalg.cond(T)):
         raise SymplecticError(f"Williamson residual {resid:.2e} out of tolerance")
@@ -322,8 +322,7 @@ def escape_rate_form(nf: BirkhoffNormalForm) -> EscapeRateForm:
     """
     A = nf.block_matrix_A
     S = 0.5 * (A + A.T)
-    m = S.shape[0]
-    form = QuadraticHamiltonian(dim=2 * m, coeff=2.0 * la.block_diag(S, S))
+    form = QuadraticHamiltonian(2.0 * la.block_diag(S, S))
     w = la.eigh(S, eigvals_only=True)
     min_eig = float(w[0])
     if min_eig > 0:

@@ -52,6 +52,7 @@ RATE = 1.0         # p = tau + RATE * x xi
 HALF_LENGTH = 1.0  # x runs over [-HALF_LENGTH, HALF_LENGTH]
 N_Z = 11           # points of z_grid
 CUTOFF = True      # scan the cutoff norm too
+N_GRID = 256       # quantize_model's default grid, the builder's floor
 
 
 class ResolventError(LoxokitError):
@@ -117,7 +118,7 @@ def _check_half_length(half_length):
                          f"{half_length}")
 
 
-def quantize_model(h, rate=RATE, n_grid=256, half_length=HALF_LENGTH,
+def quantize_model(h, rate=RATE, n_grid=N_GRID, half_length=HALF_LENGTH,
                    profile=None):
     """Assemble the per-mode data for the model operator."""
     _check_h(h)
@@ -459,7 +460,7 @@ def default_operator_builder(rate=RATE, half_length=HALF_LENGTH):
     def build(h):
         _check_h(h)
         need = 8.0 * half_length / (math.pi * h)
-        n_grid = int(max(256, 2 ** math.ceil(math.log2(need))))
+        n_grid = int(max(N_GRID, 2 ** math.ceil(math.log2(need))))
         return quantize_model(h, rate=rate, n_grid=n_grid,
                               half_length=half_length)
     return build

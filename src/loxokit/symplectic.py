@@ -29,8 +29,9 @@ import scipy.linalg as la
 from .errors import LoxokitError
 
 
-class SymplecticError(LoxokitError, ValueError):
-    """Base class for structured failures in this module."""
+class SymplecticError(LoxokitError):
+    """Base class for the numerical failures of this module; an input of
+    the wrong shape or an unknown option is a ValueError instead."""
 
 
 class NotSymplectic(SymplecticError):
@@ -94,25 +95,14 @@ def symplectic_pairing(u, v):
 
 
 def _as_matrix(obj):
-    if hasattr(obj, "entries"):
-        return np.asarray(obj.entries, dtype=float)
-    if hasattr(obj, "coeff"):
-        return np.asarray(obj.coeff, dtype=float)
-    return np.asarray(obj, dtype=float)
-
-
-def _check_even_square(M, what="matrix"):
+    """The matrix of obj (an array or a value type of this module) as a
+    float array; a shape that is not even and square raises ValueError."""
+    M = np.asarray(getattr(obj, "entries", getattr(obj, "coeff", obj)),
+                   dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise SymplecticError(f"{what} must be square, got shape {M.shape}")
+        raise ValueError(f"matrix must be square, got shape {M.shape}")
     if M.shape[0] % 2 != 0:
-        raise SymplecticError(f"{what} must have even dimension, got {M.shape[0]}")
-    return M.shape[0]
-
-
-def _checked_entries(entries, dim, name):
-    M = np.asarray(entries, dtype=float)
-    if _check_even_square(M, name) != dim:
-        raise SymplecticError(f"dim={dim} does not match {name} shape {M.shape}")
+        raise ValueError(f"matrix must have even dimension, got {M.shape[0]}")
     return M
 
 
@@ -136,60 +126,56 @@ def symplectic_residual(S):
 class QuadraticHamiltonian:
     """Quadratic form q(rho) = (1/2) <rho, coeff rho> on R^dim.
 
-    coeff must be symmetric to relative tolerance 1e-12; it is symmetrized
-    on construction and rejected beyond the tolerance.
+    coeff must be symmetric to relative tolerance SYMMETRY_RTOL; it is
+    symmetrized on construction, and an asymmetric one is a ValueError.
     """
 
-    dim: int
     coeff: np.ndarray
+    dim = property(lambda self: self.coeff.shape[0])
 
     def __post_init__(self):
-        Q = _checked_entries(self.coeff, self.dim, "coeff")
+        Q = _as_matrix(self.coeff)
         if la.norm(Q - Q.T) > SYMMETRY_RTOL * max(1.0, la.norm(Q)):
-            raise SymplecticError("coeff matrix is not symmetric within 1e-12 (relative)")
+            raise ValueError(f"coeff matrix is not symmetric within "
+                             f"{SYMMETRY_RTOL:g} (relative)")
         self.coeff = 0.5 * (Q + Q.T)
-
-    def value(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        return 0.5 * float(rho @ self.coeff @ rho)
 
 
 @dataclass
 class HamiltonMatrix:
     """Linear vector field B with J B + B^T J = 0 (flow rho' = B rho)."""
 
-    dim: int
     entries: np.ndarray
+    dim = property(lambda self: self.entries.shape[0])
 
     def __post_init__(self):
-        B = _checked_entries(self.entries, self.dim, "entries")
+        B = _as_matrix(self.entries)
         if hamilton_residual(B) > HAMILTON_TOL * max(1.0, la.norm(B)):
-            raise NotSymplectic("J B + B^T J != 0 within 1e-10: not a Hamilton matrix")
+            raise NotSymplectic(f"J B + B^T J != 0 within {HAMILTON_TOL:g}: "
+                                f"not a Hamilton matrix")
         self.entries = B
 
 
 @dataclass
 class SymplecticTransform:
-    """Invertible T with T^T J T = J within 1e-10 (relative to scale)."""
+    """Invertible T with T^T J T = J within TRANSFORM_TOL, relative."""
 
-    dim: int
     entries: np.ndarray
+    dim = property(lambda self: self.entries.shape[0])
 
     def __post_init__(self):
-        T = _checked_entries(self.entries, self.dim, "entries")
+        T = _as_matrix(self.entries)
         if symplectic_residual(T) > TRANSFORM_TOL * max(1.0, la.norm(T) ** 2):
             raise NotSymplectic("T^T J T != J within tolerance: not symplectic")
         self.entries = T
 
 
 def hamilton_matrix(q: QuadraticHamiltonian) -> HamiltonMatrix:
-    """Hamilton matrix B = -J Q of a quadratic Hamiltonian."""
+    """Hamilton matrix B = -J Q of a quadratic Hamiltonian or its coeff."""
     if not isinstance(q, QuadraticHamiltonian):
-        q = QuadraticHamiltonian(dim=_as_matrix(q).shape[0], coeff=q)
-    m = q.dim // 2
-    J = standard_symplectic_matrix(m)
-    B = -J @ q.coeff
-    return HamiltonMatrix(dim=q.dim, entries=B)
+        q = QuadraticHamiltonian(q)
+    J = standard_symplectic_matrix(q.dim // 2)
+    return HamiltonMatrix(-J @ q.coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -376,14 +362,13 @@ _RULES = {
 
 
 def _structured_input(M, rules):
-    """M as an even square array satisfying the identity of rules, with n
-    and the scale max(1, ||M||_2)."""
+    """M as an even square array satisfying the identity of rules, with
+    the scale max(1, ||M||_2)."""
     Mm = _as_matrix(M)
-    n = _check_even_square(Mm, "input")
     scale = max(1.0, la.norm(Mm, 2))
     if rules.violates(Mm, scale):
         raise NotSymplectic(f"input is not {rules.identity} within tolerance")
-    return Mm, n, scale
+    return Mm, scale
 
 
 def classify(M, mode=HAMILTON_MATRIX):
@@ -402,9 +387,10 @@ def _classify(M, mode):
     (the groups of v, v's (Z, T11) from _cluster_schur, the basis Z of the
     partner cluster -v (1/v for maps), which pairs with v under s)."""
     if mode not in _RULES:
-        raise SymplecticError(f"unknown mode {mode!r}")
+        raise ValueError(f"unknown mode {mode!r}")
     rules = _RULES[mode]
-    Mm, n, scale = _structured_input(M, rules)
+    Mm, scale = _structured_input(M, rules)
+    n = Mm.shape[0]
     eigs = la.eigvals(Mm)
     eig_scale = max(1.0, np.max(np.abs(eigs)))
     clusters = _cluster_values(list(eigs), CLUSTER_RTOL * eig_scale)
@@ -531,7 +517,7 @@ def symplectic_log(S) -> HamiltonMatrix:
     eigenvalues as separate eigenvectors would make W near singular, while
     a wider cluster only costs a few more series terms.
     """
-    Sm, n, scale = _structured_input(S, _RULES[POINCARE_MAP])
+    Sm, scale = _structured_input(S, _RULES[POINCARE_MAP])
     eigs, V = la.eig(Sm)
     for mu in eigs:
         # relative to |mu|: a tiny positive eigenvalue of a strongly
@@ -563,4 +549,4 @@ def symplectic_log(S) -> HamiltonMatrix:
     if la.norm(back - Sm) > ROUNDTRIP_TOL * scale:
         raise DefectiveBeyondTolerance(
             "exp(log S) failed to reproduce S within tolerance")
-    return HamiltonMatrix(dim=n, entries=B)
+    return HamiltonMatrix(B)

@@ -113,6 +113,18 @@ def test_normal_form_odd_dimension_is_usage_error(tmp_path, capsys):
     assert "even dimension" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["map", "generator"])
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+def test_normal_form_nonfinite_data_is_usage_error(tmp_path, capsys, kind,
+                                                   entry):
+    # json writes and reads NaN and Infinity
+    inp = write_json(tmp_path / "nan.json",
+                     {"data": [[1.0, entry], [0.0, 1.0]], "kind": kind})
+    assert main(["normal-form", "--input", inp]) == 2
+    err = capsys.readouterr().err
+    assert "'data'" in err and "finite" in err
+
+
 def test_normal_form_negative_real_is_numerical_failure(tmp_path, capsys):
     # orientation-reversed hyperbolic map has no real log; the solver
     # error surfaces as exit code 3, not a usage error
@@ -629,6 +641,13 @@ def test_numerical_errors_cover_every_module():
             "ResolventError", "DampedWaveError"} <= names
     assert resolvent.GridTooCoarse is loxokit.errors.GridTooCoarse
     assert flows.StepFailure is dampedwave.StepFailure
+
+
+def test_no_numerical_error_is_a_value_error():
+    # main maps a ValueError to exit 2, so a class that were both would
+    # depend on the order of its except clauses
+    both = [c.__name__ for c in _numerical_errors() if issubclass(c, ValueError)]
+    assert both == []
 
 
 @pytest.mark.parametrize("error", _numerical_errors(),

@@ -16,7 +16,7 @@ def rng_for(seed):
 def random_symplectic(rng, m, scale=0.4):
     dim = 2 * m
     C = scale * rng.standard_normal((dim, dim))
-    B = lx.hamilton_matrix(lx.QuadraticHamiltonian(dim, C + C.T))
+    B = lx.hamilton_matrix(lx.QuadraticHamiltonian(C + C.T))
     return la.expm(B.entries)
 
 
@@ -188,7 +188,7 @@ def test_normal_form_roundtrip_random_plants(seed):
 # ---------------------------------------------------------------------------
 
 def test_diagonalize_round_form():
-    dec = lx.williamson(lx.QuadraticHamiltonian(2, 2.0 * np.eye(2)))
+    dec = lx.williamson(lx.QuadraticHamiltonian(2.0 * np.eye(2)))
     assert np.allclose(dec.radii, [1.0], atol=1e-12)
     assert np.allclose(dec.transform.entries, np.eye(2), atol=1e-9)
 
@@ -196,7 +196,7 @@ def test_diagonalize_round_form():
 def test_diagonalize_anisotropic_form():
     # q = a x^2 + b xi^2 has the single radius (a b)^(-1/4)
     a, b = 2.0, 3.0
-    dec = lx.williamson(lx.QuadraticHamiltonian(2, np.diag([2 * a, 2 * b])))
+    dec = lx.williamson(lx.QuadraticHamiltonian(np.diag([2 * a, 2 * b])))
     assert dec.radii[0] == pytest.approx((a * b) ** -0.25, rel=1e-10)
     # brute-force sampling of q(T rho) against sqrt(ab) (x^2 + xi^2)
     rng = rng_for(3)
@@ -211,7 +211,7 @@ def test_diagonalize_anisotropic_form():
 
 def test_diagonalize_rejects_indefinite():
     with pytest.raises(lx.NotPositiveDefinite):
-        lx.williamson(lx.QuadraticHamiltonian(2, np.diag([1.0, -1.0])))
+        lx.williamson(lx.QuadraticHamiltonian(np.diag([1.0, -1.0])))
 
 
 @settings(deadline=None, max_examples=25)
@@ -220,7 +220,7 @@ def test_diagonalize_random_positive_forms(seed):
     rng = rng_for(seed)
     C = rng.standard_normal((4, 4))
     Q = C @ C.T + 0.1 * np.eye(4)
-    dec = lx.williamson(lx.QuadraticHamiltonian(4, Q))
+    dec = lx.williamson(lx.QuadraticHamiltonian(Q))
     r = dec.radii
     assert np.all(r[:-1] <= r[1:] + 1e-12)
     T = dec.transform.entries
@@ -237,8 +237,8 @@ def test_radii_invariant_under_symplectic_conjugation(seed):
     C = rng.standard_normal((4, 4))
     Q = C @ C.T + 0.1 * np.eye(4)
     T0 = random_symplectic(rng, 2)
-    r1 = lx.williamson(lx.QuadraticHamiltonian(4, Q)).radii
-    r2 = lx.williamson(lx.QuadraticHamiltonian(4, T0.T @ Q @ T0)).radii
+    r1 = lx.williamson(lx.QuadraticHamiltonian(Q)).radii
+    r2 = lx.williamson(lx.QuadraticHamiltonian(T0.T @ Q @ T0)).radii
     assert np.allclose(r1, r2, atol=1e-8 * max(1.0, np.max(r1)))
 
 

@@ -22,7 +22,7 @@ def random_symplectic(rng, m, scale=0.4):
     """exp of a random Hamilton matrix is symplectic by construction."""
     dim = 2 * m
     C = scale * rng.standard_normal((dim, dim))
-    B = lx.hamilton_matrix(lx.QuadraticHamiltonian(dim, C + C.T))
+    B = lx.hamilton_matrix(lx.QuadraticHamiltonian(C + C.T))
     return la.expm(B.entries)
 
 
@@ -57,12 +57,12 @@ def test_structure_matrix_squares_to_minus_identity(m):
 def test_hamilton_matrix_dilation():
     lam = 0.7
     Q = np.array([[0.0, lam], [lam, 0.0]])
-    B = lx.hamilton_matrix(lx.QuadraticHamiltonian(2, Q))
+    B = lx.hamilton_matrix(lx.QuadraticHamiltonian(Q))
     assert np.allclose(B.entries, np.diag([lam, -lam]), atol=1e-14)
 
 
 def test_hamilton_matrix_harmonic():
-    B = lx.hamilton_matrix(lx.QuadraticHamiltonian(2, np.eye(2)))
+    B = lx.hamilton_matrix(lx.QuadraticHamiltonian(np.eye(2)))
     assert np.allclose(B.entries, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-14)
     assert np.allclose(np.sort_complex(np.linalg.eigvals(B.entries)),
                        [-1j, 1j], atol=1e-12)
@@ -77,7 +77,7 @@ def test_hamilton_matrix_complex_pair_eigenvalues():
     J = lx.standard_symplectic_matrix(2)
     Q = J @ B_nf
     assert np.allclose(Q, Q.T, atol=1e-14)
-    B = lx.hamilton_matrix(lx.QuadraticHamiltonian(4, Q))
+    B = lx.hamilton_matrix(lx.QuadraticHamiltonian(Q))
     got = np.sort_complex(np.linalg.eigvals(B.entries))
     want = np.sort_complex([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
     assert np.allclose(got, want, atol=1e-10)
@@ -85,7 +85,7 @@ def test_hamilton_matrix_complex_pair_eigenvalues():
 
 def test_hamilton_matrix_rejects_asymmetric():
     with pytest.raises(ValueError):
-        lx.QuadraticHamiltonian(2, np.array([[0.0, 1.0], [0.5, 0.0]]))
+        lx.QuadraticHamiltonian(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
 @settings(deadline=None, max_examples=30)
@@ -94,7 +94,7 @@ def test_hamilton_matrix_rejects_asymmetric():
 def test_hamilton_matrix_structure_relation(seed, m):
     rng = rng_for(seed)
     C = rng.standard_normal((2 * m, 2 * m))
-    B = lx.hamilton_matrix(lx.QuadraticHamiltonian(2 * m, C + C.T))
+    B = lx.hamilton_matrix(lx.QuadraticHamiltonian(C + C.T))
     assert lx.hamilton_residual(B.entries) <= 1e-10
 
 
@@ -132,6 +132,45 @@ def test_classify_rejects_nonsymplectic():
         lx.classify(np.diag([2.0, 2.0]), mode=lx.POINCARE_MAP)
 
 
+HYPERBOLIC = np.diag([0.7, -0.7])
+
+
+@pytest.mark.parametrize("call, words", [
+    (lambda: lx.classify(np.ones((2, 3))), "must be square"),
+    (lambda: lx.classify(np.eye(3), mode=lx.POINCARE_MAP), "even dimension"),
+    (lambda: lx.classify(HYPERBOLIC, mode="flow"), "unknown mode 'flow'"),
+    (lambda: lx.symplectic_log(np.ones(4)), "must be square"),
+    (lambda: lx.symplectic_log(np.eye(3)), "even dimension"),
+    (lambda: lx.birkhoff_normal_form(np.eye(3)), "even dimension"),
+    (lambda: lx.birkhoff_normal_form(HYPERBOLIC, jordan_scale=0.0),
+     "jordan_scale must be finite and > 0, not 0.0"),
+    (lambda: lx.birkhoff_normal_form(HYPERBOLIC, jordan_scale=math.nan),
+     "not nan"),
+    (lambda: lx.birkhoff_normal_form(HYPERBOLIC, jordan_scale=math.inf),
+     "not inf"),
+    (lambda: lx.williamson(np.eye(3)), "even dimension"),
+    (lambda: lx.williamson(np.array([[1.0, 1.0], [0.0, 1.0]])),
+     "not symmetric within 1e-12"),
+    (lambda: lx.hamilton_matrix(np.ones((2, 4))), "must be square"),
+    (lambda: lx.hamilton_matrix(np.eye(1)), "even dimension"),
+], ids=["classify-shape", "classify-odd", "classify-mode", "log-shape",
+        "log-odd", "nf-odd", "nf-scale-zero", "nf-scale-nan", "nf-scale-inf",
+        "williamson-odd", "williamson-asymmetric", "hamilton-shape",
+        "hamilton-odd"])
+def test_input_errors_are_value_errors_not_numerical(call, words):
+    # an input error exits 2 on the command line, a LoxokitError 3
+    with pytest.raises(ValueError, match=words) as err:
+        call()
+    assert not isinstance(err.value, lx.errors.LoxokitError)
+
+
+def test_value_types_derive_their_dimension():
+    B = lx.hamilton_matrix(lx.QuadraticHamiltonian(np.eye(4)))
+    assert B.dim == 4
+    assert lx.QuadraticHamiltonian(np.eye(6)).dim == 6
+    assert lx.SymplecticTransform(np.eye(2)).dim == 2
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.integers(min_value=0, max_value=2**31 - 1),
        st.integers(min_value=1, max_value=3))
@@ -140,7 +179,7 @@ def test_classify_map_and_generator_agree(seed, m):
     # so both modes report the same groups and flags
     rng = rng_for(seed)
     C = 0.4 * rng.standard_normal((2 * m, 2 * m))
-    B = lx.hamilton_matrix(lx.QuadraticHamiltonian(2 * m, C + C.T)).entries
+    B = lx.hamilton_matrix(lx.QuadraticHamiltonian(C + C.T)).entries
     gen = lx.classify(B)
     cmap = lx.classify(la.expm(B), mode=lx.POINCARE_MAP)
 
