@@ -40,17 +40,14 @@ class CriterionResult:
         return f"{tag}  {self.name}  ({self.elapsed:.1f}s)  {self.detail}"
 
 
-def _random_symplectic(rng, m, scale=0.4):
-    """exp of a Hamilton matrix is symplectic."""
-    sym = rng.standard_normal((2 * m, 2 * m))
-    sym = scale * (sym + sym.T) / 2
-    B = hamilton_matrix(sym)
-    return la.expm(B.entries)
-
-
 def _random_hamilton(rng, m, scale=1.0):
     sym = rng.standard_normal((2 * m, 2 * m))
     return hamilton_matrix(scale * (sym + sym.T) / 2).entries
+
+
+def _random_symplectic(rng, m, scale=0.4):
+    """exp of a Hamilton matrix is symplectic."""
+    return la.expm(_random_hamilton(rng, m, scale))
 
 
 def criterion_symplectic_residuals():

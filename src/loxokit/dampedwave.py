@@ -138,8 +138,11 @@ class DampedWaveProblem:
 @dataclass
 class ModePencil:
     """Mode k's pencil P(tau) = -tau^2 + zeroth + 2i diag(a) tau in the
-    sqrt(f)-symmetrized frame: zeroth is the real symmetric matrix
-    similar to L_k, and a is read from problem."""
+    sqrt(f)-symmetrized frame: zeroth is the real matrix similar to L_k,
+    and a is read from problem. zeroth is symmetric only to rounding (the
+    two sqrt(f) scalings of an entry and of its mirror round apart, by
+    about 2e-13 at n_grid 192): mode_frame's eigh reads its lower
+    triangle, while the first-order generator reads both triangles."""
 
     k: int
     zeroth: np.ndarray
@@ -340,10 +343,10 @@ class EnergyTrace:
     dissipation_residual: float
 
 
-def _fit_decay(times, energy, lo_frac=0.25):
+def _fit_decay(times, energy):
     """Decay rate and R^2 of the least-squares line through log energy
     on [t_max/4, t_max]."""
-    sel = times >= lo_frac * times[-1]
+    sel = times >= 0.25 * times[-1]
     t = times[sel]
     y = np.log(np.maximum(energy[sel], 1e-300))
     if np.ptp(y) < 1e-12:

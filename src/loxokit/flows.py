@@ -27,8 +27,8 @@ import scipy.linalg as la
 
 from .cutoffs import get_warp, neck_damping
 from .errors import LoxokitError, StepFailure
-from .symplectic import (POINCARE_MAP, SpectrumClassification, classify,
-                         standard_symplectic_matrix, symplectic_pairing)
+from .symplectic import (POINCARE_MAP, SYMPLECTIC_TOL, SpectrumClassification,
+                         classify, symplectic_pairing, symplectic_residual)
 
 
 # the neck orbit that `loxokit orbit` and the monodromy-oracle criterion close
@@ -39,6 +39,9 @@ NECK_R_WIDTH = 0.2          # neck_exclusion half-width in r
 NECK_CLAIRAUT_WIDTH = 0.01  # and in the Clairaut constant
 ORBIT_MAX_ITER = 40         # Gauss-Newton steps of find_closed_orbit
 ORBIT_RETURN_TOL = 1e-8     # and the return defect they must reach
+SHOOT_SEGMENT_TIME = 1.0    # segment length of the fallback chain,
+SHOOT_MAX_ITER = 60         # its Gauss-Newton steps
+SHOOT_TOL = 1e-9            # and the chain residual they must reach
 AVERAGE_TOL = 1e-12         # integrator tolerance of trajectory_average
 # check_geometric_control draws unit-speed samples with |r| <= CONTROL_R_MAX,
 # flows them at CONTROL_TOL and scans every CONTROL_SCAN_DT for damping
@@ -326,9 +329,10 @@ def flow(sys, z0, t_span, tol=1e-10, t_eval=None, observable=None):
                       energy_drift=drift, integral=integral)
 
 
-def _variational_rhs(sys):
-    """Right-hand side of the flow z' = X(z) together with its variational
-    equation Phi' = DX(z) Phi, on the stacked state y = (z, Phi.ravel())."""
+def _tangent_flow(sys, z0, Phi0, t_span, tol, **options):
+    """Integrate the flow z' = X(z) together with its variational equation
+    Phi' = DX(z) Phi on the stacked state y = (z, Phi.ravel()) from
+    (z0, Phi0) over t_span; options go to the integrator."""
     n = sys.n
     dim = 2 * n
 
@@ -339,18 +343,15 @@ def _variational_rhs(sys):
         Dv = np.vstack([H[n:, :], -H[:n, :]])
         return np.concatenate([sys.vector_field(z), (Dv @ Phi).ravel()])
 
-    return rhs
+    y0 = np.concatenate([np.asarray(z0, float), np.ravel(Phi0)])
+    return _integrate(rhs, t_span, y0, tol, **options)
 
 
 def _flow_with_monodromy(sys, z0, T, tol):
-    """Integrate z and the variational matrix over [0, T]."""
+    """z(T) and the monodromy Phi(T) of the tangent flow from Phi = I."""
     dim = 2 * sys.n
-    rhs = _variational_rhs(sys)
-    y0 = np.concatenate([np.asarray(z0, float), np.eye(dim).ravel()])
-    sol = _integrate(rhs, (0.0, T), y0, tol)
-    zT = sol.y[:dim, -1]
-    M = sol.y[dim:, -1].reshape(dim, dim)
-    return zT, M
+    sol = _tangent_flow(sys, z0, np.eye(dim), (0.0, T), tol)
+    return sol.y[:dim, -1], sol.y[dim:, -1].reshape(dim, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +404,8 @@ def _poincare_return(sys, z, z_ref, v_sec, t_min, t_max, tol):
     max_step = np.inf
     if sys.wraps:
         max_step = 0.45 * min(period for _, period in sys.wraps)
-    leg2 = _integrate(_variational_rhs(sys), (t_min, t_max),
-                      np.concatenate([z1, M1.ravel()]), tol,
-                      events=crossing, max_step=max_step)
+    leg2 = _tangent_flow(sys, z1, M1, (t_min, t_max), tol,
+                         events=crossing, max_step=max_step)
     if not leg2.t_events[0].size:
         raise _NoReturn("no return to the section within the time budget")
     T = float(leg2.t_events[0][0])
@@ -443,30 +443,35 @@ def _gauss_newton(residual, jacobian, x, first, tol, max_iter):
                         f"(residual {la.norm(F):.2e})")
 
 
-def _multiple_shooting(sys, guess, period_guess, v_sec, z_ref, E0, tol,
-                       segment_time=1.0, max_iter=60):
+def _multiple_shooting(sys, guess, period_guess, v_sec, z_ref, E0, tol):
     """Close a chain of short flow segments through a rough guess.
 
     A strongly unstable orbit amplifies guess error by exp(lambda T) over a
     full period, which can push the first section return of the raw guess
-    out of existence entirely. Segments of about unit time stay well
-    conditioned regardless.
+    out of existence entirely. Segments of about SHOOT_SEGMENT_TIME stay
+    well conditioned regardless.
 
     Seeding all nodes at the guess would put the chain in the contractible
     homotopy class, where the Gauss-Newton step collapses the period toward
     zero; a trial period below a tenth of the guess is rejected. Instead
-    the cyclic coordinates advance ballistically at the guess velocity so
-    the seed winds once, and the other components stay frozen.
+    the seed winds once: on a model with cyclic coordinates these advance
+    ballistically at the guess velocity and the other components stay
+    frozen; on a model without, the nodes lie on the guess's own
+    trajectory at the node times.
 
     Returns a point near the orbit, good enough to restart return-map
     Newton from.
     """
     dim = 2 * sys.n
-    K = max(2, int(math.ceil(period_guess / segment_time)))
-    v0 = sys.vector_field(guess)
-    seed = np.tile(np.asarray(guess, float), (K, 1))
-    for j, _ in sys.wraps:
-        seed[:, j] = guess[j] + v0[j] * period_guess * np.arange(K) / K
+    K = max(2, int(math.ceil(period_guess / SHOOT_SEGMENT_TIME)))
+    if sys.wraps:
+        v0 = sys.vector_field(guess)
+        seed = np.tile(np.asarray(guess, float), (K, 1))
+        for j, _ in sys.wraps:
+            seed[:, j] = guess[j] + v0[j] * period_guess * np.arange(K) / K
+    else:
+        seed = flow(sys, guess, (0.0, period_guess), tol=tol,
+                    t_eval=period_guess * np.arange(K) / K).states
     x = np.concatenate([seed.ravel(), [period_guess]])
 
     def chain(x):
@@ -498,7 +503,8 @@ def _multiple_shooting(sys, guess, period_guess, v_sec, z_ref, E0, tol,
         J[K * dim + 1, :dim] = sys.gradient(x[:dim])
         return J
 
-    x, _, _ = _gauss_newton(chain, jacobian, x, chain(x), 1e-9, max_iter)
+    x, _, _ = _gauss_newton(chain, jacobian, x, chain(x), SHOOT_TOL,
+                            SHOOT_MAX_ITER)
     return x[:dim].copy()
 
 
@@ -626,9 +632,9 @@ def linearized_poincare_map(sys, orbit, tol=ORBIT_TOL):
         for i in range(m_red):
             red[i, j] = symplectic_pairing(y, basis[:, m_red + i])
             red[m_red + i, j] = symplectic_pairing(basis[:, i], y)
-    J_red = standard_symplectic_matrix(m_red)
-    defect = la.norm(red.T @ J_red @ red - J_red)
-    if defect > 1e-6 * max(1.0, la.norm(red) ** 2):
+    # refused at classify's own bound, which a computed map must not reach
+    defect = symplectic_residual(red)
+    if defect > SYMPLECTIC_TOL * max(1.0, la.norm(red, 2)) ** 2:
         raise SectionNotTransverse(
             f"reduced map symplectic defect {defect:.2e}")
     cls = classify(red, mode=POINCARE_MAP)

@@ -161,18 +161,13 @@ def _dual_chains(G, e_chains):
     return chains
 
 
-def _real_block(lam, k, eps):
-    A = np.eye(k) * lam
-    for l in range(k - 1):
-        A[l + 1, l] = eps
-    return A
-
-
-def _complex_block(lam, k, eps):
-    L = np.array([[np.real(lam), -np.imag(lam)], [np.imag(lam), np.real(lam)]])
+def _jordan_block(L, k, eps):
+    """k copies of the diagonal block L (1 x 1 or 2 x 2) with eps I on the
+    block subdiagonal."""
+    d = L.shape[0]
     A = np.kron(np.eye(k), L)
     for l in range(k - 1):
-        A[2 * (l + 1):2 * (l + 2), 2 * l:2 * (l + 1)] = eps * np.eye(2)
+        A[d * (l + 1):d * (l + 2), d * l:d * (l + 1)] = eps * np.eye(d)
     return A
 
 
@@ -194,15 +189,16 @@ def birkhoff_normal_form(B, jordan_scale=None):
         transform T with T^{-1} B T = blockdiag(A^T, -A).
     """
     Bm = _as_matrix(B)
+    if jordan_scale is not None:
+        eps = float(jordan_scale)
+        if not (math.isfinite(eps) and eps > 0):
+            raise ValueError(f"jordan_scale must be finite and > 0, not {eps}")
     cls, clusters = _classify(Bm, HAMILTON_MATRIX)
     if not cls.is_loxodromic:
         raise EllipticEigenvaluePresent(
             "normal form requires a loxodromic spectrum")
     if jordan_scale is None:
-        jordan_scale = min(1.0, cls.min_real_part / 2.0)
-    eps = float(jordan_scale)
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"jordan_scale must be finite and > 0, not {eps}")
+        eps = float(min(1.0, cls.min_real_part / 2.0))
 
     e_cols, f_cols, blocks = [], [], []
     for groups, (Z, T11), G in clusters:
@@ -229,7 +225,7 @@ def birkhoff_normal_form(B, jordan_scale=None):
                     e_cols.append(np.real(v))
                 for v in f_scaled:
                     f_cols.append(np.real(v))
-                blocks.append(_real_block(np.real(lam), k, eps))
+                blocks.append(_jordan_block(np.array([[lam.real]]), k, eps))
             else:
                 for v in e_scaled:
                     e_cols.append(np.sqrt(2.0) * np.real(v))
@@ -237,7 +233,8 @@ def birkhoff_normal_form(B, jordan_scale=None):
                 for v in f_scaled:
                     f_cols.append(np.sqrt(2.0) * np.real(v))
                     f_cols.append(-np.sqrt(2.0) * np.imag(v))
-                blocks.append(_complex_block(lam, k, eps))
+                L = np.array([[lam.real, -lam.imag], [lam.imag, lam.real]])
+                blocks.append(_jordan_block(L, k, eps))
 
     T = np.column_stack(e_cols + f_cols)
     A = la.block_diag(*blocks)

@@ -611,18 +611,12 @@ def global_absorption_check(h):
 # harmonic-oscillator lower bound
 # ---------------------------------------------------------------------------
 
-def _fourier_multiplier_matrix(values):
-    """Dense circulant F^{-1} diag(values) F on a periodic grid."""
-    n = values.size
-    eye = np.eye(n)
-    return np.fft.ifft(np.fft.fft(eye, axis=0) * values[:, None], axis=0)
-
-
 def quantize_separated_symbol(m_values, g_values):
     """Grid quantization of a(y, eta) = m(y) + g(eta): multiplication plus
-    Fourier multiplier. For separated symbols this matches the symmetric
-    quantization exactly."""
-    A = _fourier_multiplier_matrix(g_values.astype(complex))
+    the Fourier multiplier F^{-1} diag(g) F, which is the circulant of
+    ifft(g). For separated symbols this matches the symmetric quantization
+    exactly."""
+    A = la.circulant(np.fft.ifft(g_values))
     A[np.arange(m_values.size), np.arange(m_values.size)] += m_values
     H = 0.5 * (A + A.conj().T)
     if la.norm(A - H) > 1e-10 * max(1.0, la.norm(H)):

@@ -55,7 +55,6 @@ class RadialOperator:
     k: int
     R: float
     N: int
-    profile: str
     nodes: np.ndarray
     spacing: float
     weight: np.ndarray           # f(r_i)
@@ -94,7 +93,7 @@ def build_radial_operator(k, R, N, profile=PROFILE):
     diag_K += k ** 2 / w
     off_K = -w_half / dr ** 2
     return RadialOperator(
-        k=int(k), R=float(R), N=int(N), profile=profile, nodes=nodes,
+        k=int(k), R=float(R), N=int(N), nodes=nodes,
         spacing=dr, weight=w,
         sym_diag=diag_K / w,
         sym_off=off_K / np.sqrt(w[:-1] * w[1:]))

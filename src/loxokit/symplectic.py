@@ -31,11 +31,12 @@ from .errors import LoxokitError
 
 class SymplecticError(LoxokitError):
     """Base class for the numerical failures of this module; an input of
-    the wrong shape or an unknown option is a ValueError instead."""
+    the wrong shape, an input matrix that fails its structural identity or
+    an unknown option is a ValueError instead."""
 
 
 class NotSymplectic(SymplecticError):
-    """Input matrix violates the required structural identity."""
+    """A value type's matrix violates its structural identity."""
 
 
 class GroupingFailed(SymplecticError):
@@ -367,7 +368,7 @@ def _structured_input(M, rules):
     Mm = _as_matrix(M)
     scale = max(1.0, la.norm(Mm, 2))
     if rules.violates(Mm, scale):
-        raise NotSymplectic(f"input is not {rules.identity} within tolerance")
+        raise ValueError(f"input is not {rules.identity} within tolerance")
     return Mm, scale
 
 

@@ -125,6 +125,18 @@ def test_normal_form_nonfinite_data_is_usage_error(tmp_path, capsys, kind,
     assert "'data'" in err and "finite" in err
 
 
+@pytest.mark.parametrize("matrix, identity", [
+    ({"data": [[1, 0], [0, 1]], "kind": "generator"}, "a Hamilton matrix"),
+    ({"data": [[2, 0], [0, 2]]}, "symplectic"),
+], ids=["generator", "map"])
+def test_normal_form_input_failing_its_identity_is_usage_error(
+        tmp_path, capsys, matrix, identity):
+    inp = write_json(tmp_path / "bad.json", matrix)
+    assert main(["normal-form", "--input", inp]) == 2
+    assert (f"input is not {identity} within tolerance"
+            in capsys.readouterr().err)
+
+
 def test_normal_form_negative_real_is_numerical_failure(tmp_path, capsys):
     # orientation-reversed hyperbolic map has no real log; the solver
     # error surfaces as exit code 3, not a usage error

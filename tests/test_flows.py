@@ -266,6 +266,18 @@ def test_bump_axis_orbit_period_matches_quadrature():
     assert orbit.period == pytest.approx(want, rel=1e-7)
 
 
+@pytest.mark.parametrize("y", [0.02, 0.05, 0.2])
+def test_bump_orbit_from_escaping_guess_by_segment_chain(y):
+    # the guess leaves the axis before its first section return, so the
+    # finder falls back on the segment chain; the bump model has no cyclic
+    # coordinate, so the chain's nodes start on the guess's own trajectory
+    sys = flows.double_bump()
+    orbit = flows.find_closed_orbit(sys, np.array([0.0, y, 0.9, 0.0]), 6.0)
+    assert abs(orbit.point[1]) <= 1e-8
+    want = axis_period_oracle(sys, orbit.energy)
+    assert orbit.period == pytest.approx(want, rel=1e-7)
+
+
 def test_bump_orbit_from_off_axis_guess_by_return_map_newton(
         no_segment_shooting):
     sys = flows.double_bump()
@@ -294,6 +306,23 @@ def test_neck_monodromy_against_jacobi_oracle(cosh_surface, neck_orbit):
     assert c.is_loxodromic and not c.has_negative_real
     assert isinstance(c.groups[0], lx.RealHyperbolicPair)
     assert c.groups[0].lam == pytest.approx(TWO_PI, rel=1e-3)
+
+
+def test_reduced_map_refused_at_classify_bound(cosh_surface, neck_orbit,
+                                               monkeypatch):
+    # a monodromy off by 1% gives the neck's reduced map a symplectic
+    # defect of about 3e-2: under 1e-6 ||red||_F^2 but over classify's
+    # SYMPLECTIC_TOL ||red||_2^2, so the orbit layer must refuse it as a
+    # numerical failure before classify sees it as an input error
+    exact = flows._flow_with_monodromy
+
+    def perturbed(*args, **kwargs):
+        zT, M = exact(*args, **kwargs)
+        return zT, 1.01 * M
+
+    monkeypatch.setattr(flows, "_flow_with_monodromy", perturbed)
+    with pytest.raises(flows.SectionNotTransverse, match="symplectic defect"):
+        flows.linearized_poincare_map(cosh_surface, neck_orbit)
 
 
 def test_flat_cylinder_is_not_loxodromic():

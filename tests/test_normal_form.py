@@ -7,6 +7,7 @@ import scipy.linalg as la
 from hypothesis import given, settings, strategies as st
 
 import loxokit as lx
+from loxokit import normal_form as nf_module
 
 
 def rng_for(seed):
@@ -153,6 +154,48 @@ def test_normal_form_of_mixed_and_complex_chains(A, chains, want, conjugate):
 def test_normal_form_rejects_elliptic():
     with pytest.raises(lx.EllipticEigenvaluePresent):
         lx.birkhoff_normal_form(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("jordan_scale", [0.0, -1.0, np.nan, np.inf])
+def test_jordan_scale_checked_before_classification(monkeypatch,
+                                                    jordan_scale):
+    def refuse(*args, **kwargs):
+        pytest.fail("a bad jordan_scale reached the classification")
+
+    monkeypatch.setattr(nf_module, "_classify", refuse)
+    with pytest.raises(ValueError, match="jordan_scale must be finite"):
+        lx.birkhoff_normal_form(np.diag([0.7, -0.7]), jordan_scale=jordan_scale)
+
+
+# the two block builders that _jordan_block replaced, as reference code
+def real_block_reference(lam, k, eps):
+    A = np.eye(k) * lam
+    for l in range(k - 1):
+        A[l + 1, l] = eps
+    return A
+
+
+def complex_block_reference(lam, k, eps):
+    L = np.array([[np.real(lam), -np.imag(lam)], [np.imag(lam), np.real(lam)]])
+    A = np.kron(np.eye(k), L)
+    for l in range(k - 1):
+        A[2 * (l + 1):2 * (l + 2), 2 * l:2 * (l + 1)] = eps * np.eye(2)
+    return A
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_jordan_block_matches_real_reference_bitwise(k):
+    lam, eps = 0.7318, 0.2931
+    got = nf_module._jordan_block(np.array([[lam]]), k, eps)
+    assert got.tobytes() == real_block_reference(lam, k, eps).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_jordan_block_matches_complex_reference_bitwise(k):
+    lam, eps = complex(0.4113, 1.0927), 0.1877
+    L = np.array([[lam.real, -lam.imag], [lam.imag, lam.real]])
+    got = nf_module._jordan_block(L, k, eps)
+    assert got.tobytes() == complex_block_reference(lam, k, eps).tobytes()
 
 
 @settings(deadline=None, max_examples=20)

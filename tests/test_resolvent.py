@@ -538,6 +538,30 @@ def test_weighted_symbol_ratio_band():
     assert fine["lam_min"] == pytest.approx(coarse["lam_min"], rel=1e-6)
 
 
+def fourier_multiplier_reference(values):
+    """F^{-1} diag(values) F from n FFTs of the n x n identity."""
+    eye = np.eye(values.size)
+    return np.fft.ifft(np.fft.fft(eye, axis=0) * values[:, None], axis=0)
+
+
+@pytest.mark.parametrize("weighted", [True, False])
+@pytest.mark.parametrize("h_tilde", [0.1, 0.05, 0.025])
+def test_separated_symbol_matches_fft_of_identity(h_tilde, weighted):
+    # the grids of harm_osc_lower_bound at its default n_grid
+    n = 512
+    dy = 2.0 * rv.HARM_OSC_HALF_WIDTH / n
+    y = -rv.HARM_OSC_HALF_WIDTH + dy * np.arange(n)
+    eta = h_tilde * 2.0 * np.pi * np.fft.fftfreq(n, d=dy)
+    if weighted:
+        m, g = y ** 2 / (1.0 + y ** 2), eta ** 2 / (1.0 + eta ** 2)
+    else:
+        m, g = y ** 2, eta ** 2
+    want = fourier_multiplier_reference(g.astype(complex)) + np.diag(m)
+    want = 0.5 * (want + want.conj().T)
+    got = rv.quantize_separated_symbol(m, g)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
 def test_lower_bound_nonnegative():
     rows = rv.harm_osc_lower_bound([0.1, 0.05], n_grid=512)
     assert all(r["lam_min"] >= 0.0 for r in rows)

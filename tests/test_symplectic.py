@@ -128,7 +128,7 @@ def test_classify_negative_real_axis():
 
 
 def test_classify_rejects_nonsymplectic():
-    with pytest.raises(lx.NotSymplectic):
+    with pytest.raises(ValueError, match="input is not symplectic"):
         lx.classify(np.diag([2.0, 2.0]), mode=lx.POINCARE_MAP)
 
 
