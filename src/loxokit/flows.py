@@ -27,8 +27,8 @@ import scipy.linalg as la
 
 from .cutoffs import get_warp, neck_damping
 from .errors import LoxokitError, StepFailure
-from .symplectic import (POINCARE_MAP, SYMPLECTIC_TOL, SpectrumClassification,
-                         classify, symplectic_pairing, symplectic_residual)
+from .symplectic import (POINCARE_MAP, SpectrumClassification, _identity_defect,
+                         classify, symplectic_pairing)
 
 
 # the neck orbit that `loxokit orbit` and the monodromy-oracle criterion close
@@ -633,8 +633,8 @@ def linearized_poincare_map(sys, orbit, tol=ORBIT_TOL):
             red[i, j] = symplectic_pairing(y, basis[:, m_red + i])
             red[m_red + i, j] = symplectic_pairing(basis[:, i], y)
     # refused at classify's own bound, which a computed map must not reach
-    defect = symplectic_residual(red)
-    if defect > SYMPLECTIC_TOL * max(1.0, la.norm(red, 2)) ** 2:
+    defect, bound, _ = _identity_defect(red, POINCARE_MAP)
+    if defect > bound:
         raise SectionNotTransverse(
             f"reduced map symplectic defect {defect:.2e}")
     cls = classify(red, mode=POINCARE_MAP)

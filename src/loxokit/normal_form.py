@@ -322,10 +322,8 @@ def escape_rate_form(nf: BirkhoffNormalForm) -> EscapeRateForm:
     form = QuadraticHamiltonian(2.0 * la.block_diag(S, S))
     w = la.eigh(S, eigvals_only=True)
     min_eig = float(w[0])
-    if min_eig > 0:
-        cert = williamson(form)
-        return EscapeRateForm(form=form, positive_definite=True,
-                              min_eigenvalue=min_eig, certificate=cert)
-    return EscapeRateForm(form=form, positive_definite=False,
-                          min_eigenvalue=min_eig, certificate=None)
+    definite = min_eig > 0
+    return EscapeRateForm(form=form, positive_definite=definite,
+                          min_eigenvalue=min_eig,
+                          certificate=williamson(form) if definite else None)
 

@@ -11,6 +11,12 @@ Conventions, fixed once for the whole package:
 Internally the symplectic pairing is evaluated as ``s(u, v) = <J u, v>``,
 which makes the canonical pair e = (1, 0), f = (0, 1) satisfy s(e, f) = 1.
 
+A symplectic map is read through the principal logs lambda = log mu of
+its eigenvalues, taken modulo 2 pi i, so classify applies the rules of a
+Hamilton matrix to both: |mu| = 1 is Re lambda = 0, the partner 1/mu is
+-lambda, and mu < 0 is Im lambda = pi (mod 2 pi), the one negative-axis
+test, which symplectic_log shares.
+
 Tolerances are fixed module constants: SYMMETRY_RTOL, HAMILTON_TOL,
 SYMPLECTIC_TOL, TRANSFORM_TOL, UNIT_TOL, CLUSTER_RTOL, RANK_RTOL,
 ROUNDTRIP_TOL, BLOCK_RESIDUAL_TOL and LOG_CLUSTER_TOL (see their
@@ -21,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.linalg as la
@@ -243,8 +248,11 @@ class SpectrumClassification:
         return min(parts) if parts else 0.0
 
 
-def _cluster_values(vals, tol):
-    """Greedy union-find clustering of complex values at absolute tol."""
+def _cluster_values(vals, tol, wrap=lambda d: d):
+    """Greedy union-find clustering of complex values at absolute tol;
+    wrap maps a difference to the one whose size is compared. Returns the
+    clusters' index lists, largest mean value (real part, then imaginary)
+    first."""
     n = len(vals)
     parent = list(range(n))
 
@@ -256,19 +264,18 @@ def _cluster_values(vals, tol):
 
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(vals[i] - vals[j]) <= tol:
+            if abs(wrap(vals[i] - vals[j])) <= tol:
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[ri] = rj
     clusters = {}
     for i in range(n):
         clusters.setdefault(find(i), []).append(i)
-    out = []
-    for members in clusters.values():
-        rep = np.mean([vals[i] for i in members])
-        out.append((rep, members))
-    out.sort(key=lambda c: (-np.real(c[0]), -np.imag(c[0])))
-    return out
+    means = {root: np.mean([vals[i] for i in members])
+             for root, members in clusters.items()}
+    order = sorted(clusters,
+                   key=lambda r: (-np.real(means[r]), -np.imag(means[r])))
+    return [clusters[root] for root in order]
 
 
 def _cluster_schur(M, lam, members, eigs):
@@ -324,52 +331,38 @@ def _block_sizes(T11, lam, scale):
     return sizes
 
 
-@dataclass(frozen=True)
-class _Rules:
-    """How classify reads the eigenvalues v of one kind of input; tol is
-    the absolute matching tolerance."""
-
-    identity: str             # the structural identity, for errors
-    violates: Callable        # (M, scale) -> the identity fails
-    on_axis: Callable         # (v, tol) -> v is elliptic
-    partner: Callable         # v -> the other member of its pair
-    representative: Callable  # v -> the Hamilton-level lambda
-    phase: Callable           # v -> rotation angle, up to sign
-    sort_key: Callable        # expanding members first
-    negative_real: Callable   # (v, tol) -> exp(lambda) < 0
+def _identity_defect(Mm, mode):
+    """The defect of Mm's structural identity under mode (a map is
+    symplectic, a generator a Hamilton matrix), the bound that defect must
+    not exceed, and the scale max(1, ||Mm||_2) that sets the bound."""
+    scale = max(1.0, la.norm(Mm, 2))
+    if mode == POINCARE_MAP:
+        return symplectic_residual(Mm), SYMPLECTIC_TOL * scale ** 2, scale
+    if mode == HAMILTON_MATRIX:
+        return hamilton_residual(Mm), HAMILTON_TOL * scale, scale
+    raise ValueError(f"unknown mode {mode!r}")
 
 
-_RULES = {
-    # eigenvalues mu: elliptic iff |mu| = 1 (a scale-free test, so it
-    # ignores tol), pairs (mu, 1/mu)
-    POINCARE_MAP: _Rules(
-        identity="symplectic",
-        violates=lambda M, s: symplectic_residual(M) > SYMPLECTIC_TOL * s ** 2,
-        on_axis=lambda mu, tol: abs(abs(mu) - 1.0) <= UNIT_TOL,
-        partner=lambda mu: 1.0 / mu, representative=np.log, phase=np.angle,
-        sort_key=lambda mu: (-abs(mu), -np.imag(mu)),
-        negative_real=lambda mu, tol: np.real(mu) < 0 and abs(np.imag(mu)) <= tol),
-    # eigenvalues lambda: elliptic iff Re lambda = 0, pairs (lambda, -lambda);
-    # exp(lambda) < 0 iff Im lambda is an odd multiple of pi
-    HAMILTON_MATRIX: _Rules(
-        identity="a Hamilton matrix",
-        violates=lambda M, s: hamilton_residual(M) > HAMILTON_TOL * s,
-        on_axis=lambda lam, tol: abs(np.real(lam)) <= tol,
-        partner=lambda lam: -lam, representative=lambda lam: lam, phase=np.imag,
-        sort_key=lambda lam: (-np.real(lam), -np.imag(lam)),
-        negative_real=lambda lam, tol: abs(math.remainder(
-            abs(np.imag(lam)) - math.pi, 2 * math.pi)) <= tol),
-}
-
-
-def _structured_input(M, rules):
-    """M as an even square array satisfying the identity of rules, with
+def _structured_input(M, mode):
+    """M as an even square array satisfying the identity of mode, with
     the scale max(1, ||M||_2)."""
     Mm = _as_matrix(M)
-    scale = max(1.0, la.norm(Mm, 2))
-    if rules.violates(Mm, scale):
-        raise ValueError(f"input is not {rules.identity} within tolerance")
+    defect, bound, scale = _identity_defect(Mm, mode)
+    if defect > bound:
+        identity = "symplectic" if mode == POINCARE_MAP else "a Hamilton matrix"
+        raise ValueError(f"input is not {identity} within tolerance")
     return Mm, scale
+
+
+def _wrap_2pi(d):
+    """d with its imaginary part taken modulo 2 pi into [-pi, pi]: the
+    distance between two map logs, which are defined modulo 2 pi i."""
+    return complex(d.real, math.remainder(d.imag, 2 * math.pi))
+
+
+def _negative_real(lam, tol):
+    """exp(lam) < 0: Im lam is an odd multiple of pi, within tol."""
+    return abs(math.remainder(abs(np.imag(lam)) - math.pi, 2 * math.pi)) <= tol
 
 
 def classify(M, mode=HAMILTON_MATRIX):
@@ -384,32 +377,37 @@ def classify(M, mode=HAMILTON_MATRIX):
 
 
 def _classify(M, mode):
-    """classify, plus one entry per hyperbolic cluster v it visits:
-    (the groups of v, v's (Z, T11) from _cluster_schur, the basis Z of the
-    partner cluster -v (1/v for maps), which pairs with v under s)."""
-    if mode not in _RULES:
-        raise ValueError(f"unknown mode {mode!r}")
-    rules = _RULES[mode]
-    Mm, scale = _structured_input(M, rules)
+    """classify, plus one entry per hyperbolic cluster lambda it visits:
+    (the groups of lambda, its (Z, T11) from _cluster_schur, the basis Z
+    of the partner cluster -lambda, which pairs with it under s). A map is
+    read through its eigenvalue logs (see the module docstring); its Schur
+    blocks and chain sizes are taken on the eigenvalues mu themselves."""
+    Mm, scale = _structured_input(M, mode)
     n = Mm.shape[0]
     eigs = la.eigvals(Mm)
-    eig_scale = max(1.0, np.max(np.abs(eigs)))
-    clusters = _cluster_values(list(eigs), CLUSTER_RTOL * eig_scale)
-    reps = [rep for rep, _ in clusters]
-    schur = [_cluster_schur(Mm, rep, members, eigs)
-             for rep, members in clusters]
-    sizes = [_block_sizes(T11, rep, scale)
-             for rep, (_, T11) in zip(reps, schur)]
-    match_tol = UNIT_TOL * eig_scale
-    window = max(match_tol, 10 * CLUSTER_RTOL * eig_scale)
+    is_map = mode == POINCARE_MAP
+    lams = np.log(eigs) if is_map else eigs
+    wrap = _wrap_2pi if is_map else (lambda d: d)
+    lam_scale = max(1.0, float(np.max(np.abs(lams))))
+    clusters = _cluster_values(lams, CLUSTER_RTOL * lam_scale, wrap)
+    # a cluster's mean is taken on mu, as a mean of logs breaks at the cut
+    means = [np.mean(eigs[members]) for members in clusters]
+    reps = [np.log(mu) for mu in means] if is_map else means
+    schur = [_cluster_schur(Mm, mu, members, eigs)
+             for mu, members in zip(means, clusters)]
+    sizes = [_block_sizes(T11, mu, scale)
+             for mu, (_, T11) in zip(means, schur)]
+    match_tol = UNIT_TOL * lam_scale
+    window = max(match_tol, 10 * CLUSTER_RTOL * lam_scale)
     consumed = set()
 
     def take(value):
         """Consume the free cluster nearest to value within the window."""
         best, best_dist = None, window
         for idx, rep in enumerate(reps):
-            if idx not in consumed and abs(rep - value) <= best_dist:
-                best, best_dist = idx, abs(rep - value)
+            dist = abs(wrap(rep - value))
+            if idx not in consumed and dist <= best_dist:
+                best, best_dist = idx, dist
         if best is None:
             raise GroupingFailed(f"no eigenvalue matches {value}")
         consumed.add(best)
@@ -417,16 +415,17 @@ def _classify(M, mode):
 
     groups, hyperbolic = [], []
     has_negative_real = False
-    for idx in sorted(range(len(reps)), key=lambda i: rules.sort_key(reps[i])):
+    for idx in range(len(reps)):   # expanding clusters first
         if idx in consumed:
             continue
         consumed.add(idx)
         v = reps[idx]
-        negative = bool(rules.negative_real(v, match_tol))
+        negative = _negative_real(v, match_tol)
         has_negative_real |= negative
-        self_conjugate = abs(np.imag(v)) <= match_tol
-        if rules.on_axis(v, match_tol):
-            # a conjugate pair, or self-paired (mu = +-1, lambda = 0)
+        self_conjugate = abs(wrap(v - np.conj(v))) <= 2 * match_tol
+        if abs(np.real(v)) <= match_tol:
+            # elliptic: a conjugate pair, or self-paired (lambda = 0, or
+            # i pi for a map)
             count = sum(sizes[idx])
             if self_conjugate:
                 if count % 2 != 0:
@@ -434,19 +433,17 @@ def _classify(M, mode):
                 count //= 2
             elif sum(sizes[take(np.conj(v))]) != count:
                 raise GroupingFailed(f"multiplicity mismatch across conjugates of {v}")
-            theta = float(abs(rules.phase(v)))
+            theta = float(abs(np.imag(v)))
             groups.extend(EllipticGroup(theta) for _ in range(count))
             continue
         if self_conjugate:
             # a real pair; v is its expanding member
-            x = float(np.real(v))
-            partners = [rules.partner(x)]
-            lam = float(rules.representative(abs(x)))
-            new = [RealHyperbolicPair(lam, k, negative) for k in sizes[idx]]
+            partners = [-v]
+            new = [RealHyperbolicPair(float(abs(np.real(v))), k, negative)
+                   for k in sizes[idx]]
         else:
-            partners = [rules.partner(v), np.conj(v), rules.partner(np.conj(v))]
-            lam = rules.representative(v)
-            lam = complex(abs(lam.real), abs(lam.imag))
+            partners = [-v, np.conj(v), -np.conj(v)]
+            lam = complex(abs(v.real), abs(v.imag))
             new = [ComplexHyperbolicQuad(lam, k) for k in sizes[idx]]
         matched = [take(p) for p in partners]
         if any(sizes[j] != sizes[idx] for j in matched):
@@ -518,20 +515,20 @@ def symplectic_log(S) -> HamiltonMatrix:
     eigenvalues as separate eigenvectors would make W near singular, while
     a wider cluster only costs a few more series terms.
     """
-    Sm, scale = _structured_input(S, _RULES[POINCARE_MAP])
+    Sm, scale = _structured_input(S, POINCARE_MAP)
     eigs, V = la.eig(Sm)
-    for mu in eigs:
-        # relative to |mu|: a tiny positive eigenvalue of a strongly
-        # hyperbolic map is not on the negative axis
-        if np.real(mu) < 0 and abs(np.imag(mu)) <= UNIT_TOL * abs(mu):
+    lams = np.log(eigs)
+    # classify's test and tolerance, on the logs
+    tol = UNIT_TOL * max(1.0, np.max(np.abs(lams)))
+    for mu, lam in zip(eigs, lams):
+        if _negative_real(lam, tol):
             raise NegativeRealEigenvalue(
                 f"eigenvalue {mu} lies on the closed negative real axis")
-    lams = np.log(eigs)
     bases, images = [], []   # W = [bases], W L = [images]
-    for lam, members in _cluster_values(list(lams), LOG_CLUSTER_TOL):
+    for members in _cluster_values(lams, LOG_CLUSTER_TOL):
         if len(members) == 1:
             Z = V[:, members]
-            images.append(Z * lam)
+            images.append(Z * lams[members[0]])
         else:
             mu = np.mean(eigs[members])
             Z, T11 = _cluster_schur(Sm, mu, members, eigs)

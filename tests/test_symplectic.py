@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as la
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import loxokit as lx
 from loxokit import acceptance
@@ -173,13 +173,20 @@ def test_value_types_derive_their_dimension():
 
 @settings(deadline=None, max_examples=30)
 @given(st.integers(min_value=0, max_value=2**31 - 1),
-       st.integers(min_value=1, max_value=3))
-def test_classify_map_and_generator_agree(seed, m):
+       st.integers(min_value=1, max_value=3),
+       st.sampled_from([0.0, 4 * np.pi]))
+@example(seed=0, m=3, strength=4 * np.pi)
+def test_classify_map_and_generator_agree(seed, m, strength):
     # exp(B) is classified by the Hamilton-level logs of its eigenvalues,
-    # so both modes report the same groups and flags
+    # so both modes report the same groups and flags; the term
+    # strength * x_1 xi_1 plants a real pair near +-strength, which leaves
+    # |Im lambda| < pi
     rng = rng_for(seed)
     C = 0.4 * rng.standard_normal((2 * m, 2 * m))
-    B = lx.hamilton_matrix(lx.QuadraticHamiltonian(C + C.T)).entries
+    Q = C + C.T
+    Q[0, m] += strength
+    Q[m, 0] += strength
+    B = lx.hamilton_matrix(lx.QuadraticHamiltonian(Q)).entries
     gen = lx.classify(B)
     cmap = lx.classify(la.expm(B), mode=lx.POINCARE_MAP)
 
@@ -242,6 +249,23 @@ def test_classify_nearby_jordan_chains(mode, gap):
         [("real_hyperbolic", 3)] * 2
     assert [g.lam for g in c.groups] == pytest.approx([1.0, 1.0 - gap],
                                                       abs=1e-4)
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2],
+                         ids=["plain", "conj0", "conj1", "conj2"])
+def test_classify_strongly_hyperbolic_map(seed):
+    # e^-4pi and e^+-0.3 lie within CLUSTER_RTOL * e^4pi of each other,
+    # but their logs lie far apart
+    S = la.expm(np.diag([4 * np.pi, 0.3, -4 * np.pi, -0.3]))
+    if seed is not None:
+        P = random_symplectic(rng_for(seed), 2, scale=0.3)
+        S = P @ S @ la.inv(P)
+    c = lx.classify(S, mode=lx.POINCARE_MAP)
+    assert [(g.tag, g.chain_size) for g in c.groups] == \
+        [("real_hyperbolic", 1)] * 2
+    assert [g.lam for g in c.groups] == pytest.approx([4 * np.pi, 0.3],
+                                                      rel=1e-8)
+    assert c.is_loxodromic and not c.has_negative_real
 
 
 def test_group_counts_cover_dimension():
