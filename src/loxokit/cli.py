@@ -1,9 +1,11 @@
 """Batch front-end: every experiment as a subcommand.
 
-JSON configs in, CSV/JSON outputs (written atomically) out. Exit codes:
-0 success, 2 configuration or usage error, 3 numerical failure inside a
-solver. Each subcommand accepts only the options it reads, and a flag
-beats the config key it stands for; every default is the library's own.
+JSON configs in, CSV/JSON outputs (written atomically) out; this module
+alone names every output file and lays out its columns. Exit codes: 0
+success, 2 configuration or usage error (a ValueError, raised here or in
+the library), 3 numerical failure inside a solver. Each subcommand accepts
+only the options it reads, and a flag beats the config key it stands for;
+every default is the library's own.
 """
 
 from __future__ import annotations
@@ -25,9 +27,6 @@ from . import spectra
 from .errors import LoxokitError
 from .normal_form import birkhoff_normal_form, escape_rate_form
 from .symplectic import symplectic_log
-
-class UsageError(ValueError):
-    pass
 
 
 def _is_number(value):
@@ -68,13 +67,13 @@ def _read_json_object(path, what, required=None):
         with open(path) as handle:
             obj = json.load(handle)
     except OSError as exc:
-        raise UsageError(f"cannot read {what}: {exc}") from None
+        raise ValueError(f"cannot read {what}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise UsageError(f"{what} is not valid JSON: {exc}") from None
+        raise ValueError(f"{what} is not valid JSON: {exc}") from None
     if not isinstance(obj, dict) or (required is not None
                                      and required not in obj):
         field = "" if required is None else f" with a {required!r} field"
-        raise UsageError(f"{what} must be a JSON object{field}")
+        raise ValueError(f"{what} must be a JSON object{field}")
     return obj
 
 
@@ -86,12 +85,12 @@ def _load_config(path, defaults, **flags):
         cfg = _read_json_object(path, "config")
         unknown = sorted(set(cfg) - set(defaults))
         if unknown:
-            raise UsageError(
+            raise ValueError(
                 f"unknown config keys {unknown}; allowed: {sorted(defaults)}")
         for key, value in cfg.items():
             kind = _missing_kind(value, defaults[key])
             if kind is not None:
-                raise UsageError(
+                raise ValueError(
                     f"config key {key!r} must be {kind}, not {value!r}")
         merged.update(cfg)
     merged.update((key, v) for key, v in flags.items() if v is not None)
@@ -116,22 +115,26 @@ def _parse_list(flag, text, parse):
         try:
             values.append(parse(token))
         except ZeroDivisionError:
-            raise UsageError(f"{token!r} divides by zero") from None
+            raise ValueError(f"{token!r} divides by zero") from None
         except ValueError:
             kind = "an integer" if parse is int else "a number"
-            raise UsageError(f"{flag} entry {token!r} is not {kind}") from None
+            raise ValueError(f"{flag} entry {token!r} is not {kind}") from None
     return list(range(*values)) if ranged else values
 
 
-def _out_dir(args):
-    if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
-    return args.out
-
-
-def _emit_json(out, name, payload):
-    serialize.write_json(os.path.join(out, name), {
-        **payload, "schema_version": serialize.SCHEMA_VERSION})
+def _write(args, files):
+    """Write files under --out, if given: a .csv name maps to its (columns,
+    rows), any other to a JSON object, stamped with the schema version."""
+    if args.out is None:
+        return
+    os.makedirs(args.out, exist_ok=True)
+    for name, content in files.items():
+        path = os.path.join(args.out, name)
+        if name.endswith(".csv"):
+            serialize.write_csv(path, *content)
+        else:
+            serialize.write_json(path, {
+                **content, "schema_version": serialize.SCHEMA_VERSION})
 
 
 # ---------------------------------------------------------------------------
@@ -140,26 +143,26 @@ def _emit_json(out, name, payload):
 
 def cmd_normal_form(args):
     if args.input is None:
-        raise UsageError("normal-form needs --input pointing to a matrix "
+        raise ValueError("normal-form needs --input pointing to a matrix "
                          "JSON file")
     obj = _read_json_object(args.input, "input", required="data")
     try:
         M = np.asarray(obj["data"], dtype=float)
     except (TypeError, ValueError):
-        raise UsageError("input 'data' must be a matrix of numbers") from None
+        raise ValueError("input 'data' must be a matrix of numbers") from None
     if not np.isfinite(M).all():  # json reads NaN and Infinity
-        raise UsageError("input 'data' must hold finite numbers, not NaN "
+        raise ValueError("input 'data' must hold finite numbers, not NaN "
                          "or Infinity")
     kind = obj.get("kind", "map")
     if kind not in ("map", "generator"):
-        raise UsageError("input 'kind' must be 'map' or 'generator'")
+        raise ValueError("input 'kind' must be 'map' or 'generator'")
     if kind == "map":
         B = symplectic_log(M).entries
     else:
         B = M
     nf = birkhoff_normal_form(B)
     esc = escape_rate_form(nf)
-    summary = {
+    _write(args, {"normal_form.json": {
         "kind": kind,
         "classification": serialize.classification_to_json(nf.eigenvalues),
         "block_matrix": serialize.matrix_to_json(nf.block_matrix_A),
@@ -171,10 +174,7 @@ def cmd_normal_form(args):
             "radii": (esc.certificate.radii.tolist()
                       if esc.certificate is not None else None),
         },
-    }
-    out = _out_dir(args)
-    if out is not None:
-        _emit_json(out, "normal_form.json", summary)
+    }})
     groups = nf.eigenvalues.groups
     print(f"normal form: {len(groups)} spectral groups, escape rate "
           f"{'definite' if esc.positive_definite else 'indefinite'} "
@@ -185,7 +185,7 @@ def cmd_normal_form(args):
 def _check_guess_finite(items):
     for key, value in items:
         if not math.isfinite(value):
-            raise UsageError(f"guess[{key!r}] must be finite, not {value}")
+            raise ValueError(f"guess[{key!r}] must be finite, not {value}")
 
 
 def cmd_orbit(args):
@@ -195,20 +195,20 @@ def cmd_orbit(args):
         "period_guess": flows.NECK_PERIOD, "tol": flows.ORBIT_TOL,
     }, tol=args.tol)
     if not isinstance(cfg["model"], dict):
-        raise UsageError(f"config key 'model' must be an object, not "
+        raise ValueError(f"config key 'model' must be an object, not "
                          f"{cfg['model']!r}")
     sys_ = flows.system_from_config(cfg["model"])
     guess = cfg["guess"]
     if isinstance(guess, dict) and sys_.model_tag != "surface_of_revolution":
-        raise UsageError(f"config key 'guess' must be a list of {2 * sys_.n} "
+        raise ValueError(f"config key 'guess' must be a list of {2 * sys_.n} "
                          f"numbers for model {sys_.model_tag!r}; an object "
                          f"guess needs the surface model")
     if isinstance(guess, dict):
         unknown = sorted(set(guess) - set(flows.NECK_GUESS))
         if unknown:
-            raise UsageError(f"unknown guess keys {unknown}")
+            raise ValueError(f"unknown guess keys {unknown}")
         if not all(map(_is_number, guess.values())):
-            raise UsageError(f"config key 'guess' must map to numbers, not "
+            raise ValueError(f"config key 'guess' must map to numbers, not "
                              f"{guess!r}")
         _check_guess_finite(guess.items())
         z0 = flows.surface_state(sys_, **{**flows.NECK_GUESS, **guess})
@@ -217,16 +217,15 @@ def cmd_orbit(args):
         _check_guess_finite(enumerate(guess))
         z0 = np.asarray(guess, dtype=float)
     else:
-        raise UsageError(f"config key 'guess' must be an object or a list "
+        raise ValueError(f"config key 'guess' must be an object or a list "
                          f"of {2 * sys_.n} numbers, not {guess!r}")
     tol = float(cfg["tol"])
     orbit = flows.find_closed_orbit(sys_, z0, float(cfg["period_guess"]),
                                     tol=tol)
     mono = flows.linearized_poincare_map(sys_, orbit, tol=tol)
     eigs = la.eigvals(mono.monodromy)
-    out = _out_dir(args)
-    if out is not None:
-        _emit_json(out, "orbit.json", {
+    _write(args, {
+        "orbit.json": {
             "point": orbit.point.tolist(),
             "period": orbit.period,
             "energy": orbit.energy,
@@ -236,10 +235,10 @@ def cmd_orbit(args):
             "classification": serialize.classification_to_json(
                 mono.classification),
             "symplectic_defect": mono.symplectic_defect,
-        })
-        serialize.write_csv(os.path.join(out, "monodromy_eigenvalues.csv"),
-                            ["re", "im"],
-                            [[float(e.real), float(e.imag)] for e in eigs])
+        },
+        "monodromy_eigenvalues.csv": (
+            ["re", "im"], [[float(e.real), float(e.imag)] for e in eigs]),
+    })
     kinds = ", ".join(g.tag for g in mono.classification.groups) or "none"
     print(f"orbit: period {orbit.period:.9f}, residual {orbit.residual:.1e},"
           f" reduced spectrum {kinds}")
@@ -254,13 +253,15 @@ def cmd_spectrum(args):
     report = spectra.nonconcentration_scan(
         cfg["k"], delta=float(cfg["delta"]), R=float(cfg["R"]),
         N=cfg["N"], profile=cfg["profile"])
-    out = _out_dir(args)
-    if out is not None:
-        serialize.write_csv(os.path.join(out, "spectrum.csv"),
-                            report.csv_columns(), report.csv_rows())
-        _emit_json(out, "spectrum.json", {
-            "delta": report.delta, "R": report.R, "profile": report.profile,
-            "band": report.band})
+    _write(args, {
+        "spectrum.csv": (
+            ["k", "lambda", "mass_outside", "product_mass_log_lambda",
+             "grid_N"],
+            [[r.k, r.lam, r.mass_outside, r.product, r.grid_N]
+             for r in report.rows]),
+        "spectrum.json": {"delta": report.delta, "R": report.R,
+                          "profile": report.profile, "band": report.band},
+    })
     band = report.band
     print(f"spectrum: {len(report.rows)} modes, product band "
           f"[{band['product_min']:.4f}, {band['product_max']:.4f}] "
@@ -274,7 +275,7 @@ def cmd_resolvent(args):
         "rate": rv.RATE, "half_length": rv.HALF_LENGTH, "n_z": rv.N_Z,
     }, h=_parse_list("--h", args.h, _parse_float))
     if cfg["n_z"] < 1:
-        raise UsageError(f"config key 'n_z' must be at least 1, "
+        raise ValueError(f"config key 'n_z' must be at least 1, "
                          f"not {cfg['n_z']}")
     build = rv.default_operator_builder(rate=float(cfg["rate"]),
                                         half_length=float(cfg["half_length"]))
@@ -282,12 +283,14 @@ def cmd_resolvent(args):
                              z_values=rv.z_grid(cfg["n_z"]),
                              cutoff=bool(cfg["cutoff"]),
                              window=float(cfg["window"]))
-    out = _out_dir(args)
-    if out is not None:
-        serialize.write_csv(os.path.join(out, "resolvent.csv"),
-                            scan.csv_columns(), scan.csv_rows())
-        _emit_json(out, "resolvent.json",
-                   {"window": scan.window, "bands": scan.bands})
+    _write(args, {
+        "resolvent.csv": (
+            ["h", "re_z", "im_z", "sigma_min", "inv_norm", "norm_product",
+             "cutoff_product"],
+            [[r.h, r.re_z, r.im_z, r.sigma_min, r.inv_norm, r.norm_product,
+              r.cutoff_product] for r in scan.rows]),
+        "resolvent.json": {"window": scan.window, "bands": scan.bands},
+    })
     b = scan.bands["inv_norm"]
     line = (f"resolvent: inv-norm product band [{b['min']:.3f}, "
             f"{b['max']:.3f}] ratio {b['ratio']:.3f}")
@@ -306,28 +309,27 @@ def cmd_damped_wave(args):
         modes=_parse_list("--modes", args.modes, int), damping_inner=args.r0)
     inner, outer = float(cfg["damping_inner"]), float(cfg["damping_outer"])
     if not 0 <= inner < outer:
-        raise UsageError(f"damping_inner must lie in [0, damping_outer) = "
+        raise ValueError(f"damping_inner must lie in [0, damping_outer) = "
                          f"[0, {outer}), not {inner}")
     prob = dw.DampedWaveProblem(
         profile=cfg["warp"], damping=dw.neck_damping(inner, outer),
         n_grid=cfg["n_grid"], epsilon=float(cfg["epsilon"]),
         dead_zone_radius=inner)
-    # the decay report first: it refuses unusable decay_modes or t_max
-    # at once, where the eigenfrequency scan takes most of the run
+    # refuse unusable modes, decay_modes or t_max before any solve: the
+    # eigenfrequency scan takes most of the run
+    dw.check_modes(cfg["modes"])
     rep = dw.decay_report(prob, modes=cfg["decay_modes"],
                           t_max=float(cfg["t_max"]))
     sets, strip, mirror = dw.eigenfrequency_scan(prob, modes=cfg["modes"])
-    out = _out_dir(args)
-    if out is not None:
-        serialize.write_csv(os.path.join(out, "eigenfrequencies.csv"),
-                            ["k", "re_tau", "im_tau"],
-                            [[es.k, float(t.real), float(t.imag)]
-                             for es in sets for t in es.frequencies])
-        total_eeps = sum(tr.eeps for tr in rep.per_mode.values())
-        serialize.write_csv(
-            os.path.join(out, "energy.csv"), ["t", "E0", "Eeps"],
-            list(zip(rep.times, rep.total_e0, total_eeps)))
-        _emit_json(out, "damped_wave.json", {
+    total_eeps = sum(tr.eeps for tr in rep.per_mode.values())
+    _write(args, {
+        "eigenfrequencies.csv": (
+            ["k", "re_tau", "im_tau"],
+            [[es.k, float(t.real), float(t.imag)]
+             for es in sets for t in es.frequencies]),
+        "energy.csv": (["t", "E0", "Eeps"],
+                       zip(rep.times, rep.total_e0, total_eeps)),
+        "damped_wave.json": {
             "epsilon": rep.epsilon,
             "modes": cfg["modes"],
             "decay_modes": list(rep.modes),
@@ -336,7 +338,8 @@ def cmd_damped_wave(args):
             "envelope_constant": rep.envelope_constant,
             "strip_margin": strip,
             "mirror_defect": mirror,
-        })
+        },
+    })
     print(f"damped wave: strip margin {strip:.1e}, mirror defect "
           f"{mirror:.1e}, decay rate {rep.rate:.4f} "
           f"(R^2 {rep.r_squared:.3f})")
@@ -344,24 +347,23 @@ def cmd_damped_wave(args):
 
 
 def cmd_selftest(args):
-    names = None
-    if args.criteria is not None:
-        names = [tok.strip() for tok in args.criteria.split(",")
-                 if tok.strip()]
-        known = {n for n, _ in acceptance.CRITERIA}
-        unknown = sorted(set(names) - known)
+    names = _parse_list("--criteria", args.criteria, str)
+    if names is not None:
+        known = sorted(n for n, _ in acceptance.CRITERIA)
+        if not names:
+            raise ValueError(f"--criteria names no criterion; "
+                             f"available: {known}")
+        unknown = sorted(set(names) - set(known))
         if unknown:
-            raise UsageError(f"unknown criteria {unknown}; "
-                             f"available: {sorted(known)}")
+            raise ValueError(f"unknown criteria {unknown}; "
+                             f"available: {known}")
     results = acceptance.run_all(names)
     print(acceptance.format_table(results))
-    out = _out_dir(args)
-    if out is not None:
-        _emit_json(out, "selftest.json", {
-            "results": [{"name": r.name, "passed": r.passed,
-                         "detail": r.detail, "elapsed": r.elapsed}
-                        for r in results],
-        })
+    _write(args, {"selftest.json": {
+        "results": [{"name": r.name, "passed": r.passed,
+                     "detail": r.detail, "elapsed": r.elapsed}
+                    for r in results],
+    }})
     return 0 if all(r.passed for r in results) else 3
 
 

@@ -303,12 +303,24 @@ def _map_modes(fn, *columns):
         pool.shutdown(cancel_futures=True)
 
 
+def check_modes(modes):
+    """modes as a tuple, refused unless non-empty and free of repeats."""
+    modes = tuple(modes)
+    if not modes:
+        raise ValueError("need at least one mode")
+    if len(set(modes)) < len(modes):
+        raise ValueError(f"modes {list(modes)} repeat a mode; each mode "
+                         f"counts once")
+    return modes
+
+
 def eigenfrequency_scan(problem, modes=MODES):
     """(sets, strip_margin, mirror_defect): the EigenfrequencySet of each
     of the angular modes, solved concurrently, and the worst strip margin
     and mirror defect over them (0 when none is positive)."""
     sets = _map_modes(
-        lambda k: eigenfrequencies(assemble_pencil(problem, k)), modes)
+        lambda k: eigenfrequencies(assemble_pencil(problem, k)),
+        check_modes(modes))
     return (sets, max([0.0] + [es.strip_margin for es in sets]),
             max([0.0] + [es.symmetry_defect for es in sets]))
 
@@ -517,12 +529,7 @@ def decay_report(problem, modes=DECAY_MODES, t_max=T_MAX):
     smallest C with E(t) <= C exp(-rate t) ||data||^2_{H^eps} along the
     whole trace.
     """
-    modes = tuple(modes)
-    if not modes:
-        raise ValueError("need at least one mode")
-    if len(set(modes)) < len(modes):
-        raise ValueError(f"modes {list(modes)} repeat a mode; each mode "
-                         f"counts once in the total energy")
+    modes = check_modes(modes)
     frames = [mode_frame(assemble_pencil(problem, k)) for k in modes]
     starts = [default_initial(problem, frame, mode_seed=k)
               for k, frame in zip(modes, frames)]

@@ -443,14 +443,6 @@ class ResolventScan:
     window: float
     bands: dict = field(default_factory=dict)
 
-    def csv_columns(self):
-        return ["h", "re_z", "im_z", "sigma_min", "inv_norm",
-                "norm_product", "cutoff_product"]
-
-    def csv_rows(self):
-        return [[r.h, r.re_z, r.im_z, r.sigma_min, r.inv_norm,
-                 r.norm_product, r.cutoff_product] for r in self.rows]
-
 
 def default_operator_builder(rate=RATE, half_length=HALF_LENGTH):
     """h -> quantize_model(h) on the power-of-two grid that resolves

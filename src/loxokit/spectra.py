@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .cutoffs import get_warp
-from .errors import LoxokitError
+from .errors import GridTooCoarse, LoxokitError
 
 
 # the scan that `loxokit spectrum` and the non-concentration criterion run
@@ -135,10 +135,12 @@ def mass_outside(op, v, delta):
 def neck_mode(op, delta):
     """The most neck-concentrated eigenmode near the barrier top.
 
-    Scans the window mu in k^2 +- (4k + 10) and picks the mode with the
-    least mass outside (-delta, delta). Selecting by |mu - k^2| alone is
+    Scans the window mu in k^2 +- (4k + 10), widened twice and four
+    times while it holds no eigenvalue, and picks the mode with the least
+    mass outside (-delta, delta). Selecting by |mu - k^2| alone is
     unstable: odd modes vanish at r = 0, so a grid-refinement shift can
-    swap in a mode that does not concentrate at the neck at all.
+    swap in a mode that does not concentrate at the neck at all. A grid
+    with no eigenvalue even in the widest window raises GridTooCoarse.
     """
     k2 = float(op.k) ** 2
     width = 4.0 * op.k + 10.0
@@ -147,7 +149,9 @@ def neck_mode(op, delta):
         if vals.size:
             break
     else:
-        vals, vecs = _eigh(op, "i", (0, op.N // 4))
+        raise GridTooCoarse(
+            f"no eigenvalue within 4 (4k + 10) of k^2 for k = {op.k} on "
+            f"N = {op.N} grid nodes; the grid cannot resolve the neck mode")
     v = _normalize_columns(op, vecs)
     masses = [mass_outside(op, v[:, j], delta) for j in range(vals.size)]
     j = int(np.argmin(masses))
@@ -170,14 +174,6 @@ class ConcentrationReport:
     R: float
     profile: str
     band: dict = field(default_factory=dict)
-
-    def csv_columns(self):
-        return ["k", "lambda", "mass_outside", "product_mass_log_lambda",
-                "grid_N"]
-
-    def csv_rows(self):
-        return [[r.k, r.lam, r.mass_outside, r.product, r.grid_N]
-                for r in self.rows]
 
 
 def _scan_one(k, delta, R, N, profile):

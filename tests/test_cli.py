@@ -238,6 +238,18 @@ def test_spectrum_mode_flag_overrides_config(tmp_path, capsys):
     assert "2 modes" in capsys.readouterr().out
 
 
+def test_spectrum_unresolvable_mode_is_numerical_failure(tmp_path, capsys):
+    # 64 nodes cannot resolve k = 20000; the scan used to write the
+    # lambda = 4122.9 mode (mu ~ 0.04 k^2) as its neck mode
+    cfg = write_json(tmp_path / "cfg.json", {"k": [20000], "N": 64})
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ")
+    assert "k = 20000 on N = 64" in err
+    assert not out.exists()
+
+
 def test_resolvent_quick_scan(tmp_path):
     out = tmp_path / "res"
     rc = main(["resolvent", "--h", "1/20,1/40", "--config",
@@ -446,6 +458,27 @@ def test_unusable_decay_setting_exits_before_the_scan(tmp_path, monkeypatch,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("modes, message", [
+    ([], "error: need at least one mode\n"),
+    ([5, 5], "error: modes [5, 5] repeat a mode; each mode counts once\n"),
+], ids=["empty", "repeated"])
+def test_unusable_scan_modes_exit_before_any_solve(tmp_path, monkeypatch,
+                                                   capsys, modes, message):
+    # the scan took any list: [] wrote a header-only eigenfrequencies.csv
+    # with margins of 0 over no roots, and [5, 5] wrote mode 5 twice
+    def solve(pencil):
+        pytest.fail("a mode was solved for an unusable mode list")
+
+    monkeypatch.setattr(dampedwave, "eigenfrequencies", solve)
+    monkeypatch.setattr(dampedwave, "mode_frame", solve)
+    path = write_json(tmp_path / "cfg.json", {
+        "n_grid": 32, "t_max": 1.0, "modes": modes, "decay_modes": [0]})
+    out = tmp_path / "out"
+    assert main(["damped-wave", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, cfg, message", [
     ("damped-wave", {"n_grid": 16}, "n_grid must be at least 32, not 16"),
     ("spectrum", {"N": 32}, "N must be at least 64, not 32"),
@@ -593,6 +626,16 @@ def test_selftest_unknown_criterion():
     assert main(["selftest", "--criteria", "nonexistent"]) == 2
 
 
+@pytest.mark.parametrize("criteria", ["", " , "])
+def test_selftest_empty_criteria_is_usage_error(tmp_path, capsys, criteria):
+    # an empty list ran nothing and passed with "0/0 criteria passed"
+    out = tmp_path / "self"
+    assert main(["selftest", "--criteria", criteria, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: --criteria names no criterion; available: [")
+    assert not out.exists()
+
+
 def test_env_var_skipped_by_subcommands_without_the_flag(tmp_path,
                                                          monkeypatch):
     # flags and config keys are the only ways to set a value: no
@@ -705,3 +748,36 @@ def test_degenerate_flow_input_is_usage_error(monkeypatch, capsys):
     monkeypatch.setitem(cli.COMMANDS, "selftest", control)
     assert main(["selftest"]) == 2
     assert capsys.readouterr().err.startswith("error: need at least one")
+
+
+# a quick run of each subcommand and the files it writes under --out
+QUICK_RUNS = {
+    "normal-form": (["--input", str(MAP_INPUT)], {"normal_form.json"}),
+    "orbit": ([], {"orbit.json", "monodromy_eigenvalues.csv"}),
+    "spectrum": (["--k", "8", "--config", {"N": 256}],
+                 {"spectrum.csv", "spectrum.json"}),
+    "resolvent": (["--h", "1/20", "--config", {"n_z": 3}],
+                  {"resolvent.csv", "resolvent.json"}),
+    "damped-wave": (["--config", {"n_grid": 32, "t_max": 1.0, "modes": [0],
+                                  "decay_modes": [0]}],
+                    {"eigenfrequencies.csv", "energy.csv",
+                     "damped_wave.json"}),
+    "selftest": (["--criteria", "log-exp-roundtrip"], {"selftest.json"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_each_subcommand_writes_exactly_its_own_files(tmp_path, monkeypatch,
+                                                      command):
+    options, expected = QUICK_RUNS[command]
+    argv = [command] + [write_json(tmp_path / "cfg.json", opt)
+                        if isinstance(opt, dict) else opt for opt in options]
+    # without --out nothing is written, not even into the working directory
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(argv) == 0
+    assert list(work.iterdir()) == []
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert {p.name for p in out.iterdir()} == expected

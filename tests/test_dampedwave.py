@@ -525,6 +525,22 @@ def test_decay_report_rejects_repeated_mode():
         dw.decay_report(prob, modes=(0, 0), t_max=1.0)
 
 
+@pytest.mark.parametrize("modes, message", [
+    ((), "need at least one mode"),
+    ((5, 5), "repeat a mode"),
+], ids=["empty", "repeated"])
+def test_eigenfrequency_scan_rejects_what_decay_report_rejects(
+        monkeypatch, modes, message):
+    # the scan took any list: no modes gave margins of 0 over no roots,
+    # and a repeated mode solved its roots twice
+    def solve(pencil):
+        pytest.fail("eigenfrequencies ran for an unusable mode list")
+
+    monkeypatch.setattr(dw, "eigenfrequencies", solve)
+    with pytest.raises(ValueError, match=message):
+        dw.eigenfrequency_scan(dw.DampedWaveProblem(n_grid=32), modes=modes)
+
+
 def interpolation_defect(frame, rng, n_samples):
     """Largest violation of the spectral interpolation inequality
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loxokit import spectra
+from loxokit.errors import GridTooCoarse
 
 
 @pytest.fixture(scope="module")
@@ -108,16 +109,38 @@ def test_mass_bounds_and_normalization(neck_op):
 
 
 def test_neck_mode_fallback_failure_is_typed(neck_op, monkeypatch):
-    # empty value windows send neck_mode to its index-range fallback; a
-    # LAPACK failure there must surface as ConvergenceFailure
+    # value windows that stay empty up to four times their width used to
+    # fall back to the lowest N/4 modes; they now raise GridTooCoarse, and
+    # a LAPACK failure inside a window surfaces as ConvergenceFailure
+    def empty(diag, off, select, select_range):
+        return np.empty(0), np.empty((diag.size, 0))
+
+    monkeypatch.setattr(spectra.la, "eigh_tridiagonal", empty)
+    with pytest.raises(GridTooCoarse, match="k = 10 on N = 1024"):
+        spectra.neck_mode(neck_op, 0.5)
+
     def failing(diag, off, select, select_range):
-        if select == "v":
-            return np.empty(0), np.empty((diag.size, 0))
         raise np.linalg.LinAlgError("eigenvalue iteration did not converge")
 
     monkeypatch.setattr(spectra.la, "eigh_tridiagonal", failing)
     with pytest.raises(spectra.ConvergenceFailure):
         spectra.neck_mode(neck_op, 0.5)
+
+
+def test_neck_mode_beyond_the_grid_is_grid_too_coarse():
+    # on 64 nodes the k = 20000 window holds no eigenvalue even at four
+    # times its width; the index-range fallback returned mu ~ 0.04 k^2
+    op = spectra.build_radial_operator(20000, R=3.0, N=64)
+    with pytest.raises(GridTooCoarse, match="k = 20000 on N = 64"):
+        spectra.neck_mode(op, 0.5)
+
+
+def test_neck_mode_widens_an_empty_window():
+    # k = 5000 on 64 nodes needs the fourfold window, which still finds
+    # the barrier-top mode
+    op = spectra.build_radial_operator(5000, R=3.0, N=64)
+    mu, _ = spectra.neck_mode(op, 0.5)
+    assert mu == pytest.approx(5000.0 ** 2, rel=0.01)
 
 
 @settings(deadline=None, max_examples=15)
