@@ -24,7 +24,7 @@ from . import dampedwave as dw
 from . import flows
 from . import resolvent as rv
 from . import spectra
-from .errors import LoxokitError
+from .errors import LoxokitError, check_entries
 from .normal_form import birkhoff_normal_form, escape_rate_form
 from .symplectic import symplectic_log
 
@@ -317,7 +317,7 @@ def cmd_damped_wave(args):
         dead_zone_radius=inner)
     # refuse unusable modes, decay_modes or t_max before any solve: the
     # eigenfrequency scan takes most of the run
-    dw.check_modes(cfg["modes"])
+    check_entries(cfg["modes"], "mode")
     rep = dw.decay_report(prob, modes=cfg["decay_modes"],
                           t_max=float(cfg["t_max"]))
     sets, strip, mirror = dw.eigenfrequency_scan(prob, modes=cfg["modes"])
@@ -350,9 +350,9 @@ def cmd_selftest(args):
     names = _parse_list("--criteria", args.criteria, str)
     if names is not None:
         known = sorted(n for n, _ in acceptance.CRITERIA)
-        if not names:
-            raise ValueError(f"--criteria names no criterion; "
-                             f"available: {known}")
+        names = check_entries(
+            names, "criterion", "criteria",
+            empty=f"--criteria names no criterion; available: {known}")
         unknown = sorted(set(names) - set(known))
         if unknown:
             raise ValueError(f"unknown criteria {unknown}; "

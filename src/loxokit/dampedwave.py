@@ -41,7 +41,8 @@ import scipy.linalg as la
 from scipy.integrate import simpson
 
 from .cutoffs import DAMPING_INNER, get_warp, neck_damping
-from .errors import LoxokitError, StepFailure
+from .errors import LoxokitError, StepFailure, check_entries
+from .spectra import radial_stencil
 
 
 class DampedWaveError(LoxokitError):
@@ -89,7 +90,6 @@ class DampedWaveProblem:
     r: np.ndarray = field(init=False, repr=False)
     spacing: float = field(init=False)
     f: np.ndarray = field(init=False, repr=False)
-    f_half: np.ndarray = field(init=False, repr=False)
     a: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -111,10 +111,6 @@ class DampedWaveProblem:
         self.spacing = PERIOD / n
         self.r = -0.5 * PERIOD + self.spacing * np.arange(n)
         self.f = np.asarray(warp.f(self.r), dtype=float)
-        # midpoint warp values feed the flux stencil; the last midpoint
-        # wraps around the period
-        half = self.r + 0.5 * self.spacing
-        self.f_half = np.asarray(warp.f(half), dtype=float)
         self.a = np.asarray(self.damping(self.r), dtype=float)
         if np.any(self.f <= 0):
             i = np.argmin(self.f)
@@ -139,10 +135,10 @@ class DampedWaveProblem:
 class ModePencil:
     """Mode k's pencil P(tau) = -tau^2 + zeroth + 2i diag(a) tau in the
     sqrt(f)-symmetrized frame: zeroth is the real matrix similar to L_k,
-    and a is read from problem. zeroth is symmetric only to rounding (the
-    two sqrt(f) scalings of an entry and of its mirror round apart, by
-    about 2e-13 at n_grid 192): mode_frame's eigh reads its lower
-    triangle, while the first-order generator reads both triangles."""
+    and a is read from problem. zeroth is symmetric only to rounding
+    (radial_stencil's upper and lower entries round apart, by about
+    2e-13 at n_grid 192): mode_frame's eigh reads its lower triangle,
+    while the first-order generator reads both triangles."""
 
     k: int
     zeroth: np.ndarray
@@ -150,19 +146,13 @@ class ModePencil:
 
 
 def assemble_pencil(problem, k):
-    """Symmetrized operator of mode k. With w = f_half / dr^2 the flux
-    stencil is periodic tridiagonal: diagonal w + roll(w, 1),
-    off-diagonals -w, and two wrap corners that close the period."""
-    n = problem.n_grid
-    f = problem.f
-    w = problem.f_half / problem.spacing**2  # w[j] couples j and j+1
-    i = np.arange(n)
-    L = np.diag(w + np.roll(w, 1))
-    L[i[:-1], i[1:]] = L[i[1:], i[:-1]] = -w[:-1]
-    L[0, -1] = L[-1, 0] = -w[-1]
-    scale = 1.0 / np.sqrt(f)
-    L = L * scale[:, None] * scale[None, :]
-    L[i, i] += k**2 / f**2
+    """Symmetrized operator of mode k: radial_stencil on the periodic
+    grid, as the dense matrix that eigh, dgeev and expm take."""
+    diag, upper, lower, corners = radial_stencil(
+        get_warp(problem.profile).f, problem.r, problem.spacing, k,
+        periodic=True)
+    L = np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)
+    L[0, -1], L[-1, 0] = corners
     return ModePencil(k=int(k), zeroth=L, problem=problem)
 
 
@@ -303,35 +293,23 @@ def _map_modes(fn, *columns):
         pool.shutdown(cancel_futures=True)
 
 
-def check_modes(modes):
-    """modes as a tuple, refused unless non-empty and free of repeats."""
-    modes = tuple(modes)
-    if not modes:
-        raise ValueError("need at least one mode")
-    if len(set(modes)) < len(modes):
-        raise ValueError(f"modes {list(modes)} repeat a mode; each mode "
-                         f"counts once")
-    return modes
-
-
 def eigenfrequency_scan(problem, modes=MODES):
     """(sets, strip_margin, mirror_defect): the EigenfrequencySet of each
     of the angular modes, solved concurrently, and the worst strip margin
     and mirror defect over them (0 when none is positive)."""
     sets = _map_modes(
         lambda k: eigenfrequencies(assemble_pencil(problem, k)),
-        check_modes(modes))
+        check_entries(modes, "mode"))
     return (sets, max([0.0] + [es.strip_margin for es in sets]),
             max([0.0] + [es.symmetry_defect for es in sets]))
 
 
 def default_initial(problem, frame, mode_seed=0):
-    """Band-limited start: u = 0, velocity spread over the lowest N_LOW
-    modes.
-
-    Coefficients decay like 1/(1+j) with deterministic alternating signs,
-    so every retained eigenmode is excited and runs are reproducible.
-    """
+    """Band-limited start: u = 0, velocity (-1)^(j + mode_seed) / (1 + j)
+    on each of the lowest N_LOW eigenmodes j, so every one is excited.
+    These data follow the operator's last bits: eigh picks each
+    eigenvector's sign, and the basis of mode 40's near-equal pairs
+    (two wells beside the neck, ~1e-15 apart at n_grid 192)."""
     n_low = min(N_LOW, frame.lam.size)
     j = np.arange(n_low)
     c = (-1.0) ** (j + mode_seed) / (1.0 + j)
@@ -529,7 +507,7 @@ def decay_report(problem, modes=DECAY_MODES, t_max=T_MAX):
     smallest C with E(t) <= C exp(-rate t) ||data||^2_{H^eps} along the
     whole trace.
     """
-    modes = check_modes(modes)
+    modes = check_entries(modes, "mode")
     frames = [mode_frame(assemble_pencil(problem, k)) for k in modes]
     starts = [default_initial(problem, frame, mode_seed=k)
               for k, frame in zip(modes, frames)]

@@ -42,7 +42,7 @@ import scipy.linalg as la
 from scipy.linalg import lapack
 
 from .cutoffs import plateau_step
-from .errors import GridTooCoarse, LoxokitError
+from .errors import GridTooCoarse, LoxokitError, check_entries
 
 
 # the scan that `loxokit resolvent` and the resolvent-bounds criterion run
@@ -536,10 +536,8 @@ def sigma_min_scan(op_builder, h_list, z_values=None, cutoff=CUTOFF,
     _check_window(window)
     if z_values is None:
         z_values = z_grid(N_Z)
-    if len(h_list) == 0:
-        raise ValueError("need at least one h")
-    if np.size(z_values) == 0:
-        raise ValueError("need at least one z")
+    h_list = check_entries(h_list, "h", "h")
+    z_values = check_entries(z_values, "z", "z")
     if np.max(np.abs(np.imag(z_values))) > 0:
         raise ValueError("scan grid must be real; use sigma_min_point for "
                          "individual complex z")

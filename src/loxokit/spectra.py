@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .cutoffs import get_warp
-from .errors import GridTooCoarse, LoxokitError
+from .errors import GridTooCoarse, LoxokitError, check_entries
 
 
 # the scan that `loxokit spectrum` and the non-concentration criterion run
@@ -41,16 +41,35 @@ class ConvergenceFailure(SpectraError):
     pass
 
 
+def radial_stencil(f, nodes, dr, k, periodic):
+    """(diag, upper, lower, corners): the flux stencil of the radial
+    operator -(1/f) (f v')' + k^2 / f^2 for the warp f (a callable of r)
+    on nodes of spacing dr, in the sqrt(f)-symmetrized frame. upper[j]
+    is entry (j, j+1), lower[j] entry (j+1, j), and corners, on a
+    periodic grid, entries (0, n-1) and (n-1, 0); otherwise v = 0 one
+    step past each end node and corners is None. An edge of weight
+    w = f(midpoint) / dr^2 between nodes i < j gives (-w s_i) s_j above
+    and (-w s_j) s_i below, s = 1/sqrt(f): the two round apart."""
+    fn = f(nodes)
+    s = 1.0 / np.sqrt(fn)
+    w = f(nodes + 0.5 * dr) / dr**2
+    # w[j] and w[j+1] are the edges left and right of node j
+    w = np.append(w[-1] if periodic else f(nodes[0] - 0.5 * dr) / dr**2, w)
+    diag = ((w[:-1] + w[1:]) * s) * s + k**2 / fn**2
+    upper = (-w[1:-1] * s[:-1]) * s[1:]
+    lower = (-w[1:-1] * s[1:]) * s[:-1]
+    if not periodic:
+        return diag, upper, lower, None
+    return diag, upper, lower, ((-w[0] * s[0]) * s[-1],
+                                (-w[0] * s[-1]) * s[0])
+
+
 @dataclass
 class RadialOperator:
-    """Second-order flux discretization of the radial operator.
-
-    N interior nodes r_i = -R + (i+1) dr, dr = 2R/(N+1), Dirichlet ends.
-    The generalized problem K v = mu W v (K the flux stiffness plus the
-    angular potential, W = diag(f)) is stored in symmetrized tridiagonal
-    form: sym_diag/sym_off define A = W^{-1/2} K W^{-1/2}, whose
-    eigenvectors map back by v = w / sqrt(f).
-    """
+    """radial_stencil's operator A on N interior nodes
+    r_i = -R + (i+1) dr of [-R, R], dr = 2R/(N+1), with Dirichlet ends:
+    diagonal sym_diag, off-diagonal sym_off. Its eigenvectors w map back
+    to the physical frame by v = w / sqrt(f)."""
 
     k: int
     R: float
@@ -82,21 +101,10 @@ def build_radial_operator(k, R, N, profile=PROFILE):
     f = get_warp(profile).f
     dr = 2.0 * R / (N + 1)
     nodes = -R + dr * np.arange(1, N + 1)
-    w = f(nodes)
-    w_half = f(nodes[:-1] + 0.5 * dr)          # midpoint couplings
-    w_lo = f(-R + 0.5 * dr)                    # boundary fluxes
-    w_hi = f(R - 0.5 * dr)
-    diag_K = np.empty(N)
-    diag_K[0] = (w_lo + w_half[0]) / dr ** 2
-    diag_K[-1] = (w_half[-1] + w_hi) / dr ** 2
-    diag_K[1:-1] = (w_half[:-1] + w_half[1:]) / dr ** 2
-    diag_K += k ** 2 / w
-    off_K = -w_half / dr ** 2
+    diag, upper, _, _ = radial_stencil(f, nodes, dr, k, periodic=False)
     return RadialOperator(
-        k=int(k), R=float(R), N=int(N), nodes=nodes,
-        spacing=dr, weight=w,
-        sym_diag=diag_K / w,
-        sym_off=off_K / np.sqrt(w[:-1] * w[1:]))
+        k=int(k), R=float(R), N=int(N), nodes=nodes, spacing=dr,
+        weight=f(nodes), sym_diag=diag, sym_off=upper)
 
 
 def _normalize_columns(op, vectors):
@@ -193,8 +201,7 @@ def nonconcentration_scan(k_list, delta=DELTA, R=RADIUS, N=GRID_N,
                           profile=PROFILE):
     """Barrier-top mode per k, its mass away from the neck, and the
     logarithmic products; band statistics summarize the scan."""
-    if not k_list:
-        raise ValueError("k_list must not be empty")
+    k_list = check_entries(k_list, "k", "k")
     _check_radius(R)
     _check_delta(delta, R)
     rows = [_scan_one(k, delta, R, N, profile) for k in k_list]

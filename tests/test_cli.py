@@ -13,7 +13,7 @@ import pytest
 import scipy.linalg
 
 import loxokit
-from loxokit import cli, dampedwave, flows, resolvent
+from loxokit import acceptance, cli, dampedwave, flows, resolvent, spectra
 from loxokit.cli import main
 from loxokit.errors import LoxokitError
 from loxokit.serialize import SCHEMA_VERSION
@@ -633,6 +633,46 @@ def test_selftest_empty_criteria_is_usage_error(tmp_path, capsys, criteria):
     assert main(["selftest", "--criteria", criteria, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(
         "error: --criteria names no criterion; available: [")
+    assert not out.exists()
+
+
+REPEATED_K = "error: k [10, 10] repeat a k; each k counts once\n"
+REPEATED_H = "error: h [0.02, 0.02] repeat a h; each h counts once\n"
+REPEATED_MODE = "error: modes [5, 5] repeat a mode; each mode counts once\n"
+
+
+@pytest.mark.parametrize("argv, cfg, message", [
+    (["spectrum", "--k", "10,10"], {}, REPEATED_K),
+    (["spectrum"], {"k": [10, 10]}, REPEATED_K),
+    (["spectrum", "--k", ","], {}, "error: need at least one k\n"),
+    (["resolvent", "--h", "1/50,1/50"], {}, REPEATED_H),
+    (["resolvent"], {"h": [0.02, 0.02]}, REPEATED_H),
+    (["damped-wave", "--modes", "5,5"], {}, REPEATED_MODE),
+    (["damped-wave"], {"decay_modes": [5, 5]}, REPEATED_MODE),
+    (["selftest", "--criteria", "log-exp-roundtrip,log-exp-roundtrip"],
+     None, "error: criteria [log-exp-roundtrip, log-exp-roundtrip] "
+           "repeat a criterion; each criterion counts once\n"),
+], ids=["k-flag", "k-config", "k-empty", "h-flag", "h-config",
+        "modes-flag", "decay-modes-config", "criteria-flag"])
+def test_repeated_list_entry_exits_before_any_solve(tmp_path, monkeypatch,
+                                                    capsys, argv, cfg,
+                                                    message):
+    # every list input follows one rule: repeated k, h and --criteria
+    # entries ran and wrote their row twice ("2/2 criteria passed"), and
+    # "--k ," exited 2 with "k_list must not be empty"
+    def solve(*args, **kwargs):
+        pytest.fail("a solve ran for an unusable list")
+
+    monkeypatch.setattr(spectra, "build_radial_operator", solve)
+    monkeypatch.setattr(resolvent, "_NormSweep", solve)
+    monkeypatch.setattr(dampedwave, "mode_frame", solve)
+    monkeypatch.setattr(dampedwave, "eigenfrequencies", solve)
+    monkeypatch.setattr(acceptance, "run_criterion", solve)
+    if cfg is not None:
+        argv = argv + ["--config", write_json(tmp_path / "cfg.json", cfg)]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == message
     assert not out.exists()
 
 

@@ -14,6 +14,8 @@ import scipy.linalg as la
 from scipy.optimize import linear_sum_assignment
 
 from loxokit import dampedwave as dw
+from loxokit import spectra
+from loxokit.cutoffs import get_warp
 
 
 def zero(r):
@@ -93,7 +95,8 @@ def scatter_assembly(problem, k):
     L = np.zeros((n, n))
     idx = np.arange(n)
     nxt = (idx + 1) % n
-    w = problem.f_half / problem.spacing**2
+    half = problem.r + 0.5 * problem.spacing  # the last one wraps
+    w = get_warp(problem.profile).f(half) / problem.spacing**2
     np.add.at(L, (idx, idx), w)
     np.add.at(L, (nxt, nxt), w)
     np.add.at(L, (idx, nxt), -w)
@@ -111,6 +114,19 @@ def test_direct_assembly_matches_scatter(n_grid, warp):
     for k in (0, 1, 7, 40):
         got = dw.assemble_pencil(prob, k).zeroth
         assert np.array_equal(got, scatter_assembly(prob, k))
+
+
+@pytest.mark.parametrize("k", [0, 5, 20, 40])
+def test_periodic_operator_without_its_wrap_node_is_spectra_operator(
+        default_problem, k):
+    # deleting the node r = -3, where the period wraps, leaves spectra's
+    # Dirichlet operator on [-3, 3] over the same 191 nodes: both come
+    # from one stencil, so they agree bit for bit
+    zeroth = dw.assemble_pencil(default_problem, k).zeroth[1:, 1:]
+    op = spectra.build_radial_operator(k, 3.0, 191, "neck")
+    assert np.array_equal(op.nodes, default_problem.r[1:])
+    assert np.array_equal(np.diag(zeroth), op.sym_diag)
+    assert np.array_equal(np.diag(zeroth, 1), op.sym_off)
 
 
 # ---------------------------------------------------------------------------

@@ -440,6 +440,16 @@ def test_scan_needs_an_h_and_a_z(h_list, z_values, what):
                           z_values=z_values)
 
 
+@pytest.mark.parametrize("h_list, z_values, message", [
+    ([1 / 20, 1 / 20], None, r"h \[0.05, 0.05\] repeat a h"),
+    ([1 / 20], np.array([0.1, 0.1]), r"z \[0.1, 0.1\] repeat a z")])
+def test_scan_refuses_a_repeated_h_or_z(h_list, z_values, message):
+    # a repeated h or z scanned twice and wrote its rows twice
+    with pytest.raises(ValueError, match=message):
+        rv.sigma_min_scan(rv.default_operator_builder(), h_list,
+                          z_values=z_values)
+
+
 @pytest.fixture(scope="module")
 def op100():
     return rv.default_operator_builder()(1 / 100)

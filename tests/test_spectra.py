@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loxokit import spectra
+from loxokit.cutoffs import get_warp
 from loxokit.errors import GridTooCoarse
 
 
@@ -58,6 +59,32 @@ def test_effective_potential_peaks_at_neck(neck_op):
     j = int(np.argmax(w_eff))
     assert abs(neck_op.nodes[j]) <= neck_op.spacing
     assert np.max(w_eff) == pytest.approx(100.0, rel=1e-4)
+
+
+def dirichlet_operator(k, R, N, profile):
+    """Reference assembly: the stiffness K of the flux stencil with
+    Dirichlet ends plus k^2 / f, symmetrized by W = diag(f)."""
+    f = get_warp(profile).f
+    dr = 2.0 * R / (N + 1)
+    nodes = -R + dr * np.arange(1, N + 1)
+    w = f(nodes)
+    w_half = f(nodes[:-1] + 0.5 * dr)
+    diag_K = np.empty(N)
+    diag_K[0] = (f(-R + 0.5 * dr) + w_half[0]) / dr ** 2
+    diag_K[-1] = (w_half[-1] + f(R - 0.5 * dr)) / dr ** 2
+    diag_K[1:-1] = (w_half[:-1] + w_half[1:]) / dr ** 2
+    diag_K += k ** 2 / w
+    off_K = -w_half / dr ** 2
+    return diag_K / w, off_K / np.sqrt(w[:-1] * w[1:])
+
+
+@pytest.mark.parametrize("k", [0, 10, 80])
+@pytest.mark.parametrize("profile", ["cosh", "flat", "neck"])
+def test_stencil_matches_dirichlet_formula(profile, k):
+    op = spectra.build_radial_operator(k, R=3.0, N=2048, profile=profile)
+    diag, off = dirichlet_operator(k, 3.0, 2048, profile)
+    assert np.max(np.abs(op.sym_diag - diag) / np.abs(diag)) <= 1e-15
+    assert np.max(np.abs(op.sym_off - off) / np.abs(off)) <= 1e-15
 
 
 def test_grid_too_coarse_rejected():
