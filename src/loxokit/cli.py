@@ -38,12 +38,10 @@ def _is_integer(value):
 
 
 def _missing_kind(value, default):
-    """The kind that value lacks, judged by its default (a bool, an
-    integer, another number, a string, a list of integers or a list of
-    numbers; a bool is never a number), or None if it fits. Values with
-    other defaults are checked where they are read."""
-    if isinstance(default, bool):
-        return None if isinstance(value, bool) else "true or false"
+    """The kind that value lacks, judged by its default (an integer,
+    another number, a string, a list of integers or a list of numbers; a
+    bool is never a number), or None if it fits. Values with other
+    defaults are checked where they are read."""
     if isinstance(default, int):
         return None if _is_integer(value) else "an integer"
     if _is_number(default):
@@ -271,8 +269,8 @@ def cmd_spectrum(args):
 
 def cmd_resolvent(args):
     cfg = _load_config(args.config, {
-        "h": list(rv.H_LADDER), "window": rv.MODE_WINDOW, "cutoff": rv.CUTOFF,
-        "rate": rv.RATE, "half_length": rv.HALF_LENGTH, "n_z": rv.N_Z,
+        "h": list(rv.H_LADDER), "window": rv.MODE_WINDOW, "rate": rv.RATE,
+        "half_length": rv.HALF_LENGTH, "n_z": rv.N_Z,
     }, h=_parse_list("--h", args.h, _parse_float))
     if cfg["n_z"] < 1:
         raise ValueError(f"config key 'n_z' must be at least 1, "
@@ -281,7 +279,6 @@ def cmd_resolvent(args):
                                         half_length=float(cfg["half_length"]))
     scan = rv.sigma_min_scan(build, [float(h) for h in cfg["h"]],
                              z_values=rv.z_grid(cfg["n_z"]),
-                             cutoff=bool(cfg["cutoff"]),
                              window=float(cfg["window"]))
     _write(args, {
         "resolvent.csv": (
@@ -292,11 +289,9 @@ def cmd_resolvent(args):
         "resolvent.json": {"window": scan.window, "bands": scan.bands},
     })
     b = scan.bands["inv_norm"]
-    line = (f"resolvent: inv-norm product band [{b['min']:.3f}, "
-            f"{b['max']:.3f}] ratio {b['ratio']:.3f}")
-    if "cutoff" in scan.bands:
-        line += f", cutoff ratio {scan.bands['cutoff']['ratio']:.3f}"
-    print(line)
+    print(f"resolvent: inv-norm product band [{b['min']:.3f}, "
+          f"{b['max']:.3f}] ratio {b['ratio']:.3f}, cutoff ratio "
+          f"{scan.bands['cutoff']['ratio']:.3f}")
     return 0
 
 

@@ -254,8 +254,7 @@ def eigenfrequencies(pencil):
             f"{pencil.k}: either the assembly is inconsistent or a "
             "multiple root split under roundoff")
     mirrored = -np.conj(taus)
-    defect = float(max(np.abs(taus - mirrored[:, None]).min(axis=0).max(),
-                       0.0))
+    defect = float(np.abs(taus - mirrored[:, None]).min(axis=0).max())
     if defect > 1e-8:
         raise DampedWaveError(
             f"spectrum not mirror symmetric (defect {defect:.2e}) at mode "
@@ -296,23 +295,24 @@ def _map_modes(fn, *columns):
 def eigenfrequency_scan(problem, modes=MODES):
     """(sets, strip_margin, mirror_defect): the EigenfrequencySet of each
     of the angular modes, solved concurrently, and the worst strip margin
-    and mirror defect over them (0 when none is positive)."""
+    (signed: negative when every root is inside the strip) and mirror
+    defect over them."""
     sets = _map_modes(
         lambda k: eigenfrequencies(assemble_pencil(problem, k)),
         check_entries(modes, "mode"))
-    return (sets, max([0.0] + [es.strip_margin for es in sets]),
-            max([0.0] + [es.symmetry_defect for es in sets]))
+    return (sets, max(es.strip_margin for es in sets),
+            max(es.symmetry_defect for es in sets))
 
 
-def default_initial(problem, frame, mode_seed=0):
-    """Band-limited start: u = 0, velocity (-1)^(j + mode_seed) / (1 + j)
-    on each of the lowest N_LOW eigenmodes j, so every one is excited.
+def default_initial(problem, frame):
+    """Band-limited start: u = 0, velocity (-1)^j / (1 + j) on each of
+    the lowest N_LOW eigenmodes j, so every one is excited.
     These data follow the operator's last bits: eigh picks each
     eigenvector's sign, and the basis of mode 40's near-equal pairs
     (two wells beside the neck, ~1e-15 apart at n_grid 192)."""
     n_low = min(N_LOW, frame.lam.size)
     j = np.arange(n_low)
-    c = (-1.0) ** (j + mode_seed) / (1.0 + j)
+    c = (-1.0) ** j / (1.0 + j)
     w = frame.synthesize(np.concatenate(
         [c, np.zeros(frame.lam.size - n_low)]))
     # synthesize works in the sqrt(f)-symmetrized frame; hand back
@@ -509,8 +509,7 @@ def decay_report(problem, modes=DECAY_MODES, t_max=T_MAX):
     """
     modes = check_entries(modes, "mode")
     frames = [mode_frame(assemble_pencil(problem, k)) for k in modes]
-    starts = [default_initial(problem, frame, mode_seed=k)
-              for k, frame in zip(modes, frames)]
+    starts = [default_initial(problem, frame) for frame in frames]
     # the N_LOW-th eigenvalue is the fastest excited frequency squared
     tau_max = max([1.0] + [math.sqrt(fr.lam[min(N_LOW, fr.lam.size) - 1])
                            for fr in frames])

@@ -459,8 +459,8 @@ def _multiple_shooting(sys, guess, period_guess, v_sec, z_ref, E0, tol):
     frozen; on a model without, the nodes lie on the guess's own
     trajectory at the node times.
 
-    Returns a point near the orbit, good enough to restart return-map
-    Newton from.
+    Returns (node 0, period, residual) of the closed chain. SHOOT_TOL is
+    tighter than ORBIT_RETURN_TOL, so node 0 already closes the orbit.
     """
     dim = 2 * sys.n
     K = max(2, int(math.ceil(period_guess / SHOOT_SEGMENT_TIME)))
@@ -503,9 +503,9 @@ def _multiple_shooting(sys, guess, period_guess, v_sec, z_ref, E0, tol):
         J[K * dim + 1, :dim] = sys.gradient(x[:dim])
         return J
 
-    x, _, _ = _gauss_newton(chain, jacobian, x, chain(x), SHOOT_TOL,
-                            SHOOT_MAX_ITER)
-    return x[:dim].copy()
+    x, norm_F, _ = _gauss_newton(chain, jacobian, x, chain(x), SHOOT_TOL,
+                                 SHOOT_MAX_ITER)
+    return x[:dim].copy(), float(x[-1]), norm_F
 
 
 def find_closed_orbit(sys, guess, period_guess, tol=ORBIT_TOL):
@@ -516,9 +516,9 @@ def find_closed_orbit(sys, guess, period_guess, tol=ORBIT_TOL):
     section (never before a fifth of the guessed period, so the trivial
     zero-time fixed point is excluded), and a Gauss-Newton step contracts
     the return defect subject to the phase condition and an energy pin.
-    A guess too unstable to return to the section at all is first pulled
-    into the basin by closing a chain of short flow segments. A
-    period_guess that is not finite and positive raises ValueError.
+    A guess too unstable to return to the section at all is closed by a
+    chain of short flow segments instead. A period_guess that is not
+    finite and positive raises ValueError.
     """
     z = np.asarray(guess, dtype=float).copy()
     Tg = float(period_guess)
@@ -559,15 +559,11 @@ def find_closed_orbit(sys, guess, period_guess, tol=ORBIT_TOL):
     try:
         first = residual(z)
     except _NoReturn:
-        # the raw guess escapes before its first section return; stabilize
-        # with short segments, then restart on the return map
-        z = _multiple_shooting(sys, z, Tg, v_sec, z_ref, E0, tol)
-        try:
-            first = residual(z)
-        except _NoReturn as exc2:
-            raise MaxIterations(str(exc2)) from None
-    z, norm_F, (T, _, _) = _gauss_newton(residual, jacobian, z, first,
-                                         ORBIT_RETURN_TOL, ORBIT_MAX_ITER)
+        # the raw guess escapes before its first section return
+        z, T, norm_F = _multiple_shooting(sys, z, Tg, v_sec, z_ref, E0, tol)
+    else:
+        z, norm_F, (T, _, _) = _gauss_newton(residual, jacobian, z, first,
+                                             ORBIT_RETURN_TOL, ORBIT_MAX_ITER)
     return ClosedOrbit(point=z, period=T, energy=sys.p(z), residual=norm_F)
 
 

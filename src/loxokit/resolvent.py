@@ -51,7 +51,6 @@ MODE_WINDOW = 0.6  # modes m with |h m - Re z| <= MODE_WINDOW
 RATE = 1.0         # p = tau + RATE * x xi
 HALF_LENGTH = 1.0  # x runs over [-HALF_LENGTH, HALF_LENGTH]
 N_Z = 11           # points of z_grid
-CUTOFF = True      # scan the cutoff norm too
 N_GRID = 256       # quantize_model's default grid, the builder's floor
 
 
@@ -411,11 +410,13 @@ def sigma_min_point(op, z, window=MODE_WINDOW, sweep=None):
     return float(exact), int(ms[j])
 
 
-def cutoff_norm_point(op, z, phi, window=MODE_WINDOW, sweep=None):
+def cutoff_norm_point(op, z, window=MODE_WINDOW, sweep=None):
+    """max over the mode window of ||Q_m(z)^{-1} diag(default_cutoff(op))||
+    at real z; sweep, when given, is that weight's _NormSweep."""
     _check_window(window)
     if np.imag(z) != 0:
         raise ValueError("cutoff norms are scanned at real z")
-    sweep = sweep if sweep is not None else _NormSweep(op, phi)
+    sweep = sweep if sweep is not None else _NormSweep(op, default_cutoff(op))
     return float(sweep.values(_window_points(op, z, window)[1]).max())
 
 
@@ -433,8 +434,8 @@ class ScanRow:
     sigma_min: float
     inv_norm: float
     norm_product: float
-    cutoff_norm: float = None
-    cutoff_product: float = None
+    cutoff_norm: float
+    cutoff_product: float
 
 
 @dataclass
@@ -458,17 +459,14 @@ def default_operator_builder(rate=RATE, half_length=HALF_LENGTH):
     return build
 
 
-def _scan_one_z(op, z, window, log_h, sweep, phi, cut_sweep):
+def _scan_one_z(op, z, window, log_h, sweep, cut_sweep):
     s, _ = sigma_min_point(op, z, window=window, sweep=sweep)
     inv_norm = 1.0 / s
-    row = ScanRow(h=op.h, re_z=float(np.real(z)), im_z=float(np.imag(z)),
-                  sigma_min=s, inv_norm=inv_norm,
-                  norm_product=inv_norm * op.h / log_h)
-    if cut_sweep is not None:
-        c = cutoff_norm_point(op, z, phi, window=window, sweep=cut_sweep)
-        row.cutoff_norm = c
-        row.cutoff_product = c * op.h / math.sqrt(log_h)
-    return row
+    c = cutoff_norm_point(op, z, window=window, sweep=cut_sweep)
+    return ScanRow(h=op.h, re_z=float(np.real(z)), im_z=float(np.imag(z)),
+                   sigma_min=s, inv_norm=inv_norm,
+                   norm_product=inv_norm * op.h / log_h,
+                   cutoff_norm=c, cutoff_product=c * op.h / math.sqrt(log_h))
 
 
 def _w_union(op, z_values, window):
@@ -513,12 +511,11 @@ def z_grid(n_z):
     return np.linspace(-0.5, 0.5, n_z)
 
 
-def sigma_min_scan(op_builder, h_list, z_values=None, cutoff=CUTOFF,
-                   window=MODE_WINDOW):
-    """Scan sigma_min(Q(z)) over z for each h; normalized products and
-    their across-h bands summarize the scaling.
+def sigma_min_scan(op_builder, h_list, z_values=None, window=MODE_WINDOW):
+    """Scan sigma_min(Q(z)) and the cutoff norm over z for each h;
+    normalized products and their across-h bands summarize the scaling.
 
-    z_values None scans z_grid(N_Z). `cutoff` adds the cutoff norm band.
+    z_values None scans z_grid(N_Z).
 
     Per h, every (z, mode) pair reduces to w = z - h*m, so the scan first
     fills one warm-started sweep over the union of w values and the per-z
@@ -546,15 +543,13 @@ def sigma_min_scan(op_builder, h_list, z_values=None, cutoff=CUTOFF,
     per_h_max_cut = {}
     for h in h_list:
         op = op_builder(h)
-        phi = default_cutoff(op) if cutoff else None
         log_h = math.log(1.0 / op.h)
         sweep = _NormSweep(op, np.ones(op.n_grid))
-        cut_sweep = _NormSweep(op, phi) if cutoff else None
+        cut_sweep = _NormSweep(op, default_cutoff(op))
         w_all = _w_union(op, z_values, window)
         sweep.values(w_all)
-        if cut_sweep is not None:
-            cut_sweep.values(w_all)
-        h_rows = [_scan_one_z(op, z, window, log_h, sweep, phi, cut_sweep)
+        cut_sweep.values(w_all)
+        h_rows = [_scan_one_z(op, z, window, log_h, sweep, cut_sweep)
                   for z in z_values]
         worst = max(h_rows, key=lambda r: r.norm_product)
         floor = worst.sigma_min * (1 - 1e-9)
@@ -570,11 +565,8 @@ def sigma_min_scan(op_builder, h_list, z_values=None, cutoff=CUTOFF,
                     f"{worst.sigma_min:.9e} to {wide:.9e}")
         rows.extend(h_rows)
         per_h_max[h] = worst.norm_product
-        if cut_sweep is not None:
-            per_h_max_cut[h] = max(r.cutoff_product for r in h_rows)
-    bands = {"inv_norm": _band(per_h_max)}
-    if per_h_max_cut:
-        bands["cutoff"] = _band(per_h_max_cut)
+        per_h_max_cut[h] = max(r.cutoff_product for r in h_rows)
+    bands = {"inv_norm": _band(per_h_max), "cutoff": _band(per_h_max_cut)}
     return ResolventScan(rows=rows, window=window, bands=bands)
 
 

@@ -83,8 +83,8 @@ def _resolvent(calls):
     args["h_list"] = list(args["h_list"])
     # the z grid as the scan reads it (None is the scan's own default)
     args["z_values"] = [row.re_z for row in rv.sigma_min_scan(
-        rv.default_operator_builder(), [1 / 20], z_values=args["z_values"],
-        cutoff=False).rows]
+        rv.default_operator_builder(), [1 / 20],
+        z_values=args["z_values"]).rows]
     # n_grid, rate and 2 half_length of the operator built at each h
     args["operators"] = [(op.n_grid, op.rate, op.spacing * (op.n_grid + 1))
                          for op in map(build, args["h_list"])]

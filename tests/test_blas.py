@@ -31,6 +31,17 @@ def pools_at_two():
         set_(count)
 
 
+def probe(code, **env):
+    """Standard output of code run in a fresh interpreter that imports
+    loxokit from this source tree, with env added to the environment."""
+    src = str(Path(_blas.__file__).resolve().parents[1])
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=120).stdout
+
+
 IMPORT_PROBE = """
 import sys
 import loxokit
@@ -45,14 +56,8 @@ def test_import_pins_every_pool_to_a_single_thread():
     pools = _blas._pools()
     if not pools:
         pytest.skip("numpy and scipy bundle no OpenBLAS here")
-    src = str(Path(_blas.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
-                          capture_output=True, text=True, check=True,
-                          timeout=120)
-    assert done.stdout.split() == ["1"] * len(pools)
+    counts = probe(IMPORT_PROBE, OPENBLAS_NUM_THREADS="2")
+    assert counts.split() == ["1"] * len(pools)
 
 
 def test_no_op_without_a_bundled_openblas(pools_at_two, monkeypatch):
@@ -78,3 +83,28 @@ def test_scan_workers_run_on_a_single_thread(monkeypatch):
     dw.eigenfrequency_scan(dw.DampedWaveProblem(n_grid=32),
                            modes=(0, 1, 2, 3))
     assert seen == [[1] * len(_blas._pools())] * 4
+
+
+MODULES_PROBE = """
+import sys
+import {module}
+sys.stdout.write(" ".join(sys.modules))
+"""
+
+
+def modules_loaded_by(module):
+    """Names in sys.modules after a fresh process imports module."""
+    return set(probe(MODULES_PROBE.format(module=module)).split())
+
+
+def test_import_loxokit_loads_no_solver_module():
+    loaded = modules_loaded_by("loxokit")
+    assert {m for m in loaded if m.startswith("loxokit.")} == \
+        {"loxokit._blas"}
+
+
+def test_import_spectra_loads_no_flow_integrator():
+    loaded = modules_loaded_by("loxokit.spectra")
+    assert "loxokit.spectra" in loaded
+    assert "loxokit.flows" not in loaded
+    assert "scipy.integrate" not in loaded

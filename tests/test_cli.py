@@ -15,7 +15,7 @@ import scipy.linalg
 import loxokit
 from loxokit import acceptance, cli, dampedwave, flows, resolvent, spectra
 from loxokit.cli import main
-from loxokit.errors import LoxokitError
+from loxokit.errors import GridTooCoarse, LoxokitError
 from loxokit.serialize import SCHEMA_VERSION
 
 # an 8 x 8 map exp(P B0 P^-1): B0 holds a size-2 chain at 0.9 and the
@@ -262,27 +262,11 @@ def test_resolvent_quick_scan(tmp_path):
     assert header.startswith("h,re_z,im_z,sigma_min")
 
 
-def test_resolvent_without_cutoff_writes_no_cutoff_band(tmp_path, capsys):
-    out = tmp_path / "res"
-    cfg = write_json(tmp_path / "cfg.json", {"n_z": 3, "cutoff": False})
-    rc = main(["resolvent", "--h", "1/20,1/40", "--config", cfg,
-               "--out", str(out)])
-    assert rc == 0
-    assert "cutoff" not in capsys.readouterr().out
-    text = (out / "resolvent.json").read_text()
-    assert "Infinity" not in text
-    assert set(json.loads(text)["bands"]) == {"inv_norm"}
-    lines = (out / "resolvent.csv").read_text().splitlines()
-    assert lines[0].endswith(",cutoff_product")
-    assert len(lines) == 7
-    assert all(line.endswith(",") for line in lines[1:])
-
-
 @pytest.mark.parametrize("command, cfg", [
     ("spectrum", {"k": 5}),
     ("resolvent", {"h": 0.02}),
     ("damped-wave", {"modes": 3}),
-    ("resolvent", {"cutoff": "yes"}),
+    ("resolvent", {"rate": "fast"}),
     ("resolvent", {"window": True}),
     ("spectrum", {"k": [10, "20"]}),
     ("resolvent", {"n_z": 2.5}),
@@ -720,6 +704,13 @@ def test_threads_config_key_is_unknown(tmp_path, command, capsys):
     assert "unknown config keys ['threads']" in capsys.readouterr().err
 
 
+def test_cutoff_config_key_is_unknown(tmp_path, capsys):
+    # the scan always measures the cutoff norm; there is no switch
+    cfg = write_json(tmp_path / "cfg.json", {"cutoff": False})
+    assert main(["resolvent", "--config", cfg]) == 2
+    assert "unknown config keys ['cutoff']" in capsys.readouterr().err
+
+
 def _numerical_errors():
     found, todo = [], [LoxokitError]
     while todo:
@@ -734,7 +725,7 @@ def test_numerical_errors_cover_every_module():
     assert {"LoxokitError", "GridTooCoarse", "StepFailure",
             "SymplecticError", "FlowError", "SpectraError",
             "ResolventError", "DampedWaveError"} <= names
-    assert resolvent.GridTooCoarse is loxokit.errors.GridTooCoarse
+    assert resolvent.GridTooCoarse is GridTooCoarse
     assert flows.StepFailure is dampedwave.StepFailure
 
 

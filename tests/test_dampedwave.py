@@ -210,8 +210,16 @@ def test_scan_matches_per_mode_eigenfrequencies():
         assert np.array_equal(es.frequencies, want.frequencies)
         assert es.strip_margin == want.strip_margin
         assert es.symmetry_defect == want.symmetry_defect
-    assert strip == max([0.0] + [es.strip_margin for es in sets])
-    assert mirror == max([0.0] + [es.symmetry_defect for es in sets])
+    assert strip == max(es.strip_margin for es in sets)
+    assert mirror == max(es.symmetry_defect for es in sets)
+
+
+def test_scan_reports_the_signed_strip_margin():
+    # every root of mode 5 lies strictly inside the strip, and the scan
+    # says by how much instead of clamping the margin at 0
+    _, strip, _ = dw.eigenfrequency_scan(dw.DampedWaveProblem(n_grid=64),
+                                         modes=(5,))
+    assert strip < 0
 
 
 def test_trace_check_catches_a_repeated_root(monkeypatch):

@@ -7,8 +7,8 @@ import pytest
 import scipy.integrate
 import scipy.optimize
 
-import loxokit as lx
 from loxokit import cutoffs, flows
+from loxokit import symplectic as sp
 from loxokit.errors import StepFailure
 
 TWO_PI = 2 * np.pi
@@ -278,6 +278,28 @@ def test_bump_orbit_from_escaping_guess_by_segment_chain(y):
     assert orbit.period == pytest.approx(want, rel=1e-7)
 
 
+def test_segment_chain_closes_the_orbit_without_a_newton_restart(
+        monkeypatch):
+    # the chain's own residual (SHOOT_TOL) is tighter than the return-map
+    # tolerance, so its node 0 is the orbit: the one section return tried
+    # is the raw guess's failed one
+    calls = []
+    original = flows._poincare_return
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(flows, "_poincare_return", counting)
+    sys = flows.double_bump()
+    orbit = flows.find_closed_orbit(sys, np.array([0.0, 0.02, 0.9, 0.0]),
+                                    6.0)
+    assert len(calls) == 1
+    want = axis_period_oracle(sys, orbit.energy)
+    assert orbit.period == pytest.approx(want, rel=1e-7)
+    assert orbit.residual <= flows.SHOOT_TOL
+
+
 def test_bump_orbit_from_off_axis_guess_by_return_map_newton(
         no_segment_shooting):
     sys = flows.double_bump()
@@ -304,7 +326,7 @@ def test_neck_monodromy_against_jacobi_oracle(cosh_surface, neck_orbit):
     assert np.linalg.det(mono.reduced_map) == pytest.approx(1.0, abs=1e-6)
     c = mono.classification
     assert c.is_loxodromic and not c.has_negative_real
-    assert isinstance(c.groups[0], lx.RealHyperbolicPair)
+    assert isinstance(c.groups[0], sp.RealHyperbolicPair)
     assert c.groups[0].lam == pytest.approx(TWO_PI, rel=1e-3)
 
 

@@ -6,8 +6,10 @@ import pytest
 import scipy.linalg as la
 from hypothesis import given, settings, strategies as st
 
-import loxokit as lx
 from loxokit import normal_form as nf_module
+from loxokit import symplectic as sp
+from loxokit.normal_form import (birkhoff_normal_form, escape_rate_form,
+                                 williamson)
 
 
 def rng_for(seed):
@@ -17,7 +19,7 @@ def rng_for(seed):
 def random_symplectic(rng, m, scale=0.4):
     dim = 2 * m
     C = scale * rng.standard_normal((dim, dim))
-    B = lx.hamilton_matrix(lx.QuadraticHamiltonian(C + C.T))
+    B = sp.hamilton_matrix(sp.QuadraticHamiltonian(C + C.T))
     return la.expm(B.entries)
 
 
@@ -35,7 +37,7 @@ def conjugated_normal_form(A, rng):
 # ---------------------------------------------------------------------------
 
 def test_normal_form_of_diagonal_generator():
-    nf = lx.birkhoff_normal_form(np.diag([0.7, -0.7]))
+    nf = birkhoff_normal_form(np.diag([0.7, -0.7]))
     assert nf.block_matrix_A.shape == (1, 1)
     assert nf.block_matrix_A[0, 0] == pytest.approx(0.7, abs=1e-12)
     assert np.allclose(np.abs(nf.transform.entries), np.eye(2), atol=1e-12)
@@ -47,12 +49,12 @@ def test_normal_form_recovers_planted_real_chain():
     rng = rng_for(21)
     A = np.array([[1.0, 1.0], [0.0, 1.0]])
     B = conjugated_normal_form(A, rng)
-    nf = lx.birkhoff_normal_form(B)
+    nf = birkhoff_normal_form(B)
     got = np.sort_complex(np.linalg.eigvals(B))
     assert np.allclose(got, [-1, -1, 1, 1], atol=1e-6)
     groups = nf.eigenvalues.groups
     assert len(groups) == 1
-    assert isinstance(groups[0], lx.RealHyperbolicPair)
+    assert isinstance(groups[0], sp.RealHyperbolicPair)
     assert groups[0].chain_size == 2
     T = nf.transform.entries
     m = 2
@@ -61,19 +63,19 @@ def test_normal_form_recovers_planted_real_chain():
                          [np.zeros((m, m)), -A_rec]])
     residual = la.norm(np.linalg.solve(T, B @ T) - B_blocks)
     assert residual <= 1e-6
-    assert lx.symplectic_residual(T) <= 1e-9
+    assert sp.symplectic_residual(T) <= 1e-9
 
 
 def test_normal_form_complex_quadruple():
     rng = rng_for(5)
     Lam = np.array([[1.0, -2.0], [2.0, 1.0]])
     B = conjugated_normal_form(Lam, rng)
-    nf = lx.birkhoff_normal_form(B)
+    nf = birkhoff_normal_form(B)
     assert nf.block_matrix_A.shape == (2, 2)
     assert np.allclose(nf.block_matrix_A, Lam, atol=1e-6)
     groups = nf.eigenvalues.groups
     assert len(groups) == 1
-    assert isinstance(groups[0], lx.ComplexHyperbolicQuad)
+    assert isinstance(groups[0], sp.ComplexHyperbolicQuad)
     assert groups[0].lam == pytest.approx(1 + 2j, abs=1e-6)
 
 
@@ -84,7 +86,7 @@ def assert_normal_form(B, nf):
     B_blocks = np.block([[A_rec.T, np.zeros((m, m))],
                          [np.zeros((m, m)), -A_rec]])
     assert la.norm(np.linalg.solve(T, B @ T) - B_blocks) <= 1e-6
-    assert lx.symplectic_residual(T) <= 1e-9
+    assert sp.symplectic_residual(T) <= 1e-9
 
 
 def jordan_block(lam, k):
@@ -100,8 +102,8 @@ def test_normal_form_of_nearby_jordan_chains(gap, as_map):
     A = la.block_diag(jordan_block(1.0, 3), jordan_block(1.0 - gap, 3))
     B = la.block_diag(A.T, -A)
     if as_map:
-        B = lx.symplectic_log(la.expm(B)).entries
-    nf = lx.birkhoff_normal_form(B)
+        B = sp.symplectic_log(la.expm(B)).entries
+    nf = birkhoff_normal_form(B)
     assert [g.chain_size for g in nf.eigenvalues.groups] == [3, 3]
     # A is lower bidiagonal, so its eigenvalues are its diagonal
     assert np.allclose(np.sort(np.diag(nf.block_matrix_A)),
@@ -118,7 +120,7 @@ def test_normal_form_of_repeated_real_eigenvalue(A):
     # several chains share one real eigenvalue, so the chain bottoms are
     # picked from a kernel of dimension > 1 and must still come out real
     B = conjugated_normal_form(A, rng_for(17))
-    nf = lx.birkhoff_normal_form(B)
+    nf = birkhoff_normal_form(B)
     assert np.allclose(np.diag(nf.block_matrix_A), 0.8, atol=1e-6)
     assert_normal_form(B, nf)
 
@@ -141,19 +143,19 @@ def test_normal_form_of_mixed_and_complex_chains(A, chains, want, conjugate):
     m = A.shape[0]
     B = (conjugated_normal_form(A, rng_for(17)) if conjugate
          else la.block_diag(A.T, -A))
-    nf = lx.birkhoff_normal_form(B)
+    nf = birkhoff_normal_form(B)
     assert [g.chain_size for g in nf.eigenvalues.groups] == chains
     assert np.allclose(nf.block_matrix_A, want, atol=1e-8)
     T = nf.transform.entries
     resid = la.norm(la.solve(T, B @ T) - nf.normal_matrix)
     assert resid <= 1e-12 * max(1.0, la.norm(B))
-    assert lx.symplectic_residual(T) <= 1e-9
+    assert sp.symplectic_residual(T) <= 1e-9
     assert nf.normal_matrix.shape == (2 * m, 2 * m)
 
 
 def test_normal_form_rejects_elliptic():
-    with pytest.raises(lx.EllipticEigenvaluePresent):
-        lx.birkhoff_normal_form(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    with pytest.raises(sp.EllipticEigenvaluePresent):
+        birkhoff_normal_form(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
 @pytest.mark.parametrize("jordan_scale", [0.0, -1.0, np.nan, np.inf])
@@ -164,7 +166,7 @@ def test_jordan_scale_checked_before_classification(monkeypatch,
 
     monkeypatch.setattr(nf_module, "_classify", refuse)
     with pytest.raises(ValueError, match="jordan_scale must be finite"):
-        lx.birkhoff_normal_form(np.diag([0.7, -0.7]), jordan_scale=jordan_scale)
+        birkhoff_normal_form(np.diag([0.7, -0.7]), jordan_scale=jordan_scale)
 
 
 # the two block builders that _jordan_block replaced, as reference code
@@ -212,7 +214,7 @@ def test_normal_form_roundtrip_random_plants(seed):
         beta = 0.4 + rng.uniform(0.0, 1.5)
         A = np.array([[lam, -beta], [beta, lam]])   # complex pair
     B = conjugated_normal_form(A, rng)
-    nf = lx.birkhoff_normal_form(B)
+    nf = birkhoff_normal_form(B)
     got = np.sort_complex(np.linalg.eigvals(B))
     m = A.shape[0]
     want = np.sort_complex(np.concatenate(
@@ -223,7 +225,7 @@ def test_normal_form_roundtrip_random_plants(seed):
     B_blocks = np.block([[A_rec.T, np.zeros((m, m))],
                          [np.zeros((m, m)), -A_rec]])
     assert la.norm(np.linalg.solve(T, B @ T) - B_blocks) <= 1e-6
-    assert lx.symplectic_residual(T) <= 1e-9
+    assert sp.symplectic_residual(T) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +233,7 @@ def test_normal_form_roundtrip_random_plants(seed):
 # ---------------------------------------------------------------------------
 
 def test_diagonalize_round_form():
-    dec = lx.williamson(lx.QuadraticHamiltonian(2.0 * np.eye(2)))
+    dec = williamson(sp.QuadraticHamiltonian(2.0 * np.eye(2)))
     assert np.allclose(dec.radii, [1.0], atol=1e-12)
     assert np.allclose(dec.transform.entries, np.eye(2), atol=1e-9)
 
@@ -239,7 +241,7 @@ def test_diagonalize_round_form():
 def test_diagonalize_anisotropic_form():
     # q = a x^2 + b xi^2 has the single radius (a b)^(-1/4)
     a, b = 2.0, 3.0
-    dec = lx.williamson(lx.QuadraticHamiltonian(np.diag([2 * a, 2 * b])))
+    dec = williamson(sp.QuadraticHamiltonian(np.diag([2 * a, 2 * b])))
     assert dec.radii[0] == pytest.approx((a * b) ** -0.25, rel=1e-10)
     # brute-force sampling of q(T rho) against sqrt(ab) (x^2 + xi^2)
     rng = rng_for(3)
@@ -253,8 +255,8 @@ def test_diagonalize_anisotropic_form():
 
 
 def test_diagonalize_rejects_indefinite():
-    with pytest.raises(lx.NotPositiveDefinite):
-        lx.williamson(lx.QuadraticHamiltonian(np.diag([1.0, -1.0])))
+    with pytest.raises(sp.NotPositiveDefinite):
+        williamson(sp.QuadraticHamiltonian(np.diag([1.0, -1.0])))
 
 
 @settings(deadline=None, max_examples=25)
@@ -263,11 +265,11 @@ def test_diagonalize_random_positive_forms(seed):
     rng = rng_for(seed)
     C = rng.standard_normal((4, 4))
     Q = C @ C.T + 0.1 * np.eye(4)
-    dec = lx.williamson(lx.QuadraticHamiltonian(Q))
+    dec = williamson(sp.QuadraticHamiltonian(Q))
     r = dec.radii
     assert np.all(r[:-1] <= r[1:] + 1e-12)
     T = dec.transform.entries
-    assert lx.symplectic_residual(T) <= 1e-9
+    assert sp.symplectic_residual(T) <= 1e-9
     D = T.T @ Q @ T
     want = np.diag(np.concatenate([2.0 / r**2, 2.0 / r**2]))
     assert la.norm(D - want) <= 1e-9 * la.norm(Q)
@@ -280,8 +282,8 @@ def test_radii_invariant_under_symplectic_conjugation(seed):
     C = rng.standard_normal((4, 4))
     Q = C @ C.T + 0.1 * np.eye(4)
     T0 = random_symplectic(rng, 2)
-    r1 = lx.williamson(lx.QuadraticHamiltonian(Q)).radii
-    r2 = lx.williamson(lx.QuadraticHamiltonian(T0.T @ Q @ T0)).radii
+    r1 = williamson(sp.QuadraticHamiltonian(Q)).radii
+    r2 = williamson(sp.QuadraticHamiltonian(T0.T @ Q @ T0)).radii
     assert np.allclose(r1, r2, atol=1e-8 * max(1.0, np.max(r1)))
 
 
@@ -291,8 +293,8 @@ def test_radii_invariant_under_symplectic_conjugation(seed):
 
 def test_escape_rate_single_eigenvalue():
     lam = 0.7
-    nf = lx.birkhoff_normal_form(np.diag([lam, -lam]))
-    esc = lx.escape_rate_form(nf)
+    nf = birkhoff_normal_form(np.diag([lam, -lam]))
+    esc = escape_rate_form(nf)
     assert esc.positive_definite
     # the form is lambda (x^2 + xi^2), coefficient array 2 lambda I
     assert np.allclose(esc.form.coeff, 2 * lam * np.eye(2), atol=1e-12)
@@ -305,7 +307,7 @@ def test_escape_rate_complex_block_is_isotropic():
     alpha, beta = 0.9, 1.7
     Lam = np.array([[alpha, -beta], [beta, alpha]])
     B = conjugated_normal_form(Lam, rng)
-    esc = lx.escape_rate_form(lx.birkhoff_normal_form(B))
+    esc = escape_rate_form(birkhoff_normal_form(B))
     # quadratic part of the escape derivative is alpha times the round form
     assert np.allclose(esc.form.coeff, 2 * alpha * np.eye(4), atol=1e-6)
     assert esc.positive_definite
@@ -320,13 +322,13 @@ def test_escape_rate_chain_needs_rescaling():
                      [1.0, 0.1, 0.0, 0.0],
                      [0.0, 0.0, -0.1, -1.0],
                      [0.0, 0.0, 0.0, -0.1]])
-    nf_raw = lx.birkhoff_normal_form(B_nf, jordan_scale=1.0)
-    esc_raw = lx.escape_rate_form(nf_raw)
+    nf_raw = birkhoff_normal_form(B_nf, jordan_scale=1.0)
+    esc_raw = escape_rate_form(nf_raw)
     assert not esc_raw.positive_definite
     assert esc_raw.min_eigenvalue == pytest.approx(0.1 - 0.5, abs=1e-8)
     assert esc_raw.certificate is None
-    nf_scaled = lx.birkhoff_normal_form(B_nf, jordan_scale=0.05)
-    esc_scaled = lx.escape_rate_form(nf_scaled)
+    nf_scaled = birkhoff_normal_form(B_nf, jordan_scale=0.05)
+    esc_scaled = escape_rate_form(nf_scaled)
     assert esc_scaled.positive_definite
     assert esc_scaled.min_eigenvalue > 0
 
@@ -340,7 +342,7 @@ def test_escape_rate_default_scale_certifies(seed):
     k = int(rng.integers(1, 4))
     A = lam * np.eye(k) + np.diag(np.ones(k - 1), 1)
     B = conjugated_normal_form(A, rng)
-    esc = lx.escape_rate_form(lx.birkhoff_normal_form(B))
+    esc = escape_rate_form(birkhoff_normal_form(B))
     assert esc.positive_definite
     assert esc.certificate is not None
     assert np.all(esc.certificate.radii > 0)

@@ -83,13 +83,12 @@ def test_rate_must_be_finite_and_positive(rate):
 
 @pytest.mark.parametrize("window", [0.0, -0.6, float("nan"), float("inf")])
 def test_window_must_be_finite_and_positive(op20, window):
-    phi = rv.default_cutoff(op20)
     with pytest.raises(ValueError):
         rv.sigma_min_point(op20, 0.1, window=window)
     with pytest.raises(ValueError):
         rv.sigma_min_point(op20, 0.1 + 0.01j, window=window)
     with pytest.raises(ValueError):
-        rv.cutoff_norm_point(op20, 0.1, phi, window=window)
+        rv.cutoff_norm_point(op20, 0.1, window=window)
     with pytest.raises(ValueError):
         rv.sigma_min_scan(rv.default_operator_builder(), [1 / 20],
                           z_values=np.array([0.1]), window=window)
@@ -284,7 +283,7 @@ def test_point_probe_matches_full_blocks(op20, z):
 def test_cutoff_sweep_matches_dense_norm(op20):
     phi = rv.default_cutoff(op20)
     z = 0.07
-    got = rv.cutoff_norm_point(op20, z, phi)
+    got = rv.cutoff_norm_point(op20, z)
     want = max(np.linalg.norm(np.linalg.solve(
         dense_block(*rv.mode_block(op20, m, z)), np.diag(phi)), 2)
         for m in rv._mode_window(op20, z, 0.6))
@@ -412,7 +411,7 @@ def test_doubled_window_check_fires(window, clipped, point_windows):
     # doubled window decides
     scan = lambda: rv.sigma_min_scan(flat_builder, [1 / 50],
                                      z_values=np.array([0.0]),
-                                     cutoff=False, window=window)
+                                     window=window)
     if not clipped:
         scan()
         return
@@ -427,8 +426,7 @@ def test_doubled_window_check_fires(window, clipped, point_windows):
 def test_default_scan_proves_its_doubled_window(point_windows):
     # every point the doubled window adds is proved, so the check runs no
     # sweep: one sigma_min_point call per z
-    rv.sigma_min_scan(rv.default_operator_builder(), [1 / 50],
-                      cutoff=False)
+    rv.sigma_min_scan(rv.default_operator_builder(), [1 / 50])
     assert point_windows == [0.6] * 11
 
 
@@ -489,7 +487,7 @@ def test_asymmetric_data_are_refused(op20):
     phi = rv.default_cutoff(op20)
     phi[3] = 0.5
     with pytest.raises(rv.ResolventError):
-        rv.cutoff_norm_point(op20, 0.1, phi)
+        rv._NormSweep(op20, phi)
 
 
 @pytest.fixture(scope="module")
