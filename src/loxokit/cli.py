@@ -307,12 +307,13 @@ def cmd_damped_wave(args):
         raise ValueError(f"damping_inner must lie in [0, damping_outer) = "
                          f"[0, {outer}), not {inner}")
     prob = dw.DampedWaveProblem(
-        profile=cfg["warp"], damping=dw.neck_damping(inner, outer),
+        profile=cfg["warp"], damping=cutoffs.neck_damping(inner, outer),
         n_grid=cfg["n_grid"], epsilon=float(cfg["epsilon"]),
         dead_zone_radius=inner)
     # refuse unusable modes, decay_modes or t_max before any solve: the
     # eigenfrequency scan takes most of the run
-    check_entries(cfg["modes"], "mode")
+    dw.check_modes(cfg["modes"])
+    dw.check_modes(cfg["decay_modes"], "decay_modes")
     rep = dw.decay_report(prob, modes=cfg["decay_modes"],
                           t_max=float(cfg["t_max"]))
     sets, strip, mirror = dw.eigenfrequency_scan(prob, modes=cfg["modes"])

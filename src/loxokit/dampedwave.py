@@ -42,7 +42,7 @@ from scipy.integrate import simpson
 
 from .cutoffs import DAMPING_INNER, get_warp, neck_damping
 from .errors import LoxokitError, StepFailure, check_entries
-from .spectra import radial_stencil
+from .spectra import check_mode, radial_stencil
 
 
 class DampedWaveError(LoxokitError):
@@ -292,6 +292,17 @@ def _map_modes(fn, *columns):
         pool.shutdown(cancel_futures=True)
 
 
+def check_modes(modes, plural=None):
+    """modes as a tuple, refused before any solve (ValueError) when the
+    list is empty or repeats a mode (errors.check_entries, with plural
+    naming the list) or holds a mode that is not a nonnegative integer
+    (spectra.check_mode)."""
+    modes = check_entries(modes, "mode", plural)
+    for k in modes:
+        check_mode(k)
+    return modes
+
+
 def eigenfrequency_scan(problem, modes=MODES):
     """(sets, strip_margin, mirror_defect): the EigenfrequencySet of each
     of the angular modes, solved concurrently, and the worst strip margin
@@ -299,7 +310,7 @@ def eigenfrequency_scan(problem, modes=MODES):
     defect over them."""
     sets = _map_modes(
         lambda k: eigenfrequencies(assemble_pencil(problem, k)),
-        check_entries(modes, "mode"))
+        check_modes(modes))
     return (sets, max(es.strip_margin for es in sets),
             max(es.symmetry_defect for es in sets))
 
@@ -507,7 +518,7 @@ def decay_report(problem, modes=DECAY_MODES, t_max=T_MAX):
     smallest C with E(t) <= C exp(-rate t) ||data||^2_{H^eps} along the
     whole trace.
     """
-    modes = check_entries(modes, "mode")
+    modes = check_modes(modes)
     frames = [mode_frame(assemble_pencil(problem, k)) for k in modes]
     starts = [default_initial(problem, frame) for frame in frames]
     # the N_LOW-th eigenvalue is the fastest excited frequency squared

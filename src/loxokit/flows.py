@@ -37,9 +37,7 @@ NECK_PERIOD = 2 * math.pi
 ORBIT_TOL = 1e-11
 NECK_R_WIDTH = 0.2          # neck_exclusion half-width in r
 NECK_CLAIRAUT_WIDTH = 0.01  # and in the Clairaut constant
-ORBIT_MAX_ITER = 40         # Gauss-Newton steps of find_closed_orbit
-ORBIT_RETURN_TOL = 1e-8     # and the return defect they must reach
-SHOOT_SEGMENT_TIME = 1.0    # segment length of the fallback chain,
+SHOOT_SEGMENT_TIME = 1.0    # segment length of find_closed_orbit's chain,
 SHOOT_MAX_ITER = 60         # its Gauss-Newton steps
 SHOOT_TOL = 1e-9            # and the chain residual they must reach
 AVERAGE_TOL = 1e-12         # integrator tolerance of trajectory_average
@@ -65,8 +63,9 @@ class SectionNotTransverse(FlowError):
 
 
 class _NoReturn(FlowError):
-    """Internal: a trial point has no usable return: its trajectory missed
-    the section in time, or its segment chain collapsed in period."""
+    """Internal: a trial segment chain has no return around the orbit: its
+    period fell below a tenth of the guess, toward the contractible
+    zero-period solution."""
 
 
 @dataclass
@@ -261,13 +260,13 @@ class FlowResult:
                                        # one per column for a stack
 
 
-def _integrate(rhs, t_span, y0, tol, **options):
+def _integrate(rhs, t_span, y0, tol, t_eval=None):
     """DOP853 over t_span at rtol = atol = tol; failure raises StepFailure,
     and a tol that is not finite and positive raises ValueError."""
     if not 0 < tol < math.inf:
         raise ValueError(f"tolerance must be finite and positive, not {tol}")
     sol = scipy.integrate.solve_ivp(rhs, t_span, y0, method="DOP853",
-                                    rtol=tol, atol=tol, **options)
+                                    rtol=tol, atol=tol, t_eval=t_eval)
     if not sol.success:
         raise StepFailure(f"integration failed: {sol.message}")
     return sol
@@ -329,10 +328,10 @@ def flow(sys, z0, t_span, tol=1e-10, t_eval=None, observable=None):
                       energy_drift=drift, integral=integral)
 
 
-def _tangent_flow(sys, z0, Phi0, t_span, tol, **options):
-    """Integrate the flow z' = X(z) together with its variational equation
-    Phi' = DX(z) Phi on the stacked state y = (z, Phi.ravel()) from
-    (z0, Phi0) over t_span; options go to the integrator."""
+def _flow_with_monodromy(sys, z0, T, tol):
+    """z(T) and the monodromy Phi(T): the flow z' = X(z) and its
+    variational equation Phi' = DX(z) Phi, integrated together on the
+    stacked state y = (z, Phi.ravel()) from Phi = I."""
     n = sys.n
     dim = 2 * n
 
@@ -343,15 +342,9 @@ def _tangent_flow(sys, z0, Phi0, t_span, tol, **options):
         Dv = np.vstack([H[n:, :], -H[:n, :]])
         return np.concatenate([sys.vector_field(z), (Dv @ Phi).ravel()])
 
-    y0 = np.concatenate([np.asarray(z0, float), np.ravel(Phi0)])
-    return _integrate(rhs, t_span, y0, tol, **options)
-
-
-def _flow_with_monodromy(sys, z0, T, tol):
-    """z(T) and the monodromy Phi(T) of the tangent flow from Phi = I."""
-    dim = 2 * sys.n
-    sol = _tangent_flow(sys, z0, np.eye(dim), (0.0, T), tol)
-    return sol.y[:dim, -1], sol.y[dim:, -1].reshape(dim, dim)
+    y0 = np.concatenate([np.asarray(z0, float), np.eye(dim).ravel()])
+    y = _integrate(rhs, (0.0, T), y0, tol).y[:, -1]
+    return y[:dim], y[dim:].reshape(dim, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -382,44 +375,12 @@ def _wrap_diff(sys, z, z_ref):
     return d
 
 
-def _poincare_return(sys, z, z_ref, v_sec, t_min, t_max, tol):
-    """Flow to the first same-direction section crossing after t_min.
-
-    Returns (return time, end state, variational matrix at the end).
-    The crossing function uses the wrapped offset from z_ref, so a cyclic
-    coordinate advancing by a full period reads as a return. Wrap jumps
-    produce down-jumps of the crossing function, which the direction
-    filter discards.
-    """
-    dim = 2 * sys.n
-    z1, M1 = _flow_with_monodromy(sys, z, t_min, tol)
-
-    def crossing(t, y):
-        return np.dot(_wrap_diff(sys, y[:dim], z_ref), v_sec)
-
-    crossing.terminal = True
-    crossing.direction = 1.0
-    # On nearly-linear stretches the solver can step over a whole branch of
-    # the wrapped sawtooth; keep at least two samples per wrap period.
-    max_step = np.inf
-    if sys.wraps:
-        max_step = 0.45 * min(period for _, period in sys.wraps)
-    leg2 = _tangent_flow(sys, z1, M1, (t_min, t_max), tol,
-                         events=crossing, max_step=max_step)
-    if not leg2.t_events[0].size:
-        raise _NoReturn("no return to the section within the time budget")
-    T = float(leg2.t_events[0][0])
-    y_ev = leg2.y_events[0][0]
-    return T, y_ev[:dim], y_ev[dim:].reshape(dim, dim)
-
-
-def _gauss_newton(residual, jacobian, x, first, tol, max_iter):
+def _gauss_newton(residual, jacobian, x, tol, max_iter):
     """Damped Gauss-Newton on residual(x) -> (F, aux) from x, where
-    first = residual(x) and jacobian(x, aux) = dF/dx. The lstsq step is
-    halved (at most 12 times) until |F| drops; a trial point that raises
-    StepFailure, _NoReturn or SectionNotTransverse is halved too. Returns
-    (x, |F|, aux) once |F| <= tol."""
-    F, aux = first
+    jacobian(x, aux) = dF/dx. The lstsq step is halved (at most 12 times)
+    until |F| drops; a trial point that raises StepFailure or _NoReturn
+    is halved too. Returns (x, |F|, aux) once |F| <= tol."""
+    F, aux = residual(x)
     for _ in range(max_iter):
         norm_F = la.norm(F)
         if norm_F <= tol:
@@ -430,7 +391,7 @@ def _gauss_newton(residual, jacobian, x, first, tol, max_iter):
             x_new = x + lam * step
             try:
                 F_new, aux_new = residual(x_new)
-            except (StepFailure, _NoReturn, SectionNotTransverse):
+            except (StepFailure, _NoReturn):
                 lam *= 0.5
                 continue
             if la.norm(F_new) < norm_F:
@@ -443,13 +404,16 @@ def _gauss_newton(residual, jacobian, x, first, tol, max_iter):
                         f"(residual {la.norm(F):.2e})")
 
 
-def _multiple_shooting(sys, guess, period_guess, v_sec, z_ref, E0, tol):
+def _multiple_shooting(sys, guess, period_guess, v_sec, tol):
     """Close a chain of short flow segments through a rough guess.
 
-    A strongly unstable orbit amplifies guess error by exp(lambda T) over a
-    full period, which can push the first section return of the raw guess
-    out of existence entirely. Segments of about SHOOT_SEGMENT_TIME stay
-    well conditioned regardless.
+    The unknowns are K = max(2, ceil(period_guess / SHOOT_SEGMENT_TIME))
+    nodes and the period; the residual stacks the K links between each
+    segment's end and the next node (modulo the model's wraps), the
+    section row <node 0 - guess, v_sec> and the energy pin p(node 0) =
+    p(guess). A strongly unstable orbit amplifies guess error by
+    exp(lambda T) over a full period; segments of about SHOOT_SEGMENT_TIME
+    stay well conditioned regardless.
 
     Seeding all nodes at the guess would put the chain in the contractible
     homotopy class, where the Gauss-Newton step collapses the period toward
@@ -459,8 +423,7 @@ def _multiple_shooting(sys, guess, period_guess, v_sec, z_ref, E0, tol):
     frozen; on a model without, the nodes lie on the guess's own
     trajectory at the node times.
 
-    Returns (node 0, period, residual) of the closed chain. SHOOT_TOL is
-    tighter than ORBIT_RETURN_TOL, so node 0 already closes the orbit.
+    Returns (node 0, period, residual) of the closed chain.
     """
     dim = 2 * sys.n
     K = max(2, int(math.ceil(period_guess / SHOOT_SEGMENT_TIME)))
@@ -473,6 +436,7 @@ def _multiple_shooting(sys, guess, period_guess, v_sec, z_ref, E0, tol):
         seed = flow(sys, guess, (0.0, period_guess), tol=tol,
                     t_eval=period_guess * np.arange(K) / K).states
     x = np.concatenate([seed.ravel(), [period_guess]])
+    E0 = sys.p(guess)
 
     def chain(x):
         if x[-1] <= 0.1 * period_guess:
@@ -486,7 +450,7 @@ def _multiple_shooting(sys, guess, period_guess, v_sec, z_ref, E0, tol):
             mats.append(Mi)
             links.append(_wrap_diff(sys, zi, nodes[(i + 1) % K]))
         F = np.concatenate(links
-                           + [[np.dot(_wrap_diff(sys, nodes[0], z_ref), v_sec)],
+                           + [[np.dot(_wrap_diff(sys, nodes[0], guess), v_sec)],
                               [sys.p(nodes[0]) - E0]])
         return F, (ends, mats)
 
@@ -503,22 +467,22 @@ def _multiple_shooting(sys, guess, period_guess, v_sec, z_ref, E0, tol):
         J[K * dim + 1, :dim] = sys.gradient(x[:dim])
         return J
 
-    x, norm_F, _ = _gauss_newton(chain, jacobian, x, chain(x), SHOOT_TOL,
+    x, norm_F, _ = _gauss_newton(chain, jacobian, x, SHOOT_TOL,
                                  SHOOT_MAX_ITER)
     return x[:dim].copy(), float(x[-1]), norm_F
 
 
 def find_closed_orbit(sys, guess, period_guess, tol=ORBIT_TOL):
-    """Newton shooting on the Poincare return map near a guess.
+    """Close the periodic orbit near a guess by segment-chain shooting.
 
     The section is the hyperplane through the guess orthogonal to the flow
-    there. Each iterate flows to its first same-direction return to the
-    section (never before a fifth of the guessed period, so the trivial
-    zero-time fixed point is excluded), and a Gauss-Newton step contracts
-    the return defect subject to the phase condition and an energy pin.
-    A guess too unstable to return to the section at all is closed by a
-    chain of short flow segments instead. A period_guess that is not
-    finite and positive raises ValueError.
+    there. A chain of flow segments (see _multiple_shooting) starts on the
+    guess, winding once over period_guess, and damped Gauss-Newton steps
+    close it with the period as one more unknown, node 0 on the section
+    and on the guess's energy shell, to a residual of at most SHOOT_TOL;
+    each segment is integrated at tol. Node 0, the period and the residual
+    are the orbit. A period_guess that is not finite and positive raises
+    ValueError; a guess at an equilibrium raises SectionNotTransverse.
     """
     z = np.asarray(guess, dtype=float).copy()
     Tg = float(period_guess)
@@ -528,42 +492,7 @@ def find_closed_orbit(sys, guess, period_guess, tol=ORBIT_TOL):
     nv = la.norm(v_sec)
     if nv < 1e-12:
         raise SectionNotTransverse("guess is an equilibrium of the flow")
-    v_sec = v_sec / nv
-    z_ref = z.copy()
-    E0 = sys.p(z)
-    dim = 2 * sys.n
-
-    def residual(z):
-        T, zT, M = _poincare_return(sys, z, z_ref, v_sec,
-                                    t_min=0.2 * Tg, t_max=4.0 * Tg, tol=tol)
-        F = np.concatenate([_wrap_diff(sys, zT, z),
-                            [np.dot(_wrap_diff(sys, z, z_ref), v_sec)],
-                            [sys.p(z) - E0]])
-        return F, (T, zT, M)
-
-    def jacobian(z, aux):
-        _, zT, M = aux
-        v_T = sys.vector_field(zT)
-        denom = np.dot(v_sec, v_T)
-        if abs(denom) < 1e-10 * la.norm(v_T):
-            raise SectionNotTransverse("return crossing is nearly tangent")
-        # derivative of the return map: monodromy with the return-time
-        # variation projected back onto the section
-        DP = M - np.outer(v_T, v_sec @ M) / denom
-        Jac = np.zeros((dim + 2, dim))
-        Jac[:dim, :] = DP - np.eye(dim)
-        Jac[dim, :] = v_sec
-        Jac[dim + 1, :] = sys.gradient(z)
-        return Jac
-
-    try:
-        first = residual(z)
-    except _NoReturn:
-        # the raw guess escapes before its first section return
-        z, T, norm_F = _multiple_shooting(sys, z, Tg, v_sec, z_ref, E0, tol)
-    else:
-        z, norm_F, (T, _, _) = _gauss_newton(residual, jacobian, z, first,
-                                             ORBIT_RETURN_TOL, ORBIT_MAX_ITER)
+    z, T, norm_F = _multiple_shooting(sys, z, Tg, v_sec / nv, tol)
     return ClosedOrbit(point=z, period=T, energy=sys.p(z), residual=norm_F)
 
 

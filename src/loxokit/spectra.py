@@ -92,12 +92,18 @@ def _check_delta(delta, R):
                          f"[0, {R}), not {delta}")
 
 
+def check_mode(k):
+    """The rule for an angular mode k: a nonnegative integer (ValueError
+    otherwise)."""
+    if k < 0 or k != int(k):
+        raise ValueError(f"mode k must be a nonnegative integer, not {k}")
+
+
 def build_radial_operator(k, R, N, profile=PROFILE):
     if N < 64:
         raise ValueError(f"N must be at least 64, not {N}")
     _check_radius(R)
-    if k < 0 or k != int(k):
-        raise ValueError(f"mode k must be a nonnegative integer, not {k}")
+    check_mode(k)
     f = get_warp(profile).f
     dr = 2.0 * R / (N + 1)
     nodes = -R + dr * np.arange(1, N + 1)

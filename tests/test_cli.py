@@ -623,6 +623,8 @@ def test_selftest_empty_criteria_is_usage_error(tmp_path, capsys, criteria):
 REPEATED_K = "error: k [10, 10] repeat a k; each k counts once\n"
 REPEATED_H = "error: h [0.02, 0.02] repeat a h; each h counts once\n"
 REPEATED_MODE = "error: modes [5, 5] repeat a mode; each mode counts once\n"
+REPEATED_DECAY_MODE = ("error: decay_modes [5, 5] repeat a mode; each mode "
+                       "counts once\n")
 
 
 @pytest.mark.parametrize("argv, cfg, message", [
@@ -632,18 +634,26 @@ REPEATED_MODE = "error: modes [5, 5] repeat a mode; each mode counts once\n"
     (["resolvent", "--h", "1/50,1/50"], {}, REPEATED_H),
     (["resolvent"], {"h": [0.02, 0.02]}, REPEATED_H),
     (["damped-wave", "--modes", "5,5"], {}, REPEATED_MODE),
-    (["damped-wave"], {"decay_modes": [5, 5]}, REPEATED_MODE),
+    (["damped-wave"], {"decay_modes": [5, 5]}, REPEATED_DECAY_MODE),
+    (["damped-wave"], {"modes": [-1, 1], "decay_modes": [-3], "n_grid": 32,
+                       "t_max": 0.1},
+     "error: mode k must be a nonnegative integer, not -1\n"),
+    (["damped-wave"], {"modes": [1], "decay_modes": [-3], "n_grid": 32,
+                       "t_max": 0.1},
+     "error: mode k must be a nonnegative integer, not -3\n"),
     (["selftest", "--criteria", "log-exp-roundtrip,log-exp-roundtrip"],
      None, "error: criteria [log-exp-roundtrip, log-exp-roundtrip] "
            "repeat a criterion; each criterion counts once\n"),
 ], ids=["k-flag", "k-config", "k-empty", "h-flag", "h-config",
-        "modes-flag", "decay-modes-config", "criteria-flag"])
+        "modes-flag", "decay-modes-config", "negative-modes-config",
+        "negative-decay-modes-config", "criteria-flag"])
 def test_repeated_list_entry_exits_before_any_solve(tmp_path, monkeypatch,
                                                     capsys, argv, cfg,
                                                     message):
     # every list input follows one rule: repeated k, h and --criteria
     # entries ran and wrote their row twice ("2/2 criteria passed"), and
-    # "--k ," exited 2 with "k_list must not be empty"
+    # "--k ," exited 2 with "k_list must not be empty"; a negative mode
+    # ran the operator of its positive twin and wrote its rows
     def solve(*args, **kwargs):
         pytest.fail("a solve ran for an unusable list")
 

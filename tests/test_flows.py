@@ -176,7 +176,7 @@ def test_gauss_newton_shrinks_rejected_trials():
 
     x, norm_F, _ = flows._gauss_newton(
         residual, lambda x, aux: np.array([[2.0 * x[0]]]),
-        np.array([0.1]), residual(np.array([0.1])), 1e-12, 40)
+        np.array([0.1]), 1e-12, 40)
     assert x[0] == pytest.approx(1.0, abs=1e-12) and norm_F <= 1e-12
 
 
@@ -191,30 +191,15 @@ def test_neck_orbit_from_exact_guess(neck_orbit):
 
 
 def test_neck_orbit_from_offset_guess(cosh_surface):
-    # a guess displaced up the funnel escapes before its first section
-    # return; the finder must still pull it onto the length-2pi geodesic
-    guess = flows.surface_state(cosh_surface, 0.05, 0.0, np.pi / 2)
-    orbit = flows.find_closed_orbit(cosh_surface, guess, 6.4)
-    assert orbit.period == pytest.approx(TWO_PI, abs=1e-6)
-    assert abs(orbit.point[0]) <= 1e-6
-
-
-@pytest.fixture
-def no_segment_shooting(monkeypatch):
-    def refuse(*args, **kwargs):
-        pytest.fail("the guess needed segment shooting")
-
-    monkeypatch.setattr(flows, "_multiple_shooting", refuse)
-
-
-def test_neck_orbit_from_near_guess_by_return_map_newton(
-        cosh_surface, no_segment_shooting):
-    # r = 1e-4 is off the orbit by far more than the return tolerance, so
-    # the return-map Newton step, not the first residual, closes it
-    guess = flows.surface_state(cosh_surface, 1e-4, 0.0, np.pi / 2)
-    orbit = flows.find_closed_orbit(cosh_surface, guess, flows.NECK_PERIOD)
-    assert orbit.period == pytest.approx(TWO_PI, abs=1e-9)
-    assert orbit.residual <= flows.ORBIT_RETURN_TOL
+    # r = 1e-4 is off the orbit by far more than the chain tolerance, so
+    # Newton steps, not the first residual, close it; r = 0.05 displaces
+    # the guess so far up the funnel that it escapes before a full period
+    for r, period_guess in [(1e-4, flows.NECK_PERIOD), (0.05, 6.4)]:
+        guess = flows.surface_state(cosh_surface, r, 0.0, np.pi / 2)
+        orbit = flows.find_closed_orbit(cosh_surface, guess, period_guess)
+        assert orbit.period == pytest.approx(TWO_PI, abs=1e-9)
+        assert abs(orbit.point[0]) <= 1e-8
+        assert orbit.residual <= flows.SHOOT_TOL
 
 
 def test_far_guess_raises(cosh_surface):
@@ -266,48 +251,17 @@ def test_bump_axis_orbit_period_matches_quadrature():
     assert orbit.period == pytest.approx(want, rel=1e-7)
 
 
-@pytest.mark.parametrize("y", [0.02, 0.05, 0.2])
+@pytest.mark.parametrize("y", [1e-3, 0.02, 0.05, 0.2])
 def test_bump_orbit_from_escaping_guess_by_segment_chain(y):
-    # the guess leaves the axis before its first section return, so the
-    # finder falls back on the segment chain; the bump model has no cyclic
-    # coordinate, so the chain's nodes start on the guess's own trajectory
+    # from y = 0.02 on, the guess leaves the axis before a full period;
+    # the bump model has no cyclic coordinate, so the chain's nodes start
+    # on the guess's own trajectory
     sys = flows.double_bump()
     orbit = flows.find_closed_orbit(sys, np.array([0.0, y, 0.9, 0.0]), 6.0)
     assert abs(orbit.point[1]) <= 1e-8
     want = axis_period_oracle(sys, orbit.energy)
     assert orbit.period == pytest.approx(want, rel=1e-7)
-
-
-def test_segment_chain_closes_the_orbit_without_a_newton_restart(
-        monkeypatch):
-    # the chain's own residual (SHOOT_TOL) is tighter than the return-map
-    # tolerance, so its node 0 is the orbit: the one section return tried
-    # is the raw guess's failed one
-    calls = []
-    original = flows._poincare_return
-
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(flows, "_poincare_return", counting)
-    sys = flows.double_bump()
-    orbit = flows.find_closed_orbit(sys, np.array([0.0, 0.02, 0.9, 0.0]),
-                                    6.0)
-    assert len(calls) == 1
-    want = axis_period_oracle(sys, orbit.energy)
-    assert orbit.period == pytest.approx(want, rel=1e-7)
     assert orbit.residual <= flows.SHOOT_TOL
-
-
-def test_bump_orbit_from_off_axis_guess_by_return_map_newton(
-        no_segment_shooting):
-    sys = flows.double_bump()
-    orbit = flows.find_closed_orbit(sys, np.array([0.0, 1e-3, 0.9, 0.0]),
-                                    6.0)
-    want = axis_period_oracle(sys, orbit.energy)
-    assert orbit.period == pytest.approx(want, rel=1e-7)
-    assert orbit.residual <= flows.ORBIT_RETURN_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,12 @@ def dipped_warp(monkeypatch):
      "n_grid must be even", ["65"]),
     (lambda mp: spectra.build_radial_operator(1.5, 4.0, 64),
      "mode k must be a nonnegative integer", ["1.5"]),
+    (lambda mp: dw.eigenfrequency_scan(dw.DampedWaveProblem(n_grid=32),
+                                       modes=[-1, 1]),
+     "mode k must be a nonnegative integer", ["-1"]),
+    (lambda mp: dw.decay_report(dw.DampedWaveProblem(n_grid=32),
+                                modes=[-3], t_max=0.1),
+     "mode k must be a nonnegative integer", ["-3"]),
     (dipped_warp, "warp profile must be positive", ["-1.0", "r = "]),
     (lambda mp: dw.DampedWaveProblem(n_grid=32, damping=const(-0.25)),
      "damping must be nonnegative", ["-0.25", "r = "]),
@@ -37,7 +43,7 @@ def dipped_warp(monkeypatch):
      "damping must vanish for |r| <= dead_zone_radius",
      ["dead_zone_radius = 0.5", "not 0.3", "r = "]),
 ], ids=["plateau-lo-hi", "rho0-rho1", "floor", "odd-n_grid", "mode-k",
-        "warp-sign", "damping-sign", "dead-zone"])
+        "scan-mode-k", "decay-mode-k", "warp-sign", "damping-sign", "dead-zone"])
 def test_input_message_names_the_value(monkeypatch, make, words, values):
     with pytest.raises(ValueError) as err:
         make(monkeypatch)
