@@ -191,15 +191,24 @@ def test_neck_orbit_from_exact_guess(neck_orbit):
 
 
 def test_neck_orbit_from_offset_guess(cosh_surface):
+    # r = 0.05 displaces the guess so far up the funnel that it escapes
+    # before a full period; the chain must still pull it onto the
+    # length-2pi geodesic
+    guess = flows.surface_state(cosh_surface, 0.05, 0.0, np.pi / 2)
+    orbit = flows.find_closed_orbit(cosh_surface, guess, 6.4)
+    assert orbit.period == pytest.approx(TWO_PI, abs=1e-9)
+    assert abs(orbit.point[0]) <= 1e-8
+    assert orbit.residual <= flows.SHOOT_TOL
+
+
+def test_neck_orbit_from_near_guess_by_return_map_newton(cosh_surface):
     # r = 1e-4 is off the orbit by far more than the chain tolerance, so
-    # Newton steps, not the first residual, close it; r = 0.05 displaces
-    # the guess so far up the funnel that it escapes before a full period
-    for r, period_guess in [(1e-4, flows.NECK_PERIOD), (0.05, 6.4)]:
-        guess = flows.surface_state(cosh_surface, r, 0.0, np.pi / 2)
-        orbit = flows.find_closed_orbit(cosh_surface, guess, period_guess)
-        assert orbit.period == pytest.approx(TWO_PI, abs=1e-9)
-        assert abs(orbit.point[0]) <= 1e-8
-        assert orbit.residual <= flows.SHOOT_TOL
+    # Newton steps on the closing residual, not the first residual, close it
+    guess = flows.surface_state(cosh_surface, 1e-4, 0.0, np.pi / 2)
+    orbit = flows.find_closed_orbit(cosh_surface, guess, flows.NECK_PERIOD)
+    assert orbit.period == pytest.approx(TWO_PI, abs=1e-9)
+    assert abs(orbit.point[0]) <= 1e-8
+    assert orbit.residual <= flows.SHOOT_TOL
 
 
 def test_far_guess_raises(cosh_surface):
@@ -259,6 +268,27 @@ def test_bump_orbit_from_escaping_guess_by_segment_chain(y):
     sys = flows.double_bump()
     orbit = flows.find_closed_orbit(sys, np.array([0.0, y, 0.9, 0.0]), 6.0)
     assert abs(orbit.point[1]) <= 1e-8
+    want = axis_period_oracle(sys, orbit.energy)
+    assert orbit.period == pytest.approx(want, rel=1e-7)
+    assert orbit.residual <= flows.SHOOT_TOL
+
+
+def test_segment_chain_closes_the_orbit_without_a_newton_restart(
+        monkeypatch):
+    # one Gauss-Newton solve of the chain reaches SHOOT_TOL, so its node 0
+    # is the orbit: no second solve is started from it
+    calls = []
+    original = flows._gauss_newton
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(flows, "_gauss_newton", counting)
+    sys = flows.double_bump()
+    orbit = flows.find_closed_orbit(sys, np.array([0.0, 0.02, 0.9, 0.0]),
+                                    6.0)
+    assert len(calls) == 1
     want = axis_period_oracle(sys, orbit.energy)
     assert orbit.period == pytest.approx(want, rel=1e-7)
     assert orbit.residual <= flows.SHOOT_TOL
