@@ -24,7 +24,7 @@ from . import dampedwave as dw
 from . import flows
 from . import resolvent as rv
 from . import spectra
-from .errors import LoxokitError, check_entries
+from .errors import LoxokitError, check_entries, check_modes
 from .normal_form import birkhoff_normal_form, escape_rate_form
 from .symplectic import symplectic_log
 
@@ -312,8 +312,8 @@ def cmd_damped_wave(args):
         dead_zone_radius=inner)
     # refuse unusable modes, decay_modes or t_max before any solve: the
     # eigenfrequency scan takes most of the run
-    dw.check_modes(cfg["modes"])
-    dw.check_modes(cfg["decay_modes"], "decay_modes")
+    check_modes(cfg["modes"], "mode")
+    check_modes(cfg["decay_modes"], "mode", "decay_modes")
     rep = dw.decay_report(prob, modes=cfg["decay_modes"],
                           t_max=float(cfg["t_max"]))
     sets, strip, mirror = dw.eigenfrequency_scan(prob, modes=cfg["modes"])

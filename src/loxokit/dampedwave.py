@@ -41,8 +41,8 @@ import scipy.linalg as la
 from scipy.integrate import simpson
 
 from .cutoffs import DAMPING_INNER, get_warp, neck_damping
-from .errors import LoxokitError, StepFailure, check_entries
-from .spectra import check_mode, radial_stencil
+from .errors import LoxokitError, StepFailure, check_modes, check_positive
+from .spectra import radial_stencil
 
 
 class DampedWaveError(LoxokitError):
@@ -95,9 +95,7 @@ class DampedWaveProblem:
     def __post_init__(self):
         if self.n_grid < 32:
             raise ValueError(f"n_grid must be at least 32, not {self.n_grid}")
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be finite and > 0, not "
-                             f"{self.epsilon}")
+        check_positive(self.epsilon, "epsilon")
         warp = get_warp(self.profile)
         slopes = warp.slope(np.array([-0.5, 0.5]) * PERIOD)
         if np.any(slopes != 0):
@@ -292,17 +290,6 @@ def _map_modes(fn, *columns):
         pool.shutdown(cancel_futures=True)
 
 
-def check_modes(modes, plural=None):
-    """modes as a tuple, refused before any solve (ValueError) when the
-    list is empty or repeats a mode (errors.check_entries, with plural
-    naming the list) or holds a mode that is not a nonnegative integer
-    (spectra.check_mode)."""
-    modes = check_entries(modes, "mode", plural)
-    for k in modes:
-        check_mode(k)
-    return modes
-
-
 def eigenfrequency_scan(problem, modes=MODES):
     """(sets, strip_margin, mirror_defect): the EigenfrequencySet of each
     of the angular modes, solved concurrently, and the worst strip margin
@@ -310,7 +297,7 @@ def eigenfrequency_scan(problem, modes=MODES):
     defect over them."""
     sets = _map_modes(
         lambda k: eigenfrequencies(assemble_pencil(problem, k)),
-        check_modes(modes))
+        check_modes(modes, "mode"))
     return (sets, max(es.strip_margin for es in sets),
             max(es.symmetry_defect for es in sets))
 
@@ -454,8 +441,7 @@ def evolve(problem, k, initial=None, t_max=T_MAX, dt=DT, frame=None):
     the data are not all zero, and t_max is finite and spans two steps,
     so the decay fit on [t_max/4, t_max] has two samples.
     """
-    if not 0 < dt < math.inf:
-        raise ValueError(f"dt must be finite and > 0, not {dt}")
+    check_positive(dt, "dt")
     span = t_max / dt
     if not math.isfinite(span) or round(span) < 2:
         raise ValueError(f"t_max = {t_max} is not a horizon of at least 2 "
@@ -518,7 +504,7 @@ def decay_report(problem, modes=DECAY_MODES, t_max=T_MAX):
     smallest C with E(t) <= C exp(-rate t) ||data||^2_{H^eps} along the
     whole trace.
     """
-    modes = check_modes(modes)
+    modes = check_modes(modes, "mode")
     frames = [mode_frame(assemble_pencil(problem, k)) for k in modes]
     starts = [default_initial(problem, frame) for frame in frames]
     # the N_LOW-th eigenvalue is the fastest excited frequency squared

@@ -26,7 +26,7 @@ import scipy.integrate
 import scipy.linalg as la
 
 from .cutoffs import get_warp, neck_damping
-from .errors import LoxokitError, StepFailure
+from .errors import LoxokitError, StepFailure, check_positive
 from .symplectic import (POINCARE_MAP, SpectrumClassification, _identity_defect,
                          classify, symplectic_pairing)
 
@@ -262,9 +262,8 @@ class FlowResult:
 
 def _integrate(rhs, t_span, y0, tol, t_eval=None):
     """DOP853 over t_span at rtol = atol = tol; failure raises StepFailure,
-    and a tol that is not finite and positive raises ValueError."""
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tolerance must be finite and positive, not {tol}")
+    and a tol that is not finite and > 0 raises ValueError."""
+    check_positive(tol, "tolerance")
     sol = scipy.integrate.solve_ivp(rhs, t_span, y0, method="DOP853",
                                     rtol=tol, atol=tol, t_eval=t_eval)
     if not sol.success:
@@ -481,13 +480,12 @@ def find_closed_orbit(sys, guess, period_guess, tol=ORBIT_TOL):
     close it with the period as one more unknown, node 0 on the section
     and on the guess's energy shell, to a residual of at most SHOOT_TOL;
     each segment is integrated at tol. Node 0, the period and the residual
-    are the orbit. A period_guess that is not finite and positive raises
+    are the orbit. A period_guess that is not finite and > 0 raises
     ValueError; a guess at an equilibrium raises SectionNotTransverse.
     """
     z = np.asarray(guess, dtype=float).copy()
     Tg = float(period_guess)
-    if not 0 < Tg < math.inf:
-        raise ValueError(f"period_guess must be finite and positive, not {Tg}")
+    check_positive(Tg, "period_guess")
     v_sec = sys.vector_field(z)
     nv = la.norm(v_sec)
     if nv < 1e-12:
@@ -607,14 +605,12 @@ def check_geometric_control(sys, damping, exclusion, T=50.0, n_samples=500,
     for samples whose forward run misses the damping. The samples advance
     in batches of columns of one stacked ``flow`` state, so the model and
     the damping must broadcast (see HamiltonianSystem). n_samples must be
-    an integer >= 1 and T finite and positive (ValueError).
+    an integer >= 1 and T finite and > 0 (ValueError).
     """
     if not isinstance(n_samples, numbers.Integral) or n_samples < 1:
         raise ValueError("need at least one sample (an integer), "
                          f"got n_samples={n_samples!r}")
-    if not 0 < T < math.inf:
-        raise ValueError(f"control horizon T must be finite and positive, "
-                         f"got {T}")
+    check_positive(T, "control horizon T")
     rng = np.random.Generator(np.random.Philox(seed))
     samples = []
     while len(samples) < n_samples:

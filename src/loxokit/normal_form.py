@@ -18,13 +18,13 @@ real parts, hence the default eps = min(1, min_j Re lambda_j / 2).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.linalg as la
 
+from .errors import check_positive
 from .symplectic import (
     BLOCK_RESIDUAL_TOL,
     HAMILTON_MATRIX,
@@ -191,8 +191,7 @@ def birkhoff_normal_form(B, jordan_scale=None):
     Bm = _as_matrix(B)
     if jordan_scale is not None:
         eps = float(jordan_scale)
-        if not (math.isfinite(eps) and eps > 0):
-            raise ValueError(f"jordan_scale must be finite and > 0, not {eps}")
+        check_positive(eps, "jordan_scale")
     cls, clusters = _classify(Bm, HAMILTON_MATRIX)
     if not cls.is_loxodromic:
         raise EllipticEigenvaluePresent(

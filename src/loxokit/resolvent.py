@@ -42,7 +42,8 @@ import scipy.linalg as la
 from scipy.linalg import lapack
 
 from .cutoffs import plateau_step
-from .errors import GridTooCoarse, LoxokitError, check_entries
+from .errors import (GridTooCoarse, LoxokitError, check_entries,
+                     check_positive)
 
 
 # the scan that `loxokit resolvent` and the resolvent-bounds criterion run
@@ -87,6 +88,9 @@ class AbsorbingProfile:
                              f"rho1 = {self.rho1}")
         if not 0 <= self.floor <= 1:
             raise ValueError(f"floor must lie in [0, 1], not {self.floor}")
+        if not 0 <= self.strength < math.inf:
+            raise ValueError(f"strength must lie in [0, inf), not "
+                             f"{self.strength}")
 
     def __call__(self, x):
         step = plateau_step(x, self.rho0, self.rho1)
@@ -111,19 +115,12 @@ def _check_h(h):
         raise ValueError(f"h must lie in (0, 1], not {h}")
 
 
-def _check_half_length(half_length):
-    if not 0 < half_length < math.inf:
-        raise ValueError(f"half_length must be finite and > 0, not "
-                         f"{half_length}")
-
-
 def quantize_model(h, rate=RATE, n_grid=N_GRID, half_length=HALF_LENGTH,
                    profile=None):
     """Assemble the per-mode data for the model operator."""
     _check_h(h)
-    if not (math.isfinite(rate) and rate > 0):
-        raise ValueError(f"rate must be finite and > 0, not {rate}")
-    _check_half_length(half_length)
+    check_positive(rate, "rate")
+    check_positive(half_length, "half_length")
     profile = profile if profile is not None else AbsorbingProfile()
     if profile.rho1 >= half_length:
         raise ValueError(
@@ -172,11 +169,6 @@ def sigma_min_block(diag, off):
     vals = la.eig_banded(band, lower=False, eigvals_only=True,
                          select="i", select_range=(n, n))
     return float(vals[0])
-
-
-def _check_window(window):
-    if not (math.isfinite(window) and window > 0):
-        raise ValueError(f"mode window must be finite and > 0, not {window}")
 
 
 def _mode_window(op, z, window):
@@ -386,7 +378,7 @@ def sigma_min_point(op, z, window=MODE_WINDOW, sweep=None):
     eigensolver; disagreement beyond 1e-6 falls back to certifying every
     mode in the window; with converged sweep values this is a safety net.
     """
-    _check_window(window)
+    check_positive(window, "mode window")
     if np.imag(z) != 0:
         if sweep is not None:
             raise ValueError("sweep caches are keyed on real z - h m; "
@@ -413,7 +405,7 @@ def sigma_min_point(op, z, window=MODE_WINDOW, sweep=None):
 def cutoff_norm_point(op, z, window=MODE_WINDOW, sweep=None):
     """max over the mode window of ||Q_m(z)^{-1} diag(default_cutoff(op))||
     at real z; sweep, when given, is that weight's _NormSweep."""
-    _check_window(window)
+    check_positive(window, "mode window")
     if np.imag(z) != 0:
         raise ValueError("cutoff norms are scanned at real z")
     sweep = sweep if sweep is not None else _NormSweep(op, default_cutoff(op))
@@ -448,7 +440,7 @@ class ResolventScan:
 def default_operator_builder(rate=RATE, half_length=HALF_LENGTH):
     """h -> quantize_model(h) on the power-of-two grid that resolves
     symbol-scale frequencies |xi| <~ 4."""
-    _check_half_length(half_length)
+    check_positive(half_length, "half_length")
 
     def build(h):
         _check_h(h)
@@ -530,7 +522,7 @@ def sigma_min_scan(op_builder, h_list, z_values=None, window=MODE_WINDOW):
     the converged sweep over the doubled window, and it raises on the same
     condition either way.
     """
-    _check_window(window)
+    check_positive(window, "mode window")
     if z_values is None:
         z_values = z_grid(N_Z)
     h_list = check_entries(h_list, "h", "h")
@@ -612,7 +604,11 @@ HARM_OSC_HALF_WIDTH = 6.0  # the y grid of harm_osc_lower_bound
 def harm_osc_lower_bound(h_tilde_list, n_grid=512, weighted=True):
     """Smallest eigenvalue of the quantized nonnegative symbol
     a0 = y^2/(1+y^2) + eta^2/(1+eta^2) (or the pure harmonic y^2 + eta^2),
-    reported relative to h_tilde."""
+    reported relative to h_tilde. An empty or repeating list, or an
+    h_tilde that is not finite and > 0, is a ValueError before any solve."""
+    h_tilde_list = check_entries(h_tilde_list, "h_tilde")
+    for h_tilde in h_tilde_list:
+        check_positive(h_tilde, "h_tilde")
     rows = []
     dy = 2.0 * HARM_OSC_HALF_WIDTH / n_grid
     for h_tilde in h_tilde_list:

@@ -15,14 +15,14 @@ their mass escapes a fixed neighborhood as k grows.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as la
 
 from .cutoffs import get_warp
-from .errors import GridTooCoarse, LoxokitError, check_entries
+from .errors import (GridTooCoarse, LoxokitError, check_mode, check_modes,
+                     check_positive)
 
 
 # the scan that `loxokit spectrum` and the non-concentration criterion run
@@ -81,28 +81,16 @@ class RadialOperator:
     sym_off: np.ndarray
 
 
-def _check_radius(R):
-    if not 0 < R < math.inf:
-        raise ValueError(f"R must be finite and positive, not {R}")
-
-
 def _check_delta(delta, R):
     if not 0 <= delta < R:
         raise ValueError(f"delta must be finite and lie in [0, R) = "
                          f"[0, {R}), not {delta}")
 
 
-def check_mode(k):
-    """The rule for an angular mode k: a nonnegative integer (ValueError
-    otherwise)."""
-    if k < 0 or k != int(k):
-        raise ValueError(f"mode k must be a nonnegative integer, not {k}")
-
-
 def build_radial_operator(k, R, N, profile=PROFILE):
     if N < 64:
         raise ValueError(f"N must be at least 64, not {N}")
-    _check_radius(R)
+    check_positive(R, "R")
     check_mode(k)
     f = get_warp(profile).f
     dr = 2.0 * R / (N + 1)
@@ -207,8 +195,8 @@ def nonconcentration_scan(k_list, delta=DELTA, R=RADIUS, N=GRID_N,
                           profile=PROFILE):
     """Barrier-top mode per k, its mass away from the neck, and the
     logarithmic products; band statistics summarize the scan."""
-    k_list = check_entries(k_list, "k", "k")
-    _check_radius(R)
+    k_list = check_modes(k_list, "k", "k")
+    check_positive(R, "R")
     _check_delta(delta, R)
     rows = [_scan_one(k, delta, R, N, profile) for k in k_list]
     products = [r.product for r in rows]

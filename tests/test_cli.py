@@ -172,7 +172,7 @@ def test_orbit_unusable_tol_or_period_is_usage_error(tmp_path, capsys, cfg):
     # admit the zero-time fixed point
     path = write_json(tmp_path / "cfg.json", cfg)
     assert main(["orbit", "--config", path]) == 2
-    assert "must be finite and positive" in capsys.readouterr().err
+    assert "must be finite and > 0" in capsys.readouterr().err
 
 
 def test_orbit_tol_flag_beats_config(tmp_path, capsys):
@@ -180,7 +180,7 @@ def test_orbit_tol_flag_beats_config(tmp_path, capsys):
     # not hide an unusable --tol
     path = write_json(tmp_path / "cfg.json", {"tol": 1e-11})
     assert main(["orbit", "--tol", "0", "--config", path]) == 2
-    assert "must be finite and positive, not 0.0" in capsys.readouterr().err
+    assert "must be finite and > 0, not 0.0" in capsys.readouterr().err
 
 
 def test_orbit_rejects_unknown_config_key(tmp_path):
@@ -631,6 +631,8 @@ REPEATED_DECAY_MODE = ("error: decay_modes [5, 5] repeat a mode; each mode "
     (["spectrum", "--k", "10,10"], {}, REPEATED_K),
     (["spectrum"], {"k": [10, 10]}, REPEATED_K),
     (["spectrum", "--k", ","], {}, "error: need at least one k\n"),
+    (["spectrum", "--k=10,20,40,80,-1"], None,
+     "error: mode k must be a nonnegative integer, not -1\n"),
     (["resolvent", "--h", "1/50,1/50"], {}, REPEATED_H),
     (["resolvent"], {"h": [0.02, 0.02]}, REPEATED_H),
     (["damped-wave", "--modes", "5,5"], {}, REPEATED_MODE),
@@ -644,16 +646,18 @@ REPEATED_DECAY_MODE = ("error: decay_modes [5, 5] repeat a mode; each mode "
     (["selftest", "--criteria", "log-exp-roundtrip,log-exp-roundtrip"],
      None, "error: criteria [log-exp-roundtrip, log-exp-roundtrip] "
            "repeat a criterion; each criterion counts once\n"),
-], ids=["k-flag", "k-config", "k-empty", "h-flag", "h-config",
-        "modes-flag", "decay-modes-config", "negative-modes-config",
-        "negative-decay-modes-config", "criteria-flag"])
+], ids=["k-flag", "k-config", "k-empty", "negative-k-flag", "h-flag",
+        "h-config", "modes-flag", "decay-modes-config",
+        "negative-modes-config", "negative-decay-modes-config",
+        "criteria-flag"])
 def test_repeated_list_entry_exits_before_any_solve(tmp_path, monkeypatch,
                                                     capsys, argv, cfg,
                                                     message):
     # every list input follows one rule: repeated k, h and --criteria
     # entries ran and wrote their row twice ("2/2 criteria passed"), and
     # "--k ," exited 2 with "k_list must not be empty"; a negative mode
-    # ran the operator of its positive twin and wrote its rows
+    # ran the operator of its positive twin and wrote its rows, and a
+    # negative k was refused only after the k before it were solved
     def solve(*args, **kwargs):
         pytest.fail("a solve ran for an unusable list")
 

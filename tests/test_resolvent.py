@@ -573,3 +573,25 @@ def test_separated_symbol_matches_fft_of_identity(h_tilde, weighted):
 def test_lower_bound_nonnegative():
     rows = rv.harm_osc_lower_bound([0.1, 0.05], n_grid=512)
     assert all(r["lam_min"] >= 0.0 for r in rows)
+
+
+@pytest.mark.parametrize("h_tilde_list, message", [
+    ([], "need at least one h_tilde"),
+    ([0.05, 0.05], "h_tildes [0.05, 0.05] repeat a h_tilde; each h_tilde "
+                   "counts once"),
+    ([-0.1], "h_tilde must be finite and > 0, not -0.1"),
+    ([math.nan], "h_tilde must be finite and > 0, not nan"),
+    ([0.0], "h_tilde must be finite and > 0, not 0.0"),
+    ([0.1, -0.1], "h_tilde must be finite and > 0, not -0.1"),
+], ids=["empty", "repeat", "negative", "nan", "zero", "after-a-good-one"])
+def test_lower_bound_refuses_unusable_h_tilde(monkeypatch, h_tilde_list,
+                                              message):
+    # [] returned [], a repeat solved its row twice, -0.1 hit a math
+    # domain error, nan scipy's finiteness check and 0.0 GridTooCoarse
+    def solve(*args, **kwargs):
+        pytest.fail("a solve ran for an unusable h_tilde list")
+
+    monkeypatch.setattr(rv, "quantize_separated_symbol", solve)
+    with pytest.raises(ValueError) as err:
+        rv.harm_osc_lower_bound(h_tilde_list)
+    assert str(err.value) == message

@@ -1,6 +1,8 @@
 """Radial Dirichlet eigenproblem on the neck segment and the
 mass-away-from-the-neck scan."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -198,3 +200,19 @@ def test_scan_band_and_refinement_agreement():
     rep2 = spectra.nonconcentration_scan(ks, N=512)
     for a, b in zip(rep.rows, rep2.rows):
         assert b.product == pytest.approx(a.product, rel=0.05)
+
+
+@pytest.mark.parametrize("k_list, bad", [
+    ([10, -1], "-1"), ([10, 2.5], "2.5"), ([10, math.nan], "nan"),
+    ([10, math.inf], "inf")], ids=["negative", "fraction", "nan", "inf"])
+def test_scan_refuses_a_bad_mode_before_any_solve(monkeypatch, k_list, bad):
+    # the whole k list is checked first: a bad k used to be refused only
+    # when its turn came, after every k before it was solved
+    def solve(*args, **kwargs):
+        pytest.fail("a solve ran for an unusable k list")
+
+    monkeypatch.setattr(spectra, "_scan_one", solve)
+    monkeypatch.setattr(spectra, "build_radial_operator", solve)
+    with pytest.raises(ValueError) as err:
+        spectra.nonconcentration_scan(k_list)
+    assert str(err.value) == f"mode k must be a nonnegative integer, not {bad}"
