@@ -13,11 +13,15 @@ parameter z is the minimum over modes. Scans normalize 1/sigma_min by
 h / log(1/h) (and the cutoff variant by h / sqrt(log(1/h))) so the scaling
 across an h-halving sequence can be read off directly.
 
-Both scanned quantities are one number, ||Q_m(z)^{-1} diag(phi)||: phi = 1
-gives 1/sigma_min and phi = default_cutoff gives the cutoff norm. One sweep
-class and one Lanczos iteration compute it for either phi, converged to a
-Ritz residual rather than capped at a step count, so the argmin over modes
-is right before the banded eigensolver certifies it.
+Both scanned quantities are one number per mode window, the largest
+||Q_m(z)^{-1} diag(phi)|| over its modes: phi = 1 gives 1/sigma_min and
+phi = default_cutoff gives the cutoff norm. One sweep class finds it for
+either phi by branch and bound. It converges the window's best-scored mode
+with one Lanczos iteration, to a Ritz residual rather than a step count,
+proves every other mode below the best converged value with one banded
+Cholesky factorization, and converges only the modes it cannot prove. So
+the argmax over modes is right before the banded eigensolver certifies
+it, and a window converges a few modes rather than all of them.
 
 The sweeps solve half-size problems. On the grid of quantize_model the
 coupling of S across x = 0 is exactly zero (x_j + x_{j+1} = 0 there: the
@@ -228,37 +232,25 @@ def _tridiag_solve(fact, b, trans="N"):
 RITZ_TOL = 1e-6
 
 
-def _lanczos_norm(fact, phi, v0):
+def _lanczos_norm(fact, phi):
     """||Q^{-1} diag(phi)|| by Lanczos on A = diag(phi) Q^{-H} Q^{-1}
-    diag(phi); returns (value, top Ritz vector).
+    diag(phi), started from phi.
 
-    The start vector is phi plus, when given, the unit vector v0 (the
-    previous sweep point's top Ritz vector) in equal parts. A warm vector
-    alone can be an eigenvector of A that is not the top one: where the
-    absorption is constant the Q(w) are normal and share their singular
-    vectors, so the last top vector is an exact eigenvector of the next A
-    and a Krylov space started from it never leaves it. The phi part keeps
-    every direction phi reaches in the space. Each step applies A with two
-    tridiagonal solves and reorthogonalizes against the whole basis. The
-    top Ritz value theta of the Lanczos tridiagonal is a lower bound on
-    ||A||; the iteration stops when the residual beta_k |e_k^T s| of its
-    Ritz vector is at most RITZ_TOL * theta, or when the basis spans an
-    invariant subspace, at the latest at the block size n, where theta is
-    exact. The value is sqrt(theta).
+    Each step applies A with two tridiagonal solves and reorthogonalizes
+    against the whole basis. The top Ritz value theta of the Lanczos
+    tridiagonal is a lower bound on ||A||; the iteration stops when the
+    residual beta_k |e_k^T s| of its Ritz vector is at most RITZ_TOL *
+    theta, or when the basis spans an invariant subspace, at the latest at
+    the block size n, where theta is exact. The value is sqrt(theta).
     """
     n = phi.size
     nphi = math.sqrt(np.dot(phi, phi))
     if nphi == 0:
-        return 0.0, v0
-    v = phi / nphi
-    if v0 is not None:
-        # v0's phase is free: align it with phi so the two cannot cancel
-        c = np.vdot(v0, v)
-        v = v + (v0 * (c / abs(c)) if c != 0 else v0)
+        return 0.0
     # basis[0] holds the Lanczos vectors, basis[1] their conjugates, which
     # give the projection coefficients in one reduction; rows grow on demand
     basis = np.empty((2, min(n, 16), n), dtype=complex)
-    basis[0, 0] = v / math.sqrt(np.vdot(v, v).real)
+    basis[0, 0] = phi / nphi
     np.conjugate(basis[0, 0], out=basis[1, 0])
     alpha = np.empty(n)
     beta = np.zeros(n)
@@ -266,8 +258,8 @@ def _lanczos_norm(fact, phi, v0):
         w = phi * _tridiag_solve(
             fact, _tridiag_solve(fact, phi * basis[0, k]), trans="C")
         # one classical Gram-Schmidt pass against the whole basis, as
-        # elementwise reductions: BLAS matrix-vector products here and for
-        # the Ritz vector round differently and change the written norms
+        # elementwise reductions: BLAS matrix-vector products here round
+        # differently and change the written norms
         V = basis[0, :k + 1]
         coef = np.einsum("ij,j->i", basis[1, :k + 1], w)
         w -= np.add.reduce(coef[:, None] * V)
@@ -278,8 +270,7 @@ def _lanczos_norm(fact, phi, v0):
         if info != 0:
             raise ResolventError("Lanczos tridiagonal eigensolve failed")
         if b * abs(s[-1, -1]) <= RITZ_TOL * theta[-1] or k == n - 1:
-            ritz = np.add.reduce(s[:, -1, None] * V)
-            return math.sqrt(max(theta[-1], 0.0)), ritz
+            return math.sqrt(max(theta[-1], 0.0))
         beta[k] = b
         if k + 1 == basis.shape[1]:
             grow = min(k + 1, n - k - 1)
@@ -287,6 +278,28 @@ def _lanczos_norm(fact, phi, v0):
                 [basis, np.empty((2, grow, n), dtype=complex)], axis=1)
         np.multiply(w, 1.0 / b, out=basis[0, k + 1])
         np.conjugate(basis[0, k + 1], out=basis[1, k + 1])
+
+
+# A proof of g(w) < bound runs proves_below(w, c) at c = (1 - r) bound.
+# A zpbtrf success proves that the computed band plus some E is positive
+# definite, where ||E|| is a few tens of eps (c q)^2 (the banded Cholesky
+# backward error plus the rounding of the entries) and q = q0 + |w| bounds
+# ||Q_R(w)||; r0 = max(n, 64) eps (bound q)^2 bounds it on every half block
+# of n points. For phi = 1, r = r0: sigma_min(Q_R)^2 > (1 - r) / c^2, so
+# g < c / sqrt(1 - r) < bound. For a weight 0 <= phi <= 1 the success gives
+# g^2 < c^2 + r0 ||Q_R(w)^{-1}||^2, so r = r0 max(1, (G / bound)^2) for a
+# G >= ||Q_R(w)^{-1}|| gives g^2 < (1 - r + r^2) bound^2 < bound^2; G may
+# undershoot ||Q_R(w)^{-1}|| by a relative 1e-12 (a tie below) and the
+# proof holds. A weighted proof with no G is not tried. No proof is tried
+# where r exceeds PROOF_MARGIN; such a point is converged instead. On the
+# default ladder (h = 1/50 ... 1/400) r is at most 1.2e-5 for phi = 1 and
+# 6.9e-6 for the cutoff.
+# Converged values within RITZ_TOL^2 relative of each other tie, such as
+# those of the mirror points w and -w (Q_R(-w) = -conj Q_R(w), so g(-w) =
+# g(w)): peak prunes only below RITZ_TOL^2 under its best value, so every
+# point that may tie with the peak is converged, and the first in window
+# order wins.
+PROOF_MARGIN = 1e-3
 
 
 class _NormSweep:
@@ -298,13 +311,15 @@ class _NormSweep:
     x > 0, which carries every singular value of Q_m(z) (see the module
     docstring). phi = 1 gives g = 1/sigma_min; the default cutoff gives the
     cutoff norm. Keys are w snapped to steps of LATTICE_TOL * h; the first
-    w seen for a key is the point evaluated for it. values() runs one
-    Lanczos iteration (_lanczos_norm) per missing key in increasing w, each
-    started from phi and the top Ritz vector of the one before, and
-    converged to its Ritz residual, so the values are right uncertified
-    too. certified() gives the exact
-    banded-eigensolver sigma_min at a key, once per key. The cache is not
-    locked: use one sweep per thread.
+    w seen for a key is the point evaluated for it. values() converges one
+    Lanczos iteration (_lanczos_norm) per missing key, to its Ritz residual,
+    so the values are right uncertified too. peak() finds the largest g of
+    a window by branch and bound: it converges the points it cannot prove
+    below the best converged value and proves the rest below it with one
+    banded Cholesky each (proves_below). A memo keeps the bound each key was
+    proved below, so later windows skip those proofs. certified() gives the
+    exact banded-eigensolver sigma_min at a key, once per key. The caches
+    are not locked: use one sweep per thread.
     """
 
     def __init__(self, op, phi):
@@ -312,9 +327,14 @@ class _NormSweep:
         self.diag0 = -1j * absorb
         self.off = op.rate * s_off
         self.lower = np.conj(self.off)
+        # ||Q_R(w)|| <= q0 + |w|
+        self.q0 = (np.max(np.abs(self.diag0)) + np.max(np.abs(self.off))
+                   + np.max(np.abs(self.lower)))
+        self.unit = bool(np.all(self.phi == 1))
         self.step = LATTICE_TOL * op.h
         self.points = {}
         self.cache = {}
+        self.proved = {}
         self.exact = {}
 
     def _key(self, w):
@@ -325,13 +345,70 @@ class _NormSweep:
     def _diag(self, key):
         return self.diag0 - self.points[key]
 
+    def _factor(self, key):
+        return _tridiag_factor(self._diag(key), self.off, self.lower)
+
+    def _converge(self, key):
+        self.cache[key] = _lanczos_norm(self._factor(key), self.phi)
+        return self.cache[key]
+
     def values(self, w_list):
         keys = [self._key(float(w)) for w in w_list]
-        state = None
-        for key in sorted(set(keys).difference(self.cache)):
-            fact = _tridiag_factor(self._diag(key), self.off, self.lower)
-            self.cache[key], state = _lanczos_norm(fact, self.phi, state)
+        for key in set(keys).difference(self.cache):
+            self._converge(key)
         return np.array([self.cache[key] for key in keys])
+
+    def peak(self, w_list, inv_max=None):
+        """(index, value) of the largest g over w_list; of values within
+        RITZ_TOL^2 relative of the largest, the first in list order (see
+        PROOF_MARGIN). inv_max, a bound on ||Q_R(w)^{-1}|| over w_list,
+        lets a weighted sweep prune; without it a weighted sweep converges
+        every point.
+
+        Each missing point that no memo entry already puts below the best
+        cached value is scored with ||Q^{-1} diag(phi) phi||: ||phi|| times
+        the Ritz value of the Lanczos start, a lower bound on g. In
+        decreasing score, the first point is converged, and each later one
+        is dropped when it is proved below the tie level of the best value
+        converged so far (_below) and converged otherwise. So a dropped
+        point cannot tie with the returned value, and the result is that
+        of the full values() sweep.
+        """
+        keys = [self._key(float(w)) for w in w_list]
+        tie = 1 - RITZ_TOL ** 2
+        best = max((self.cache[key] for key in keys if key in self.cache),
+                   default=0.0)
+        todo = sorted(key for key in set(keys).difference(self.cache)
+                      if not self.proved.get(key, math.inf) <= tie * best)
+        # a converged point is factored again: holding the factors of every
+        # scored point at once costs more memory than the few refactors
+        weight = self.phi * self.phi
+        score = {key: np.linalg.norm(_tridiag_solve(self._factor(key), weight))
+                 for key in todo}
+        for key in sorted(todo, key=score.get, reverse=True):
+            if best == 0 or not self._below(key, tie * best, inv_max):
+                best = max(best, self._converge(key))
+        vals = [self.cache.get(key, -math.inf) for key in keys]
+        top = max(vals)
+        j = next(i for i, v in enumerate(vals) if v >= tie * top)
+        return j, vals[j]
+
+    def _below(self, key, bound, inv_max=None):
+        """True if g < bound at key is proved, rounding included (see
+        PROOF_MARGIN). A proof is memoized per key."""
+        if self.proved.get(key, math.inf) <= bound:
+            return True
+        w = self.points[key]
+        r = max(self.phi.size, 64) * np.finfo(float).eps \
+            * (bound * (self.q0 + abs(w))) ** 2
+        if not self.unit:
+            if inv_max is None:
+                return False
+            r *= max(1.0, (inv_max / bound) ** 2)
+        if r > PROOF_MARGIN or not self.proves_below(w, (1 - r) * bound):
+            return False
+        self.proved[key] = bound
+        return True
 
     def proves_below(self, w, c):
         """True only if ||Q_R(w)^{-1} diag(phi_R)|| < c is proved.
@@ -341,7 +418,7 @@ class _NormSweep:
         it is a Hermitian pentadiagonal band, and the proof is that its
         banded Cholesky factorization (zpbtrf) succeeds. In floating point
         a success proves the bound up to the factorization's backward
-        error; see PROOF_MARGIN for how the doubled-window check absorbs it.
+        error; see PROOF_MARGIN for how _below absorbs it.
         """
         d = self.diag0 - w
         u, l = self.off, self.lower
@@ -374,9 +451,12 @@ def _window_points(op, z, window):
 def sigma_min_point(op, z, window=MODE_WINDOW, sweep=None):
     """min over Fourier modes of sigma_min(Q_m(z)) and the attaining mode.
 
-    The sweep value at the minimum is certified against the exact banded
-    eigensolver; disagreement beyond 1e-6 falls back to certifying every
-    mode in the window; with converged sweep values this is a safety net.
+    The mode is the sweep's peak of 1/sigma_min over the window, which
+    converges a few modes and proves the rest below them; of modes that
+    tie, the first in window order. Its value is certified against the
+    exact banded eigensolver; disagreement beyond 1e-6 falls back to
+    certifying every mode in the window; with converged sweep values this
+    is a safety net.
     """
     check_positive(window, "mode window")
     if np.imag(z) != 0:
@@ -389,10 +469,9 @@ def sigma_min_point(op, z, window=MODE_WINDOW, sweep=None):
         return sigma_min_point(op_shift, float(np.real(z)), window=window)
     sweep = sweep if sweep is not None else _NormSweep(op, np.ones(op.n_grid))
     ms, w_vals = _window_points(op, z, window)
-    sigmas = 1.0 / sweep.values(w_vals)
-    j = int(np.argmin(sigmas))
+    j, g = sweep.peak(w_vals)
     exact = sweep.certified(w_vals[j])
-    if abs(exact - sigmas[j]) > 1e-6 * max(exact, 1e-300):
+    if abs(exact - 1.0 / g) > 1e-6 * max(exact, 1e-300):
         sigmas = np.array([sweep.certified(w) for w in w_vals])
         j = int(np.argmin(sigmas))
         exact = sigmas[j]
@@ -402,14 +481,19 @@ def sigma_min_point(op, z, window=MODE_WINDOW, sweep=None):
     return float(exact), int(ms[j])
 
 
-def cutoff_norm_point(op, z, window=MODE_WINDOW, sweep=None):
+def cutoff_norm_point(op, z, window=MODE_WINDOW, sweep=None,
+                      sigma_min=None):
     """max over the mode window of ||Q_m(z)^{-1} diag(default_cutoff(op))||
-    at real z; sweep, when given, is that weight's _NormSweep."""
+    at real z; sweep, when given, is that weight's _NormSweep. sigma_min,
+    when given, is that of sigma_min_point over the same window; it bounds
+    every ||Q_m(z)^{-1}|| there, which lets the sweep prune modes (see
+    PROOF_MARGIN). Without it every mode is converged."""
     check_positive(window, "mode window")
     if np.imag(z) != 0:
         raise ValueError("cutoff norms are scanned at real z")
     sweep = sweep if sweep is not None else _NormSweep(op, default_cutoff(op))
-    return float(sweep.values(_window_points(op, z, window)[1]).max())
+    inv_max = None if sigma_min is None else 1.0 / sigma_min
+    return float(sweep.peak(_window_points(op, z, window)[1], inv_max)[1])
 
 
 def default_cutoff(op):
@@ -454,48 +538,23 @@ def default_operator_builder(rate=RATE, half_length=HALF_LENGTH):
 def _scan_one_z(op, z, window, log_h, sweep, cut_sweep):
     s, _ = sigma_min_point(op, z, window=window, sweep=sweep)
     inv_norm = 1.0 / s
-    c = cutoff_norm_point(op, z, window=window, sweep=cut_sweep)
+    c = cutoff_norm_point(op, z, window=window, sweep=cut_sweep,
+                          sigma_min=s)
     return ScanRow(h=op.h, re_z=float(np.real(z)), im_z=float(np.imag(z)),
                    sigma_min=s, inv_norm=inv_norm,
                    norm_product=inv_norm * op.h / log_h,
                    cutoff_norm=c, cutoff_product=c * op.h / math.sqrt(log_h))
 
 
-def _w_union(op, z_values, window):
-    """Every w = z - h m of the scan; the sweeps merge the repeats."""
-    return [float(np.real(z)) - op.h * m for z in z_values
-            for m in _mode_window(op, z, window)]
-
-
-# The doubled-window check proves sigma_min(Q_R(w)) >= floor at a new point
-# with proves_below(w, c) at c = (1 - PROOF_MARGIN) / floor. A zpbtrf success
-# proves that the computed band plus some E is positive definite, where
-# ||E|| <= n eps (c ||Q_R||)^2 up to a small constant (the banded Cholesky
-# backward error, plus a few eps of the same size from forming the entries).
-# For phi = 1 that gives sigma_min(Q_R)^2 > (1 - ||E||) / c^2, so sigma_min >
-# floor sqrt(1 - ||E||) / (1 - PROOF_MARGIN) >= floor whenever ||E|| <=
-# PROOF_MARGIN. The check evaluates this rounding bound and falls back to
-# the converged sweep when it exceeds PROOF_MARGIN; on the default ladder
-# (h = 1/50 ... 1/400) it is at most 1.2e-5. There the new points have
-# 1/sigma_min <= 0.18 / floor, so shrinking c by PROOF_MARGIN loses no
-# proof; on the a == 1 operator sigma_min is nearly flat in w, the new
-# points sit within PROOF_MARGIN of floor, and the sweep decides.
-PROOF_MARGIN = 1e-3
-
-
 def _proved_clear(sweep, w_vals, floor):
-    """True if proves_below shows sigma_min(Q_R(w)) >= floor at every w of
-    a phi = 1 sweep that the sweep has not evaluated. The evaluated points
-    are skipped: the scan's rows read them, and floor sits below the
-    smallest row minimum. Evaluates and caches nothing."""
-    c = (1 - PROOF_MARGIN) / floor
-    q_norm = (np.max(np.abs(sweep.diag0)) + np.max(np.abs(sweep.off))
-              + np.max(np.abs(sweep.lower)) + np.max(np.abs(w_vals)))
-    if sweep.phi.size * np.finfo(float).eps * (c * q_norm) ** 2 \
-            > PROOF_MARGIN:
-        return False
-    return all(sweep.proves_below(w, c) for w in w_vals
-               if round(w / sweep.step) not in sweep.cache)
+    """True if sigma_min(Q_R(w)) >= floor is proved at every w of a phi = 1
+    sweep that the sweep has not converged. The converged points are
+    skipped: each is at most its window's peak, which a row reads up to a
+    RITZ_TOL^2 tie, and floor sits 1e-9 below the smallest row minimum.
+    Points that the scan's windows proved below their peaks are below
+    1 / floor already and cost no new proof."""
+    return all(key in sweep.cache or sweep._below(key, 1 / floor)
+               for key in (sweep._key(float(w)) for w in w_vals))
 
 
 def z_grid(n_z):
@@ -509,18 +568,19 @@ def sigma_min_scan(op_builder, h_list, z_values=None, window=MODE_WINDOW):
 
     z_values None scans z_grid(N_Z).
 
-    Per h, every (z, mode) pair reduces to w = z - h*m, so the scan first
-    fills one warm-started sweep over the union of w values and the per-z
-    rows become cache lookups; the z of the default grid differ by
-    multiples of h, so their rows share sweep points and certifications.
-    For each h, the binding z is then re-checked with a doubled mode
-    window; a smaller minimum there means the window clipped a relevant
-    mode, which raises instead of silently reporting a wrong norm. The
-    check proves sigma_min >= (1 - 1e-9) sigma* at every point the doubled
-    window adds with one banded Cholesky factorization each
-    (_NormSweep.proves_below); only when a point is not proved does it run
-    the converged sweep over the doubled window, and it raises on the same
-    condition either way.
+    Per h, every (z, mode) pair reduces to w = z - h*m, so each weight
+    has one sweep for all z, and each row reads its window's peak from it.
+    The z of the default grid differ by multiples of h, so their windows
+    share sweep points, converged values, proofs and certifications. For
+    each h, the binding z is then re-checked with a doubled mode window; a
+    smaller minimum there means the window clipped a relevant mode, which
+    raises instead of silently reporting a wrong norm. The check proves
+    sigma_min >= (1 - 1e-9) sigma* at every point of the doubled window
+    that the sweep has not converged, with one banded Cholesky
+    factorization each (_NormSweep.proves_below), and skips the points the
+    rows' peaks already proved below the scan's minimum; only when a point
+    is not proved does it run sigma_min_point over the doubled window, and
+    it raises on the same condition either way.
     """
     check_positive(window, "mode window")
     if z_values is None:
@@ -538,9 +598,6 @@ def sigma_min_scan(op_builder, h_list, z_values=None, window=MODE_WINDOW):
         log_h = math.log(1.0 / op.h)
         sweep = _NormSweep(op, np.ones(op.n_grid))
         cut_sweep = _NormSweep(op, default_cutoff(op))
-        w_all = _w_union(op, z_values, window)
-        sweep.values(w_all)
-        cut_sweep.values(w_all)
         h_rows = [_scan_one_z(op, z, window, log_h, sweep, cut_sweep)
                   for z in z_values]
         worst = max(h_rows, key=lambda r: r.norm_product)
@@ -605,17 +662,18 @@ def harm_osc_lower_bound(h_tilde_list, n_grid=512, weighted=True):
     """Smallest eigenvalue of the quantized nonnegative symbol
     a0 = y^2/(1+y^2) + eta^2/(1+eta^2) (or the pure harmonic y^2 + eta^2),
     reported relative to h_tilde. An empty or repeating list, or an
-    h_tilde that is not finite and > 0, is a ValueError before any solve."""
+    h_tilde that is not finite and > 0, is a ValueError, and an h_tilde
+    that the grid does not resolve is GridTooCoarse, before any solve."""
     h_tilde_list = check_entries(h_tilde_list, "h_tilde")
     for h_tilde in h_tilde_list:
         check_positive(h_tilde, "h_tilde")
-    rows = []
-    dy = 2.0 * HARM_OSC_HALF_WIDTH / n_grid
-    for h_tilde in h_tilde_list:
         if HARM_OSC_HALF_WIDTH / n_grid > 0.25 * math.sqrt(h_tilde):
             raise GridTooCoarse(
                 f"grid spacing does not resolve sqrt(h_tilde) = "
                 f"{math.sqrt(h_tilde):.3f}")
+    rows = []
+    dy = 2.0 * HARM_OSC_HALF_WIDTH / n_grid
+    for h_tilde in h_tilde_list:
         y = -HARM_OSC_HALF_WIDTH + dy * np.arange(n_grid)
         eta = h_tilde * 2.0 * np.pi * np.fft.fftfreq(n_grid, d=dy)
         if weighted:

@@ -316,8 +316,8 @@ def clustered_ops():
 @pytest.mark.parametrize("cutoff", [False, True])
 def test_clustered_sweep_values_match_dense_norms(clustered_ops, name,
                                                   cutoff):
-    # uncertified sweep values, with lattice neighbours (each warm-started
-    # from the one before) and far points of the doubled mode window
+    # uncertified sweep values, with lattice neighbours and far points of
+    # the doubled mode window
     op = clustered_ops[name]
     phi = rv.default_cutoff(op) if cutoff else np.ones(op.n_grid)
     w_list = [0.13 - op.h * m for m in (-95, -60, -20, -2, -1, 0, 1, 2, 3,
@@ -383,6 +383,76 @@ def test_proves_below_matches_dense_norms(proof_ops, name, h, cutoff):
         assert not sweep.proves_below(w, g * (1 - 1e-6))
 
 
+@pytest.fixture(scope="module")
+def ladder_ops():
+    """The two clustered operators of clustered_ops on every H_LADDER h,
+    and the default profile on the smallest grid quantize_model takes,
+    whose half blocks are shorter than the 64 points of the proof's
+    rounding bound."""
+    ops = {}
+    for h in rv.H_LADDER:
+        op = rv.default_operator_builder()(h)
+        ops["shifted", h] = dataclasses.replace(op, absorb=op.absorb + 0.0455)
+        ops["flat", h] = rv.quantize_model(
+            h, n_grid=op.n_grid, profile=rv.AbsorbingProfile(floor=1.0))
+        ops["coarse", h] = rv.quantize_model(h, n_grid=32)
+    return ops
+
+
+def first_top(values, rel):
+    """Index of the first value within rel of the largest."""
+    values = np.asarray(values)
+    return int(np.argmax(values >= values.max() * (1 - rel)))
+
+
+@pytest.mark.parametrize("name", ["shifted", "flat", "coarse"])
+@pytest.mark.parametrize("h", rv.H_LADDER)
+@pytest.mark.parametrize("cutoff", [False, True])
+def test_peak_is_the_argmax_of_the_full_sweep(ladder_ops, name, h, cutoff):
+    # at Re z = 1.3 _mode_window clips the window at the top mode of the
+    # range; the window keeps the mirror pairs w, -w with |w| <= 0.28,
+    # whose norms tie, and the first of a tie in window order wins. The
+    # cutoff sweep prunes with the phi = 1 peak as its bound on
+    # ||Q_R(w)^{-1}||, as the scan's rows do
+    op = ladder_ops[name, h]
+    z = 1.3
+    ms, w_vals = rv._window_points(op, z, rv.MODE_WINDOW)
+    assert ms[-1] == op.n_modes // 2 - 1 < (z + rv.MODE_WINDOW) / op.h - 1
+    unit = rv._NormSweep(op, np.ones(op.n_grid))
+    if cutoff:
+        phi = rv.default_cutoff(op)
+        sweep = rv._NormSweep(op, phi)
+        j, g = sweep.peak(w_vals, unit.peak(w_vals)[1])
+    else:
+        phi = np.ones(op.n_grid)
+        sweep = unit
+        j, g = sweep.peak(w_vals)
+    full = rv._NormSweep(op, phi).values(w_vals)
+    assert j == first_top(full, 1e-12)
+    assert g == full[j]
+    # a dense SVD at every window point takes seconds below h = 1/100, so
+    # there the dense norm checks the peak's value only
+    if h >= 1 / 100:
+        dense = [dense_half_norm(sweep, w) for w in w_vals]
+        assert j == first_top(dense, 1e-10)
+        assert g == pytest.approx(max(dense), rel=1e-10)
+    else:
+        assert g == pytest.approx(dense_half_norm(sweep, w_vals[j]),
+                                  rel=1e-10)
+
+
+def test_default_scan_converges_a_few_points_per_h(monkeypatch):
+    # a sweep that converges every window point ran 1808 Lanczos
+    # iterations on this scan; the peaks need about two per h
+    calls = []
+    original = rv._lanczos_norm
+    monkeypatch.setattr(rv, "_lanczos_norm",
+                        lambda fact, phi: calls.append(phi.size)
+                        or original(fact, phi))
+    rv.sigma_min_scan(rv.default_operator_builder(), rv.H_LADDER)
+    assert len(calls) <= 16
+
+
 def flat_builder(h):
     return rv.quantize_model(h, n_grid=256,
                              profile=rv.AbsorbingProfile(floor=1.0))
@@ -421,6 +491,23 @@ def test_doubled_window_check_fires(window, clipped, point_windows):
     # the message shows the drop, which is far below its 4-digit values
     drop = float(str(info.value).split(" by ")[1].split()[0])
     assert 0 < drop < 1e-3
+
+
+def test_doubled_window_check_fires_on_a_drop_after_the_minimum(
+        point_windows):
+    # weak uniform absorption, h C = 1e-3: at this z doubling the window
+    # adds mode 8, whose sigma_min is 7e-8 relative below that of mode -2,
+    # the window's minimum, and comes after it in window order. The drop
+    # is far above the 1e-12 of a tie, but below the rounding allowance of
+    # a pruning proof there (about 2e-7)
+    builder = lambda h: rv.quantize_model(
+        h, n_grid=256, profile=rv.AbsorbingProfile(floor=1.0, strength=0.05))
+    with pytest.raises(rv.ModeWindowTooNarrow) as info:
+        rv.sigma_min_scan(builder, [1 / 50], z_values=np.array([-0.00251178]),
+                          window=0.1)
+    assert point_windows == [0.1, 0.2]
+    drop = float(str(info.value).split(" by ")[1].split()[0])
+    assert 5e-8 < drop < 1e-7
 
 
 def test_default_scan_proves_its_doubled_window(point_windows):
@@ -595,3 +682,15 @@ def test_lower_bound_refuses_unusable_h_tilde(monkeypatch, h_tilde_list,
     with pytest.raises(ValueError) as err:
         rv.harm_osc_lower_bound(h_tilde_list)
     assert str(err.value) == message
+
+
+def test_lower_bound_refuses_an_unresolved_h_tilde_before_any_solve(
+        monkeypatch):
+    # the grid check ran in the solve loop: 0.1 and 0.05 were solved
+    # before 1e-5 raised
+    solves = []
+    monkeypatch.setattr(rv, "quantize_separated_symbol",
+                        lambda *args: solves.append(args))
+    with pytest.raises(rv.GridTooCoarse, match="does not resolve"):
+        rv.harm_osc_lower_bound([0.1, 0.05, 1e-5])
+    assert solves == []
