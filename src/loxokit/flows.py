@@ -557,7 +557,7 @@ def linearized_poincare_map(sys, orbit, tol=ORBIT_TOL):
             red[m_red + i, j] = symplectic_pairing(basis[:, i], y)
     # refused at classify's own bound, which a computed map must not reach
     defect, bound, _ = _identity_defect(red, POINCARE_MAP)
-    if defect > bound:
+    if not defect <= bound:
         raise SectionNotTransverse(
             f"reduced map symplectic defect {defect:.2e}")
     cls = classify(red, mode=POINCARE_MAP)

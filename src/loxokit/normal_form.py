@@ -38,7 +38,11 @@ from .symplectic import (
     SymplecticTransform,
     _as_matrix,
     _classify,
-    standard_symplectic_matrix,
+    _eigh,
+    _finite,
+    _schur,
+    _structure,
+    _svd,
 )
 
 
@@ -53,7 +57,7 @@ class BirkhoffNormalForm:
     def normal_matrix(self):
         """blockdiag(A^T, -A), the normal form of B."""
         A = self.block_matrix_A
-        return la.block_diag(A.T, -A)
+        return _block_diag(A.T, -A)
 
 
 @dataclass
@@ -83,9 +87,9 @@ def _pick_new_direction(space, used):
     if used.shape[1] == 0:
         return space[:, 0]
     proj = space - used @ (used.conj().T @ space)
-    norms = la.norm(proj, axis=0)
+    norms = np.linalg.norm(proj, axis=0)
     j = int(np.argmax(norms))
-    if norms[j] < 1e-8:
+    if not norms[j] >= 1e-8:
         raise DefectiveBeyondTolerance("could not separate Jordan chain bottoms")
     return proj[:, j] / norms[j]
 
@@ -93,7 +97,7 @@ def _pick_new_direction(space, used):
 def _phase(vec):
     """Unit factor that turns the first significant component of vec
     positive (real axis)."""
-    idx = np.argmax(np.abs(vec) > 1e-8 * la.norm(vec))
+    idx = np.argmax(np.abs(vec) > 1e-8 * np.linalg.norm(vec))
     z = vec[idx]
     return 1.0 if z == 0 else np.conj(z) / abs(z)
 
@@ -115,23 +119,23 @@ def _jordan_chains(Z, T11, lam, block_sizes):
     powers = [np.eye(d, dtype=complex)]
     for _ in range(block_sizes[0] - 1):
         powers.append(powers[-1] @ N)
-    kerN = la.svd(N)[2][d - len(block_sizes):].conj().T
+    kerN = _svd(N)[2][d - len(block_sizes):].conj().T
     chains = []
     used_bottoms = np.zeros((d, 0), dtype=complex)
     for k in block_sizes:
-        U, s, Vh = la.svd(powers[k - 1])
+        U, s, Vh = _svd(powers[k - 1])
         rank = sum(max(0, kj - k + 1) for kj in block_sizes)
         meet = sum(kj >= k for kj in block_sizes)
         cand = kerN
         if meet < len(block_sizes):
-            W = la.svd(kerN.conj().T @ U[:, :rank])[0]
+            W = _svd(kerN.conj().T @ U[:, :rank])[0]
             cand = kerN @ W[:, :meet]
         bottom = _pick_new_direction(cand, used_bottoms)
         bottom = bottom * _phase(Z @ bottom)
         used_bottoms = np.column_stack([used_bottoms, bottom])
         top = Vh[:rank].conj().T @ ((U[:, :rank].conj().T @ bottom) / s[:rank])
-        resid = la.norm(powers[k - 1] @ top - bottom)
-        if resid > 1e-6:
+        resid = np.linalg.norm(powers[k - 1] @ top - bottom)
+        if not resid <= 1e-6:
             raise DefectiveBeyondTolerance(
                 f"chain top solve failed for eigenvalue {lam}: residual {resid:.2e}")
         chains.append([Z @ (powers[k - 1 - l] @ top) for l in range(k)])
@@ -146,10 +150,10 @@ def _dual_chains(G, e_chains):
     B f_l = -lam f_l - f_{l+1}, so no second chain solve is needed.
     """
     E = np.column_stack([v for chain in e_chains for v in chain])
-    J = standard_symplectic_matrix(E.shape[0] // 2)
+    J = _structure(E.shape[0] // 2)
     W = (J @ E).T @ G  # W[i, j] = s(e_i, g_j)
     try:
-        F = G @ la.inv(W)
+        F = G @ la.inv(W, check_finite=False)
     except la.LinAlgError as exc:
         raise DefectiveBeyondTolerance(
             "degenerate pairing between the +-lambda eigenspaces") from exc
@@ -159,6 +163,18 @@ def _dual_chains(G, e_chains):
         chains.append([F[:, col + l] for l in range(len(chain))])
         col += len(chain)
     return chains
+
+
+def _block_diag(*blocks):
+    """la.block_diag of square float blocks, filled into one zero array."""
+    n = sum(b.shape[0] for b in blocks)
+    out = np.zeros((n, n))
+    i = 0
+    for b in blocks:
+        k = b.shape[0]
+        out[i:i + k, i:i + k] = b
+        i += k
+    return out
 
 
 def _jordan_block(L, k, eps):
@@ -207,8 +223,8 @@ def birkhoff_normal_form(B, jordan_scale=None):
             # [Re Z, Im Z] [Re Z, Im Z]^T, projects onto it: the k leading
             # left singular vectors of [Re Z, Im Z] (singular values 1,
             # the rest 0) are a real basis, and the chains come out real
-            real_basis = la.svd(np.column_stack([Z.real, Z.imag]),
-                                full_matrices=False)[0][:, :Z.shape[1]]
+            real_basis = _svd(np.column_stack([Z.real, Z.imag]),
+                              full_matrices=False)[0][:, :Z.shape[1]]
             R = Z.conj().T @ real_basis
             Z, T11 = real_basis, np.real(R.conj().T @ T11 @ R)
         e_chains = _jordan_chains(Z, T11, lam, [g.chain_size for g in groups])
@@ -216,9 +232,10 @@ def birkhoff_normal_form(B, jordan_scale=None):
         for e_chain, f_chain in zip(e_chains, f_chains):
             k = len(e_chain)
             # scale relative to the chain bottom: couplings pick up eps,
-            # size-1 chains stay untouched
+            # size-1 chains stay untouched. The float64 power overflows to
+            # inf, which T's finite check refuses, where a float's raises
             e_scaled = [eps ** l * e_chain[l] for l in range(k)]
-            f_scaled = [eps ** (-l) * f_chain[l] for l in range(k)]
+            f_scaled = [np.float64(eps) ** -l * f_chain[l] for l in range(k)]
             if tag == "real_hyperbolic":
                 for v in e_scaled:
                     e_cols.append(np.real(v))
@@ -235,15 +252,19 @@ def birkhoff_normal_form(B, jordan_scale=None):
                 L = np.array([[lam.real, -lam.imag], [lam.imag, lam.real]])
                 blocks.append(_jordan_block(L, k, eps))
 
-    T = np.column_stack(e_cols + f_cols)
-    A = la.block_diag(*blocks)
-    target = la.block_diag(A.T, -A)
+    # the chains' one finite check: an overflow stops here, before the
+    # solve and cond(T)
+    T = _finite(np.column_stack(e_cols + f_cols))
+    A = _block_diag(*blocks)
+    target = _block_diag(A.T, -A)
     try:
-        residual = la.norm(la.solve(T, Bm @ T) - target)
+        residual = np.linalg.norm(
+            la.solve(T, Bm @ T, check_finite=False) - target)
     except la.LinAlgError as exc:
         raise DefectiveBeyondTolerance("normal-form transform is singular") from exc
-    scale = max(1.0, la.norm(Bm))
-    if residual > BLOCK_RESIDUAL_TOL * scale * max(1.0, np.linalg.cond(T) * 1e-6):
+    scale = max(1.0, np.linalg.norm(Bm))
+    if not (residual <= BLOCK_RESIDUAL_TOL * scale
+            * max(1.0, np.linalg.cond(T) * 1e-6)):
         raise DefectiveBeyondTolerance(
             f"normal-form residual {residual:.2e} exceeds tolerance")
     transform = SymplecticTransform(T)
@@ -266,21 +287,20 @@ def williamson(q) -> WilliamsonDecomposition:
     Q = q.coeff
     n = q.dim
     m = n // 2
-    ew, EV = la.eigh(Q)
+    ew, EV = _eigh(Q)
     if ew[0] <= 0:
         raise NotPositiveDefinite(
             f"form has min eigenvalue {ew[0]:.3e}; Williamson needs > 0")
-    J = standard_symplectic_matrix(m)
     R_inv = (EV / np.sqrt(ew)) @ EV.T            # Q^{-1/2}
-    W = R_inv @ J @ R_inv                        # antisymmetric
-    S, K = la.schur(np.asarray(W), output="real")
+    W = R_inv @ _structure(m) @ R_inv            # antisymmetric
+    S, K = _schur(W)
     # normalize 2x2 blocks to [[0, s], [-s, 0]], s > 0: a block with
     # S[2j, 2j+1] < 0 swaps its two Schur vectors, which makes its s the
     # old S[2j+1, 2j]
     upper, lower = np.diagonal(S, 1)[::2], np.diagonal(S, -1)[::2]
     flip = upper < 0
     s_vals = np.where(flip, lower, upper)
-    if np.any(s_vals <= 0):
+    if (s_vals <= 0).any():
         raise NotPositiveDefinite("degenerate symplectic spectrum")
     d_vals = 1.0 / s_vals                        # symplectic eigenvalues of Q
     # pair j's Schur vectors (swapped where flipped) become columns j and
@@ -298,10 +318,12 @@ def williamson(q) -> WilliamsonDecomposition:
     order = np.argsort(radii)
     radii = radii[order]
     x_cols = x_cols[order]
-    T = T[:, np.concatenate([x_cols, (x_cols + m) % n])]
+    T = _finite(T[:, np.concatenate([x_cols, (x_cols + m) % n])])
     transform = SymplecticTransform(T)
-    resid = la.norm(T.T @ Q @ T - np.diag(np.concatenate([2.0 / radii ** 2] * 2)))
-    if resid > 1e-9 * max(1.0, la.norm(Q)) * max(1.0, np.linalg.cond(T)):
+    resid = np.linalg.norm(
+        T.T @ Q @ T - np.diag(np.concatenate([2.0 / radii ** 2] * 2)))
+    if not (resid <= 1e-9 * max(1.0, np.linalg.norm(Q))
+            * max(1.0, np.linalg.cond(T))):
         raise SymplecticError(f"Williamson residual {resid:.2e} out of tolerance")
     return WilliamsonDecomposition(radii=radii, transform=transform)
 
@@ -318,8 +340,8 @@ def escape_rate_form(nf: BirkhoffNormalForm) -> EscapeRateForm:
     """
     A = nf.block_matrix_A
     S = 0.5 * (A + A.T)
-    form = QuadraticHamiltonian(2.0 * la.block_diag(S, S))
-    w = la.eigh(S, eigvals_only=True)
+    form = QuadraticHamiltonian(2.0 * _block_diag(S, S))
+    w = _eigh(S, eigvals_only=True)
     min_eig = float(w[0])
     definite = min_eig > 0
     return EscapeRateForm(form=form, positive_definite=definite,

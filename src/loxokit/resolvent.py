@@ -311,12 +311,12 @@ class _NormSweep:
     x > 0, which carries every singular value of Q_m(z) (see the module
     docstring). phi = 1 gives g = 1/sigma_min; the default cutoff gives the
     cutoff norm. Keys are w snapped to steps of LATTICE_TOL * h; the first
-    w seen for a key is the point evaluated for it. values() converges one
-    Lanczos iteration (_lanczos_norm) per missing key, to its Ritz residual,
-    so the values are right uncertified too. peak() finds the largest g of
-    a window by branch and bound: it converges the points it cannot prove
-    below the best converged value and proves the rest below it with one
-    banded Cholesky each (proves_below). A memo keeps the bound each key was
+    w seen for a key is the point evaluated for it. A key is converged by
+    one Lanczos iteration (_lanczos_norm), to its Ritz residual, so its
+    value is right uncertified too. peak() finds the largest g of a window
+    by branch and bound: it converges the points it cannot prove below the
+    best converged value and proves the rest below it with one banded
+    Cholesky each (proves_below). A memo keeps the bound each key was
     proved below, so later windows skip those proofs. certified() gives the
     exact banded-eigensolver sigma_min at a key, once per key. The caches
     are not locked: use one sweep per thread.
@@ -352,12 +352,6 @@ class _NormSweep:
         self.cache[key] = _lanczos_norm(self._factor(key), self.phi)
         return self.cache[key]
 
-    def values(self, w_list):
-        keys = [self._key(float(w)) for w in w_list]
-        for key in set(keys).difference(self.cache):
-            self._converge(key)
-        return np.array([self.cache[key] for key in keys])
-
     def peak(self, w_list, inv_max=None):
         """(index, value) of the largest g over w_list; of values within
         RITZ_TOL^2 relative of the largest, the first in list order (see
@@ -372,7 +366,7 @@ class _NormSweep:
         is dropped when it is proved below the tie level of the best value
         converged so far (_below) and converged otherwise. So a dropped
         point cannot tie with the returned value, and the result is that
-        of the full values() sweep.
+        of a full sweep that converges every point.
         """
         keys = [self._key(float(w)) for w in w_list]
         tie = 1 - RITZ_TOL ** 2

@@ -25,11 +25,13 @@ definitions).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
+from scipy.linalg import lapack
 
 from .errors import LoxokitError
 
@@ -65,6 +67,11 @@ class NotPositiveDefinite(SymplecticError):
     """Quadratic form is not positive definite."""
 
 
+class NonFiniteMatrix(SymplecticError):
+    """A matrix computed inside a kernel holds NaN or inf (an overflow);
+    a non-finite input matrix is a ValueError instead."""
+
+
 # Fixed tolerances, relative to the scale of the input unless noted.
 SYMMETRY_RTOL = 1e-12       # Q = Q^T for quadratic Hamiltonians
 HAMILTON_TOL = 1e-10        # ||J B + B^T J||
@@ -93,6 +100,15 @@ def standard_symplectic_matrix(m):
     return J
 
 
+@functools.cache
+def _structure(m):
+    """J for phase space R^{2m}, built once per m and read-only: the one
+    the kernels multiply with."""
+    J = standard_symplectic_matrix(m)
+    J.flags.writeable = False
+    return J
+
+
 def symplectic_pairing(u, v):
     """s(u, v) = <J u, v>; s(e_x, e_xi) = +1 for a canonical pair."""
     m = u.shape[0] // 2
@@ -102,30 +118,45 @@ def symplectic_pairing(u, v):
 
 def _as_matrix(obj):
     """The matrix of obj (an array or a value type of this module) as a
-    float array; a shape that is not even and square raises ValueError."""
+    float array; a shape that is not even and square, or a NaN or
+    infinite entry, raises ValueError."""
     M = np.asarray(getattr(obj, "entries", getattr(obj, "coeff", obj)),
                    dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"matrix must be square, got shape {M.shape}")
     if M.shape[0] % 2 != 0:
         raise ValueError(f"matrix must have even dimension, got {M.shape[0]}")
+    if not np.isfinite(M).all():
+        raise ValueError("matrix entries must be finite, not NaN or inf")
     return M
+
+
+def _hamilton_defect(B):
+    """||J B + B^T J||_F of a checked matrix B."""
+    J = _structure(B.shape[0] // 2)
+    return np.linalg.norm(J @ B + B.T @ J)
+
+
+def _symplectic_defect(S):
+    """||S^T J S - J||_F of a checked matrix S."""
+    J = _structure(S.shape[0] // 2)
+    return np.linalg.norm(S.T @ J @ S - J)
 
 
 def hamilton_residual(B):
     """||J B + B^T J||_F, the defect of the Hamilton-matrix identity."""
-    B = _as_matrix(B)
-    m = B.shape[0] // 2
-    J = standard_symplectic_matrix(m)
-    return la.norm(J @ B + B.T @ J)
+    return _hamilton_defect(_as_matrix(B))
 
 
 def symplectic_residual(S):
     """||S^T J S - J||_F, the defect of the symplectic identity."""
-    S = _as_matrix(S)
-    m = S.shape[0] // 2
-    J = standard_symplectic_matrix(m)
-    return la.norm(S.T @ J @ S - J)
+    return _symplectic_defect(_as_matrix(S))
+
+
+def _norm2(a):
+    """||a||_2, the largest singular value: np.linalg.norm(a, 2) without its
+    axis handling."""
+    return np.linalg.svd(a, compute_uv=False)[0]
 
 
 @dataclass
@@ -141,7 +172,8 @@ class QuadraticHamiltonian:
 
     def __post_init__(self):
         Q = _as_matrix(self.coeff)
-        if la.norm(Q - Q.T) > SYMMETRY_RTOL * max(1.0, la.norm(Q)):
+        if not (np.linalg.norm(Q - Q.T)
+                <= SYMMETRY_RTOL * max(1.0, np.linalg.norm(Q))):
             raise ValueError(f"coeff matrix is not symmetric within "
                              f"{SYMMETRY_RTOL:g} (relative)")
         self.coeff = 0.5 * (Q + Q.T)
@@ -156,7 +188,8 @@ class HamiltonMatrix:
 
     def __post_init__(self):
         B = _as_matrix(self.entries)
-        if hamilton_residual(B) > HAMILTON_TOL * max(1.0, la.norm(B)):
+        if not (_hamilton_defect(B)
+                <= HAMILTON_TOL * max(1.0, np.linalg.norm(B))):
             raise NotSymplectic(f"J B + B^T J != 0 within {HAMILTON_TOL:g}: "
                                 f"not a Hamilton matrix")
         self.entries = B
@@ -171,7 +204,8 @@ class SymplecticTransform:
 
     def __post_init__(self):
         T = _as_matrix(self.entries)
-        if symplectic_residual(T) > TRANSFORM_TOL * max(1.0, la.norm(T) ** 2):
+        if not (_symplectic_defect(T)
+                <= TRANSFORM_TOL * max(1.0, np.linalg.norm(T) ** 2)):
             raise NotSymplectic("T^T J T != J within tolerance: not symplectic")
         self.entries = T
 
@@ -180,8 +214,124 @@ def hamilton_matrix(q: QuadraticHamiltonian) -> HamiltonMatrix:
     """Hamilton matrix B = -J Q of a quadratic Hamiltonian or its coeff."""
     if not isinstance(q, QuadraticHamiltonian):
         q = QuadraticHamiltonian(q)
-    J = standard_symplectic_matrix(q.dim // 2)
-    return HamiltonMatrix(-J @ q.coeff)
+    return HamiltonMatrix(-_structure(q.dim // 2) @ q.coeff)
+
+
+# ---------------------------------------------------------------------------
+# small-matrix LAPACK kernels
+# ---------------------------------------------------------------------------
+# The matrices of this module and of normal_form are 2 x 2 ... 8 x 8, where
+# scipy.linalg's wrappers cost more than the LAPACK work. These helpers
+# call the routines that la.eigh, la.schur, la.eig and la.svd call, with
+# the workspace sizes those query (cached per routine and size), so their
+# results are the wrappers' bit for bit. Each checks its input with
+# _finite and raises la.LinAlgError with the wrapper's message when LAPACK
+# reports a failure.
+
+def _finite(a):
+    """a, if every entry is finite; NonFiniteMatrix (a numerical failure)
+    otherwise."""
+    if not np.isfinite(a).all():
+        raise NonFiniteMatrix(f"a {a.shape[0]} x {a.shape[1]} matrix "
+                              f"computed from the input holds NaN or inf")
+    return a
+
+
+def _no_sort(*eigenvalue):
+    """The select callback of an unsorted ?gees call."""
+
+
+@functools.cache
+def _workspace(query, *sizes):
+    """The workspace that the size query query returns for sizes, as
+    integers (one for each work array)."""
+    *work, info = query(*sizes)
+    if info != 0:
+        raise la.LinAlgError(f"workspace query failed: info {info}")
+    return tuple(int(w.real) for w in work)
+
+
+@functools.cache
+def _gees_workspace(gees, n, dtype):
+    """la.schur's workspace for an n x n matrix: its lwork = -1 query, which
+    depends only on n. The routine's default lwork gives other bits."""
+    return int(gees(_no_sort, np.zeros((n, n), dtype), lwork=-1)[-2][0].real)
+
+
+def _eigh(a, eigvals_only=False):
+    """la.eigh of a real symmetric a (dsyevr on its lower triangle): the
+    ascending eigenvalues w, and with eigvals_only False the eigenvectors."""
+    lwork, liwork = _workspace(lapack.dsyevr_lwork, a.shape[0], 1)
+    w, v, _, _, info = lapack.dsyevr(
+        _finite(a), compute_v=int(not eigvals_only), lower=1, lwork=lwork,
+        liwork=liwork)
+    if info != 0:
+        raise la.LinAlgError("Internal Error.")
+    return w if eigvals_only else (w, v)
+
+
+def _schur(a, sort=None):
+    """la.schur of a, real for a real a and complex for a complex one:
+    (T, Z), and with a sort callback (T, Z, sdim)."""
+    n = a.shape[0]
+    gees = lapack.zgees if np.iscomplexobj(a) else lapack.dgees
+    result = gees(sort or _no_sort, _finite(a),
+                  lwork=_gees_workspace(gees, n, a.dtype),
+                  sort_t=int(sort is not None))
+    info = result[-1]
+    if info == n + 1:
+        raise la.LinAlgError("Eigenvalues could not be separated for "
+                             "reordering.")
+    if info == n + 2:
+        raise la.LinAlgError("Leading eigenvalues do not satisfy sort "
+                             "condition.")
+    if info != 0:
+        raise la.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+    T, Z = result[0], result[-3]
+    return (T, Z) if sort is None else (T, Z, result[1])
+
+
+_I = np.array(1j, dtype="F")   # la.eig forms w = wr + _I * wi with this unit
+
+
+def _eig(a, vectors=True):
+    """la.eig of a real a (dgeev): the eigenvalues w, and with vectors the
+    right eigenvectors, complex where w has a conjugate pair."""
+    wr, wi, _, vr, info = lapack.dgeev(
+        _finite(a), compute_vl=0, compute_vr=int(vectors),
+        lwork=_workspace(lapack.dgeev_lwork, a.shape[0], 0, int(vectors))[0])
+    if info != 0:
+        raise la.LinAlgError(f"eig algorithm (geev) did not converge (only "
+                             f"eigenvalues with order >= {info} have "
+                             f"converged)")
+    w = wr + _I * wi
+    if not vectors:
+        return w
+    if np.all(w.imag == 0.0):
+        return w, vr
+    # a pair's vectors are stored as the real and imaginary parts of the
+    # first member's
+    v = np.array(vr, dtype=complex)
+    pair = w.imag > 0
+    pair[:-1] |= w.imag[1:] < 0
+    for i in np.flatnonzero(pair):
+        v.imag[:, i] = vr[:, i + 1]
+        np.conj(v[:, i], v[:, i + 1])
+    return w, v
+
+
+def _svd(a, compute_uv=True, full_matrices=True):
+    """la.svd of a, real or complex (?gesdd): (U, s, Vh), or s alone with
+    compute_uv False, as la.svdvals."""
+    complex_ = np.iscomplexobj(a)
+    gesdd = lapack.zgesdd if complex_ else lapack.dgesdd
+    query = lapack.zgesdd_lwork if complex_ else lapack.dgesdd_lwork
+    lwork = _workspace(query, *a.shape, int(compute_uv), int(full_matrices))[0]
+    u, s, vh, info = gesdd(_finite(a), compute_uv=int(compute_uv),
+                           full_matrices=int(full_matrices), lwork=lwork)
+    if info != 0:
+        raise la.LinAlgError("SVD did not converge")
+    return (u, s, vh) if compute_uv else s
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +436,8 @@ def _cluster_schur(M, lam, members, eigs):
     inner = max(abs(eigs[i] - lam) for i in members)
     outer = min((abs(v - lam) for j, v in enumerate(eigs) if j not in members),
                 default=np.inf)
-    T, Z, sdim = la.schur(M.astype(complex), output="complex",
-                          sort=lambda w: abs(w - lam) <= 0.5 * (inner + outer))
+    T, Z, sdim = _schur(M.astype(complex),
+                        sort=lambda w: abs(w - lam) <= 0.5 * (inner + outer))
     if sdim != k:
         raise DefectiveBeyondTolerance(
             f"Schur ordering for eigenvalue {lam} selected {sdim} "
@@ -304,7 +454,7 @@ def _block_sizes(T11, lam, scale):
     """
     k = T11.shape[0]
     N = T11 - lam * np.eye(k)
-    norm_N = max(la.norm(N, 2), 1e-300)
+    norm_N = max(_norm2(N), 1e-300)
     if norm_N <= RANK_RTOL * scale:
         # the block is lam I up to roundoff, so every rank below would be noise
         return [1] * k
@@ -312,7 +462,7 @@ def _block_sizes(T11, lam, scale):
     P = np.eye(k, dtype=complex)
     for j in range(1, k + 1):
         P = P @ N
-        s = la.svdvals(P)
+        s = _svd(P, compute_uv=False)
         thr = RANK_RTOL * norm_N ** j
         ranks.append(int(np.sum(s > max(thr, s[0] * 1e-14))))
         if ranks[-1] == 0:
@@ -335,11 +485,11 @@ def _identity_defect(Mm, mode):
     """The defect of Mm's structural identity under mode (a map is
     symplectic, a generator a Hamilton matrix), the bound that defect must
     not exceed, and the scale max(1, ||Mm||_2) that sets the bound."""
-    scale = max(1.0, la.norm(Mm, 2))
+    scale = max(1.0, _norm2(Mm))
     if mode == POINCARE_MAP:
-        return symplectic_residual(Mm), SYMPLECTIC_TOL * scale ** 2, scale
+        return _symplectic_defect(Mm), SYMPLECTIC_TOL * scale ** 2, scale
     if mode == HAMILTON_MATRIX:
-        return hamilton_residual(Mm), HAMILTON_TOL * scale, scale
+        return _hamilton_defect(Mm), HAMILTON_TOL * scale, scale
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -348,7 +498,7 @@ def _structured_input(M, mode):
     the scale max(1, ||M||_2)."""
     Mm = _as_matrix(M)
     defect, bound, scale = _identity_defect(Mm, mode)
-    if defect > bound:
+    if not defect <= bound:
         identity = "symplectic" if mode == POINCARE_MAP else "a Hamilton matrix"
         raise ValueError(f"input is not {identity} within tolerance")
     return Mm, scale
@@ -384,7 +534,7 @@ def _classify(M, mode):
     blocks and chain sizes are taken on the eigenvalues mu themselves."""
     Mm, scale = _structured_input(M, mode)
     n = Mm.shape[0]
-    eigs = la.eigvals(Mm)
+    eigs = _eig(Mm, vectors=False)
     is_map = mode == POINCARE_MAP
     lams = np.log(eigs) if is_map else eigs
     wrap = _wrap_2pi if is_map else (lambda d: d)
@@ -467,8 +617,7 @@ def _classify(M, mode):
 
 def _hamilton_project(B):
     """Orthogonal projection onto Hamilton matrices: B -> (B + J B^T J)/2."""
-    m = B.shape[0] // 2
-    J = standard_symplectic_matrix(m)
+    J = _structure(B.shape[0] // 2)
     return 0.5 * (B + J @ B.T @ J)
 
 
@@ -489,8 +638,8 @@ def _cluster_log(T11, mu):
         power = power @ X
         term = power * ((-1) ** (j + 1) / j)
         log_block += term
-        if j >= k and la.norm(term) <= np.finfo(float).eps * max(
-                1.0, la.norm(log_block)):
+        if j >= k and np.linalg.norm(term) <= np.finfo(float).eps * max(
+                1.0, np.linalg.norm(log_block)):
             return log_block
     raise DefectiveBeyondTolerance(
         f"log series for the eigenvalue cluster at {mu} did not converge "
@@ -516,7 +665,7 @@ def symplectic_log(S) -> HamiltonMatrix:
     a wider cluster only costs a few more series terms.
     """
     Sm, scale = _structured_input(S, POINCARE_MAP)
-    eigs, V = la.eig(Sm)
+    eigs, V = _eig(Sm)
     lams = np.log(eigs)
     # classify's test and tolerance, on the logs
     tol = UNIT_TOL * max(1.0, np.max(np.abs(lams)))
@@ -534,17 +683,21 @@ def symplectic_log(S) -> HamiltonMatrix:
             Z, T11 = _cluster_schur(Sm, mu, members, eigs)
             images.append(Z @ _cluster_log(T11, mu))
         bases.append(Z)
-    # B = W L W^{-1}, as the solve B^T = W^{-T} (W L)^T
+    # B = W L W^{-1}, as the solve B^T = W^{-T} (W L)^T; W and W L come
+    # from the kernels' finite outputs, and B is checked once solved
     try:
-        B = la.solve(np.hstack(bases).T, np.hstack(images).T).T
+        B = la.solve(np.hstack(bases).T, np.hstack(images).T,
+                     check_finite=False).T
     except la.LinAlgError as exc:
         raise DefectiveBeyondTolerance(
             "eigenvector and cluster bases are singular") from exc
-    if la.norm(np.imag(B)) > ROUNDTRIP_TOL * max(1.0, la.norm(B)):
+    _finite(B)
+    if not (np.linalg.norm(np.imag(B))
+            <= ROUNDTRIP_TOL * max(1.0, np.linalg.norm(B))):
         raise NegativeRealEigenvalue("matrix logarithm is not real")
     B = _hamilton_project(np.real(B))
     back = la.expm(B)
-    if la.norm(back - Sm) > ROUNDTRIP_TOL * scale:
+    if not np.linalg.norm(back - Sm) <= ROUNDTRIP_TOL * scale:
         raise DefectiveBeyondTolerance(
             "exp(log S) failed to reproduce S within tolerance")
     return HamiltonMatrix(B)

@@ -32,6 +32,15 @@ def dense_block(diag, off):
     return Q
 
 
+def full_sweep(sweep, w_list):
+    """The reference that peak must reproduce: every point of w_list
+    converged by the sweep's own Lanczos iteration, in list order."""
+    keys = [sweep._key(float(w)) for w in w_list]
+    for key in set(keys).difference(sweep.cache):
+        sweep._converge(key)
+    return np.array([sweep.cache[key] for key in keys])
+
+
 # ---------------------------------------------------------------------------
 # assembly
 # ---------------------------------------------------------------------------
@@ -144,7 +153,7 @@ def test_point_probe_certifies_every_mode_when_the_sweep_disagrees(op20):
     dense = [np.linalg.svd(dense_block(*rv.mode_block(op20, m, z)),
                            compute_uv=False)[-1] for m in ms]
     sweep = rv._NormSweep(op20, np.ones(op20.n_grid))
-    sweep.values(w_vals)
+    full_sweep(sweep, w_vals)
     # the mode with the largest sigma_min now looks like the minimum
     sweep.cache[sweep._key(w_vals[int(np.argmax(dense))])] = 1e6
     certified = []
@@ -322,7 +331,7 @@ def test_clustered_sweep_values_match_dense_norms(clustered_ops, name,
     phi = rv.default_cutoff(op) if cutoff else np.ones(op.n_grid)
     w_list = [0.13 - op.h * m for m in (-95, -60, -20, -2, -1, 0, 1, 2, 3,
                                         20, 60, 95)]
-    got = rv._NormSweep(op, phi).values(w_list)
+    got = full_sweep(rv._NormSweep(op, phi), w_list)
     for w, g in zip(w_list, got):
         assert g == pytest.approx(dense_norm(op, w, phi), rel=1e-10)
 
@@ -334,7 +343,7 @@ def test_sweep_values_match_dense_norms(op20, cutoff):
     phi = rv.default_cutoff(op20) if cutoff else np.ones(op20.n_grid)
     m = 0
     w_list = [0.13, -0.31, 0.02, 0.45]
-    got = rv._NormSweep(op20, phi).values(w_list)
+    got = full_sweep(rv._NormSweep(op20, phi), w_list)
     for w, g in zip(w_list, got):
         Q = dense_block(*rv.mode_block(op20, m, w))
         if cutoff:
@@ -427,7 +436,7 @@ def test_peak_is_the_argmax_of_the_full_sweep(ladder_ops, name, h, cutoff):
         phi = np.ones(op.n_grid)
         sweep = unit
         j, g = sweep.peak(w_vals)
-    full = rv._NormSweep(op, phi).values(w_vals)
+    full = full_sweep(rv._NormSweep(op, phi), w_vals)
     assert j == first_top(full, 1e-12)
     assert g == full[j]
     # a dense SVD at every window point takes seconds below h = 1/100, so
@@ -439,6 +448,54 @@ def test_peak_is_the_argmax_of_the_full_sweep(ladder_ops, name, h, cutoff):
     else:
         assert g == pytest.approx(dense_half_norm(sweep, w_vals[j]),
                                   rel=1e-10)
+
+
+@pytest.fixture(scope="module")
+def small_flat_op():
+    """The a == 1 operator on a 32-point grid: its half blocks are well
+    conditioned, so the proof's rounding allowance r is about 1e-13, below
+    the RITZ_TOL^2 = 1e-12 tie level."""
+    return rv.quantize_model(1 / 20, rate=1.0, n_grid=32,
+                             profile=rv.AbsorbingProfile(floor=1.0))
+
+
+@pytest.mark.parametrize("memo", [False, True])
+def test_peak_converges_a_point_that_ties_with_the_best(small_flat_op, memo):
+    # the best converged value sits 5e-13 relative above the true value of
+    # an earlier window point: the two tie, and the earlier one must win.
+    # It can be proved below the best (r ~ 9e-14), but not below the tie
+    # level, so peak converges it instead of pruning it, also when an
+    # earlier window has memoized that proof
+    sweep = rv._NormSweep(small_flat_op, np.ones(small_flat_op.n_grid))
+    w_tied, w_best = 0.0, 0.3
+    g = dense_half_norm(sweep, w_tied)
+    best = g * (1 + 5e-13)
+    if memo:
+        assert sweep._below(sweep._key(w_tied), best)
+    else:
+        assert sweep.proves_below(w_tied, best * (1 - 2e-13))
+    sweep.cache[sweep._key(w_best)] = best
+    j, value = sweep.peak([w_tied, w_best])
+    assert j == 0
+    assert value == pytest.approx(g, rel=1e-14)
+
+
+def test_weighted_proof_allowance_grows_with_the_inverse_bound(small_flat_op):
+    # a cutoff proof's rounding error grows with ||Q^{-1}||^2, so its
+    # allowance is scaled by (G / bound)^2 for the bound G on ||Q^{-1}||.
+    # With a loose G the allowance (5e-4) swallows a 1e-4 gap above the
+    # true norm, and no proof may be claimed; with a tight G the same
+    # bound is proved
+    op = small_flat_op
+    w = 0.3
+    loose = rv._NormSweep(op, rv.default_cutoff(op))
+    bound = dense_half_norm(loose, w) * (1 + 1e-4)
+    r0 = 64 * np.finfo(float).eps * (bound * (loose.q0 + w)) ** 2
+    G = bound * math.sqrt(5e-4 / r0)
+    assert G >= 1 / rv.sigma_min_block(loose.diag0 - w, loose.off)
+    assert not loose._below(loose._key(w), bound, inv_max=G)
+    tight = rv._NormSweep(op, rv.default_cutoff(op))
+    assert tight._below(tight._key(w), bound, inv_max=bound)
 
 
 def test_default_scan_converges_a_few_points_per_h(monkeypatch):

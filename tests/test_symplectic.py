@@ -154,10 +154,18 @@ HYPERBOLIC = np.diag([0.7, -0.7])
      "not symmetric within 1e-12"),
     (lambda: sp.hamilton_matrix(np.ones((2, 4))), "must be square"),
     (lambda: sp.hamilton_matrix(np.eye(1)), "even dimension"),
+    (lambda: sp.classify(np.diag([0.7, math.nan])), "entries must be finite"),
+    (lambda: sp.symplectic_log(np.diag([math.inf, 0.5])),
+     "entries must be finite"),
+    (lambda: nf.birkhoff_normal_form(np.diag([-math.inf, 0.7])),
+     "entries must be finite"),
+    (lambda: nf.williamson(np.diag([1.0, math.nan])),
+     "entries must be finite"),
 ], ids=["classify-shape", "classify-odd", "classify-mode", "log-shape",
         "log-odd", "nf-odd", "nf-scale-zero", "nf-scale-nan", "nf-scale-inf",
         "williamson-odd", "williamson-asymmetric", "hamilton-shape",
-        "hamilton-odd"])
+        "hamilton-odd", "classify-nan", "log-inf", "nf-minus-inf",
+        "williamson-nan"])
 def test_input_errors_are_value_errors_not_numerical(call, words):
     # an input error exits 2 on the command line, a LoxokitError 3
     with pytest.raises(ValueError, match=words) as err:
