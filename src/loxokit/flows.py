@@ -28,7 +28,7 @@ import scipy.linalg as la
 from .cutoffs import get_warp, neck_damping
 from .errors import LoxokitError, StepFailure, check_positive
 from .symplectic import (POINCARE_MAP, SpectrumClassification, _identity_defect,
-                         classify, symplectic_pairing)
+                         classify, symplectic_pairing, symplectic_residual)
 
 
 # the neck orbit that `loxokit orbit` and the monodromy-oracle criterion close
@@ -559,10 +559,11 @@ def linearized_poincare_map(sys, orbit, tol=ORBIT_TOL):
     defect, bound, _ = _identity_defect(red, POINCARE_MAP)
     if not defect <= bound:
         raise SectionNotTransverse(
-            f"reduced map symplectic defect {defect:.2e}")
+            f"reduced map symplectic defect {defect:.2e} relative to its "
+            "columns")
     cls = classify(red, mode=POINCARE_MAP)
     return MonodromyData(monodromy=M, reduced_map=red, classification=cls,
-                         symplectic_defect=defect)
+                         symplectic_defect=symplectic_residual(red))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ real parts, hence the default eps = min(1, min_j Re lambda_j / 2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -257,14 +258,20 @@ def birkhoff_normal_form(B, jordan_scale=None):
     T = _finite(np.column_stack(e_cols + f_cols))
     A = _block_diag(*blocks)
     target = _block_diag(A.T, -A)
+    scale = max(1.0, np.linalg.norm(Bm))
+    cond = np.linalg.cond(T)
+    bound = BLOCK_RESIDUAL_TOL * scale * max(1.0, cond * 1e-6)
+    # an infinite bound would pass any residual
+    if not bound < math.inf:
+        raise DefectiveBeyondTolerance(
+            f"normal-form transform has cond(T) = {cond:.2e}: its residual "
+            "bound is not finite")
     try:
         residual = np.linalg.norm(
             la.solve(T, Bm @ T, check_finite=False) - target)
     except la.LinAlgError as exc:
         raise DefectiveBeyondTolerance("normal-form transform is singular") from exc
-    scale = max(1.0, np.linalg.norm(Bm))
-    if not (residual <= BLOCK_RESIDUAL_TOL * scale
-            * max(1.0, np.linalg.cond(T) * 1e-6)):
+    if not residual <= bound:
         raise DefectiveBeyondTolerance(
             f"normal-form residual {residual:.2e} exceeds tolerance")
     transform = SymplecticTransform(T)

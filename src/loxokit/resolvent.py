@@ -175,16 +175,6 @@ def sigma_min_block(diag, off):
     return float(vals[0])
 
 
-def _mode_window(op, z, window):
-    half = op.n_modes // 2
-    lo = max(-half, int(math.ceil((np.real(z) - window) / op.h)))
-    hi = min(half - 1, int(math.floor((np.real(z) + window) / op.h)))
-    if lo > hi:
-        raise ModeWindowTooNarrow(
-            "mode window is empty; increase window")
-    return range(lo, hi + 1)
-
-
 # Sweep points closer than LATTICE_TOL * h in w share one evaluation.
 LATTICE_TOL = 1e-12
 
@@ -331,6 +321,13 @@ class _NormSweep:
         self.q0 = (np.max(np.abs(self.diag0)) + np.max(np.abs(self.off))
                    + np.max(np.abs(self.lower)))
         self.unit = bool(np.all(self.phi == 1))
+        # the scoring weight and the w-independent parts of proves_below's
+        # band, built once per sweep
+        self.phi2 = self.phi ** 2
+        self.side = np.zeros(self.phi.size)
+        self.side[:-1] += self.off.real ** 2 + self.off.imag ** 2
+        self.side[1:] += self.lower.real ** 2 + self.lower.imag ** 2
+        self.band2 = np.conj(self.off[:-1]) * self.lower[1:]
         self.step = LATTICE_TOL * op.h
         self.points = {}
         self.cache = {}
@@ -376,8 +373,8 @@ class _NormSweep:
                       if not self.proved.get(key, math.inf) <= tie * best)
         # a converged point is factored again: holding the factors of every
         # scored point at once costs more memory than the few refactors
-        weight = self.phi * self.phi
-        score = {key: np.linalg.norm(_tridiag_solve(self._factor(key), weight))
+        score = {key: np.linalg.norm(_tridiag_solve(self._factor(key),
+                                                    self.phi2))
                  for key in todo}
         for key in sorted(todo, key=score.get, reverse=True):
             if best == 0 or not self._below(key, tie * best, inv_max):
@@ -415,16 +412,13 @@ class _NormSweep:
         error; see PROOF_MARGIN for how _below absorbs it.
         """
         d = self.diag0 - w
-        u, l = self.off, self.lower
-        side = np.zeros(d.size)
-        side[:-1] += u.real ** 2 + u.imag ** 2
-        side[1:] += l.real ** 2 + l.imag ** 2
+        l = self.lower  # = conj(off)
         c2 = c * c
         # lower band storage: band[k, j] holds entry (j + k, j)
         band = np.zeros((3, d.size), dtype=complex, order="F")
-        band[0] = c2 * (d.real ** 2 + d.imag ** 2 + side) - self.phi ** 2
-        band[1, :-1] = c2 * (np.conj(d[:-1]) * l + np.conj(u) * d[1:])
-        band[2, :-2] = c2 * (np.conj(u[:-1]) * l[1:])
+        band[0] = c2 * (d.real ** 2 + d.imag ** 2 + self.side) - self.phi2
+        band[1, :-1] = c2 * (np.conj(d[:-1]) * l + l * d[1:])
+        band[2, :-2] = c2 * self.band2
         _, info = lapack.zpbtrf(band, lower=1, overwrite_ab=1)
         return info == 0
 
@@ -437,8 +431,15 @@ class _NormSweep:
 
 
 def _window_points(op, z, window):
-    """(modes, w = z - h m) over the mode window of real z."""
-    ms = np.array(list(_mode_window(op, z, window)))
+    """(modes, w = z - h m) over the mode window of real z: the modes m of
+    the model with |h m - z| <= window. An empty window raises."""
+    half = op.n_modes // 2
+    lo = max(-half, int(math.ceil((np.real(z) - window) / op.h)))
+    hi = min(half - 1, int(math.floor((np.real(z) + window) / op.h)))
+    if lo > hi:
+        raise ModeWindowTooNarrow(
+            "mode window is empty; increase window")
+    ms = np.arange(lo, hi + 1)
     return ms, float(np.real(z)) - op.h * ms
 
 
@@ -540,17 +541,6 @@ def _scan_one_z(op, z, window, log_h, sweep, cut_sweep):
                    cutoff_norm=c, cutoff_product=c * op.h / math.sqrt(log_h))
 
 
-def _proved_clear(sweep, w_vals, floor):
-    """True if sigma_min(Q_R(w)) >= floor is proved at every w of a phi = 1
-    sweep that the sweep has not converged. The converged points are
-    skipped: each is at most its window's peak, which a row reads up to a
-    RITZ_TOL^2 tie, and floor sits 1e-9 below the smallest row minimum.
-    Points that the scan's windows proved below their peaks are below
-    1 / floor already and cost no new proof."""
-    return all(key in sweep.cache or sweep._below(key, 1 / floor)
-               for key in (sweep._key(float(w)) for w in w_vals))
-
-
 def z_grid(n_z):
     """n_z real spectral parameters evenly spread over [-0.5, 0.5]."""
     return np.linspace(-0.5, 0.5, n_z)
@@ -568,13 +558,10 @@ def sigma_min_scan(op_builder, h_list, z_values=None, window=MODE_WINDOW):
     share sweep points, converged values, proofs and certifications. For
     each h, the binding z is then re-checked with a doubled mode window; a
     smaller minimum there means the window clipped a relevant mode, which
-    raises instead of silently reporting a wrong norm. The check proves
-    sigma_min >= (1 - 1e-9) sigma* at every point of the doubled window
-    that the sweep has not converged, with one banded Cholesky
-    factorization each (_NormSweep.proves_below), and skips the points the
-    rows' peaks already proved below the scan's minimum; only when a point
-    is not proved does it run sigma_min_point over the doubled window, and
-    it raises on the same condition either way.
+    raises instead of silently reporting a wrong norm. The check is one
+    more sigma_min_point read on the same sweep: the doubled window's peak
+    starts from the values the rows converged, and a new point is
+    converged only when it cannot be proved below that peak.
     """
     check_positive(window, "mode window")
     if z_values is None:
@@ -595,17 +582,14 @@ def sigma_min_scan(op_builder, h_list, z_values=None, window=MODE_WINDOW):
         h_rows = [_scan_one_z(op, z, window, log_h, sweep, cut_sweep)
                   for z in z_values]
         worst = max(h_rows, key=lambda r: r.norm_product)
-        floor = worst.sigma_min * (1 - 1e-9)
-        _, w_wide = _window_points(op, worst.re_z, 2 * window)
-        if not _proved_clear(sweep, w_wide, floor):
-            wide, _ = sigma_min_point(op, worst.re_z, window=2 * window,
-                                      sweep=sweep)
-            if wide < floor:
-                raise ModeWindowTooNarrow(
-                    f"mode window {window} too narrow at h = {h}: doubling "
-                    f"it lowered sigma_min by "
-                    f"{1 - wide / worst.sigma_min:.2e} relative, from "
-                    f"{worst.sigma_min:.9e} to {wide:.9e}")
+        wide, _ = sigma_min_point(op, worst.re_z, window=2 * window,
+                                  sweep=sweep)
+        if wide < worst.sigma_min * (1 - 1e-9):
+            raise ModeWindowTooNarrow(
+                f"mode window {window} too narrow at h = {h}: doubling "
+                f"it lowered sigma_min by "
+                f"{1 - wide / worst.sigma_min:.2e} relative, from "
+                f"{worst.sigma_min:.9e} to {wide:.9e}")
         rows.extend(h_rows)
         per_h_max[h] = worst.norm_product
         per_h_max_cut[h] = max(r.cutoff_product for r in h_rows)

@@ -75,7 +75,7 @@ class NonFiniteMatrix(SymplecticError):
 # Fixed tolerances, relative to the scale of the input unless noted.
 SYMMETRY_RTOL = 1e-12       # Q = Q^T for quadratic Hamiltonians
 HAMILTON_TOL = 1e-10        # ||J B + B^T J||
-SYMPLECTIC_TOL = 1e-8       # ||S^T J S - J|| for map inputs
+SYMPLECTIC_TOL = 1e-8       # S^T J S - J over its column norms, maps
 TRANSFORM_TOL = 1e-10       # ||T^T J T - J|| for transforms
 UNIT_TOL = 1e-7             # pair/quadruple matching, axis tests
 CLUSTER_RTOL = 1e-4         # same-eigenvalue clustering (Jordan); a
@@ -143,6 +143,18 @@ def _symplectic_defect(S):
     return np.linalg.norm(S.T @ J @ S - J)
 
 
+def _paired_defect(S):
+    """||D||_F of a checked matrix S, where D_ij is (S^T J S - J)_ij over
+    |s_i| |s_j|, the norms of the two columns of S that entry pairs, which
+    bound |(S^T J S)_ij|: each entry is judged at its own scale, so a large
+    column cannot hide a small one. A zero column (S singular) gives inf."""
+    c = np.linalg.norm(S, axis=0)
+    if not c.all():
+        return math.inf
+    J = _structure(S.shape[0] // 2)
+    return np.linalg.norm((S.T @ J @ S - J) / c[:, None] / c)
+
+
 def hamilton_residual(B):
     """||J B + B^T J||_F, the defect of the Hamilton-matrix identity."""
     return _hamilton_defect(_as_matrix(B))
@@ -197,7 +209,8 @@ class HamiltonMatrix:
 
 @dataclass
 class SymplecticTransform:
-    """Invertible T with T^T J T = J within TRANSFORM_TOL, relative."""
+    """Invertible T with T^T J T = J within TRANSFORM_TOL, relative; a T
+    whose bound overflows is refused, as it would pass any defect."""
 
     entries: np.ndarray
     dim = property(lambda self: self.entries.shape[0])
@@ -205,8 +218,10 @@ class SymplecticTransform:
     def __post_init__(self):
         T = _as_matrix(self.entries)
         if not (_symplectic_defect(T)
-                <= TRANSFORM_TOL * max(1.0, np.linalg.norm(T) ** 2)):
-            raise NotSymplectic("T^T J T != J within tolerance: not symplectic")
+                <= TRANSFORM_TOL * max(1.0, np.linalg.norm(T) ** 2)
+                < math.inf):
+            raise NotSymplectic("T^T J T != J within a finite tolerance: "
+                                "not symplectic")
         self.entries = T
 
 
@@ -484,10 +499,12 @@ def _block_sizes(T11, lam, scale):
 def _identity_defect(Mm, mode):
     """The defect of Mm's structural identity under mode (a map is
     symplectic, a generator a Hamilton matrix), the bound that defect must
-    not exceed, and the scale max(1, ||Mm||_2) that sets the bound."""
+    not exceed, and the scale max(1, ||Mm||_2). A generator's bound grows
+    with the scale; a map's defect is relative to its columns already
+    (_paired_defect)."""
     scale = max(1.0, _norm2(Mm))
     if mode == POINCARE_MAP:
-        return _symplectic_defect(Mm), SYMPLECTIC_TOL * scale ** 2, scale
+        return _paired_defect(Mm), SYMPLECTIC_TOL, scale
     if mode == HAMILTON_MATRIX:
         return _hamilton_defect(Mm), HAMILTON_TOL * scale, scale
     raise ValueError(f"unknown mode {mode!r}")

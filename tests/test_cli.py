@@ -128,7 +128,9 @@ def test_normal_form_nonfinite_data_is_usage_error(tmp_path, capsys, kind,
 @pytest.mark.parametrize("matrix, identity", [
     ({"data": [[1, 0], [0, 1]], "kind": "generator"}, "a Hamilton matrix"),
     ({"data": [[2, 0], [0, 2]]}, "symplectic"),
-], ids=["generator", "map"])
+    # singular: a defect bound that grows with ||S||^2 used to pass it
+    ({"data": np.diag([1e5, 0.0, 1e-5, 1.0]).tolist()}, "symplectic"),
+], ids=["generator", "map", "singular-map"])
 def test_normal_form_input_failing_its_identity_is_usage_error(
         tmp_path, capsys, matrix, identity):
     inp = write_json(tmp_path / "bad.json", matrix)

@@ -241,7 +241,28 @@ def test_trace_check_catches_a_repeated_root(monkeypatch):
     assert es.symmetry_defect == 0.0
     monkeypatch.setattr(np.linalg, "eig", repeat_a_pair)
     with pytest.raises(dw.DampedWaveError,
-                       match="miss the generator trace .* at mode 3"):
+                       match="miss the generator trace .* at mode 3: a root "
+                             "is missing or repeated"):
+        dw.eigenfrequencies(pencil)
+
+
+def test_mirror_check_catches_an_unpaired_root(monkeypatch):
+    # copy one eigenpair over the conjugate partner of another: residuals
+    # and strip hold, but the first root has lost its mirror -conj(tau)
+    pencil = dw.assemble_pencil(dw.DampedWaveProblem(n_grid=64), 3)
+    real_eig = np.linalg.eig
+
+    def unpair(A):
+        mus, vecs = real_eig(A)
+        first = np.flatnonzero(mus.imag > 0)
+        j, i = first[0], first[1]
+        mus[j + 1] = mus[i]
+        vecs[:, j + 1] = vecs[:, i]
+        return mus, vecs
+
+    monkeypatch.setattr(np.linalg, "eig", unpair)
+    with pytest.raises(dw.DampedWaveError,
+                       match="not mirror symmetric .* at mode 3"):
         dw.eigenfrequencies(pencil)
 
 

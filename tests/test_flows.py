@@ -317,9 +317,10 @@ def test_neck_monodromy_against_jacobi_oracle(cosh_surface, neck_orbit):
 def test_reduced_map_refused_at_classify_bound(cosh_surface, neck_orbit,
                                                monkeypatch):
     # a monodromy off by 1% gives the neck's reduced map a symplectic
-    # defect of about 3e-2: under 1e-6 ||red||_F^2 but over classify's
-    # SYMPLECTIC_TOL ||red||_2^2, so the orbit layer must refuse it as a
-    # numerical failure before classify sees it as an input error
+    # defect of about 3e-2, under 1e-6 ||red||_F^2; relative to the
+    # columns it pairs it is 2e-7, over classify's SYMPLECTIC_TOL, so the
+    # orbit layer must refuse it as a numerical failure before classify
+    # sees it as an input error
     exact = flows._flow_with_monodromy
 
     def perturbed(*args, **kwargs):
@@ -353,6 +354,26 @@ def test_bump_monodromy_hyperbolic_and_step_consistent():
     mono2 = flows.linearized_poincare_map(sys, orbit, tol=1e-9)
     eigs2 = np.sort(np.linalg.eigvals(mono2.reduced_map).real)
     assert eigs2[1] == pytest.approx(eigs[1], rel=1e-4)
+
+
+def test_symplectic_pair_basis_of_a_generic_span():
+    # a 4-column span in R^6, where the second pair comes out of the
+    # re-orthogonalization against the first (every model section has a
+    # single pair, so no orbit runs it)
+    C = np.random.Generator(np.random.Philox(11)).standard_normal((6, 4))
+    P = flows._symplectic_pair_basis(C)
+    assert P.shape == (6, 4)
+    us, ws = P[:, :2], P[:, 2:]
+    for i in range(2):
+        for j in range(2):
+            assert sp.symplectic_pairing(us[:, i], ws[:, j]) == pytest.approx(
+                float(i == j), abs=1e-12)
+            assert abs(sp.symplectic_pairing(us[:, i], us[:, j])) <= 1e-12
+            assert abs(sp.symplectic_pairing(ws[:, i], ws[:, j])) <= 1e-12
+    # P spans the columns of C: rank 4, and C's projector fixes it
+    assert np.linalg.matrix_rank(P) == 4
+    coef = np.linalg.lstsq(C, P, rcond=None)[0]
+    assert np.abs(C @ coef - P).max() <= 1e-12 * np.abs(P).max()
 
 
 # ---------------------------------------------------------------------------

@@ -232,6 +232,27 @@ def test_overflowing_chain_scale_is_a_numerical_failure():
         nf.birkhoff_normal_form(la.block_diag(A.T, -A), jordan_scale=1e-200)
 
 
+def test_unbounded_transform_is_a_numerical_failure():
+    # at jordan_scale 1e-100 the chain's T stays finite, with entries near
+    # 1e200, but cond(T) is inf: the residual bound, which grows with
+    # cond(T), is inf too and would pass any transform. It is refused
+    # before the solve, which would warn that T is ill-conditioned
+    A = np.array([[0.5, 1.0, 0.0], [0.0, 0.5, 1.0], [0.0, 0.0, 0.5]])
+    with pytest.raises(sp.DefectiveBeyondTolerance,
+                       match="bound is not finite") as err:
+        nf.birkhoff_normal_form(la.block_diag(A.T, -A), jordan_scale=1e-100)
+    assert isinstance(err.value, errors.LoxokitError)
+    assert not isinstance(err.value, ValueError)
+
+
+def test_transform_with_an_overflowing_bound_is_refused():
+    # exactly symplectic, but ||T||^2 overflows, so TRANSFORM_TOL ||T||^2
+    # is inf and would pass any defect
+    with np.errstate(over="ignore"), \
+            pytest.raises(sp.NotSymplectic, match="finite tolerance"):
+        sp.SymplecticTransform(np.diag([1e200, 1e-200]))
+
+
 @pytest.mark.parametrize("helper, a", [
     (sp._eigh, np.diag([1.0, np.inf])),
     (sp._schur, np.diag([np.nan, 1.0])),

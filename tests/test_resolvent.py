@@ -216,7 +216,7 @@ def test_global_absorption_check_returns_window_minimum():
     op = rv.quantize_model(1 / 100, n_grid=256,
                            profile=rv.AbsorbingProfile(floor=1.0))
     full = {m: rv.sigma_min_block(*rv.mode_block(op, m, 0.25))
-            for m in rv._mode_window(op, 0.25, 0.6)}
+            for m in rv._window_points(op, 0.25, 0.6)[0]}
     lowest = min(full.values())
     assert rep["sigma_min"] == pytest.approx(lowest, rel=1e-12)
     assert full[rep["mode"]] == pytest.approx(lowest, rel=1e-12)
@@ -232,7 +232,7 @@ def test_global_absorption_check_matches_closed_form():
     op = rv.quantize_model(h, profile=rv.AbsorbingProfile(floor=1.0))
     spec = scipy.linalg.eigvalsh_tridiagonal(np.zeros(op.n_grid),
                                              np.abs(op.rate * op.s_off))
-    modes = np.array(list(rv._mode_window(op, z, 0.6)))
+    modes = rv._window_points(op, z, 0.6)[0]
     dist = np.abs((z - h * modes)[:, None] - spec[None, :]).min(axis=1)
     sigma = np.sqrt((h * op.profile.strength) ** 2 + dist ** 2)
     j = int(np.argmin(sigma))
@@ -284,7 +284,7 @@ def test_half_block_matches_full_block():
 def test_point_probe_matches_full_blocks(op20, z):
     s, m_star = rv.sigma_min_point(op20, z)
     full = {m: rv.sigma_min_block(*rv.mode_block(op20, m, z))
-            for m in rv._mode_window(op20, z, 0.6)}
+            for m in rv._window_points(op20, z, 0.6)[0]}
     assert s == pytest.approx(min(full.values()), rel=1e-12)
     assert full[m_star] == pytest.approx(s, rel=1e-12)
 
@@ -295,7 +295,7 @@ def test_cutoff_sweep_matches_dense_norm(op20):
     got = rv.cutoff_norm_point(op20, z)
     want = max(np.linalg.norm(np.linalg.solve(
         dense_block(*rv.mode_block(op20, m, z)), np.diag(phi)), 2)
-        for m in rv._mode_window(op20, z, 0.6))
+        for m in rv._window_points(op20, z, 0.6)[0])
     assert got == pytest.approx(want, rel=1e-10)
 
 
@@ -418,7 +418,7 @@ def first_top(values, rel):
 @pytest.mark.parametrize("h", rv.H_LADDER)
 @pytest.mark.parametrize("cutoff", [False, True])
 def test_peak_is_the_argmax_of_the_full_sweep(ladder_ops, name, h, cutoff):
-    # at Re z = 1.3 _mode_window clips the window at the top mode of the
+    # at Re z = 1.3 _window_points clips the window at the top mode of the
     # range; the window keeps the mirror pairs w, -w with |w| <= 0.28,
     # whose norms tie, and the first of a tie in window order wins. The
     # cutoff sweep prunes with the phi = 1 peak as its bound on
@@ -567,11 +567,29 @@ def test_doubled_window_check_fires_on_a_drop_after_the_minimum(
     assert 5e-8 < drop < 1e-7
 
 
-def test_default_scan_proves_its_doubled_window(point_windows):
-    # every point the doubled window adds is proved, so the check runs no
-    # sweep: one sigma_min_point call per z
-    rv.sigma_min_scan(rv.default_operator_builder(), [1 / 50])
-    assert point_windows == [0.6] * 11
+def test_default_scan_converges_no_point_of_its_doubled_window(
+        monkeypatch):
+    # the doubled-window check is one more sigma_min_point read per h, and
+    # every point it adds is proved below the peak the rows converged, so
+    # it runs no Lanczos iteration
+    calls = []
+    lanczos = rv._lanczos_norm
+    monkeypatch.setattr(rv, "_lanczos_norm",
+                        lambda fact, phi: calls.append(phi.size)
+                        or lanczos(fact, phi))
+    point = rv.sigma_min_point
+    wide = []
+
+    def recording(*args, **kwargs):
+        before = len(calls)
+        result = point(*args, **kwargs)
+        if kwargs["window"] == 2 * rv.MODE_WINDOW:
+            wide.append(len(calls) - before)
+        return result
+
+    monkeypatch.setattr(rv, "sigma_min_point", recording)
+    rv.sigma_min_scan(rv.default_operator_builder(), rv.H_LADDER)
+    assert wide == [0] * len(rv.H_LADDER)
 
 
 @pytest.mark.parametrize("h_list, z_values, what", [
@@ -616,7 +634,7 @@ def test_complex_point_probe_finds_minimising_mode(op100, re_z, im_z,
     # one certification of the sweep's argmin, no fallback
     assert len(calls) == 1
     full = {m: rv.sigma_min_block(*rv.mode_block(op100, m, z))
-            for m in rv._mode_window(op100, z, 0.6)}
+            for m in rv._window_points(op100, z, 0.6)[0]}
     m_best = min(full, key=full.get)
     assert m_star == m_best
     assert s == pytest.approx(full[m_best], rel=1e-12)

@@ -133,6 +133,36 @@ def test_classify_rejects_nonsymplectic():
         sp.classify(np.diag([2.0, 2.0]), mode=sp.POINCARE_MAP)
 
 
+# singular, so not symplectic: its defect, 1.41, sits under a bound that
+# grows with ||S||^2 (100 here) but is 1 relative to the columns it pairs
+SINGULAR_MAP = np.diag([1e5, 0.0, 1e-5, 1.0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda S: sp.classify(S, mode=sp.POINCARE_MAP),
+    lambda S: sp.symplectic_log(S),
+], ids=["classify", "symplectic_log"])
+def test_singular_map_is_not_symplectic(call):
+    with pytest.raises(ValueError, match="input is not symplectic"):
+        call(SINGULAR_MAP)
+
+
+def test_map_defect_is_relative_to_the_columns_it_pairs():
+    # an exact map with columns 1e6 apart in norm passes; a relative
+    # perturbation of 1e-7 in a small column fails, though a bound on the
+    # whole matrix at the scale of the large column would pass it
+    S = np.diag([1e3, 1e-3, 1e-3, 1e3])
+    assert sp._paired_defect(S) == 0.0
+    sp.classify(S, mode=sp.POINCARE_MAP)
+    S[1, 1] *= 1 + 1e-7
+    # entries (1, 3) and (3, 1) are off by 1e-7 of their columns
+    assert sp._paired_defect(S) == pytest.approx(math.sqrt(2) * 1e-7,
+                                                 rel=1e-6)
+    assert sp._symplectic_defect(S) < sp.SYMPLECTIC_TOL * 1e6
+    with pytest.raises(ValueError, match="input is not symplectic"):
+        sp.classify(S, mode=sp.POINCARE_MAP)
+
+
 HYPERBOLIC = np.diag([0.7, -0.7])
 
 
