@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as la
-from scipy.integrate import simpson
 
+from ._dop853 import _simpson
 from .cutoffs import DAMPING_INNER, get_warp, neck_damping
 from .errors import LoxokitError, StepFailure, check_modes, check_positive
 from .spectra import radial_stencil
@@ -470,7 +470,7 @@ def evolve(problem, k, initial=None, t_max=T_MAX, dt=DT, frame=None):
             f"energy rose by {rises.max():.2e} (E(0) = {e0[0]:.2e}) in "
             f"mode {k}; the damped propagator cannot do that")
     drop = e0[0] - e0[-1]
-    resid = abs(drop - simpson(diss, dx=dt)) / max(e0[0], 1e-300)
+    resid = abs(drop - _simpson(diss, dx=dt)) / max(e0[0], 1e-300)
     rate, r2 = _fit_decay(times, e0)
     return EnergyTrace(k=int(k), times=times, e0=e0, eeps=eeps, rate=rate,
                        r_squared=r2, dissipation_residual=float(resid))

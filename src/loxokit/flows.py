@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg as la
 
+from ._dop853 import MIN_TOL, integrate
 from .cutoffs import get_warp, neck_damping
 from .errors import LoxokitError, StepFailure, check_positive
 from .symplectic import (POINCARE_MAP, SpectrumClassification, _identity_defect,
@@ -260,17 +260,6 @@ class FlowResult:
                                        # one per column for a stack
 
 
-def _integrate(rhs, t_span, y0, tol, t_eval=None):
-    """DOP853 over t_span at rtol = atol = tol; failure raises StepFailure,
-    and a tol that is not finite and > 0 raises ValueError."""
-    check_positive(tol, "tolerance")
-    sol = scipy.integrate.solve_ivp(rhs, t_span, y0, method="DOP853",
-                                    rtol=tol, atol=tol, t_eval=t_eval)
-    if not sol.success:
-        raise StepFailure(f"integration failed: {sol.message}")
-    return sol
-
-
 def flow(sys, z0, t_span, tol=1e-10, t_eval=None, observable=None):
     """Integrate the Hamiltonian flow with an adaptive high-order RK.
 
@@ -278,7 +267,9 @@ def flow(sys, z0, t_span, tol=1e-10, t_eval=None, observable=None):
     one more state row (so it shares the step control) and comes back
     as ``integral``. The energy drift |p - p(z0)| along the result must
     stay within 10 * tol * max(1, |p(z0)|) * max(1, |t1 - t0|), or
-    StepFailure is raised; so does integrator failure.
+    StepFailure is raised; so does integrator failure. A tol below
+    _dop853.MIN_TOL (100 machine epsilons) is raised to it, with a
+    UserWarning, for the integration and the budget alike.
 
     z0 may be a (2n, N) stack of phase points as columns. They advance as
     one state with one step sequence (its error norm is taken over all
@@ -307,22 +298,23 @@ def flow(sys, z0, t_span, tol=1e-10, t_eval=None, observable=None):
             v = np.concatenate([v, np.asarray(observable(z))[None]])
         return v.ravel()
 
-    sol = _integrate(rhs, t_span, y0.ravel(), tol, t_eval=t_eval)
-    y = sol.y.reshape(y0.shape + (-1,))
+    times, states = integrate(rhs, t_span, y0.ravel(), tol, t_eval=t_eval)
+    y = np.vstack(states).T.reshape(y0.shape + (-1,))
     # energy drift of each trajectory on about 65 samples in time and at
     # the last state
     E0 = np.asarray(sys.p(z0))
     k = y.shape[-1]
     picks = np.append(np.arange(0, k, max(1, k // 64)), k - 1)
     drift = np.abs(sys.p(y[:dim, ..., picks]) - E0[..., None]).max(axis=-1)
-    budget = 10 * tol * np.maximum(1.0, np.abs(E0)) * max(1.0, abs(t1 - t0))
+    budget = (10 * max(tol, MIN_TOL) * np.maximum(1.0, np.abs(E0))
+              * max(1.0, abs(t1 - t0)))
     if np.any(drift > budget):
         raise StepFailure(f"energy drift {drift.max():.2e} exceeds budget")
     integral = None if observable is None else y[dim, ..., -1]
     if z0.ndim == 1:
         drift = float(drift)
         integral = None if integral is None else float(integral)
-    return FlowResult(times=sol.t[:n_out],
+    return FlowResult(times=times[:n_out],
                       states=np.moveaxis(y[:dim], -1, 0)[:n_out],
                       energy_drift=drift, integral=integral)
 
@@ -342,7 +334,7 @@ def _flow_with_monodromy(sys, z0, T, tol):
         return np.concatenate([sys.vector_field(z), (Dv @ Phi).ravel()])
 
     y0 = np.concatenate([np.asarray(z0, float), np.eye(dim).ravel()])
-    y = _integrate(rhs, (0.0, T), y0, tol).y[:, -1]
+    y = integrate(rhs, (0.0, T), y0, tol)[1][-1]
     return y[:dim], y[dim:].reshape(dim, dim)
 
 

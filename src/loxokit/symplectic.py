@@ -76,7 +76,7 @@ class NonFiniteMatrix(SymplecticError):
 SYMMETRY_RTOL = 1e-12       # Q = Q^T for quadratic Hamiltonians
 HAMILTON_TOL = 1e-10        # ||J B + B^T J||
 SYMPLECTIC_TOL = 1e-8       # S^T J S - J over its column norms, maps
-TRANSFORM_TOL = 1e-10       # ||T^T J T - J|| for transforms
+TRANSFORM_TOL = 1e-10       # T^T J T - J over its column norms, transforms
 UNIT_TOL = 1e-7             # pair/quadruple matching, axis tests
 CLUSTER_RTOL = 1e-4         # same-eigenvalue clustering (Jordan); a
                             # chain of size k scatters by ~eps^(1/k)
@@ -209,17 +209,18 @@ class HamiltonMatrix:
 
 @dataclass
 class SymplecticTransform:
-    """Invertible T with T^T J T = J within TRANSFORM_TOL, relative; a T
-    whose bound overflows is refused, as it would pass any defect."""
+    """Invertible T with T^T J T = J within TRANSFORM_TOL, each entry
+    over the norms of the two columns it pairs (_paired_defect), so a
+    large column cannot hide a singular one; a T whose ||T||_F^2, which
+    bounds cond_2(T) = ||T||_2^2, overflows is refused too."""
 
     entries: np.ndarray
     dim = property(lambda self: self.entries.shape[0])
 
     def __post_init__(self):
         T = _as_matrix(self.entries)
-        if not (_symplectic_defect(T)
-                <= TRANSFORM_TOL * max(1.0, np.linalg.norm(T) ** 2)
-                < math.inf):
+        if not (_paired_defect(T) <= TRANSFORM_TOL
+                and np.linalg.norm(T) ** 2 < math.inf):
             raise NotSymplectic("T^T J T != J within a finite tolerance: "
                                 "not symplectic")
         self.entries = T

@@ -103,8 +103,20 @@ def test_import_loxokit_loads_no_solver_module():
         {"loxokit._blas"}
 
 
+# scipy.integrate, and what importing it pulls in; loxokit needs none
+SCIPY_UNUSED = {"scipy.integrate", "scipy.optimize", "scipy.special",
+                "scipy.sparse"}
+
+
 def test_import_spectra_loads_no_flow_integrator():
     loaded = modules_loaded_by("loxokit.spectra")
     assert "loxokit.spectra" in loaded
     assert "loxokit.flows" not in loaded
-    assert "scipy.integrate" not in loaded
+    assert not SCIPY_UNUSED & loaded
+
+
+def test_import_cli_loads_no_scipy_integrate():
+    # the console script's import, which loads every solver module
+    loaded = modules_loaded_by("loxokit.cli")
+    assert {"loxokit.flows", "loxokit.dampedwave"} <= loaded
+    assert not SCIPY_UNUSED & loaded

@@ -210,6 +210,18 @@ def test_value_types_derive_their_dimension():
     assert sp.SymplecticTransform(np.eye(2)).dim == 2
 
 
+def test_a_singular_transform_is_not_symplectic():
+    # ||T^T J T - J||_F = 1.41 passed the old bound 1e-10 ||T||_F^2 = 100:
+    # the large column hid the zero one
+    T = np.diag([1e6, 0.0, 1e-6, 1.0])
+    old_bound = sp.TRANSFORM_TOL * np.linalg.norm(T) ** 2
+    assert sp.symplectic_residual(T) < old_bound
+    with pytest.raises(sp.NotSymplectic, match="not symplectic"):
+        sp.SymplecticTransform(T)
+    # its columns scaled apart but still symplectic pass
+    assert sp.SymplecticTransform(np.diag([1e6, 1.0, 1e-6, 1.0])).dim == 4
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.integers(min_value=0, max_value=2**31 - 1),
        st.integers(min_value=1, max_value=3),
