@@ -1,13 +1,11 @@
-"""The Dormand-Prince 8(5,3) step and the composite Simpson rule.
+"""The Dormand-Prince 8(5,3) step.
 
 integrate() is DOP853 (Hairer, Norsett and Wanner, *Solving Ordinary
 Differential Equations I*, ch. II) with the step control, initial step,
 error norm and dense output of scipy.integrate.solve_ivp(method="DOP853",
 rtol=tol, atol=tol), repeated operation for operation, so it returns the
-same bits. _simpson() is scipy.integrate.simpson(y, dx=dx) (scipy >= 1.11)
-on one axis, with the same end correction for an even sample count. Owning
-both keeps scipy.integrate, and the scipy.optimize, scipy.special and
-scipy.sparse it imports, out of every loxokit process.
+same bits. Owning it keeps scipy.integrate, and the scipy.optimize,
+scipy.special and scipy.sparse it imports, out of every loxokit process.
 """
 
 from __future__ import annotations
@@ -340,10 +338,10 @@ def integrate(rhs, t_span, y0, tol, t_eval=None):
     span, inside it) they are t_eval, read off each step's interpolant.
 
     A tol that is not finite and > 0 raises ValueError; one below
-    MIN_TOL is raised to MIN_TOL with a UserWarning. A non-finite entry
-    of y0 or a t_eval outside the span or out of order raises
-    ValueError; a step that shrinks below ten floating-point spacings of
-    t raises StepFailure.
+    MIN_TOL is raised to MIN_TOL with a UserWarning. An empty span, a
+    non-finite entry of y0, or a t_eval that is empty, not finite, leaves
+    the span or is out of order raises ValueError; a step that shrinks
+    below ten floating-point spacings of t raises StepFailure.
     """
     check_positive(tol, "tolerance")
     if tol < MIN_TOL:
@@ -351,6 +349,8 @@ def integrate(rhs, t_span, y0, tol, t_eval=None):
                       f"raised to {MIN_TOL}", UserWarning, stacklevel=2)
         tol = MIN_TOL
     t0, t1 = map(float, t_span)
+    if t1 == t0:
+        raise ValueError(f"empty time span {(t0, t1)}")
     y = np.asarray(y0).astype(float, copy=False)
     if not np.isfinite(y).all():
         raise ValueError("every entry of the initial state must be finite")
@@ -360,6 +360,8 @@ def integrate(rhs, t_span, y0, tol, t_eval=None):
         times, states = [t0], [y]
     else:
         t_eval = np.asarray(t_eval)
+        if not (t_eval.size and np.isfinite(t_eval).all()):
+            raise ValueError("t_eval must hold at least one time, all finite")
         if np.any(t_eval < min(t0, t1)) or np.any(t_eval > max(t0, t1)):
             raise ValueError(f"t_eval leaves the time span {(t0, t1)}")
         if np.any(direction * np.diff(t_eval) <= 0):
@@ -395,24 +397,3 @@ def integrate(rhs, t_span, y0, tol, t_eval=None):
             i = i_new
     return (np.array(times) if t_eval is None else np.hstack(times)), states
 
-
-def _simpson(y, dx):
-    """The composite Simpson rule over the samples y (1-D, at least 2)
-    of spacing dx, as scipy.integrate.simpson(y, dx=dx) computes it: for
-    an even count, Simpson over all but the last interval plus Cartwright's
-    correction for that interval; two samples take the trapezoid."""
-    n = len(y)
-    if n == 2:
-        return 0.5 * dx * (y[-1] + y[-2])
-    stop = n - 2 if n % 2 else n - 3
-    result = np.sum(y[0:stop:2] + 4.0 * y[1:stop + 1:2] + y[2:stop + 2:2])
-    result *= dx / 3.0
-    if n % 2 == 0:
-        # 5h/12, 2h/3 and h/12, in scipy's operation order for its two
-        # last spacings, both h here, so the rounding is the same
-        h = np.float64(dx)
-        alpha = (2 * h ** 2 + 3 * h * h) / (6 * (h + h))
-        beta = (h ** 2 + 3.0 * h * h) / (6 * h)
-        eta = h ** 3 / (6 * h * (h + h))
-        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
-    return result

@@ -19,6 +19,7 @@ from . import dampedwave as dw
 from . import flows
 from . import resolvent as rv
 from . import spectra
+from .cutoffs import neck_damping
 from .normal_form import birkhoff_normal_form, escape_rate_form, williamson
 from .symplectic import (
     NegativeRealEigenvalue,
@@ -228,7 +229,7 @@ def criterion_damped_wave():
 def criterion_geometric_control():
     sys = flows.surface_of_revolution()
     report = flows.check_geometric_control(
-        sys, flows.meridian_damping(), flows.neck_exclusion(), seed=2024)
+        sys, neck_damping(), flows.neck_exclusion(), seed=2024)
     orbit_pt = flows.surface_state(sys, **flows.NECK_GUESS)
     avg = flows.trajectory_average(sys, orbit_pt, flows.NECK_PERIOD,
                                    lambda z: math.sin(z[1]) ** 2)

@@ -17,7 +17,6 @@ import os
 import sys
 
 import numpy as np
-import scipy.linalg as la
 
 from . import acceptance, cutoffs, serialize
 from . import dampedwave as dw
@@ -221,7 +220,6 @@ def cmd_orbit(args):
     orbit = flows.find_closed_orbit(sys_, z0, float(cfg["period_guess"]),
                                     tol=tol)
     mono = flows.linearized_poincare_map(sys_, orbit, tol=tol)
-    eigs = la.eigvals(mono.monodromy)
     _write(args, {
         "orbit.json": {
             "point": orbit.point.tolist(),
@@ -235,7 +233,8 @@ def cmd_orbit(args):
             "symplectic_defect": mono.symplectic_defect,
         },
         "monodromy_eigenvalues.csv": (
-            ["re", "im"], [[float(e.real), float(e.imag)] for e in eigs]),
+            ["re", "im"], [[float(e.real), float(e.imag)]
+                           for e in mono.eigenvalues]),
     })
     kinds = ", ".join(g.tag for g in mono.classification.groups) or "none"
     print(f"orbit: period {orbit.period:.9f}, residual {orbit.residual:.1e},"
@@ -317,14 +316,13 @@ def cmd_damped_wave(args):
     rep = dw.decay_report(prob, modes=cfg["decay_modes"],
                           t_max=float(cfg["t_max"]))
     sets, strip, mirror = dw.eigenfrequency_scan(prob, modes=cfg["modes"])
-    total_eeps = sum(tr.eeps for tr in rep.per_mode.values())
     _write(args, {
         "eigenfrequencies.csv": (
             ["k", "re_tau", "im_tau"],
             [[es.k, float(t.real), float(t.imag)]
              for es in sets for t in es.frequencies]),
         "energy.csv": (["t", "E0", "Eeps"],
-                       zip(rep.times, rep.total_e0, total_eeps)),
+                       zip(rep.times, rep.total_e0, rep.total_eeps)),
         "damped_wave.json": {
             "epsilon": rep.epsilon,
             "modes": cfg["modes"],
@@ -422,7 +420,7 @@ COMMANDS = {
     "selftest": cmd_selftest,
 }
 
-NUMERICAL_ERRORS = (LoxokitError, la.LinAlgError)
+NUMERICAL_ERRORS = (LoxokitError, np.linalg.LinAlgError)
 
 
 def main(argv=None):

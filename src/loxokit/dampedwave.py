@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as la
 
-from ._dop853 import _simpson
 from .cutoffs import DAMPING_INNER, get_warp, neck_damping
 from .errors import LoxokitError, StepFailure, check_modes, check_positive
 from .spectra import radial_stencil
@@ -422,6 +421,29 @@ def _energies(frame, hist):
     return e0, eeps, diss
 
 
+def _simpson(y, dx):
+    """The composite Simpson rule over the samples y (1-D, at least 2)
+    of spacing dx, as scipy.integrate.simpson(y, dx=dx) (scipy >= 1.11)
+    computes it: for an even count, Simpson over all but the last interval
+    plus Cartwright's correction for that interval; two samples take the
+    trapezoid."""
+    n = len(y)
+    if n == 2:
+        return 0.5 * dx * (y[-1] + y[-2])
+    stop = n - 2 if n % 2 else n - 3
+    result = np.sum(y[0:stop:2] + 4.0 * y[1:stop + 1:2] + y[2:stop + 2:2])
+    result *= dx / 3.0
+    if n % 2 == 0:
+        # 5h/12, 2h/3 and h/12, in scipy's operation order for its two
+        # last spacings, both h here, so the rounding is the same
+        h = np.float64(dx)
+        alpha = (2 * h ** 2 + 3 * h * h) / (6 * (h + h))
+        beta = (h ** 2 + 3.0 * h * h) / (6 * h)
+        eta = h ** 3 / (6 * h * (h + h))
+        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return result
+
+
 def evolve(problem, k, initial=None, t_max=T_MAX, dt=DT, frame=None):
     """March one mode with the exact one-step propagator and record E^0,
     E^eps, and the damping quadrature.
@@ -488,6 +510,7 @@ class DecayReport:
     hnorm_sq: float
     times: np.ndarray
     total_e0: np.ndarray
+    total_eeps: np.ndarray
     per_mode: dict
 
 
@@ -527,5 +550,6 @@ def decay_report(problem, modes=DECAY_MODES, t_max=T_MAX):
     return DecayReport(epsilon=problem.epsilon, modes=modes, rate=rate,
                        r_squared=r2, envelope_constant=envelope,
                        hnorm_sq=hnorm_sq, times=times, total_e0=total,
+                       total_eeps=sum(trace.eeps for trace in traces),
                        per_mode=dict(zip(modes, traces)))
 

@@ -67,15 +67,13 @@ def write_atomic(path, text):
 
 
 def write_csv(path, columns, rows):
-    """Deterministic CSV: header + repr-formatted floats (ints pass through,
-    None leaves the cell empty)."""
+    """Deterministic CSV: header + repr-formatted floats (ints pass
+    through)."""
     lines = [",".join(columns)]
     for row in rows:
         cells = []
         for value in row:
-            if value is None:
-                cells.append("")
-            elif isinstance(value, (int, np.integer)):
+            if isinstance(value, (int, np.integer)):
                 cells.append(str(int(value)))
             else:
                 cells.append(format_float(value))

@@ -137,12 +137,6 @@ def _hamilton_defect(B):
     return np.linalg.norm(J @ B + B.T @ J)
 
 
-def _symplectic_defect(S):
-    """||S^T J S - J||_F of a checked matrix S."""
-    J = _structure(S.shape[0] // 2)
-    return np.linalg.norm(S.T @ J @ S - J)
-
-
 def _paired_defect(S):
     """||D||_F of a checked matrix S, where D_ij is (S^T J S - J)_ij over
     |s_i| |s_j|, the norms of the two columns of S that entry pairs, which
@@ -162,7 +156,9 @@ def hamilton_residual(B):
 
 def symplectic_residual(S):
     """||S^T J S - J||_F, the defect of the symplectic identity."""
-    return _symplectic_defect(_as_matrix(S))
+    S = _as_matrix(S)
+    J = _structure(S.shape[0] // 2)
+    return np.linalg.norm(S.T @ J @ S - J)
 
 
 def _norm2(a):
@@ -193,17 +189,18 @@ class QuadraticHamiltonian:
 
 @dataclass
 class HamiltonMatrix:
-    """Linear vector field B with J B + B^T J = 0 (flow rho' = B rho)."""
+    """Linear vector field B with J B + B^T J = 0 (flow rho' = B rho),
+    judged by classify's rule (_identity_defect), which then accepts it."""
 
     entries: np.ndarray
     dim = property(lambda self: self.entries.shape[0])
 
     def __post_init__(self):
         B = _as_matrix(self.entries)
-        if not (_hamilton_defect(B)
-                <= HAMILTON_TOL * max(1.0, np.linalg.norm(B))):
-            raise NotSymplectic(f"J B + B^T J != 0 within {HAMILTON_TOL:g}: "
-                                f"not a Hamilton matrix")
+        defect, bound, _ = _identity_defect(B, HAMILTON_MATRIX)
+        if not defect <= bound:
+            raise NotSymplectic(f"J B + B^T J != 0: defect {defect:.2e} over "
+                                f"the bound {bound:.2e}; not a Hamilton matrix")
         self.entries = B
 
 
@@ -513,12 +510,14 @@ def _identity_defect(Mm, mode):
 
 def _structured_input(M, mode):
     """M as an even square array satisfying the identity of mode, with
-    the scale max(1, ||M||_2)."""
+    the scale max(1, ||M||_2); the refusal names the defect and its bound."""
     Mm = _as_matrix(M)
     defect, bound, scale = _identity_defect(Mm, mode)
     if not defect <= bound:
         identity = "symplectic" if mode == POINCARE_MAP else "a Hamilton matrix"
-        raise ValueError(f"input is not {identity} within tolerance")
+        kind = "symplectic" if mode == POINCARE_MAP else "Hamilton"
+        raise ValueError(f"input is not {identity} within tolerance: {kind} "
+                         f"defect {defect:.2e} over the bound {bound:.2e}")
     return Mm, scale
 
 

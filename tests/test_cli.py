@@ -1,6 +1,7 @@
 """End-to-end runs of the batch front-end through main(argv)."""
 
 import argparse
+import ast
 import json
 import math
 import os
@@ -13,7 +14,8 @@ import pytest
 import scipy.linalg
 
 import loxokit
-from loxokit import acceptance, cli, dampedwave, flows, resolvent, spectra
+from loxokit import (acceptance, cli, cutoffs, dampedwave, flows, resolvent,
+                     spectra)
 from loxokit.cli import main
 from loxokit.errors import GridTooCoarse, LoxokitError
 from loxokit.serialize import SCHEMA_VERSION
@@ -789,7 +791,7 @@ def test_subcommands_accept_only_the_options_they_read():
 def test_degenerate_flow_input_is_usage_error(monkeypatch, capsys):
     def control(args):
         flows.check_geometric_control(
-            flows.surface_of_revolution(), flows.meridian_damping(),
+            flows.surface_of_revolution(), cutoffs.neck_damping(),
             flows.neck_exclusion(), n_samples=0)
 
     monkeypatch.setitem(cli.COMMANDS, "selftest", control)
@@ -828,3 +830,16 @@ def test_each_subcommand_writes_exactly_its_own_files(tmp_path, monkeypatch,
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 0
     assert {p.name for p in out.iterdir()} == expected
+
+
+def test_cli_imports_nothing_from_scipy():
+    # the library computes every number the CLI writes, so the CLI needs
+    # no solver of its own; np.linalg.LinAlgError is scipy's class too
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    modules = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names]
+    modules += [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module]
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+    assert np.linalg.LinAlgError is scipy.linalg.LinAlgError
+    assert np.linalg.LinAlgError in cli.NUMERICAL_ERRORS

@@ -563,6 +563,17 @@ def test_decay_report_data_norm_is_twice_the_initial_weighted_energy(
     assert initial == pytest.approx(rep.hnorm_sq, rel=1e-12)
 
 
+def test_decay_report_total_eeps_is_the_per_mode_sum():
+    # damped-wave writes it as energy.csv's Eeps column, bit for bit
+    rep = dw.decay_report(dw.DampedWaveProblem(n_grid=64), modes=(0, 2, 5),
+                          t_max=1.0)
+    per_mode = rep.per_mode
+    assert np.array_equal(rep.total_eeps, per_mode[0].eeps
+                          + per_mode[2].eeps + per_mode[5].eeps)
+    assert np.array_equal(rep.total_e0, per_mode[0].e0 + per_mode[2].e0
+                          + per_mode[5].e0)
+
+
 def test_decay_report_rejects_repeated_mode():
     # a repeated mode would count twice in total_e0 but once in per_mode
     prob = dw.DampedWaveProblem(n_grid=32)

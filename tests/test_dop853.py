@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import simpson, solve_ivp
 from scipy.integrate._ivp import dop853_coefficients
 
-from loxokit import _dop853, flows
+from loxokit import _dop853, dampedwave, flows
 from loxokit.errors import StepFailure
 
 
@@ -105,6 +105,27 @@ def test_blow_up_fails_as_in_scipy():
         _dop853.integrate(rhs, (0.0, 2.0), np.array([1.0]), 1e-8)
 
 
+@pytest.mark.parametrize("t_span, t_eval, words", [
+    ((1.0, 1.0), None, "empty time span"),
+    ((0.0, 1.0), [], "t_eval"),
+    ((1.0, 0.0), np.array([]), "t_eval"),
+    ((0.0, 1.0), [0.5, np.nan], "t_eval"),
+    ((0.0, 1.0), [0.2, np.nan, 0.9], "t_eval"),
+], ids=["empty-span", "empty-t_eval", "empty-backward-t_eval",
+        "nan-last", "nan-inside"])
+def test_an_empty_span_or_unusable_t_eval_is_refused_before_any_step(
+        t_span, t_eval, words):
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return pendulum(t, y)
+
+    with pytest.raises(ValueError, match=words):
+        _dop853.integrate(rhs, t_span, np.zeros(2), 1e-8, t_eval=t_eval)
+    assert calls == []
+
+
 def test_a_tiny_tolerance_is_raised_to_the_floor():
     # scipy's floor of 100 machine epsilons; flow's energy budget reads
     # the raised tol as well, so the run is the one at the floor
@@ -124,4 +145,4 @@ def test_simpson_as_scipy(n):
     x = np.linspace(0.0, 3.0, n)
     y = np.cos(3 * x) * np.exp(x)
     dx = 3.0 / max(n - 1, 1)
-    assert np.array_equal(_dop853._simpson(y, dx), simpson(y, dx=dx))
+    assert np.array_equal(dampedwave._simpson(y, dx), simpson(y, dx=dx))

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 import scipy.optimize
 
 from loxokit import cutoffs, flows
@@ -144,6 +145,16 @@ def test_flow_rejects_empty_span():
     for span in [(0.0, 0.0), (2.0, 2.0)]:
         with pytest.raises(ValueError, match="empty time span"):
             flows.flow(sys, np.array([1.0, 0.0]), span)
+
+
+@pytest.mark.parametrize("observable", [None, lambda z: 1.0],
+                         ids=["plain", "observable"])
+def test_flow_rejects_empty_t_eval(observable):
+    # the observable's end sample is appended only to a t_eval that holds
+    # a time, so both reach integrate's rule
+    with pytest.raises(ValueError, match="t_eval"):
+        flows.flow(flows.harmonic_oscillator(), np.array([1.0, 0.0]),
+                   (0.0, 1.0), t_eval=[], observable=observable)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-10, np.inf, np.nan])
@@ -314,13 +325,20 @@ def test_neck_monodromy_against_jacobi_oracle(cosh_surface, neck_orbit):
     assert c.groups[0].lam == pytest.approx(TWO_PI, rel=1e-3)
 
 
+def test_monodromy_eigenvalues_are_the_full_maps(cosh_surface, neck_orbit):
+    # orbit writes them as monodromy_eigenvalues.csv, bit for bit
+    mono = flows.linearized_poincare_map(cosh_surface, neck_orbit)
+    assert np.array_equal(mono.eigenvalues,
+                          scipy.linalg.eigvals(mono.monodromy))
+
+
 def test_reduced_map_refused_at_classify_bound(cosh_surface, neck_orbit,
                                                monkeypatch):
     # a monodromy off by 1% gives the neck's reduced map a symplectic
     # defect of about 3e-2, under 1e-6 ||red||_F^2; relative to the
-    # columns it pairs it is 2e-7, over classify's SYMPLECTIC_TOL, so the
-    # orbit layer must refuse it as a numerical failure before classify
-    # sees it as an input error
+    # columns it pairs it is 2e-7, over classify's SYMPLECTIC_TOL, so
+    # classify refuses it as an input error, which the orbit layer turns
+    # into a numerical failure
     exact = flows._flow_with_monodromy
 
     def perturbed(*args, **kwargs):
@@ -328,7 +346,8 @@ def test_reduced_map_refused_at_classify_bound(cosh_surface, neck_orbit,
         return zT, 1.01 * M
 
     monkeypatch.setattr(flows, "_flow_with_monodromy", perturbed)
-    with pytest.raises(flows.SectionNotTransverse, match="symplectic defect"):
+    with pytest.raises(flows.SectionNotTransverse,
+                       match="symplectic defect .* over the bound 1.00e-08"):
         flows.linearized_poincare_map(cosh_surface, neck_orbit)
 
 
@@ -394,7 +413,7 @@ def test_average_of_constant(cosh_surface):
 
 
 def test_meridian_geodesic_sees_damping(cosh_surface):
-    a = flows.meridian_damping(0.5, 1.0)
+    a = cutoffs.neck_damping(0.5, 1.0)
     z0 = flows.surface_state(cosh_surface, 0.0, 0.0, 0.0)   # pure meridian
     avg = flows.trajectory_average(cosh_surface, z0, 10.0,
                                    lambda z: a(z[0]))
@@ -436,7 +455,7 @@ def test_control_without_damping(cosh_surface):
 
 def test_control_on_neck_model(cosh_surface):
     rep = flows.check_geometric_control(
-        cosh_surface, flows.meridian_damping(0.5, 1.0),
+        cosh_surface, cutoffs.neck_damping(0.5, 1.0),
         flows.neck_exclusion(), T=50.0, n_samples=80, seed=3)
     assert rep.controlled_fraction == 1.0
     assert rep.min_average > 0.0
@@ -445,7 +464,7 @@ def test_control_on_neck_model(cosh_surface):
 
 def test_control_is_seed_deterministic(cosh_surface):
     kw = dict(T=20.0, n_samples=25, seed=11)
-    a = flows.meridian_damping(0.5, 1.0)
+    a = cutoffs.neck_damping(0.5, 1.0)
     rep1 = flows.check_geometric_control(cosh_surface, a,
                                          flows.neck_exclusion(), **kw)
     rep2 = flows.check_geometric_control(cosh_surface, a,
@@ -458,7 +477,7 @@ def test_control_regression_pin(cosh_surface):
     # the average rides along in the forward run at tol = 1e-8; it agrees
     # with the former separate average pass (tol 1e-9) to 1e-6
     rep = flows.check_geometric_control(
-        cosh_surface, flows.meridian_damping(0.5, 1.0),
+        cosh_surface, cutoffs.neck_damping(0.5, 1.0),
         flows.neck_exclusion(), T=20.0, n_samples=25, seed=11)
     assert rep.controlled_fraction == 1.0
     assert rep.min_average == pytest.approx(0.6845391900607233, abs=1e-6)
@@ -471,7 +490,7 @@ def test_control_rejects_degenerate_inputs(cosh_surface, kw):
     args = dict(T=5.0, n_samples=4, seed=1) | kw
     with pytest.raises(ValueError):
         flows.check_geometric_control(
-            cosh_surface, flows.meridian_damping(0.5, 1.0),
+            cosh_surface, cutoffs.neck_damping(0.5, 1.0),
             flows.neck_exclusion(), **args)
 
 
@@ -528,7 +547,7 @@ def _control_by_sample(sys, damping, samples, T, tol):
 @pytest.mark.parametrize("seed", [5, 2024])
 def test_batched_control_matches_per_sample_flows(cosh_surface, seed):
     # 110 samples span three column batches
-    a, neck = flows.meridian_damping(0.5, 1.0), flows.neck_exclusion()
+    a, neck = cutoffs.neck_damping(0.5, 1.0), flows.neck_exclusion()
     n, T = 110, 10.0
     rep = flows.check_geometric_control(cosh_surface, a, neck, T=T,
                                         n_samples=n, seed=seed)
@@ -570,7 +589,7 @@ def test_batched_control_column_over_energy_budget_raises(cosh_surface):
         return g
 
     leaky = dataclasses.replace(cosh_surface, gradient=gradient)
-    a = flows.meridian_damping(0.5, 1.0)
+    a = cutoffs.neck_damping(0.5, 1.0)
     for j, z in enumerate(samples):
         if j == 4:
             with pytest.raises(StepFailure):

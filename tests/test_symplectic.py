@@ -158,9 +158,61 @@ def test_map_defect_is_relative_to_the_columns_it_pairs():
     # entries (1, 3) and (3, 1) are off by 1e-7 of their columns
     assert sp._paired_defect(S) == pytest.approx(math.sqrt(2) * 1e-7,
                                                  rel=1e-6)
-    assert sp._symplectic_defect(S) < sp.SYMPLECTIC_TOL * 1e6
+    assert sp.symplectic_residual(S) < sp.SYMPLECTIC_TOL * 1e6
     with pytest.raises(ValueError, match="input is not symplectic"):
         sp.classify(S, mode=sp.POINCARE_MAP)
+
+
+@pytest.mark.parametrize("M, mode, words", [
+    (np.diag([2.0, 2.0]), sp.POINCARE_MAP,
+     "symplectic defect 1.06e+00 over the bound 1.00e-08"),
+    (np.eye(2), sp.HAMILTON_MATRIX,
+     "Hamilton defect 2.83e+00 over the bound 1.00e-10"),
+], ids=["map", "generator"])
+def test_a_refused_input_names_its_defect_and_bound(M, mode, words):
+    with pytest.raises(ValueError) as caught:
+        sp.classify(M, mode=mode)
+    assert words in str(caught.value)
+
+
+def test_hamilton_matrix_is_judged_by_the_classify_rule():
+    # defect 2.0e-9: under the bound 1e-10 ||B||_F = 2.83e-9, over
+    # classify's 1e-10 ||B||_2 = 1e-9; the value type must not hold a B
+    # that classify and the normal form refuse
+    B = np.diag([10.0] * 4 + [-10.0] * 4)
+    B[0, 0] += 1.414e-9
+    assert sp.hamilton_residual(B) == pytest.approx(2.0e-9, rel=1e-3)
+    assert sp.hamilton_residual(B) < sp.HAMILTON_TOL * np.linalg.norm(B)
+    with pytest.raises(sp.NotSymplectic,
+                       match="defect 2.00e-09 over the bound 1.00e-09"):
+        sp.HamiltonMatrix(B)
+    with pytest.raises(ValueError, match="not a Hamilton matrix"):
+        sp.classify(B)
+    B[0, 0] = 10.0
+    assert sp.HamiltonMatrix(B).dim == 8
+
+
+def near_pi_map(c, delta):
+    """e^c R(pi + delta), R a rotation, and its inverse transpose: an exact
+    loxodromic map whose rotation is near pi."""
+    a = math.pi + delta
+    A = math.exp(c) * np.array([[math.cos(a), -math.sin(a)],
+                                [math.sin(a), math.cos(a)]])
+    return la.block_diag(A, np.linalg.inv(A).T)
+
+
+# the pair e^c e^{+-i(pi + delta)} is clustered as one double eigenvalue,
+# whose rank test finds no chain; delta = 1e-9 (two real pairs) and 1e-3
+# (one complex quadruple) classify
+@pytest.mark.xfail(raises=sp.DefectiveBeyondTolerance, strict=True,
+                   reason="near-pi loxodromic maps do not classify")
+@pytest.mark.parametrize("c", [0.5, 2.0])
+@pytest.mark.parametrize("delta", [1e-7, 1e-5, 1e-4])
+def test_near_pi_loxodromic_map_classifies(c, delta):
+    S = near_pi_map(c, delta)
+    assert sp.symplectic_residual(S) < 1e-12 * math.exp(2 * c)
+    # one complex quadruple or two real pairs: either mends it
+    assert sp.classify(S, mode=sp.POINCARE_MAP).is_loxodromic
 
 
 HYPERBOLIC = np.diag([0.7, -0.7])
