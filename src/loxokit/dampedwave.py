@@ -19,6 +19,16 @@ is the frame used internally. Stationary solutions e^{i tau t} give the
 quadratic pencil P(tau) = -tau^2 + L_k + 2 i a tau whose roots are the
 mode's eigenfrequencies; decaying modes sit in the upper half plane.
 
+The warp and the damping are even in r (DampedWaveProblem refuses any
+that are not), and the even grid holds both r = 0 and r = -PERIOD/2, so
+the reflection r -> -r of the grid commutes with every mode's operator.
+Each mode therefore splits exactly into an even and an odd sector of
+about n_grid/2 nodes (parity_sectors): the roots and the march of a mode
+are those of its two sectors, each with its own real first-order
+generator of about n_grid rows and columns: two cubic-cost solves of
+half the size, about a quarter of the flops of one generator on the
+whole grid.
+
 The angular modes are independent, so eigenfrequency_scan solves its
 modes, and decay_report marches its modes, concurrently on a thread pool
 of one worker per usable CPU (at most one per mode). BLAS runs on the one
@@ -26,7 +36,7 @@ thread that importing loxokit pins it to (_blas), which was measured
 faster at these sizes and makes each mode's result independent of
 OPENBLAS_NUM_THREADS and of the worker count. The kernels that carry the
 time, numpy's dgeev and matrix products, release the GIL, so the workers
-run in parallel; scipy's expm, one per march, does not.
+run in parallel; scipy's expm, one per sector march, does not.
 """
 
 from __future__ import annotations
@@ -66,6 +76,9 @@ RESIDUAL_TOL = 1e-6  # relative eigenpair residual bound of eigenfrequencies
 TRACE_TOL = 1e-10    # relative bound on |sum of roots - generator trace|
 N_LOW = 24           # eigenmodes that default_initial excites, per mode
 DT = 0.004           # evolve's default step and decay_report's largest
+FIT_FLOOR = 1e-10    # decay fits skip energies below this fraction of E(0)
+
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass
@@ -94,6 +107,9 @@ class DampedWaveProblem:
     def __post_init__(self):
         if self.n_grid < 32:
             raise ValueError(f"n_grid must be at least 32, not {self.n_grid}")
+        if self.n_grid % 2:
+            raise ValueError(f"n_grid must be even, so the grid holds the "
+                             f"neck r = 0, not {self.n_grid}")
         check_positive(self.epsilon, "epsilon")
         warp = get_warp(self.profile)
         slopes = warp.slope(np.array([-0.5, 0.5]) * PERIOD)
@@ -126,6 +142,21 @@ class DampedWaveProblem:
                     f"damping must vanish for |r| <= dead_zone_radius = "
                     f"{self.dead_zone_radius}, not {self.a[i]} at "
                     f"r = {self.r[i]}")
+        for name, values in (("warp profile", self.f), ("damping", self.a)):
+            _check_even(name, self.r, values)
+
+
+def _check_even(name, r, values):
+    """Refuse grid values that are not even in r to 1e-12 of their
+    largest: the parity sectors need the reflection to commute with the
+    mode operator."""
+    mirror = (-np.arange(values.size)) % values.size
+    gap = np.abs(values - values[mirror])
+    i = int(np.argmax(gap))
+    if gap[i] > 1e-12 * np.abs(values).max():
+        j = mirror[i]
+        raise ValueError(f"{name} must be even in r, not {values[i]} at "
+                         f"r = {r[i]} and {values[j]} at r = {r[j]}")
 
 
 @dataclass
@@ -134,8 +165,8 @@ class ModePencil:
     sqrt(f)-symmetrized frame: zeroth is the real matrix similar to L_k,
     and a is read from problem. zeroth is symmetric only to rounding
     (radial_stencil's upper and lower entries round apart, by about
-    2e-13 at n_grid 192): mode_frame's eigh reads its lower triangle,
-    while the first-order generator reads both triangles."""
+    2e-13 at n_grid 192): eigh reads its lower triangle, while the
+    sector generators read both triangles."""
 
     k: int
     zeroth: np.ndarray
@@ -153,11 +184,50 @@ def assemble_pencil(problem, k):
     return ModePencil(k=int(k), zeroth=L, problem=problem)
 
 
+def parity_sectors(pencil):
+    """[(zeroth, a)] of the mode's even and then its odd sector.
+
+    The reflection j -> (n - j) mod n fixes the nodes j = 0
+    (r = -PERIOD/2) and j = h = n/2 (the neck) and commutes with zeroth
+    and diag(a). In the orthonormal basis e_0, (e_j + e_{n-j})/sqrt 2
+    for 0 < j < h, e_h of the even grid vectors, zeroth is its block
+    [:h+1, :h+1] with the couplings (0, 1), (1, 0), (h-1, h) and (h, h-1)
+    to the fixed nodes scaled by sqrt 2; in the basis (e_j - e_{n-j})/sqrt 2
+    of the odd ones it is the block [1:h, 1:h]. Both blocks are
+    tridiagonal: the periodic wrap is folded away. fold maps grid vectors
+    into these bases.
+    """
+    h = pencil.problem.n_grid // 2
+    L, a = pencil.zeroth, pencil.problem.a
+    even = L[:h + 1, :h + 1].copy()
+    for edge in ((0, 1), (1, 0), (h - 1, h), (h, h - 1)):
+        even[edge] *= _SQRT2
+    return [(even, a[:h + 1]), (L[1:h, 1:h], a[1:h])]
+
+
+def fold(w):
+    """(even, odd): the coordinates of the grid vector w (or of each
+    column of w) in parity_sectors' two bases."""
+    h = w.shape[0] // 2
+    inner, mirror = w[1:h], w[:h:-1]
+    return (np.concatenate([w[:1], (inner + mirror) / _SQRT2, w[h:h + 1]]),
+            (inner - mirror) / _SQRT2)
+
+
+def _eigh(zeroth):
+    lam, basis = la.eigh(zeroth)
+    # the k = 0 operator annihilates sqrt(f); tiny negative roundoff
+    # eigenvalues would poison sqrt and fractional powers
+    return np.maximum(lam, 0.0), basis
+
+
 @dataclass
 class ModeFrame:
-    """Eigenbasis of one mode's symmetrized operator, with spectral norms.
+    """Eigenbasis of one mode's symmetrized operator on the whole grid,
+    with spectral norms: the basis of default_initial's data and of the
+    data norm. evolve marches the mode's parity sectors in their own
+    eigenbases.
 
-    pencil is the operator diagonalized, which evolve also marches.
     Coefficients carry the sqrt(spacing) quadrature weight so that
     norm_sq(w, 0) equals the f-weighted L^2 norm of the physical state.
     """
@@ -178,10 +248,7 @@ class ModeFrame:
 
 
 def mode_frame(pencil):
-    lam, basis = la.eigh(pencil.zeroth)
-    # the k = 0 operator annihilates sqrt(f); tiny negative roundoff
-    # eigenvalues would poison sqrt and fractional powers
-    lam = np.maximum(lam, 0.0)
+    lam, basis = _eigh(pencil.zeroth)
     return ModeFrame(pencil=pencil, lam=lam, basis=basis)
 
 
@@ -196,75 +263,89 @@ class EigenfrequencySet:
     symmetry_defect: float
 
 
-def first_order_generator(pencil):
-    """Real generator A = [[0, I], [-L, -2a]] of the mode's first-order
-    system d/dt (w, w_t) = A (w, w_t), in the symmetrized frame.
+def _generator(zeroth, a):
+    """Real generator A = [[0, I], [-zeroth, -2 diag(a)]] of one sector's
+    first-order system d/dt (w, w_t) = A (w, w_t).
 
-    An eigenvalue mu of A is i tau for a pencil root tau, so the one real
-    matrix serves both the eigenfrequencies and the propagator exp(A dt).
+    An eigenvalue mu of A is i tau for a root tau of the sector's pencil,
+    so the one real matrix serves both the eigenfrequencies and the
+    propagator exp(A dt).
     """
-    n = pencil.problem.n_grid
-    A = np.zeros((2 * n, 2 * n))
-    A[:n, n:] = np.eye(n)
-    A[n:, :n] = -pencil.zeroth
-    A[n:, n:] = -2.0 * np.diag(pencil.problem.a)
+    m = a.size
+    A = np.zeros((2 * m, 2 * m))
+    A[:m, m:] = np.eye(m)
+    A[m:, :m] = -zeroth
+    A[m:, m:] = -2.0 * np.diag(a)
     return A
 
 
-def eigenfrequencies(pencil):
-    """All roots of the mode pencil, tau = -i mu over the eigenvalues mu
-    of the real first-order generator (a real eigensolve, numpy's dgeev,
-    which releases the GIL so that scan workers solve in parallel).
-
-    Postconditions enforced here: residuals of every eigenpair below
-    RESIDUAL_TOL (else LinearizationIllConditioned), containment in the
-    strip 0 <= Im tau <= 2 max a, and tau -> -conj(tau) mirror symmetry,
-    both within 1e-8. Real arithmetic returns complex mu in exact
-    conjugate pairs, so the mirror defect of the returned roots is zero.
-    The roots must also sum to the generator's trace, sum tau = 2i sum a,
-    within TRACE_TOL of the residual scale: a root set that repeats one
-    root in place of another passes the other checks and fails this one.
-    """
-    n = pencil.problem.n_grid
-    a = pencil.problem.a
-    L = pencil.zeroth
-    mus, vecs = np.linalg.eig(first_order_generator(pencil))
+def _sector_roots(k, sector, zeroth, a, amax):
+    """(taus, strip margin, mirror defect) of one parity sector, with
+    eigenfrequencies' checks; amax is the damping's maximum over the
+    whole grid."""
+    m = a.size
+    mus, vecs = np.linalg.eig(_generator(zeroth, a))
     taus = -1j * mus
-    w = vecs[:n]
+    w = vecs[:m]
     norms = la.norm(w, axis=0)
     ok = norms > 1e-12
     resid = la.norm(
-        -taus[ok] ** 2 * w[:, ok] + L @ w[:, ok]
+        -taus[ok] ** 2 * w[:, ok] + zeroth @ w[:, ok]
         + 2j * taus[ok] * (a[:, None] * w[:, ok]), axis=0) / norms[ok]
-    scale = la.norm(L, 1) + 2 * a.max() * np.abs(taus).max() + 1.0
+    scale = la.norm(zeroth, 1) + 2 * amax * np.abs(taus).max() + 1.0
     worst = float(resid.max() / scale)
     if worst > RESIDUAL_TOL or not np.all(ok):
         raise LinearizationIllConditioned(
-            f"companion eigenpair residual {worst:.2e} exceeds "
-            f"{RESIDUAL_TOL:.0e} for mode {pencil.k}")
-    amax = float(a.max())
+            f"{sector} sector eigenpair residual {worst:.2e} exceeds "
+            f"{RESIDUAL_TOL:.0e} for mode {k}")
     im = taus.imag
     margin = float(max(-im.min(), im.max() - 2 * amax))
     if margin > 1e-8:
         raise DampedWaveError(
-            f"eigenfrequency strip violated by {margin:.2e} at mode "
-            f"{pencil.k}: either the assembly is inconsistent or a "
-            "multiple root split under roundoff")
+            f"{sector} sector eigenfrequency strip violated by "
+            f"{margin:.2e} at mode {k}: either the assembly is inconsistent "
+            "or a multiple root split under roundoff")
     mirrored = -np.conj(taus)
     defect = float(np.abs(taus - mirrored[:, None]).min(axis=0).max())
     if defect > 1e-8:
         raise DampedWaveError(
-            f"spectrum not mirror symmetric (defect {defect:.2e}) at mode "
-            f"{pencil.k}")
+            f"{sector} sector spectrum not mirror symmetric (defect "
+            f"{defect:.2e}) at mode {k}")
     trace_defect = abs(taus.sum() - 2j * a.sum()) / scale
     if trace_defect > TRACE_TOL:
         raise DampedWaveError(
-            f"roots miss the generator trace by {trace_defect:.2e} of the "
-            f"residual scale at mode {pencil.k}: a root is missing or "
-            "repeated")
+            f"{sector} sector roots miss the generator trace by "
+            f"{trace_defect:.2e} of the residual scale at mode {k}: a root "
+            "is missing or repeated")
+    return taus, margin, defect
+
+
+def eigenfrequencies(pencil):
+    """All roots of the mode pencil: those of its even and its odd
+    parity sector, tau = -i mu over the eigenvalues mu of each sector's
+    real first-order generator (a real eigensolve, numpy's dgeev, which
+    releases the GIL so that scan workers solve in parallel).
+
+    Postconditions enforced on each sector: residuals of every eigenpair
+    below RESIDUAL_TOL (else LinearizationIllConditioned), containment in
+    the strip 0 <= Im tau <= 2 max a, and tau -> -conj(tau) mirror
+    symmetry, both within 1e-8. Real arithmetic returns complex mu in
+    exact conjugate pairs, so the mirror defect of the returned roots is
+    zero. Each sector's roots must also sum to its generator's trace,
+    sum tau = 2i sum a, within TRACE_TOL of the residual scale: a root
+    set that repeats one root in place of another, or drops one, passes
+    the other checks and fails this one.
+    """
+    amax = float(pencil.problem.a.max())
+    parts = [_sector_roots(pencil.k, sector, zeroth, a, amax)
+             for sector, (zeroth, a) in zip(("even", "odd"),
+                                            parity_sectors(pencil))]
+    taus = np.concatenate([taus for taus, _, _ in parts])
     order = np.lexsort((taus.imag, taus.real))
-    return EigenfrequencySet(k=pencil.k, frequencies=taus[order],
-                             strip_margin=margin, symmetry_defect=defect)
+    return EigenfrequencySet(
+        k=pencil.k, frequencies=taus[order],
+        strip_margin=max(margin for _, margin, _ in parts),
+        symmetry_defect=max(defect for _, _, defect in parts))
 
 
 def _workers(n_tasks):
@@ -332,11 +413,13 @@ class EnergyTrace:
 
 def _fit_decay(times, energy):
     """Decay rate and R^2 of the least-squares line through log energy
-    on [t_max/4, t_max]."""
-    sel = times >= 0.25 * times[-1]
+    on [t_max/4, t_max], over the samples at or above FIT_FLOOR E(0):
+    below it a float64 march carries roundoff, not decay. (0.0, 0.0) when
+    fewer than two samples remain or log energy is flat."""
+    sel = (times >= 0.25 * times[-1]) & (energy >= FIT_FLOOR * energy[0])
     t = times[sel]
     y = np.log(np.maximum(energy[sel], 1e-300))
-    if np.ptp(y) < 1e-12:
+    if t.size < 2 or np.ptp(y) < 1e-12:
         return 0.0, 0.0
     slope, intercept = np.polyfit(t, y, 1)
     ss_res = float(np.sum((y - (slope * t + intercept)) ** 2))
@@ -388,34 +471,36 @@ def power_march(step, x0, n_steps):
     return hist
 
 
-def _energies(frame, hist):
-    """(e0, eeps, diss) of the states in the rows of hist: the energies
-    E^0 and E^eps of each state, at eps = problem.epsilon, and its damping
-    power 2 int a w_t^2.
+def _energies(problem, a, lam, basis, hist):
+    """(e0, eeps, diss) of the states (w, w_t) in the rows of hist, in
+    one parity sector with damping a and eigenpairs (lam, basis) of its
+    operator: the energies E^0 and E^eps of each state, at
+    eps = problem.epsilon, and its damping power 2 int a w_t^2.
 
     Computed over slabs of 2 n_grid rows, so the modal coefficients and
     their temporaries are a small part of the history's size instead of
     about twice it, and two concurrent marches fit in the memory of one.
     A short last slab joins the one before it: a product of a few rows
     can take OpenBLAS's small-matrix kernel, whose last bits differ. At
-    n_grid 192 every value equals the whole-history one; at n_grid 64,
-    where a slab's products are small enough for that kernel and a long
-    history's are not, rows of the last partial tile can differ in the
-    last bit.
+    n_grid 192 every value equals the whole-history one (a slab as wide
+    as a sector's state, 194 or 190 rows, would split BLAS's column tiles
+    and move the last bits of a few rows); at n_grid 64, where a slab's
+    products are small enough for that kernel and a long history's are
+    not, rows of the last partial tile can differ in the last bit.
     """
-    problem = frame.pencil.problem
-    n = problem.n_grid
+    m = a.size
     rows = hist.shape[0]
-    slab = 2 * n
+    slab = 2 * problem.n_grid
     bounds = [*range(0, slab * max(rows // slab, 1), slab), rows]
-    weight = (1 + frame.lam[:, None]) ** problem.epsilon
+    weight = (1 + lam[:, None]) ** problem.epsilon
+    root = math.sqrt(problem.spacing)
     e0, eeps, diss = np.empty(rows), np.empty(rows), np.empty(rows)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         part = hist[lo:hi]
-        diss[lo:hi] = 2.0 * problem.spacing * (part[:, n:] ** 2 @ problem.a)
-        c = frame.coeffs(part[:, :n].T)
-        cd = frame.coeffs(part[:, n:].T)
-        modal = cd**2 + frame.lam[:, None] * c**2
+        diss[lo:hi] = 2.0 * problem.spacing * (part[:, m:] ** 2 @ a)
+        c = (basis.T @ part[:, :m].T) * root
+        cd = (basis.T @ part[:, m:].T) * root
+        modal = cd**2 + lam[:, None] * c**2
         e0[lo:hi] = 0.5 * modal.sum(axis=0)
         eeps[lo:hi] = 0.5 * (weight * modal).sum(axis=0)
     return e0, eeps, diss
@@ -444,24 +529,35 @@ def _simpson(y, dx):
     return result
 
 
+def _march_sector(problem, zeroth, a, x0, dt, n_steps):
+    """_energies of one parity sector's states at t = i dt, i = 0 ..
+    n_steps, from the state x0 = (w, w_t) in the sector's basis."""
+    lam, basis = _eigh(zeroth)
+    step = la.expm(_generator(zeroth, a) * dt)
+    return _energies(problem, a, lam, basis, power_march(step, x0, n_steps))
+
+
 def evolve(problem, k, initial=None, t_max=T_MAX, dt=DT, frame=None):
     """March one mode with the exact one-step propagator and record E^0,
     E^eps, and the damping quadrature.
 
-    The states at t = i dt are step^i applied to the initial state, with
-    step = exp(A dt) for the real first-order generator A, filled by
-    power doubling (power_march): about log2(n_steps) matrix products.
-    So the samples are exact for any dt > 0. The dissipation residual
-    compares the energy drop with a Simpson quadrature of the damping
-    power over the samples, which is accurate only when dt resolves the
-    excited band.
+    The mode's even and odd parity sectors march apart, and their
+    energies and damping powers add up to the mode's. In each sector the
+    states at t = i dt are step^i applied to the initial state, with
+    step = exp(A dt) for the sector's real first-order generator A,
+    filled by power doubling (power_march): about log2(n_steps) matrix
+    products. So the samples are exact for any dt > 0. The dissipation
+    residual compares the energy drop with a Simpson quadrature of the
+    damping power over the samples, which is accurate only when dt
+    resolves the excited band.
 
-    frame is mode k's ModeFrame of this problem (None builds it), and
-    its pencil gives A; a frame of another mode or problem is a
-    ValueError. initial is (u0, v0) in the physical frame; None takes
-    the default band-limited data. Checked here: dt is finite and > 0,
-    the data are not all zero, and t_max is finite and spans two steps,
-    so the decay fit on [t_max/4, t_max] has two samples.
+    frame is mode k's ModeFrame of this problem (None builds one when
+    the default data need it), and its pencil is the one marched; a
+    frame of another mode or problem is a ValueError. initial is
+    (u0, v0) in the physical frame; None takes the default band-limited
+    data. Checked here: dt is finite and > 0, the data are not all zero,
+    and t_max is finite and spans two steps, so the decay fit on
+    [t_max/4, t_max] has two samples.
     """
     check_positive(dt, "dt")
     span = t_max / dt
@@ -470,22 +566,28 @@ def evolve(problem, k, initial=None, t_max=T_MAX, dt=DT, frame=None):
                          f"steps of dt = {dt}, which the decay fit needs")
     n_steps = int(round(span))
     if frame is None:
-        frame = mode_frame(assemble_pencil(problem, k))
+        pencil = assemble_pencil(problem, k)
     elif frame.pencil.k != k or frame.pencil.problem is not problem:
         raise ValueError(f"frame of mode {frame.pencil.k} does not belong "
                          f"to mode {k} of this problem")
-    scale = np.sqrt(problem.f)
-    if initial is None:
-        u0, v0 = default_initial(problem, frame)
     else:
+        pencil = frame.pencil
+    scale = np.sqrt(problem.f)
+    if initial is not None:
         u0, v0 = (np.asarray(x, dtype=float) for x in initial)
+    else:
+        u0, v0 = default_initial(
+            problem, mode_frame(pencil) if frame is None else frame)
     w0, wd0 = scale * u0, scale * v0
     if not (np.any(w0) or np.any(wd0)):
         raise ValueError("initial data is identically zero")
-    step = la.expm(first_order_generator(frame.pencil) * dt)
     times = dt * np.arange(n_steps + 1)
-    e0, eeps, diss = _energies(
-        frame, power_march(step, np.concatenate([w0, wd0]), n_steps))
+    sectors = [
+        _march_sector(problem, zeroth, a, np.concatenate([w, wd]), dt,
+                      n_steps)
+        for (zeroth, a), w, wd in zip(parity_sectors(pencil), fold(w0),
+                                      fold(wd0))]
+    e0, eeps, diss = (even + odd for even, odd in zip(*sectors))
     rises = np.diff(e0)
     if rises.size and rises.max() > 1e-8 * max(e0[0], 1e-300):
         raise StepFailure(
@@ -524,8 +626,9 @@ def decay_report(problem, modes=DECAY_MODES, t_max=T_MAX):
     one time grid, dt = min(DT, 0.09 / tau) for the fastest excited
     frequency tau: the samples are exact at any dt, and this step keeps
     the dissipation quadrature accurate. The envelope constant is the
-    smallest C with E(t) <= C exp(-rate t) ||data||^2_{H^eps} along the
-    whole trace.
+    smallest C with E(t) <= C exp(-rate t) ||data||^2_{H^eps} at every
+    sample the fit trusts, E(t) >= FIT_FLOOR E(0): the roundoff below it
+    does not decay, and exp(rate t) would blow it up.
     """
     modes = check_modes(modes, "mode")
     frames = [mode_frame(assemble_pencil(problem, k)) for k in modes]
@@ -546,7 +649,9 @@ def decay_report(problem, modes=DECAY_MODES, t_max=T_MAX):
     total = sum(trace.e0 for trace in traces)
     times = traces[-1].times
     rate, r2 = _fit_decay(times, total)
-    envelope = float(np.max(total * np.exp(rate * times)) / hnorm_sq)
+    trusted = total >= FIT_FLOOR * total[0]
+    envelope = float(np.max((total * np.exp(rate * times))[trusted])
+                     / hnorm_sq)
     return DecayReport(epsilon=problem.epsilon, modes=modes, rate=rate,
                        r_squared=r2, envelope_constant=envelope,
                        hnorm_sq=hnorm_sq, times=times, total_e0=total,

@@ -1,5 +1,7 @@
-"""Damped wave on a warped period: pencil assembly, eigenfrequency
-structure, exact-propagator energy traces."""
+"""Damped wave on a warped period: pencil assembly, parity sectors,
+eigenfrequency structure, exact-propagator energy traces. The dense
+first-order generator on the whole grid, which the library no longer
+builds, is the oracle of the sector roots and marches."""
 
 import json
 import math
@@ -129,6 +131,99 @@ def test_periodic_operator_without_its_wrap_node_is_spectra_operator(
     assert np.array_equal(np.diag(zeroth, 1), op.sym_off)
 
 
+def reflection_basis(n_grid):
+    """Orthonormal columns e_0, (e_j + e_{n-j})/sqrt 2 (0 < j < h), e_h,
+    then (e_j - e_{n-j})/sqrt 2 (0 < j < h): the even and odd bases that
+    parity_sectors and fold use, h = n_grid / 2."""
+    h = n_grid // 2
+    Q = np.zeros((n_grid, n_grid))
+    Q[0, 0] = Q[h, h] = 1.0
+    for j in range(1, h):
+        Q[j, j] = Q[n_grid - j, j] = 1 / math.sqrt(2)
+        Q[j, h + j] = 1 / math.sqrt(2)
+        Q[n_grid - j, h + j] = -1 / math.sqrt(2)
+    return Q
+
+
+@pytest.mark.parametrize("n_grid", [32, 192])
+@pytest.mark.parametrize("k", [0, 20])
+def test_parity_sectors_are_the_reflection_blocks(n_grid, k):
+    # in the reflection basis the operator is block diagonal, its blocks
+    # are the two sectors, and fold is the change of basis
+    prob = dw.DampedWaveProblem(n_grid=n_grid)
+    pencil = dw.assemble_pencil(prob, k)
+    Q = reflection_basis(n_grid)
+    assert np.abs(Q.T @ Q - np.eye(n_grid)).max() <= 1e-15
+    (even, a_even), (odd, a_odd) = dw.parity_sectors(pencil)
+    h = n_grid // 2
+    assert even.shape == (h + 1, h + 1) and odd.shape == (h - 1, h - 1)
+    blocks = la.block_diag(even, odd)
+    L = pencil.zeroth
+    assert np.abs(Q.T @ L @ Q - blocks).max() <= 1e-14 * np.abs(L).max()
+    damping = Q.T @ np.diag(prob.a) @ Q
+    assert np.abs(damping - np.diag(np.concatenate([a_even, a_odd]))).max() \
+        <= 1e-15
+    # both sectors are tridiagonal: the periodic wrap is folded away
+    for block in (even, odd):
+        assert np.array_equal(block, np.triu(np.tril(block, 1), -1))
+    w = np.random.Generator(np.random.Philox(7)).standard_normal(n_grid)
+    assert np.abs(np.concatenate(dw.fold(w)) - Q.T @ w).max() <= 4e-15
+
+
+def first_order_generator(pencil):
+    """Real generator A = [[0, I], [-L, -2a]] of the mode's first-order
+    system d/dt (w, w_t) = A (w, w_t) on the whole grid: the dense oracle
+    of the two sector generators."""
+    n = pencil.problem.n_grid
+    A = np.zeros((2 * n, 2 * n))
+    A[:n, n:] = np.eye(n)
+    A[n:, :n] = -pencil.zeroth
+    A[n:, n:] = -2.0 * np.diag(pencil.problem.a)
+    return A
+
+
+def match_roots(got, want):
+    """|got - want| of each root after pairing the two sets one to one;
+    sorting is not stable for roots whose real parts are zero up to
+    roundoff."""
+    dist = np.abs(got[:, None] - want[None, :])
+    rows, cols = linear_sum_assignment(dist)
+    return dist[rows, cols]
+
+
+@pytest.mark.parametrize("k", [0, 5, 20, 40])
+def test_sector_roots_and_eigenvalues_match_the_dense_oracle(
+        default_problem, k):
+    # the largest gap, 2.2e-12 at k = 0, is a root near the imaginary axis
+    # (0.141 + 0.929i), which both solves place about 1e-12 from the exact
+    # root; relative to the largest root every gap is below 4e-14
+    pencil = dw.assemble_pencil(default_problem, k)
+    got = dw.eigenfrequencies(pencil).frequencies
+    want = -1j * np.linalg.eigvals(first_order_generator(pencil))
+    assert got.size == want.size == 2 * default_problem.n_grid
+    assert match_roots(got, want).max() <= 1e-12 * np.abs(want).max()
+    lam = dw.mode_frame(pencil).lam
+    merged = np.sort(np.concatenate(
+        [dw._eigh(zeroth)[0] for zeroth, _ in dw.parity_sectors(pencil)]))
+    assert np.abs(merged - lam).max() <= 1e-14 * lam.max()
+
+
+def test_default_initial_is_synthesized_on_the_whole_grid():
+    # the data come from the whole grid's eigh, bit for bit as before the
+    # sector split, not from either sector's eigenbasis
+    prob = dw.DampedWaveProblem()
+    for k in (0, 5, 40):
+        pencil = dw.assemble_pencil(prob, k)
+        lam, basis = la.eigh(pencil.zeroth)
+        j = np.arange(dw.N_LOW)
+        c = np.zeros(prob.n_grid)
+        c[:dw.N_LOW] = (-1.0) ** j / (1.0 + j)
+        want = (basis @ c) / math.sqrt(prob.spacing) / np.sqrt(prob.f)
+        u0, v0 = dw.default_initial(prob, dw.mode_frame(pencil))
+        assert not np.any(u0)
+        assert np.array_equal(v0, want)
+
+
 # ---------------------------------------------------------------------------
 # eigenfrequencies
 # ---------------------------------------------------------------------------
@@ -194,11 +289,7 @@ def test_real_generator_roots_match_complex_companion(default_problem, k):
     got = dw.eigenfrequencies(pencil).frequencies
     want = companion_roots(pencil)
     assert got.size == want.size == 2 * default_problem.n_grid
-    # pair the roots one to one; sorting is not stable for roots whose
-    # real parts are zero up to roundoff
-    dist = np.abs(got[:, None] - want[None, :])
-    rows, cols = linear_sum_assignment(dist)
-    assert dist[rows, cols].max() <= 1e-10
+    assert match_roots(got, want).max() <= 1e-10
 
 
 def test_scan_matches_per_mode_eigenfrequencies():
@@ -222,15 +313,29 @@ def test_scan_reports_the_signed_strip_margin():
     assert strip < 0
 
 
-def test_trace_check_catches_a_repeated_root(monkeypatch):
-    # copy one conjugate pair of eigenpairs over another: every eigenpair
-    # keeps its small residual, the roots stay in the strip and mirror
-    # symmetric, and only the sum of the roots misses the trace
-    pencil = dw.assemble_pencil(dw.DampedWaveProblem(n_grid=64), 3)
+def odd_sector_only(corrupt, n_grid):
+    """np.linalg.eig that applies corrupt to the result of the odd
+    sector, whose generator is n_grid - 2 wide (the even one's is
+    n_grid + 2)."""
     real_eig = np.linalg.eig
 
-    def repeat_a_pair(A):
+    def eig(A):
         mus, vecs = real_eig(A)
+        if A.shape[0] == n_grid - 2:
+            return corrupt(mus, vecs)
+        return mus, vecs
+
+    return eig
+
+
+def test_trace_check_catches_a_repeated_root(monkeypatch):
+    # copy one conjugate pair of eigenpairs over another in the odd
+    # sector: every eigenpair keeps its small residual, the roots stay in
+    # the strip and mirror symmetric, and only the sum of the sector's
+    # roots misses its trace
+    pencil = dw.assemble_pencil(dw.DampedWaveProblem(n_grid=64), 3)
+
+    def repeat_a_pair(mus, vecs):
         first = np.flatnonzero(mus.imag > 0)
         j, i = first[0], first[1]
         mus[[j, j + 1]] = mus[[i, i + 1]]
@@ -239,10 +344,28 @@ def test_trace_check_catches_a_repeated_root(monkeypatch):
 
     es = dw.eigenfrequencies(pencil)
     assert es.symmetry_defect == 0.0
-    monkeypatch.setattr(np.linalg, "eig", repeat_a_pair)
+    monkeypatch.setattr(np.linalg, "eig", odd_sector_only(repeat_a_pair, 64))
     with pytest.raises(dw.DampedWaveError,
-                       match="miss the generator trace .* at mode 3: a root "
-                             "is missing or repeated"):
+                       match="odd sector roots miss the generator trace .* "
+                             "at mode 3: a root is missing or repeated"):
+        dw.eigenfrequencies(pencil)
+
+
+def test_trace_check_catches_a_root_dropped_from_one_sector(monkeypatch):
+    # drop one conjugate pair from the odd sector: the rest keep their
+    # residuals, strip and mirrors, and the merged set is two roots short;
+    # only the odd sector's trace check sees it
+    pencil = dw.assemble_pencil(dw.DampedWaveProblem(n_grid=64), 3)
+
+    def drop_a_pair(mus, vecs):
+        j = np.flatnonzero(mus.imag > 0)[0]
+        keep = np.delete(np.arange(mus.size), [j, j + 1])
+        return mus[keep], vecs[:, keep]
+
+    monkeypatch.setattr(np.linalg, "eig", odd_sector_only(drop_a_pair, 64))
+    with pytest.raises(dw.DampedWaveError,
+                       match="odd sector roots miss the generator trace .* "
+                             "at mode 3: a root is missing or repeated"):
         dw.eigenfrequencies(pencil)
 
 
@@ -321,6 +444,21 @@ def test_undamped_energy_conserved():
     assert trace.rate == 0.0
 
 
+def test_decay_fit_reads_only_samples_above_the_roundoff_floor():
+    # an exponential that lands on a noisy floor 1e-13 below E(0), where a
+    # float64 march stops decaying: the fit sees only E >= FIT_FLOOR E(0)
+    times = np.linspace(0.0, 60.0, 6001)
+    rng = np.random.Generator(np.random.Philox(5))
+    floor = 1e-13 * (1.0 + rng.random(times.size))
+    energy = 3.0 * np.maximum(np.exp(-0.6 * times), floor)
+    rate, r2 = dw._fit_decay(times, energy)
+    assert rate == pytest.approx(0.6, rel=1e-9)
+    assert r2 == pytest.approx(1.0, abs=1e-12)
+    # with every sample of [t_max/4, t_max] under the floor there is
+    # nothing to fit
+    assert dw._fit_decay(times, np.exp(-3.0 * times)) == (0.0, 0.0)
+
+
 def stepwise_states(step, x0, n_steps):
     """Reference march: one matrix-vector product per step."""
     hist = np.empty((n_steps + 1, x0.size))
@@ -339,7 +477,7 @@ def test_power_march_matches_stepwise_loop(damping):
     u0, v0 = dw.default_initial(prob, frame)
     scale = np.sqrt(prob.f)
     x0 = np.concatenate([scale * u0, scale * v0])
-    step = la.expm(dw.first_order_generator(pencil) * dt)
+    step = la.expm(first_order_generator(pencil) * dt)
     kept = step.copy()
     want = stepwise_states(step, x0, n_steps)
     got = dw.power_march(step, x0, n_steps)
@@ -355,18 +493,28 @@ def test_power_march_matches_stepwise_loop(damping):
     assert np.abs(trace.e0 / e0 - 1.0).max() <= 1e-12
 
 
-def full_history_energies(frame, hist):
-    """e0, eeps and diss of every row of hist, in one pass over the whole
-    history."""
-    prob = frame.pencil.problem
-    n = prob.n_grid
-    diss = 2.0 * prob.spacing * (hist[:, n:] ** 2 @ prob.a)
-    c, cd = frame.coeffs(hist[:, :n].T), frame.coeffs(hist[:, n:].T)
-    modal = cd**2 + frame.lam[:, None] * c**2
+def full_history_energies(problem, a, lam, basis, hist):
+    """e0, eeps and diss of every row of hist, states (w, w_t) with
+    damping a and eigenpairs (lam, basis) of their operator, in one pass
+    over the whole history."""
+    m = a.size
+    root = math.sqrt(problem.spacing)
+    diss = 2.0 * problem.spacing * (hist[:, m:] ** 2 @ a)
+    c = (basis.T @ hist[:, :m].T) * root
+    cd = (basis.T @ hist[:, m:].T) * root
+    modal = cd**2 + lam[:, None] * c**2
     e0 = 0.5 * modal.sum(axis=0)
-    eeps = 0.5 * ((1 + frame.lam[:, None]) ** prob.epsilon
+    eeps = 0.5 * ((1 + lam[:, None]) ** problem.epsilon
                   * modal).sum(axis=0)
     return e0, eeps, diss
+
+
+def dense_march(frame, x0, dt, n_steps):
+    """e0, eeps and diss of the mode marched on its dense generator."""
+    prob = frame.pencil.problem
+    step = la.expm(first_order_generator(frame.pencil) * dt)
+    return full_history_energies(prob, prob.a, frame.lam, frame.basis,
+                                 dw.power_march(step, x0, n_steps))
 
 
 @pytest.mark.parametrize("n_grid, rows", [
@@ -385,15 +533,20 @@ def test_slab_energies_equal_the_full_history(n_grid, rows):
     frame = dw.mode_frame(dw.assemble_pencil(prob, 5))
     u0, v0 = dw.default_initial(prob, frame)
     scale = np.sqrt(prob.f)
-    step = la.expm(dw.first_order_generator(frame.pencil) * dt)
-    hist = dw.power_march(
-        step, np.concatenate([scale * u0, scale * v0]), rows - 1)
-    e0, eeps, diss = full_history_energies(frame, hist)
-    for got, want in zip(dw._energies(frame, hist), (e0, eeps, diss)):
-        assert np.array_equal(got, want)
+    x0 = np.concatenate([scale * u0, scale * v0])
+    for (zeroth, a), w, wd in zip(dw.parity_sectors(frame.pencil),
+                                  dw.fold(scale * u0), dw.fold(scale * v0)):
+        lam, basis = dw._eigh(zeroth)
+        step = la.expm(dw._generator(zeroth, a) * dt)
+        hist = dw.power_march(step, np.concatenate([w, wd]), rows - 1)
+        want = full_history_energies(prob, a, lam, basis, hist)
+        for got, ref in zip(dw._energies(prob, a, lam, basis, hist), want):
+            assert np.array_equal(got, ref)
+    # the two sectors' marches add up to the dense march of the mode
     trace = dw.evolve(prob, 5, t_max=(rows - 1) * dt, dt=dt, frame=frame)
-    assert np.array_equal(trace.e0, e0)
-    assert np.array_equal(trace.eeps, eeps)
+    e0, eeps, _ = dense_march(frame, x0, dt, rows - 1)
+    assert np.abs(trace.e0 - e0).max() <= 1e-12 * e0[0]
+    assert np.abs(trace.eeps - eeps).max() <= 1e-12 * e0[0]
 
 
 def test_worker_count_changes_no_bit(monkeypatch, tmp_path):
@@ -541,6 +694,22 @@ def test_decay_report_epsilon_tradeoff():
         bound = rep.envelope_constant * rep.hnorm_sq * np.exp(
             -rep.rate * rep.times)
         assert np.all(rep.total_e0 <= bound * (1 + 1e-9))
+
+
+def test_envelope_constant_is_taken_above_the_roundoff_floor():
+    # mode 0 alone falls to its float64 floor, about 2e-13 E(0), by
+    # t = 60; lifted by exp(rate t), that floor would set an envelope
+    # constant near 1e11 instead of one set by the decaying samples
+    rep = dw.decay_report(dw.DampedWaveProblem(), modes=(0,), t_max=60.0)
+    trusted = rep.total_e0 >= dw.FIT_FLOOR * rep.total_e0[0]
+    assert 0.2 < trusted.mean() < 0.6
+    assert rep.r_squared >= 0.99
+    bound = rep.envelope_constant * rep.hnorm_sq * np.exp(
+        -rep.rate * rep.times)
+    assert np.all(rep.total_e0[trusted] <= bound[trusted] * (1 + 1e-9))
+    # E(0) <= E^eps(0) = hnorm_sq / 2 puts the t = 0 sample at 0.5 or
+    # below, and no decaying sample lifts the constant above it
+    assert rep.envelope_constant <= 0.5
 
 
 def test_decay_report_rejects_zero_epsilon():

@@ -21,6 +21,21 @@ def dipped_warp(monkeypatch):
     return dw.DampedWaveProblem(profile="dip", n_grid=32)
 
 
+def lopsided_warp(monkeypatch):
+    # a bump on 0 <= r <= 2 only: positive, flat where the circle wraps,
+    # and not even in r
+    monkeypatch.setitem(cutoffs.WARPS, "lopsided", cutoffs.Warp(
+        "lopsided", lambda r: 1.0 + cutoffs.plateau_bump(
+            np.asarray(r) - 1.0, 0.5, 1.0),
+        lambda r: np.zeros_like(np.asarray(r, dtype=float))))
+    return dw.DampedWaveProblem(profile="lopsided", n_grid=32)
+
+
+def one_sided_damping(r):
+    r = np.asarray(r, dtype=float)
+    return np.where(r > 0, cutoffs.plateau_step(r, 0.5, 1.0), 0.0)
+
+
 @pytest.mark.parametrize("make, words, values", [
     (lambda mp: cutoffs.plateau_step(0.0, 0.5, 0.2),
      "need 0 <= lo < hi", ["lo = 0.5", "hi = 0.2"]),
@@ -48,9 +63,17 @@ def dipped_warp(monkeypatch):
     (lambda mp: dw.DampedWaveProblem(n_grid=32, damping=const(0.3)),
      "damping must vanish for |r| <= dead_zone_radius",
      ["dead_zone_radius = 0.5", "not 0.3", "r = "]),
+    (lambda mp: dw.DampedWaveProblem(n_grid=65),
+     "n_grid must be even", ["65"]),
+    (lopsided_warp, "warp profile must be even in r",
+     ["not 1.0 at r = -1.5", "and 2.0 at r = 1.5"]),
+    (lambda mp: dw.DampedWaveProblem(n_grid=32, damping=one_sided_damping),
+     "damping must be even in r",
+     ["not 0.0 at r = -2.8125", "and 1.0 at r = 2.8125"]),
 ], ids=["plateau-lo-hi", "rho0-rho1", "floor", "strength-nan",
         "strength-negative", "odd-n_grid", "mode-k",
-        "scan-mode-k", "decay-mode-k", "warp-sign", "damping-sign", "dead-zone"])
+        "scan-mode-k", "decay-mode-k", "warp-sign", "damping-sign",
+        "dead-zone", "wave-odd-n_grid", "warp-not-even", "damping-not-even"])
 def test_input_message_names_the_value(monkeypatch, make, words, values):
     with pytest.raises(ValueError) as err:
         make(monkeypatch)
