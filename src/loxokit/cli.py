@@ -330,6 +330,7 @@ def cmd_damped_wave(args):
             "rate": rep.rate,
             "r_squared": rep.r_squared,
             "envelope_constant": rep.envelope_constant,
+            "floor_time": rep.floor_time,
             "strip_margin": strip,
             "mirror_defect": mirror,
         },

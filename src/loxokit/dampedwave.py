@@ -50,7 +50,8 @@ import numpy as np
 import scipy.linalg as la
 
 from .cutoffs import DAMPING_INNER, get_warp, neck_damping
-from .errors import LoxokitError, StepFailure, check_modes, check_positive
+from .errors import (LoxokitError, StepFailure, check_count, check_modes,
+                     check_positive)
 from .spectra import radial_stencil
 
 
@@ -89,9 +90,10 @@ class DampedWaveProblem:
     r = +-PERIOD/2, so the warp closes up smoothly on the circle. damping
     is a callable of r on the fundamental domain [-PERIOD/2, PERIOD/2).
     dead_zone_radius declares where damping must vanish (None skips that
-    check, for constant-damping oracles). epsilon, the regularity of the
-    data norm H^epsilon that decay reports measure against, must be
-    finite and > 0.
+    check, for constant-damping oracles; any other value is finite and
+    >= 0). n_grid is an even integer of at least 32, and the damping is
+    finite on the grid. epsilon, the regularity of the data norm
+    H^epsilon that decay reports measure against, must be finite and > 0.
     """
 
     profile: str = WARP
@@ -105,12 +107,15 @@ class DampedWaveProblem:
     a: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.n_grid < 32:
-            raise ValueError(f"n_grid must be at least 32, not {self.n_grid}")
+        check_count(self.n_grid, "n_grid", 32)
         if self.n_grid % 2:
             raise ValueError(f"n_grid must be even, so the grid holds the "
                              f"neck r = 0, not {self.n_grid}")
         check_positive(self.epsilon, "epsilon")
+        radius = self.dead_zone_radius
+        if radius is not None and not 0 <= radius < math.inf:
+            raise ValueError(f"dead_zone_radius must be None or finite and "
+                             f">= 0, not {radius}")
         warp = get_warp(self.profile)
         slopes = warp.slope(np.array([-0.5, 0.5]) * PERIOD)
         if np.any(slopes != 0):
@@ -125,6 +130,11 @@ class DampedWaveProblem:
         self.r = -0.5 * PERIOD + self.spacing * np.arange(n)
         self.f = np.asarray(warp.f(self.r), dtype=float)
         self.a = np.asarray(self.damping(self.r), dtype=float)
+        # before _check_even, whose mirror gap of an inf is a NaN
+        if not np.all(np.isfinite(self.a)):
+            i = np.argmin(np.isfinite(self.a))
+            raise ValueError(f"damping must be finite, not {self.a[i]} at "
+                             f"r = {self.r[i]}")
         if np.any(self.f <= 0):
             i = np.argmin(self.f)
             raise ValueError(f"warp profile must be positive, not "
@@ -223,28 +233,20 @@ def _eigh(zeroth):
 
 @dataclass
 class ModeFrame:
-    """Eigenbasis of one mode's symmetrized operator on the whole grid,
-    with spectral norms: the basis of default_initial's data and of the
-    data norm. evolve marches the mode's parity sectors in their own
-    eigenbases.
+    """Eigenbasis of one mode's symmetrized operator on the whole grid:
+    the basis of default_initial's data. evolve marches the mode's
+    parity sectors in their own eigenbases.
 
-    Coefficients carry the sqrt(spacing) quadrature weight so that
-    norm_sq(w, 0) equals the f-weighted L^2 norm of the physical state.
+    synthesize divides by the sqrt(spacing) quadrature weight, so unit
+    coefficients give a state of unit f-weighted L^2 norm.
     """
 
     pencil: ModePencil
     lam: np.ndarray
     basis: np.ndarray
 
-    def coeffs(self, w):
-        return (self.basis.T @ w) * math.sqrt(self.pencil.problem.spacing)
-
     def synthesize(self, c):
         return (self.basis @ c) / math.sqrt(self.pencil.problem.spacing)
-
-    def norm_sq(self, w, s):
-        c = self.coeffs(w)
-        return float(np.sum((1.0 + self.lam) ** s * np.abs(c) ** 2))
 
 
 def mode_frame(pencil):
@@ -382,9 +384,10 @@ def eigenfrequency_scan(problem, modes=MODES):
             max(es.symmetry_defect for es in sets))
 
 
-def default_initial(problem, frame):
-    """Band-limited start: u = 0, velocity (-1)^j / (1 + j) on each of
-    the lowest N_LOW eigenmodes j, so every one is excited.
+def default_initial(frame):
+    """Band-limited start of the frame's mode and problem: u = 0,
+    velocity (-1)^j / (1 + j) on each of the lowest N_LOW eigenmodes j,
+    so every one is excited.
     These data follow the operator's last bits: eigh picks each
     eigenvector's sign, and the basis of mode 40's near-equal pairs
     (two wells beside the neck, ~1e-15 apart at n_grid 192)."""
@@ -395,6 +398,7 @@ def default_initial(problem, frame):
         [c, np.zeros(frame.lam.size - n_low)]))
     # synthesize works in the sqrt(f)-symmetrized frame; hand back
     # physical data so evolve's conversion lands on exactly these modes
+    problem = frame.pencil.problem
     return np.zeros(problem.n_grid), w / np.sqrt(problem.f)
 
 
@@ -537,7 +541,23 @@ def _march_sector(problem, zeroth, a, x0, dt, n_steps):
     return _energies(problem, a, lam, basis, power_march(step, x0, n_steps))
 
 
-def evolve(problem, k, initial=None, t_max=T_MAX, dt=DT, frame=None):
+def _initial_data(problem, initial):
+    """(u0, v0) as float arrays; a ValueError unless they are two finite
+    arrays of n_grid values each, not both zero."""
+    data = [np.asarray(x, dtype=float) for x in initial]
+    shapes = [x.shape for x in data]
+    if shapes != [(problem.n_grid,)] * 2:
+        raise ValueError(f"initial data must be two arrays (u0, v0) of "
+                         f"n_grid = {problem.n_grid} values, not of shapes "
+                         f"{shapes}")
+    if not all(np.all(np.isfinite(x)) for x in data):
+        raise ValueError("initial data must be finite")
+    if not any(np.any(x) for x in data):
+        raise ValueError("initial data is identically zero")
+    return data
+
+
+def evolve(problem, k, initial=None, t_max=T_MAX, dt=DT):
     """March one mode with the exact one-step propagator and record E^0,
     E^eps, and the damping quadrature.
 
@@ -551,13 +571,11 @@ def evolve(problem, k, initial=None, t_max=T_MAX, dt=DT, frame=None):
     damping power over the samples, which is accurate only when dt
     resolves the excited band.
 
-    frame is mode k's ModeFrame of this problem (None builds one when
-    the default data need it), and its pencil is the one marched; a
-    frame of another mode or problem is a ValueError. initial is
-    (u0, v0) in the physical frame; None takes the default band-limited
-    data. Checked here: dt is finite and > 0, the data are not all zero,
-    and t_max is finite and spans two steps, so the decay fit on
-    [t_max/4, t_max] has two samples.
+    initial is (u0, v0) in the physical frame; None takes the default
+    band-limited data of mode k. Checked here: dt is finite and > 0, the
+    data are two finite arrays of n_grid values, not all zero, and t_max
+    is finite and spans two steps, so the decay fit on [t_max/4, t_max]
+    has two samples.
     """
     check_positive(dt, "dt")
     span = t_max / dt
@@ -565,22 +583,11 @@ def evolve(problem, k, initial=None, t_max=T_MAX, dt=DT, frame=None):
         raise ValueError(f"t_max = {t_max} is not a horizon of at least 2 "
                          f"steps of dt = {dt}, which the decay fit needs")
     n_steps = int(round(span))
-    if frame is None:
-        pencil = assemble_pencil(problem, k)
-    elif frame.pencil.k != k or frame.pencil.problem is not problem:
-        raise ValueError(f"frame of mode {frame.pencil.k} does not belong "
-                         f"to mode {k} of this problem")
-    else:
-        pencil = frame.pencil
+    pencil = assemble_pencil(problem, k)
+    u0, v0 = (default_initial(mode_frame(pencil)) if initial is None
+              else _initial_data(problem, initial))
     scale = np.sqrt(problem.f)
-    if initial is not None:
-        u0, v0 = (np.asarray(x, dtype=float) for x in initial)
-    else:
-        u0, v0 = default_initial(
-            problem, mode_frame(pencil) if frame is None else frame)
     w0, wd0 = scale * u0, scale * v0
-    if not (np.any(w0) or np.any(wd0)):
-        raise ValueError("initial data is identically zero")
     times = dt * np.arange(n_steps + 1)
     sectors = [
         _march_sector(problem, zeroth, a, np.concatenate([w, wd]), dt,
@@ -602,7 +609,9 @@ def evolve(problem, k, initial=None, t_max=T_MAX, dt=DT, frame=None):
 
 @dataclass
 class DecayReport:
-    """Superposed-mode energy decay against the H^eps size of the data."""
+    """Superposed-mode energy decay against the H^eps size of the data.
+    floor_time is the first sample time at which total_e0 falls below
+    FIT_FLOOR of its start, where roundoff takes over, or None."""
 
     epsilon: float
     modes: tuple
@@ -610,6 +619,7 @@ class DecayReport:
     r_squared: float
     envelope_constant: float
     hnorm_sq: float
+    floor_time: float | None
     times: np.ndarray
     total_e0: np.ndarray
     total_eeps: np.ndarray
@@ -621,40 +631,43 @@ def decay_report(problem, modes=DECAY_MODES, t_max=T_MAX):
     energies, fit the decay.
 
     Angular modes are L^2-orthogonal, so the total energy is the sum of
-    per-mode traces and the squared H^eps size of the initial data, at
-    eps = problem.epsilon, is the sum of per-mode sizes. All modes share
-    one time grid, dt = min(DT, 0.09 / tau) for the fastest excited
-    frequency tau: the samples are exact at any dt, and this step keeps
-    the dissipation quadrature accurate. The envelope constant is the
+    per-mode traces. The data start at zero displacement, so the squared
+    H^eps size of the data, at eps = problem.epsilon, is 2 sum_k
+    E^eps_k(0), read off the marches. All modes share one time grid,
+    dt = min(DT, 0.09 / tau) for the fastest excited frequency tau: the
+    samples are exact at any dt, and this step keeps the dissipation
+    quadrature accurate. The envelope constant is the
     smallest C with E(t) <= C exp(-rate t) ||data||^2_{H^eps} at every
     sample the fit trusts, E(t) >= FIT_FLOOR E(0): the roundoff below it
     does not decay, and exp(rate t) would blow it up.
     """
     modes = check_modes(modes, "mode")
-    frames = [mode_frame(assemble_pencil(problem, k)) for k in modes]
-    starts = [default_initial(problem, frame) for frame in frames]
-    # the N_LOW-th eigenvalue is the fastest excited frequency squared
-    tau_max = max([1.0] + [math.sqrt(fr.lam[min(N_LOW, fr.lam.size) - 1])
-                           for fr in frames])
+    starts, tau_max = [], 1.0
+    for k in modes:
+        # only the data and tau outlive the frame: frames held through
+        # the marches raised the peak memory
+        frame = mode_frame(assemble_pencil(problem, k))
+        starts.append(default_initial(frame))
+        # the N_LOW-th eigenvalue is the fastest excited frequency squared
+        tau_max = max(tau_max, math.sqrt(
+            frame.lam[min(N_LOW, frame.lam.size) - 1]))
     dt = min(DT, 0.09 / tau_max)
-
-    def march(k, frame, start):
-        return evolve(problem, k, initial=start, t_max=t_max, dt=dt,
-                      frame=frame)
-
-    traces = _map_modes(march, modes, frames, starts)
-    scale = np.sqrt(problem.f)
-    hnorm_sq = sum(frame.norm_sq(scale * v0, problem.epsilon)
-                   for frame, (_, v0) in zip(frames, starts))
+    traces = _map_modes(
+        lambda k, start: evolve(problem, k, initial=start, t_max=t_max,
+                                dt=dt),
+        modes, starts)
     total = sum(trace.e0 for trace in traces)
+    total_eeps = sum(trace.eeps for trace in traces)
+    hnorm_sq = 2 * float(total_eeps[0])
     times = traces[-1].times
     rate, r2 = _fit_decay(times, total)
     trusted = total >= FIT_FLOOR * total[0]
     envelope = float(np.max((total * np.exp(rate * times))[trusted])
                      / hnorm_sq)
+    floor_time = None if trusted.all() else float(times[np.argmin(trusted)])
     return DecayReport(epsilon=problem.epsilon, modes=modes, rate=rate,
                        r_squared=r2, envelope_constant=envelope,
-                       hnorm_sq=hnorm_sq, times=times, total_e0=total,
-                       total_eeps=sum(trace.eeps for trace in traces),
+                       hnorm_sq=hnorm_sq, floor_time=floor_time,
+                       times=times, total_e0=total, total_eeps=total_eeps,
                        per_mode=dict(zip(modes, traces)))
 

@@ -6,10 +6,11 @@ GridTooCoarse and StepFailure are defined here once. The command line
 maps every LoxokitError to exit code 3, and a ValueError, which is how
 every module reports a bad input, to exit code 2. The rules for those
 inputs live here too, one per kind: a finite positive scalar, an
-angular mode, and a list.
+angular mode, a grid size, and a list.
 """
 
 import math
+import numbers
 
 
 class LoxokitError(RuntimeError):
@@ -43,6 +44,16 @@ def check_positive(value, name):
     the value otherwise)."""
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be finite and > 0, not {value}")
+
+
+def check_count(value, name, least):
+    """The rule for a grid size: an integer (not a bool or a float,
+    however whole) of at least least (ValueError naming the value
+    otherwise)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, not {value}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, not {value}")
 
 
 def check_mode(k):

@@ -46,8 +46,8 @@ import scipy.linalg as la
 from scipy.linalg import lapack
 
 from .cutoffs import plateau_step
-from .errors import (GridTooCoarse, LoxokitError, check_entries,
-                     check_positive)
+from .errors import (GridTooCoarse, LoxokitError, check_count,
+                     check_entries, check_positive)
 
 
 # the scan that `loxokit resolvent` and the resolvent-bounds criterion run
@@ -639,10 +639,12 @@ HARM_OSC_HALF_WIDTH = 6.0  # the y grid of harm_osc_lower_bound
 def harm_osc_lower_bound(h_tilde_list, n_grid=512, weighted=True):
     """Smallest eigenvalue of the quantized nonnegative symbol
     a0 = y^2/(1+y^2) + eta^2/(1+eta^2) (or the pure harmonic y^2 + eta^2),
-    reported relative to h_tilde. An empty or repeating list, or an
-    h_tilde that is not finite and > 0, is a ValueError, and an h_tilde
-    that the grid does not resolve is GridTooCoarse, before any solve."""
+    reported relative to h_tilde. An empty or repeating list, an h_tilde
+    that is not finite and > 0, or an n_grid that is not a positive
+    integer is a ValueError, and an h_tilde that the grid does not
+    resolve is GridTooCoarse, before any solve."""
     h_tilde_list = check_entries(h_tilde_list, "h_tilde")
+    check_count(n_grid, "n_grid", 1)
     for h_tilde in h_tilde_list:
         check_positive(h_tilde, "h_tilde")
         if HARM_OSC_HALF_WIDTH / n_grid > 0.25 * math.sqrt(h_tilde):

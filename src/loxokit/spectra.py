@@ -21,8 +21,8 @@ import numpy as np
 import scipy.linalg as la
 
 from .cutoffs import get_warp
-from .errors import (GridTooCoarse, LoxokitError, check_mode, check_modes,
-                     check_positive)
+from .errors import (GridTooCoarse, LoxokitError, check_count, check_mode,
+                     check_modes, check_positive)
 
 
 # the scan that `loxokit spectrum` and the non-concentration criterion run
@@ -88,8 +88,7 @@ def _check_delta(delta, R):
 
 
 def build_radial_operator(k, R, N, profile=PROFILE):
-    if N < 64:
-        raise ValueError(f"N must be at least 64, not {N}")
+    check_count(N, "N", 64)
     check_positive(R, "R")
     check_mode(k)
     f = get_warp(profile).f

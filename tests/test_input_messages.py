@@ -65,6 +65,12 @@ def one_sided_damping(r):
      ["dead_zone_radius = 0.5", "not 0.3", "r = "]),
     (lambda mp: dw.DampedWaveProblem(n_grid=65),
      "n_grid must be even", ["65"]),
+    (lambda mp: dw.DampedWaveProblem(n_grid=32, damping=const(math.nan),
+                                     dead_zone_radius=None),
+     "damping must be finite", ["not nan", "r = "]),
+    (lambda mp: dw.DampedWaveProblem(n_grid=32, damping=const(math.inf),
+                                     dead_zone_radius=None),
+     "damping must be finite", ["not inf", "r = "]),
     (lopsided_warp, "warp profile must be even in r",
      ["not 1.0 at r = -1.5", "and 2.0 at r = 1.5"]),
     (lambda mp: dw.DampedWaveProblem(n_grid=32, damping=one_sided_damping),
@@ -73,7 +79,8 @@ def one_sided_damping(r):
 ], ids=["plateau-lo-hi", "rho0-rho1", "floor", "strength-nan",
         "strength-negative", "odd-n_grid", "mode-k",
         "scan-mode-k", "decay-mode-k", "warp-sign", "damping-sign",
-        "dead-zone", "wave-odd-n_grid", "warp-not-even", "damping-not-even"])
+        "dead-zone", "wave-odd-n_grid", "damping-nan", "damping-inf",
+        "warp-not-even", "damping-not-even"])
 def test_input_message_names_the_value(monkeypatch, make, words, values):
     with pytest.raises(ValueError) as err:
         make(monkeypatch)
@@ -104,6 +111,50 @@ POSITIVE = [
     ("jordan_scale", lambda v: normal_form.birkhoff_normal_form(
         np.diag([0.7, -0.7]), jordan_scale=v)),
 ]
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -0.5])
+def test_dead_zone_radius_is_none_or_finite_and_nonnegative(radius):
+    # a NaN or negative radius put no node in the dead zone, so the
+    # damping check passed whatever the damping did near the neck
+    with pytest.raises(ValueError) as err:
+        dw.DampedWaveProblem(n_grid=32, dead_zone_radius=radius)
+    assert str(err.value) == (f"dead_zone_radius must be None or finite "
+                              f"and >= 0, not {radius}")
+
+
+# every grid size, a call that reads it, and its least value
+GRID_SIZES = [
+    ("n_grid", lambda v: dw.DampedWaveProblem(n_grid=v), 32),
+    ("N", lambda v: spectra.build_radial_operator(10, 3.0, v), 64),
+    ("n_grid", lambda v: resolvent.harm_osc_lower_bound([0.1], n_grid=v),
+     1),
+]
+
+
+@pytest.mark.parametrize("value", [64.0, 100.5, np.float64(96.0), math.nan,
+                                   math.inf],
+                         ids=["whole-float", "fraction", "numpy-float",
+                              "nan", "inf"])
+@pytest.mark.parametrize("name, call, least", GRID_SIZES,
+                         ids=["damped-wave", "spectra", "harm-osc"])
+def test_grid_size_rule_refuses_what_is_not_an_integer(name, call, least,
+                                                       value):
+    # n_grid = 64.0 failed later with a TypeError in parity_sectors, and
+    # N = 100.5 built 101 nodes of spacing 2R/101.5 and stored N = 100
+    with pytest.raises(ValueError) as err:
+        call(value)
+    assert str(err.value) == f"{name} must be an integer, not {value}"
+
+
+@pytest.mark.parametrize("name, call, least", GRID_SIZES,
+                         ids=["damped-wave", "spectra", "harm-osc"])
+def test_grid_size_rule_refuses_what_is_under_its_least(name, call, least):
+    # harm_osc_lower_bound raised ZeroDivisionError at n_grid = 0
+    for value in (least - 1, -4):
+        with pytest.raises(ValueError) as err:
+            call(value)
+        assert str(err.value) == f"{name} must be at least {least}, not {value}"
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf],
