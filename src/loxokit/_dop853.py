@@ -1,11 +1,12 @@
 """The Dormand-Prince 8(5,3) step.
 
-integrate() is DOP853 (Hairer, Norsett and Wanner, *Solving Ordinary
+stream() is DOP853 (Hairer, Norsett and Wanner, *Solving Ordinary
 Differential Equations I*, ch. II) with the step control, initial step,
 error norm and dense output of scipy.integrate.solve_ivp(method="DOP853",
-rtol=tol, atol=tol), repeated operation for operation, so it returns the
-same bits. Owning it keeps scipy.integrate, and the scipy.optimize,
-scipy.special and scipy.sparse it imports, out of every loxokit process.
+rtol=tol, atol=tol), repeated operation for operation, so it yields the
+same bits; integrate() collects what it yields. Owning it keeps
+scipy.integrate, and the scipy.optimize, scipy.special and scipy.sparse
+it imports, out of every loxokit process.
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ SAFETY = 0.9        # multiplies the asymptotic step-size factor
 MIN_FACTOR = 0.2    # smallest factor of a rejected step
 MAX_FACTOR = 10     # largest factor of an accepted step
 ERROR_EXPONENT = -1 / 8   # -1 / (error estimator order 7 + 1)
+# t_eval points interpolated at once, which bounds the samples a stream
+# holds: a chunk of a 500-column control scan state (2500 doubles) is
+# 1.3 MB
+DENSE_CHUNK = 64
 
 # The tableau, copied digit for digit from scipy's
 # scipy/integrate/_ivp/dop853_coefficients.py (from Hairer's dop853.f).
@@ -300,10 +305,10 @@ def _step(rhs, t, y, f, h_abs, t1, direction, rtol, atol, K):
         rejected = True
 
 
-def _dense(rhs, K, t_old, y_old, t, y, f, points):
-    """The states at points inside the step just taken from (t_old,
-    y_old) to (t, y), f = rhs(t, y), as rows: the three extra stages go
-    into the last rows of K, then the degree-7 interpolant."""
+def _interpolant(rhs, K, t_old, y_old, t, y, f):
+    """The coefficients of the degree-7 interpolant of the step just taken
+    from (t_old, y_old) to (t, y), f = rhs(t, y): the three extra stages
+    go into the last rows of K first."""
     h = t - t_old   # the step's own h, which _step took as t_new - t
     for s in range(N_STAGES + 1, N_STAGES_EXTENDED):
         dy = np.dot(K[:s].T, A[s, :s]) * h
@@ -315,9 +320,15 @@ def _dense(rhs, K, t_old, y_old, t, y, f, points):
     F[1] = h * f_old - delta_y
     F[2] = 2 * delta_y - h * (f + f_old)
     F[3:] = h * np.dot(D, K)
+    return F
 
+
+def _evaluate(F, t_old, h, y_old, points):
+    """The interpolant F of a step of size h from (t_old, y_old) at
+    points, one state per row. Each point's row is computed on its own,
+    so any split of the points gives the same bits."""
     x = ((points - t_old) / h)[:, None]
-    out = np.zeros((len(points), y.size))
+    out = np.zeros((len(points), y_old.size))
     for i, row in enumerate(F[::-1]):
         out += row
         if i % 2 == 0:
@@ -336,12 +347,28 @@ def integrate(rhs, t_span, y0, tol, t_eval=None):
     one per time. Without t_eval the times are t0 and the end of every
     step, the last one t1; with t_eval (sorted in the direction of the
     span, inside it) they are t_eval, read off each step's interpolant.
+    It collects what stream() yields; see there for the refusals.
+    """
+    times, states = [], []
+    for chunk_times, chunk_states in stream(rhs, t_span, y0, tol, t_eval):
+        times.append(chunk_times)
+        states.extend(chunk_states)
+    return np.concatenate(times), states
+
+
+def stream(rhs, t_span, y0, tol, t_eval=None):
+    """integrate's samples as the steps make them: an iterator of
+    (times, states) pairs, states one row per time. Without t_eval each
+    pair is one time, t0 first, then the end of each step; with t_eval
+    the t_eval points inside a step come in chunks of at most
+    DENSE_CHUNK, so no more than one chunk of samples is held at once.
 
     A tol that is not finite and > 0 raises ValueError; one below
     MIN_TOL is raised to MIN_TOL with a UserWarning. An empty span, a
     non-finite entry of y0, or a t_eval that is empty, not finite, leaves
-    the span or is out of order raises ValueError; a step that shrinks
-    below ten floating-point spacings of t raises StepFailure.
+    the span or is out of order raises ValueError before any step; a
+    step that shrinks below ten floating-point spacings of t raises
+    StepFailure.
     """
     check_positive(tol, "tolerance")
     if tol < MIN_TOL:
@@ -357,7 +384,7 @@ def integrate(rhs, t_span, y0, tol, t_eval=None):
     direction = np.sign(t1 - t0)
     rtol, atol = tol, np.asarray(tol)
     if t_eval is None:
-        times, states = [t0], [y]
+        yield np.array([t0]), y[None]
     else:
         t_eval = np.asarray(t_eval)
         if not (t_eval.size and np.isfinite(t_eval).all()):
@@ -372,7 +399,6 @@ def integrate(rhs, t_span, y0, tol, t_eval=None):
         if direction < 0:
             t_eval = t_eval[::-1]
         i = 0 if direction > 0 else len(t_eval)
-        times, states = [], []
 
     t, f = t0, rhs(t0, y)
     h_abs = _initial_step(rhs, t0, y, t1, f, direction, rtol, atol)
@@ -382,8 +408,7 @@ def integrate(rhs, t_span, y0, tol, t_eval=None):
         t, y, f, h_abs = _step(rhs, t, y, f, h_abs, t1, direction, rtol,
                                atol, K)
         if t_eval is None:
-            times.append(t)
-            states.append(y)
+            yield np.array([t]), y[None]
             continue
         if direction > 0:
             i_new = np.searchsorted(t_eval, t, side="right")
@@ -392,8 +417,8 @@ def integrate(rhs, t_span, y0, tol, t_eval=None):
             i_new = np.searchsorted(t_eval, t, side="left")
             points = t_eval[i_new:i][::-1]
         if points.size:
-            times.append(points)
-            states.extend(_dense(rhs, K, t_old, y_old, t, y, f, points))
+            F = _interpolant(rhs, K, t_old, y_old, t, y, f)
+            for start in range(0, points.size, DENSE_CHUNK):
+                chunk = points[start:start + DENSE_CHUNK]
+                yield chunk, _evaluate(F, t_old, t - t_old, y_old, chunk)
             i = i_new
-    return (np.array(times) if t_eval is None else np.hstack(times)), states
-

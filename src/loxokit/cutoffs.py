@@ -45,6 +45,21 @@ def bridge_slope(t):
     return out if out.ndim else float(out)
 
 
+def bridge_curvature(t):
+    """Second derivative of smooth_bridge: bridge_slope times the
+    logarithmic derivative of g0 g1 (1/t^2 + 1/(1 - t)^2) / (g0 + g1)^2;
+    exactly 0 wherever g0 g1 underflows, as bridge_slope."""
+    t, g0, g1 = _bridge_parts(t)
+    both = g0 * g1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a, b = 1.0 / t ** 2, 1.0 / (1.0 - t) ** 2
+        log_slope = (a - b + 2.0 * (b / (1.0 - t) - a / t) / (a + b)
+                     - 2.0 * (g0 * a - g1 * b) / (g0 + g1))
+        out = np.where(both > 0, both * (a + b) / (g0 + g1) ** 2 * log_slope,
+                       0.0)
+    return out if out.ndim else float(out)
+
+
 def plateau_step(x, lo, hi):
     """0 for |x| <= lo, 1 for |x| >= hi, smooth and even in between."""
     if not hi > lo >= 0:
@@ -72,11 +87,13 @@ def neck_damping(inner=DAMPING_INNER, outer=DAMPING_OUTER):
 @dataclass(frozen=True)
 class Warp:
     """Warp f of ds^2 = dr^2 + f(r)^2 dtheta^2, with f(0) = 1, and its
-    slope f' in closed form. Both broadcast over arrays of r."""
+    slope f' and curvature f'' in closed form. All three broadcast over
+    arrays of r."""
 
     name: str
     f: Callable
     slope: Callable
+    curvature: Callable
 
 
 def _ones(r):
@@ -102,10 +119,20 @@ def _neck_slope(r):
             + (np.cosh(r) - 1.0) * bump_slope)
 
 
+def _neck_curvature(r):
+    r = np.asarray(r, dtype=float)
+    bump_slope = -np.sign(r) * bridge_slope(np.abs(r) - 1.0)
+    # sign(r)^2 = 1 wherever the bridge bends, so no sign here
+    bump_curvature = -bridge_curvature(np.abs(r) - 1.0)
+    return (np.cosh(r) * plateau_bump(r, 1.0, 2.0)
+            + 2.0 * np.sinh(r) * bump_slope
+            + (np.cosh(r) - 1.0) * bump_curvature)
+
+
 WARPS = {
-    "cosh": Warp("cosh", np.cosh, np.sinh),
-    "flat": Warp("flat", _ones, _zeros),
-    "neck": Warp("neck", _neck, _neck_slope),
+    "cosh": Warp("cosh", np.cosh, np.sinh, np.cosh),
+    "flat": Warp("flat", _ones, _zeros, _zeros),
+    "neck": Warp("neck", _neck, _neck_slope, _neck_curvature),
 }
 
 

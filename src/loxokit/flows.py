@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg as la
 
-from ._dop853 import MIN_TOL, integrate
+from ._dop853 import MIN_TOL, integrate, stream
 from .cutoffs import get_warp, neck_damping
 from .errors import LoxokitError, StepFailure, check_positive
 from .symplectic import (POINCARE_MAP, SpectrumClassification, classify,
@@ -70,15 +70,19 @@ class _NoReturn(FlowError):
 
 @dataclass
 class HamiltonianSystem:
-    """Smooth Hamiltonian on R^{2n} with an analytic gradient.
+    """Smooth Hamiltonian on R^{2n} with an analytic gradient and Hessian.
 
     p maps a phase point z (length 2n) to a float; gradient returns the
-    length-2n gradient of p at z. Both must broadcast over a (2n, N) stack
-    of phase points as columns, giving N values and a (2n, N) stack of
-    gradients: ``flow`` checks energy on a stack of states, and
-    ``check_geometric_control`` advances all its samples as one stacked
-    state. The gradient is trusted but checkable: ``gradient_check``
-    compares it with central differences (1e-5).
+    length-2n gradient of p at z and hessian the (2n, 2n) Hessian, which
+    the tangent flow of closed orbits and monodromy reads; it must be
+    exactly symmetric, so that the linearized flow is exactly
+    Hamiltonian. All three must broadcast over a (2n, N) stack of phase points
+    as columns, giving N values, a (2n, N) stack of gradients and a
+    (2n, 2n, N) stack of Hessians: ``flow`` checks energy on a stack of
+    states, and ``check_geometric_control`` advances all its samples as
+    one stacked state. Both derivatives are trusted but checkable:
+    ``gradient_check`` and ``hessian_check`` compare them with central
+    differences.
 
     wraps lists cyclic coordinates as (index, period) pairs. Closed-orbit
     residuals are computed modulo these periods, so an orbit that closes
@@ -89,6 +93,7 @@ class HamiltonianSystem:
     n: int
     p: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
+    hessian: Callable[[np.ndarray], np.ndarray]
     model_tag: str = "custom"
     params: dict = field(default_factory=dict)
     wraps: tuple = ()
@@ -97,15 +102,6 @@ class HamiltonianSystem:
         g = self.gradient(z)
         n = self.n
         return np.concatenate([g[n:], -g[:n]])
-
-    def hessian(self, z):
-        """Symmetrized central-difference Hessian of p.
-
-        Symmetrizing keeps the linearized flow exactly Hamiltonian, which
-        protects the symplectic structure of monodromy matrices.
-        """
-        H = np.column_stack(_central_differences(self.gradient, z, 6.0e-6))
-        return 0.5 * (H + H.T)
 
 
 def _central_differences(f, z, rel_step):
@@ -127,6 +123,13 @@ def gradient_check(sys, z, step=1e-6):
     return float(np.max(np.abs(diffs - sys.gradient(np.asarray(z, float)))))
 
 
+def hessian_check(sys, z, step=1e-6):
+    """Max abs difference between sys.hessian and central differences of
+    sys.gradient."""
+    diffs = np.column_stack(_central_differences(sys.gradient, z, step))
+    return float(np.max(np.abs(diffs - sys.hessian(np.asarray(z, float)))))
+
+
 # ---------------------------------------------------------------------------
 # built-in models
 # ---------------------------------------------------------------------------
@@ -135,7 +138,7 @@ def surface_of_revolution(profile="cosh"):
     """Geodesic flow on ds^2 = dr^2 + f(r)^2 dtheta^2, z = (r, th, p_r, p_th),
     for the warp f named profile (see cutoffs.WARPS)."""
     warp = get_warp(profile)
-    f, fp = warp.f, warp.slope
+    f, fp, fpp = warp.f, warp.slope, warp.curvature
 
     def p(z):
         r, _, pr, pth = z
@@ -147,7 +150,17 @@ def surface_of_revolution(profile="cosh"):
         return np.array([-pth ** 2 * fp(r) / fr ** 3, np.zeros_like(r), pr,
                          pth / fr ** 2])
 
-    return HamiltonianSystem(n=2, p=p, gradient=gradient,
+    def hessian(z):
+        r, _, _, pth = z
+        fr, f1 = f(r), fp(r)
+        H = np.zeros((4, 4) + np.shape(r))
+        H[0, 0] = pth ** 2 * (3 * f1 ** 2 - fr * fpp(r)) / fr ** 4
+        H[0, 3] = H[3, 0] = -2 * pth * f1 / fr ** 3
+        H[2, 2] = 1.0
+        H[3, 3] = 1 / fr ** 2
+        return H
+
+    return HamiltonianSystem(n=2, p=p, gradient=gradient, hessian=hessian,
                              model_tag="surface_of_revolution",
                              params={"profile": profile},
                              wraps=((1, 2 * np.pi),))
@@ -177,7 +190,19 @@ def double_bump(height=1.0, separation=1.5, width=0.5):
         dVy = h * (-2 * y / s2 * em - 2 * y / s2 * ep)
         return np.array([dVx, dVy, xx, xy])
 
-    return HamiltonianSystem(n=2, p=p, gradient=gradient,
+    def hessian(z):
+        x, y = z[0], z[1]
+        H = np.zeros((4, 4) + np.shape(x))
+        for c in (x - d, x + d):
+            e = h * np.exp(-(c ** 2 + y ** 2) / s2)
+            H[0, 0] += (4 * c ** 2 / s2 - 2) / s2 * e
+            H[0, 1] += 4 * c * y / s2 ** 2 * e
+            H[1, 1] += (4 * y ** 2 / s2 - 2) / s2 * e
+        H[1, 0] = H[0, 1]
+        H[2, 2] = H[3, 3] = 1.0
+        return H
+
+    return HamiltonianSystem(n=2, p=p, gradient=gradient, hessian=hessian,
                              model_tag="double_bump",
                              params={"height": height, "separation": separation,
                                      "width": width})
@@ -192,7 +217,12 @@ def harmonic_oscillator(omega=1.0):
     def gradient(z):
         return np.array([w2 * z[0], z[1]])
 
-    return HamiltonianSystem(n=1, p=p, gradient=gradient,
+    def hessian(z):
+        H = np.zeros((2, 2) + np.shape(z[0]))
+        H[0, 0], H[1, 1] = w2, 1.0
+        return H
+
+    return HamiltonianSystem(n=1, p=p, gradient=gradient, hessian=hessian,
                              model_tag="harmonic", params={"omega": omega})
 
 
@@ -267,9 +297,9 @@ def flow(sys, z0, t_span, tol=1e-10, t_eval=None, observable=None):
     one more state row (so it shares the step control) and comes back
     as ``integral``. The energy drift |p - p(z0)| along the result must
     stay within 10 * tol * max(1, |p(z0)|) * max(1, |t1 - t0|), or
-    StepFailure is raised; so does integrator failure. A tol below
-    _dop853.MIN_TOL (100 machine epsilons) is raised to it, with a
-    UserWarning, for the integration and the budget alike.
+    StepFailure is raised (see _EnergyRule); so does integrator failure.
+    A tol below _dop853.MIN_TOL (100 machine epsilons) is raised to it,
+    with a UserWarning, for the integration and the budget alike.
 
     z0 may be a (2n, N) stack of phase points as columns. They advance as
     one state with one step sequence (its error norm is taken over all
@@ -278,16 +308,34 @@ def flow(sys, z0, t_span, tol=1e-10, t_eval=None, observable=None):
     observable must then broadcast over the stack too. Any column over
     its energy budget raises StepFailure.
     """
-    t0, t1 = t_span
     z0 = np.asarray(z0, dtype=float)
     dim = 2 * sys.n
-    y0, n_out = z0, None
+    n_out = None if t_eval is None else len(t_eval)
+    y0, rhs, t_eval = _ride_along(sys, z0, t_span, t_eval, observable)
+    times, states = integrate(rhs, t_span, y0.ravel(), tol, t_eval=t_eval)
+    y = np.reshape(states, (-1,) + y0.shape)     # time first
+    energy = _EnergyRule(sys, z0, t_span, tol, len(y))
+    energy.add(y[:, :dim])
+    drift = energy.check()
+    integral = None if observable is None else y[-1, dim]
+    if z0.ndim == 1:
+        drift = float(drift)
+        integral = None if integral is None else float(integral)
+    return FlowResult(times=times[:n_out], states=y[:n_out, :dim],
+                      energy_drift=drift, integral=integral)
+
+
+def _ride_along(sys, z0, t_span, t_eval, observable):
+    """flow's integration of z0: (y0, rhs, t_eval), where y0 is z0 with
+    one more row, starting at 0, for the observable's integral if there
+    is an observable, rhs its right-hand side on y0.ravel(), and t_eval
+    gains t1 when the integral must be read past the last sample."""
+    dim = 2 * sys.n
+    y0 = z0
     if observable is not None:
         y0 = np.concatenate([z0, np.zeros((1,) + z0.shape[1:])])
-        if t_eval is not None and np.size(t_eval) and t_eval[-1] != t1:
-            # the integral is read at the end of the span: sample it too
-            n_out = len(t_eval)
-            t_eval = np.append(t_eval, t1)
+        if t_eval is not None and np.size(t_eval) and t_eval[-1] != t_span[1]:
+            t_eval = np.append(t_eval, t_span[1])
 
     def rhs(t, y):
         z = y.reshape(y0.shape)[:dim]
@@ -296,25 +344,43 @@ def flow(sys, z0, t_span, tol=1e-10, t_eval=None, observable=None):
             v = np.concatenate([v, np.asarray(observable(z))[None]])
         return v.ravel()
 
-    times, states = integrate(rhs, t_span, y0.ravel(), tol, t_eval=t_eval)
-    y = np.vstack(states).T.reshape(y0.shape + (-1,))
-    # energy drift of each trajectory on about 65 samples in time and at
-    # the last state
-    E0 = np.asarray(sys.p(z0))
-    k = y.shape[-1]
-    picks = np.append(np.arange(0, k, max(1, k // 64)), k - 1)
-    drift = np.abs(sys.p(y[:dim, ..., picks]) - E0[..., None]).max(axis=-1)
-    budget = (10 * max(tol, MIN_TOL) * np.maximum(1.0, np.abs(E0))
-              * max(1.0, abs(t1 - t0)))
-    if np.any(drift > budget):
-        raise StepFailure(f"energy drift {drift.max():.2e} exceeds budget")
-    integral = None if observable is None else y[dim, ..., -1]
-    if z0.ndim == 1:
-        drift = float(drift)
-        integral = None if integral is None else float(integral)
-    return FlowResult(times=times[:n_out],
-                      states=np.moveaxis(y[:dim], -1, 0)[:n_out],
-                      energy_drift=drift, integral=integral)
+    return y0, rhs, t_eval
+
+
+class _EnergyRule:
+    """flow's energy check on a run of k samples from z0 over t_span at
+    tol: the drift |p - p(z0)| of each column, read at about 65 samples
+    in time and at the last, must stay within 10 * max(tol, MIN_TOL) *
+    max(1, |p(z0)|) * max(1, |t1 - t0|), or check() raises StepFailure.
+    The samples are added in order, time first, in as many pieces as
+    come, so a stream of them needs no history."""
+
+    def __init__(self, sys, z0, t_span, tol, k):
+        self.p = sys.p
+        self.E0 = np.asarray(sys.p(z0))
+        self.picks = np.append(np.arange(0, k, max(1, k // 64)), k - 1)
+        self.budget = (10 * max(tol, MIN_TOL)
+                       * np.maximum(1.0, np.abs(self.E0))
+                       * max(1.0, abs(t_span[1] - t_span[0])))
+        self.drift = np.zeros_like(self.E0)
+        self.seen = 0
+
+    def add(self, z):
+        """The next len(z) samples, z of shape (len(z), 2n[, N])."""
+        at = self.picks[(self.picks >= self.seen)
+                        & (self.picks < self.seen + len(z))] - self.seen
+        if at.size:
+            E = self.p(np.moveaxis(z[at], 0, -1))
+            self.drift = np.maximum(
+                self.drift, np.abs(E - self.E0[..., None]).max(axis=-1))
+        self.seen += len(z)
+
+    def check(self):
+        """The drift per column, once it is within the budget."""
+        if np.any(self.drift > self.budget):
+            raise StepFailure(f"energy drift {self.drift.max():.2e} "
+                              "exceeds budget")
+        return self.drift
 
 
 def _flow_with_monodromy(sys, z0, T, tol):
@@ -571,10 +637,12 @@ def trajectory_average(sys, z0, T, observable):
                 observable=observable).integral / T
 
 
-# Columns per stacked control integration. flow keeps the t_eval history,
-# (2n + 1) * columns * len(t_grid) doubles: at T = 50 (1001 grid times)
-# one batch holds 2 MB, so peak memory stays flat however many samples.
-_CONTROL_BATCH = 50
+# Columns per stacked control integration. The scan streams its samples
+# and keeps only first hits and the damping integral, so memory does not
+# grow with T; a batch of 500 columns holds one _dop853.DENSE_CHUNK of
+# samples, 1.3 MB. All columns share one step sequence, so the batch also
+# bounds how many easy columns ride along at the steps of the hardest.
+_CONTROL_BATCH = 500
 
 
 @dataclass
@@ -596,8 +664,9 @@ def check_geometric_control(sys, damping, exclusion, T=50.0, n_samples=500,
     time-average of the damping over the samples; it rides along in the
     forward run at the same CONTROL_TOL, and a backward run is made only
     for samples whose forward run misses the damping. The samples advance
-    in batches of columns of one stacked ``flow`` state, so the model and
-    the damping must broadcast (see HamiltonianSystem). n_samples must be
+    in batches of columns of one stacked state, integrated as ``flow``
+    integrates it and held to its energy rule, so the model and the
+    damping must broadcast (see HamiltonianSystem). n_samples must be
     an integer >= 1 and T finite and > 0 (ValueError).
     """
     if not isinstance(n_samples, numbers.Integral) or n_samples < 1:
@@ -614,28 +683,45 @@ def check_geometric_control(sys, damping, exclusion, T=50.0, n_samples=500,
         if not exclusion(sys, z):
             samples.append(z)
 
-    def first_hits(res):
-        hit = damping(res.states[:, 0]) > CONTROL_THRESHOLD  # (time, column)
-        return [float(res.times[h.argmax()]) if h.any() else None
-                for h in hit.T]
-
     t_grid = np.arange(0.0, T + CONTROL_SCAN_DT, CONTROL_SCAN_DT)
     t_grid = t_grid[t_grid <= T]     # arange can overshoot T by one step
     witnesses = []
     min_avg = np.inf
     for start in range(0, n_samples, _CONTROL_BATCH):
         Z = np.column_stack(samples[start:start + _CONTROL_BATCH])
-        fwd = flow(sys, Z, (0.0, T), tol=CONTROL_TOL, t_eval=t_grid,
-                   observable=lambda s: damping(s[0]))
-        min_avg = min(min_avg, np.min(fwd.integral / T))
-        hits = first_hits(fwd)
-        missed = [j for j, t in enumerate(hits) if t is None]
-        if missed:
-            bwd = flow(sys, Z[:, missed], (0.0, -T), tol=CONTROL_TOL,
-                       t_eval=-t_grid)
-            for j, t in zip(missed, first_hits(bwd)):
-                hits[j] = t
-        witnesses += [(start + j, t) for j, t in enumerate(hits)
-                      if t is not None]
+        hits, integral = _scan(sys, damping, Z, T, t_grid)
+        min_avg = min(min_avg, np.min(integral / T))
+        missed = np.flatnonzero(np.isnan(hits))
+        if missed.size:
+            hits[missed] = _scan(sys, damping, Z[:, missed], -T, -t_grid)[0]
+        witnesses += [(start + j, float(t)) for j, t in enumerate(hits)
+                      if not np.isnan(t)]
     return ControlReport(controlled_fraction=len(witnesses) / n_samples,
                          witnesses=witnesses, min_average=float(min_avg))
+
+
+def _scan(sys, damping, Z, T, t_grid):
+    """(hits, integral) of the columns of Z flowed over (0, T) at
+    CONTROL_TOL: each column's first time on t_grid with damping above
+    CONTROL_THRESHOLD (NaN if none) and, forward only, the integral of
+    the damping over the span. The samples stream by chunk (see
+    _dop853.stream) through flow's set-up and energy rule; none is kept."""
+    dim = 2 * sys.n
+    observable = (lambda z: damping(z[0])) if T > 0 else None
+    y0, rhs, t_eval = _ride_along(sys, Z, (0.0, T), t_grid, observable)
+    energy = _EnergyRule(sys, Z, (0.0, T), CONTROL_TOL, len(t_eval))
+    hits = np.full(Z.shape[1], np.nan)
+    seen = 0
+    for times, rows in stream(rhs, (0.0, T), y0.ravel(), CONTROL_TOL,
+                              t_eval=t_eval):
+        y = rows.reshape((-1,) + y0.shape)
+        energy.add(y[:, :dim])
+        # the t1 sample that _ride_along may append is not on the grid
+        on_grid = min(len(times), len(t_grid) - seen)
+        seen += len(times)
+        if on_grid > 0 and np.isnan(hits).any():
+            hit = damping(y[:on_grid, 0]) > CONTROL_THRESHOLD  # (time, column)
+            new = hit.any(axis=0) & np.isnan(hits)
+            hits[new] = times[hit.argmax(axis=0)[new]]
+    energy.check()
+    return hits, (y[-1, dim] if observable is not None else None)

@@ -125,15 +125,16 @@ def quantize_model(h, rate=RATE, n_grid=N_GRID, half_length=HALF_LENGTH,
     _check_h(h)
     check_positive(rate, "rate")
     check_positive(half_length, "half_length")
+    check_count(n_grid, "n_grid", 32)
     profile = profile if profile is not None else AbsorbingProfile()
     if profile.rho1 >= half_length:
         raise ValueError(
             f"half_length must exceed the absorption plateau rho1 = "
             f"{profile.rho1}, not {half_length}")
     n_modes = 2 * int(math.ceil(1.6 / h))
-    if n_modes < 32 or n_grid < 32:
-        raise ValueError(f"need n_grid >= 32 and h small enough for 32 "
-                         f"modes, got n_grid={n_grid} and {n_modes} modes")
+    if n_modes < 32:
+        raise ValueError(f"need h small enough for 32 modes, got h = {h} "
+                         f"and {n_modes} modes")
     if n_grid % 2:
         raise ValueError(f"n_grid must be even, not {n_grid}: the sweeps "
                          "split the grid into its two mirror halves")

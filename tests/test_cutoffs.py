@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loxokit.cutoffs import (WARPS, bridge_slope, get_warp, plateau_bump,
-                             plateau_step, smooth_bridge)
+from loxokit.cutoffs import (WARPS, bridge_curvature, bridge_slope, get_warp,
+                             plateau_bump, plateau_step, smooth_bridge)
 
 
 def test_bridge_endpoints_exact():
@@ -59,6 +59,16 @@ def test_bridge_slope_matches_central_differences():
     assert np.all(bridge_slope(np.array([-1.0, 0.0, 1.0, 2.0])) == 0.0)
 
 
+def test_bridge_curvature_matches_central_differences():
+    t = np.linspace(-0.5, 1.5, 401)
+    err = np.abs(bridge_curvature(t) - central_difference(bridge_slope, t))
+    assert np.max(err) <= 1e-8
+    # the bridge is odd about t = 1/2, so its curvature vanishes there
+    assert abs(bridge_curvature(0.5)) <= 1e-14
+    assert np.all(bridge_curvature(np.array([-1.0, 0.0, 1.0, 2.0])) == 0.0)
+    assert isinstance(bridge_curvature(0.3), float)
+
+
 @pytest.mark.parametrize("name", sorted(WARPS))
 def test_warp_is_one_at_the_neck(name):
     warp = get_warp(name)
@@ -76,14 +86,25 @@ def test_warp_slope_matches_central_differences(name):
     assert np.max(err / np.maximum(1.0, np.abs(warp.f(r)))) <= 5e-9
 
 
+@pytest.mark.parametrize("name", sorted(WARPS))
+def test_warp_curvature_matches_central_differences(name):
+    warp = get_warp(name)
+    r = np.linspace(-3.0, 3.0, 601)
+    assert warp.curvature(r).shape == r.shape
+    err = np.abs(warp.curvature(r) - central_difference(warp.slope, r))
+    assert np.max(err / np.maximum(1.0, np.abs(warp.f(r)))) <= 5e-9
+
+
 def test_neck_warp_is_cosh_inside_and_flat_outside():
     neck = get_warp("neck")
     inner = np.linspace(-1.0, 1.0, 41)
     assert np.array_equal(neck.f(inner), np.cosh(inner))
     assert np.array_equal(neck.slope(inner), np.sinh(inner))
+    assert np.array_equal(neck.curvature(inner), np.cosh(inner))
     outer = np.array([-3.0, -2.5, -2.0, 2.0, 2.5, 3.0])
     assert np.all(neck.f(outer) == 1.0)
     assert np.all(neck.slope(outer) == 0.0)
+    assert np.all(neck.curvature(outer) == 0.0)
 
 
 @pytest.mark.parametrize("name", ["saddle", None, "COSH"])

@@ -55,6 +55,57 @@ def test_dense_output_as_scipy(t_span, t_eval):
     assert np.array_equal(times, t_eval)
 
 
+def collected(rhs, t_span, y0, tol, t_eval=None):
+    """The stream's pieces, and its times and states concatenated."""
+    pieces = list(_dop853.stream(rhs, t_span, y0, tol, t_eval=t_eval))
+    return (pieces, np.concatenate([t for t, _ in pieces]),
+            np.vstack([y for _, y in pieces]))
+
+
+def decay(t, y):
+    return -0.1 * y
+
+
+@pytest.mark.parametrize("rhs, t_span, t_eval", [
+    (pendulum, (0.0, 7.3), None),
+    (pendulum, (0.0, 7.3), np.linspace(0.0, 7.3, 41)),
+    (pendulum, (0.0, -7.3), None),
+    (pendulum, (0.0, -7.3), -np.linspace(0.0, 7.3, 41)),
+    # slow decay at a loose tol: a few long steps, each over far more
+    # t_eval points than one chunk
+    (decay, (0.0, 30.0), np.linspace(0.0, 30.0, 3001)),
+    (decay, (0.0, -30.0), -np.linspace(0.0, 30.0, 3001)),
+], ids=["forward-steps", "forward", "backward-steps", "backward",
+        "wide-steps", "wide-steps-backward"])
+def test_stream_concatenates_to_integrate(rhs, t_span, t_eval):
+    y0 = np.array([1.0, 0.2])
+    pieces, times, states = collected(rhs, t_span, y0, 1e-6, t_eval=t_eval)
+    want_t, want_y = _dop853.integrate(rhs, t_span, y0, 1e-6, t_eval=t_eval)
+    assert np.array_equal(times, want_t)
+    assert np.array_equal(states, np.vstack(want_y))
+    assert max(len(t) for t, _ in pieces) <= _dop853.DENSE_CHUNK
+    if t_eval is None:
+        assert all(len(t) == 1 for t, _ in pieces)
+    sol = solve_ivp(rhs, t_span, y0, method="DOP853", rtol=1e-6, atol=1e-6,
+                    t_eval=t_eval)
+    assert np.array_equal(states, sol.y.T)
+    if rhs is decay:
+        steps = len(_dop853.integrate(rhs, t_span, y0, 1e-6)[0]) - 1
+        assert len(pieces) > 2 * steps
+
+
+def test_chunked_interpolation_is_one_evaluation(monkeypatch):
+    # each point's row is computed on its own: chunks of 64 give the bits
+    # of one evaluation over every point of the step
+    y0 = np.array([1.0, 0.2])
+    t_eval = np.linspace(0.0, 30.0, 3001)
+    _, _, chunked = collected(decay, (0.0, 30.0), y0, 1e-6, t_eval=t_eval)
+    monkeypatch.setattr(_dop853, "DENSE_CHUNK", 10 ** 9)
+    pieces, _, whole = collected(decay, (0.0, 30.0), y0, 1e-6, t_eval=t_eval)
+    assert max(len(t) for t, _ in pieces) > 64
+    assert np.array_equal(chunked, whole)
+
+
 def recorded(monkeypatch):
     """Every (rhs, t_span, y0, tol, t_eval) that flows hands to the
     integrator, which still runs."""

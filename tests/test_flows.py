@@ -1,6 +1,7 @@
 """Flow integration, closed orbits, monodromy, averages, control checks."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,9 @@ def dilation_system(lam=0.6):
     return flows.HamiltonianSystem(
         n=1,
         p=lambda z: lam * z[0] * z[1],
-        gradient=lambda z: np.array([lam * z[1], lam * z[0]]))
+        gradient=lambda z: np.array([lam * z[1], lam * z[0]]),
+        hessian=lambda z: np.multiply.outer([[0.0, lam], [lam, 0.0]],
+                                            np.ones(np.shape(z[0]))))
 
 
 # ---------------------------------------------------------------------------
@@ -39,15 +42,43 @@ def dilation_system(lam=0.6):
 # ---------------------------------------------------------------------------
 
 def test_builtin_gradients_match_finite_differences():
+    # central differences of p are the oracle of every gradient, and those
+    # of the gradient the oracle of every Hessian, which no model computes
+    # from them at run time
     rng = np.random.Generator(np.random.Philox(2))
     systems = [flows.surface_of_revolution(),
                flows.double_bump(),
-               flows.harmonic_oscillator()]
+               flows.harmonic_oscillator(),
+               dilation_system()]
     for sys in systems:
         for _ in range(5):
             z = rng.uniform(-1.0, 1.0, size=2 * sys.n)
             z[0] += 0.3        # keep clear of coordinate degeneracies
             assert flows.gradient_check(sys, z) <= 1e-5
+            H = sys.hessian(z)
+            assert H.shape == (2 * sys.n, 2 * sys.n)
+            assert np.array_equal(H, H.T)
+            assert flows.hessian_check(sys, z) <= 1e-6
+
+
+def test_tangent_flow_reads_one_gradient_per_right_hand_side():
+    # the variational equation takes its Hessian from the model, so each
+    # right-hand side evaluates the gradient once, for the vector field
+    counts = {"gradient": 0, "hessian": 0}
+
+    def counted(name, fn):
+        def call(z):
+            counts[name] += 1
+            return fn(z)
+        return call
+
+    sys = flows.surface_of_revolution("cosh")
+    sys = dataclasses.replace(sys, gradient=counted("gradient", sys.gradient),
+                              hessian=counted("hessian", sys.hessian))
+    z0 = flows.surface_state(sys, 0.1, 0.0, np.pi / 2)
+    flows._flow_with_monodromy(sys, z0, 1.0, 1e-10)
+    assert counts["hessian"] > 12
+    assert counts["gradient"] == counts["hessian"]
 
 
 @pytest.mark.parametrize("name", sorted(cutoffs.WARPS))
@@ -66,6 +97,7 @@ def test_surface_state_on_every_warp(name):
                 assert flows.clairaut_constant(sys, z) == pytest.approx(
                     f(r) * abs(np.sin(psi)), rel=1e-14)
                 assert flows.gradient_check(sys, z) <= 1e-5
+                assert flows.hessian_check(sys, z) <= 1e-6
 
 
 @pytest.mark.parametrize("sys", [flows.surface_of_revolution("cosh"),
@@ -79,7 +111,7 @@ def test_builtin_models_broadcast_over_columns(sys):
     # flow's energy check and check_geometric_control evaluate stacks
     Z = np.random.Generator(np.random.Philox(5)).uniform(
         -1.0, 1.0, size=(2 * sys.n, 7))
-    for f in (sys.gradient, sys.p, sys.vector_field):
+    for f in (sys.gradient, sys.p, sys.vector_field, sys.hessian):
         by_column = np.stack([np.asarray(f(z)) for z in Z.T], axis=-1)
         assert np.array_equal(np.asarray(f(Z)), by_column)
 
@@ -162,19 +194,6 @@ def test_integration_rejects_unusable_tolerance(tol):
     sys = flows.harmonic_oscillator()
     with pytest.raises(ValueError, match="tolerance must be finite"):
         flows.flow(sys, np.array([1.0, 0.0]), (0.0, 1.0), tol=tol)
-
-
-def test_hessian_is_the_central_difference_stencil():
-    # same step rule and arithmetic as a hand-written loop, bit for bit
-    sys = flows.double_bump()
-    z = np.array([0.3, -0.2, 0.5, 0.1])
-    H = np.empty((4, 4))
-    for j in range(4):
-        h = 6.0e-6 * max(1.0, abs(z[j]))
-        zp = z.copy(); zp[j] += h
-        zm = z.copy(); zm[j] -= h
-        H[:, j] = (sys.gradient(zp) - sys.gradient(zm)) / (2 * h)
-    assert np.array_equal(sys.hessian(z), 0.5 * (H + H.T))
 
 
 def test_gauss_newton_shrinks_rejected_trials():
@@ -545,8 +564,10 @@ def _control_by_sample(sys, damping, samples, T, tol):
 
 
 @pytest.mark.parametrize("seed", [5, 2024])
-def test_batched_control_matches_per_sample_flows(cosh_surface, seed):
-    # 110 samples span three column batches
+def test_batched_control_matches_per_sample_flows(cosh_surface, seed,
+                                                  monkeypatch):
+    # batches of 50 columns: 110 samples span three of them
+    monkeypatch.setattr(flows, "_CONTROL_BATCH", 50)
     a, neck = cutoffs.neck_damping(0.5, 1.0), flows.neck_exclusion()
     n, T = 110, 10.0
     rep = flows.check_geometric_control(cosh_surface, a, neck, T=T,
@@ -599,6 +620,23 @@ def test_batched_control_column_over_energy_budget_raises(cosh_surface):
     with pytest.raises(StepFailure):
         flows.check_geometric_control(leaky, a, neck, T=T, n_samples=n,
                                       seed=3)
+
+
+def test_control_memory_does_not_grow_with_the_horizon(cosh_surface):
+    # the scan streams its samples and keeps first hits and the integral
+    # only: quadrupling T adds steps, not held samples
+    a, neck = cutoffs.neck_damping(0.5, 1.0), flows.neck_exclusion()
+    peaks = []
+    for T in (50.0, 200.0):
+        tracemalloc.start()
+        try:
+            rep = flows.check_geometric_control(cosh_surface, a, neck, T=T,
+                                                n_samples=100, seed=4)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert rep.controlled_fraction == 1.0
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def test_one_neck_damping():

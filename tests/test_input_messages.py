@@ -17,6 +17,7 @@ def dipped_warp(monkeypatch):
     # -1 on |r| <= 0.5 and 1 from |r| = 1 on, so it closes up on the circle
     monkeypatch.setitem(cutoffs.WARPS, "dip", cutoffs.Warp(
         "dip", lambda r: 1.0 - 2.0 * cutoffs.plateau_bump(r, 0.5, 1.0),
+        lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         lambda r: np.zeros_like(np.asarray(r, dtype=float))))
     return dw.DampedWaveProblem(profile="dip", n_grid=32)
 
@@ -27,6 +28,7 @@ def lopsided_warp(monkeypatch):
     monkeypatch.setitem(cutoffs.WARPS, "lopsided", cutoffs.Warp(
         "lopsided", lambda r: 1.0 + cutoffs.plateau_bump(
             np.asarray(r) - 1.0, 0.5, 1.0),
+        lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         lambda r: np.zeros_like(np.asarray(r, dtype=float))))
     return dw.DampedWaveProblem(profile="lopsided", n_grid=32)
 
@@ -49,6 +51,14 @@ def one_sided_damping(r):
      "strength must lie in [0, inf)", ["-1.0"]),
     (lambda mp: resolvent.quantize_model(0.05, n_grid=65),
      "n_grid must be even", ["65"]),
+    (lambda mp: resolvent.quantize_model(0.05, n_grid=64.5),
+     "n_grid must be an integer", ["64.5"]),
+    (lambda mp: resolvent.quantize_model(0.05, n_grid=64.0),
+     "n_grid must be an integer", ["64.0"]),
+    (lambda mp: resolvent.quantize_model(0.05, n_grid=30),
+     "n_grid must be at least 32", ["30"]),
+    (lambda mp: resolvent.quantize_model(0.2),
+     "need h small enough for 32 modes", ["h = 0.2", "16 modes"]),
     (lambda mp: spectra.build_radial_operator(1.5, 4.0, 64),
      "mode k must be a nonnegative integer", ["1.5"]),
     (lambda mp: dw.eigenfrequency_scan(dw.DampedWaveProblem(n_grid=32),
@@ -77,7 +87,8 @@ def one_sided_damping(r):
      "damping must be even in r",
      ["not 0.0 at r = -2.8125", "and 1.0 at r = 2.8125"]),
 ], ids=["plateau-lo-hi", "rho0-rho1", "floor", "strength-nan",
-        "strength-negative", "odd-n_grid", "mode-k",
+        "strength-negative", "odd-n_grid", "fractional-n_grid",
+        "float-n_grid", "small-n_grid", "few-modes", "mode-k",
         "scan-mode-k", "decay-mode-k", "warp-sign", "damping-sign",
         "dead-zone", "wave-odd-n_grid", "damping-nan", "damping-inf",
         "warp-not-even", "damping-not-even"])
